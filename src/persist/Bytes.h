@@ -18,6 +18,9 @@
 /// All integers are serialized as fixed-width little-endian values and all
 /// doubles as their raw IEEE-754 bit patterns (recomputing a sum on load
 /// would change last-ulp accumulation and break bit-identical recovery).
+/// Each field moves as one std::memcpy of its native representation,
+/// byte-swapped first on a big-endian host, so the wire bytes are the
+/// same on every platform and no field is assembled a byte at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +29,47 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace regmon::persist {
+
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "wire words are stored little-endian from either byte order");
+
+/// Reverses the byte order of \p V (std::byteswap predates our C++20).
+template <typename T> constexpr T byteSwap(T V) {
+  T Out = 0;
+  for (std::uint64_t I = 0; I < sizeof(T); ++I) {
+    Out = static_cast<T>((Out << 8) | (V & 0xFFU));
+    V = static_cast<T>(V >> 8);
+  }
+  return Out;
+}
+static_assert(byteSwap<std::uint32_t>(0x01020304U) == 0x04030201U);
+
+/// Stores \p V at \p Out as sizeof(T) little-endian bytes.
+template <typename T> void storeLE(std::uint8_t *Out, T V) {
+  static_assert(std::is_unsigned_v<T>, "wire words are unsigned");
+  if constexpr (std::endian::native == std::endian::big)
+    V = byteSwap(V);
+  std::memcpy(Out, &V, sizeof(T));
+}
+
+/// Loads sizeof(T) little-endian bytes from \p In.
+template <typename T> T loadLE(const std::uint8_t *In) {
+  static_assert(std::is_unsigned_v<T>, "wire words are unsigned");
+  T V = 0;
+  std::memcpy(&V, In, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big)
+    V = byteSwap(V);
+  return V;
+}
 
 /// Appends little-endian fields to a growable byte buffer.
 class ByteWriter {
@@ -41,31 +79,34 @@ public:
   /// payloads) call it to avoid growth reallocations mid-record.
   void reserve(std::uint64_t Total) { Buf.reserve(Total); }
 
+  /// Grows the buffer by \p N bytes and returns where they start, so a
+  /// block encoder can size its output once and fill it in place. The
+  /// pointer is valid until the next write.
+  std::uint8_t *extend(std::uint64_t N) {
+    const std::uint64_t At = Buf.size();
+    Buf.resize(At + N);
+    return Buf.data() + At;
+  }
+
   void u8(std::uint8_t V) { Buf.push_back(V); }
 
-  void u32(std::uint32_t V) {
-    for (std::uint32_t I = 0; I < 4; ++I)
-      Buf.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
-  }
+  void u32(std::uint32_t V) { storeLE(extend(4), V); }
 
-  void u64(std::uint64_t V) {
-    for (std::uint32_t I = 0; I < 8; ++I)
-      Buf.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
-  }
+  void u64(std::uint64_t V) { storeLE(extend(8), V); }
 
   void f64(double V) { u64(std::bit_cast<std::uint64_t>(V)); }
 
   void boolean(bool V) { u8(V ? 1 : 0); }
 
   void bytes(std::span<const std::uint8_t> Data) {
-    Buf.insert(Buf.end(), Data.begin(), Data.end());
+    if (!Data.empty())
+      std::memcpy(extend(Data.size()), Data.data(), Data.size());
   }
 
   /// Length-prefixed (u64) UTF-8/opaque string.
   void str(std::string_view S) {
     u64(S.size());
-    for (char C : S)
-      Buf.push_back(static_cast<std::uint8_t>(C));
+    bytes({reinterpret_cast<const std::uint8_t *>(S.data()), S.size()});
   }
 
   /// Length-prefixed (u64 element count) vectors.
@@ -120,21 +161,11 @@ public:
   }
 
   std::uint32_t u32() {
-    if (!take(4))
-      return 0;
-    std::uint32_t V = 0;
-    for (std::uint32_t I = 0; I < 4; ++I)
-      V |= static_cast<std::uint32_t>(Buf[Pos - 4 + I]) << (8 * I);
-    return V;
+    return take(4) ? loadLE<std::uint32_t>(Buf.data() + Pos - 4) : 0;
   }
 
   std::uint64_t u64() {
-    if (!take(8))
-      return 0;
-    std::uint64_t V = 0;
-    for (std::uint32_t I = 0; I < 8; ++I)
-      V |= static_cast<std::uint64_t>(Buf[Pos - 8 + I]) << (8 * I);
-    return V;
+    return take(8) ? loadLE<std::uint64_t>(Buf.data() + Pos - 8) : 0;
   }
 
   double f64() { return std::bit_cast<double>(u64()); }
@@ -213,11 +244,21 @@ public:
 
   /// Reads exactly Out.size() raw bytes.
   bool bytes(std::span<std::uint8_t> Out) {
-    if (!take(Out.size()))
+    const std::span<const std::uint8_t> In = view(Out.size());
+    if (!ok())
       return false;
-    for (std::uint64_t I = 0; I < Out.size(); ++I)
-      Out[I] = Buf[Pos - Out.size() + I];
+    if (!In.empty())
+      std::memcpy(Out.data(), In.data(), In.size());
     return true;
+  }
+
+  /// Consumes \p N bytes and returns them as a view into the input (no
+  /// copy); an empty view when fewer than \p N remain, which fails the
+  /// reader.
+  std::span<const std::uint8_t> view(std::uint64_t N) {
+    if (!take(N))
+      return {};
+    return Buf.subspan(Pos - N, N);
   }
 
 private:

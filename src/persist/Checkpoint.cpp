@@ -85,30 +85,20 @@ bool CheckpointManager::commitSnapshot(std::span<const std::uint8_t> Encoded,
 }
 
 bool CheckpointManager::compactJournal(std::uint64_t ThroughSeq) {
-  struct Kept {
-    std::uint64_t Seq;
-    std::vector<std::uint8_t> Payload;
-  };
-  std::vector<Kept> Records;
+  // Kept records are re-framed while the scan's payload views are alive.
+  ByteWriter W;
+  W.u32(JournalMagic);
+  W.u32(JournalVersion);
   const JournalResult Scan = replayJournal(
       journalPath(), ThroughSeq,
-      [&Records](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
-        Records.push_back(
-            {Seq, std::vector<std::uint8_t>(Payload.begin(), Payload.end())});
+      [&W](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
+        W.bytes(journalRecordHeader(Seq, Payload));
+        W.bytes(Payload);
         return true;
       });
   if (Scan.Missing)
     return true;
 
-  ByteWriter W;
-  W.u32(JournalMagic);
-  W.u32(JournalVersion);
-  for (const Kept &Rec : Records) {
-    W.u64(Rec.Seq);
-    W.u32(static_cast<std::uint32_t>(Rec.Payload.size()));
-    W.u32(journalRecordCrc(Rec.Seq, Rec.Payload));
-    W.bytes(Rec.Payload);
-  }
   const std::string Tmp = Root + "/journal.tmp";
   {
     FileSink Sink(Tmp, /*Append=*/false, Injected);

@@ -105,6 +105,10 @@ public:
   /// Flushes buffered bytes to the OS. Costs one metadata unit.
   bool flush();
 
+  /// Latches the sink failed without writing a byte: a write refused up
+  /// front leaves the file as it was and the sink dead, like any failure.
+  void fail() { Failed = true; }
+
   /// Flushes and closes. Returns false if any step failed. Safe to call
   /// once; the destructor closes quietly if the caller did not.
   bool close();

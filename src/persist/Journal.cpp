@@ -14,10 +14,20 @@ using namespace regmon::persist;
 std::uint32_t
 regmon::persist::journalRecordCrc(std::uint64_t Seq,
                                   std::span<const std::uint8_t> Payload) {
-  ByteWriter Head;
-  Head.u64(Seq);
-  Head.u32(static_cast<std::uint32_t>(Payload.size()));
-  return crc32(Payload, crc32(Head.data()));
+  std::array<std::uint8_t, 12> Head{};
+  storeLE(Head.data(), Seq);
+  storeLE(Head.data() + 8, static_cast<std::uint32_t>(Payload.size()));
+  return crc32(Payload, crc32(Head));
+}
+
+std::array<std::uint8_t, JournalRecordHeaderBytes>
+regmon::persist::journalRecordHeader(std::uint64_t Seq,
+                                     std::span<const std::uint8_t> Payload) {
+  std::array<std::uint8_t, JournalRecordHeaderBytes> Head{};
+  storeLE(Head.data(), Seq);
+  storeLE(Head.data() + 8, static_cast<std::uint32_t>(Payload.size()));
+  storeLE(Head.data() + 12, journalRecordCrc(Seq, Payload));
+  return Head;
 }
 
 JournalWriter::~JournalWriter() { close(); }
@@ -49,14 +59,15 @@ bool JournalWriter::append(std::uint64_t Seq,
                            std::span<const std::uint8_t> Payload) {
   if (!ok())
     return false;
-  ByteWriter W;
-  W.u64(Seq);
-  W.u32(static_cast<std::uint32_t>(Payload.size()));
-  W.u32(journalRecordCrc(Seq, Payload));
-  W.bytes(Payload);
-  // One write + one flush: the record is either acknowledged durable or
-  // the writer is dead with at most a torn tail on disk.
-  return Sink->write(W.data()) && Sink->flush();
+  if (Payload.size() > JournalMaxPayloadBytes) {
+    Sink->fail();
+    return false;
+  }
+  // Header and payload go out back to back, then one flush: the record is
+  // either acknowledged durable or the writer is dead with at most a torn
+  // tail on disk.
+  return Sink->write(journalRecordHeader(Seq, Payload)) &&
+         Sink->write(Payload) && Sink->flush();
 }
 
 void JournalWriter::close() { Sink.reset(); }
@@ -80,16 +91,15 @@ JournalResult regmon::persist::replayJournal(
   Res.ValidBytes = 8;
   std::uint64_t PrevSeq = 0;
   while (R.remaining() > 0) {
-    if (R.remaining() < 16)
+    if (R.remaining() < JournalRecordHeaderBytes)
       break; // torn record header
     const std::uint64_t Seq = R.u64();
     const std::uint32_t Len = R.u32();
     const std::uint32_t Crc = R.u32();
-    if (Len > R.remaining())
+    // Borrowed from the file buffer: replay copies only what it keeps.
+    const std::span<const std::uint8_t> Payload = R.view(Len);
+    if (!R.ok())
       break; // torn payload
-    std::vector<std::uint8_t> Payload(Len);
-    if (!R.bytes(Payload))
-      break;
     if (journalRecordCrc(Seq, Payload) != Crc)
       break; // bit corruption: nothing after this byte is trusted
     if (Seq <= PrevSeq)

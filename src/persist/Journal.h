@@ -35,6 +35,7 @@
 
 #include "persist/Io.h"
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,11 +48,23 @@ namespace regmon::persist {
 inline constexpr std::uint32_t JournalMagic = 0x4A574752U;
 inline constexpr std::uint32_t JournalVersion = 1;
 
+/// Byte length of one record header (seq + len + crc).
+inline constexpr std::uint64_t JournalRecordHeaderBytes = 16;
+/// Largest payload the u32 length field can frame. A longer one is
+/// refused before a byte is written: a wrapped length would read back as
+/// a torn tail, and repair would cut every later acknowledged record.
+inline constexpr std::uint64_t JournalMaxPayloadBytes = 0xFFFFFFFFU;
+
 /// The CRC stored in a journal record: seq and length chained with the
 /// payload, so header corruption is as detectable as payload corruption.
 /// Shared by the writer, the replayer, and journal compaction.
 std::uint32_t journalRecordCrc(std::uint64_t Seq,
                                std::span<const std::uint8_t> Payload);
+
+/// The header framing \p Payload as record \p Seq (length and CRC
+/// included); the record is this header followed by the payload bytes.
+std::array<std::uint8_t, JournalRecordHeaderBytes>
+journalRecordHeader(std::uint64_t Seq, std::span<const std::uint8_t> Payload);
 
 /// Outcome of scanning a journal file.
 struct JournalResult {
@@ -93,7 +106,8 @@ public:
 
   /// Appends and flushes one record. A false return means the record is
   /// not durable (it may be partially on disk -- a torn tail) and the
-  /// writer is dead.
+  /// writer is dead. A payload over \ref JournalMaxPayloadBytes is
+  /// refused that way before a byte is written.
   bool append(std::uint64_t Seq, std::span<const std::uint8_t> Payload);
 
   /// Closes the file; the writer can be \ref open-ed again.
@@ -106,6 +120,8 @@ private:
 /// Scans \p Path, invoking \p Replay for every valid record with sequence
 /// number greater than \p SkipThroughSeq. \p Replay returns false to
 /// reject a malformed payload, which ends the scan (see JournalResult).
+/// The payload is a view into the scan's file buffer, valid only for the
+/// duration of the call.
 JournalResult replayJournal(
     const std::string &Path, std::uint64_t SkipThroughSeq,
     const std::function<bool(std::uint64_t, std::span<const std::uint8_t>)>

@@ -8,6 +8,7 @@
 
 #include "persist/Bytes.h"
 #include "persist/Checkpoint.h"
+#include "persist/SampleBlock.h"
 #include "persist/StateCodec.h"
 
 #include <algorithm>
@@ -34,19 +35,13 @@ std::uint64_t mix64(std::uint64_t X) {
 constexpr std::uint32_t MetaSectionId = 1;
 constexpr std::uint32_t StreamSectionId = 2;
 
-/// Wire size of one journaled sample: u64 pc + u64 time + u8 miss flag.
-constexpr std::uint64_t SampleWireBytes = 17;
-
 /// Journal-record payload for one batch: the full submission, so replay
 /// can re-run admission + processing over the original byte stream.
+/// Layout: u32 stream, then the shared sample block.
 void encodeBatchPayload(persist::ByteWriter &W, const SampleBatch &Batch) {
+  W.reserve(4 + persist::sampleBlockBytes(Batch.Samples.size()));
   W.u32(Batch.Stream);
-  W.u64(Batch.Samples.size());
-  for (const Sample &S : Batch.Samples) {
-    W.u64(S.Pc);
-    W.u64(S.Time);
-    W.boolean(S.DCacheMiss);
-  }
+  persist::encodeSampleBlock(W, Batch.Samples);
 }
 
 } // namespace
@@ -846,19 +841,8 @@ bool MonitorService::replayRecord(std::span<const std::uint8_t> Payload) {
   persist::ByteReader R(Payload);
   SampleBatch Batch;
   Batch.Stream = R.u32();
-  const std::uint64_t Count = R.u64();
   if (!R.ok() || Batch.Stream >= Streams.size() ||
-      Count > R.remaining() / SampleWireBytes)
-    return false;
-  Batch.Samples.reserve(Count);
-  for (std::uint64_t I = 0; I < Count; ++I) {
-    Sample S;
-    S.Pc = R.u64();
-    S.Time = R.u64();
-    S.DCacheMiss = R.boolean();
-    Batch.Samples.push_back(S);
-  }
-  if (!R.atEnd())
+      !persist::decodeSampleBlock(R, Batch.Samples) || !R.atEnd())
     return false;
   StreamState &St = *Streams[Batch.Stream];
   // The record is well-formed; from here on mirror submit()'s accepted

@@ -7,6 +7,7 @@
 #include "trace/Format.h"
 
 #include "persist/Crc32.h"
+#include "persist/SampleBlock.h"
 
 using namespace regmon;
 using namespace regmon::trace;
@@ -30,12 +31,24 @@ const char *regmon::trace::toString(RecordKind K) {
 std::uint32_t regmon::trace::traceRecordCrc(
     std::uint64_t Seq, std::uint8_t Kind,
     std::span<const std::uint8_t> Payload) {
-  persist::ByteWriter Header;
-  Header.u64(Seq);
-  Header.u8(Kind);
-  Header.u32(static_cast<std::uint32_t>(Payload.size()));
-  const std::uint32_t Seed = persist::crc32(Header.data());
-  return persist::crc32(Payload, Seed);
+  std::array<std::uint8_t, 13> Header{};
+  persist::storeLE(Header.data(), Seq);
+  Header[8] = Kind;
+  persist::storeLE(Header.data() + 9,
+                   static_cast<std::uint32_t>(Payload.size()));
+  return persist::crc32(Payload, persist::crc32(Header));
+}
+
+std::array<std::uint8_t, TraceRecordHeaderBytes>
+regmon::trace::traceRecordHeader(std::uint64_t Seq, std::uint8_t Kind,
+                                 std::span<const std::uint8_t> Payload) {
+  std::array<std::uint8_t, TraceRecordHeaderBytes> Header{};
+  persist::storeLE(Header.data(), Seq);
+  Header[8] = Kind;
+  persist::storeLE(Header.data() + 9,
+                   static_cast<std::uint32_t>(Payload.size()));
+  persist::storeLE(Header.data() + 13, traceRecordCrc(Seq, Kind, Payload));
+  return Header;
 }
 
 void regmon::trace::encodeTraceHeader(persist::ByteWriter &W) {
@@ -46,15 +59,10 @@ void regmon::trace::encodeTraceHeader(persist::ByteWriter &W) {
 void regmon::trace::encodeBatchRecordPayload(persist::ByteWriter &W,
                                              const service::SampleBatch &Batch,
                                              service::RecordedFate Fate) {
-  W.reserve(W.size() + 13 + Batch.Samples.size() * TraceSampleWireBytes);
+  W.reserve(W.size() + 5 + persist::sampleBlockBytes(Batch.Samples.size()));
   W.u8(static_cast<std::uint8_t>(Fate));
   W.u32(Batch.Stream);
-  W.u64(Batch.Samples.size());
-  for (const Sample &S : Batch.Samples) {
-    W.u64(S.Pc);
-    W.u64(S.Time);
-    W.boolean(S.DCacheMiss);
-  }
+  persist::encodeSampleBlock(W, Batch.Samples);
 }
 
 bool regmon::trace::decodeBatchRecordPayload(persist::ByteReader &R,
@@ -66,21 +74,7 @@ bool regmon::trace::decodeBatchRecordPayload(persist::ByteReader &R,
     return false;
   Fate = static_cast<service::RecordedFate>(RawFate);
   Batch.Stream = R.u32();
-  const std::uint64_t Count = R.u64();
-  // Validate the count against the bytes actually present before a
-  // single element is allocated: a hostile count can only fail cleanly.
-  if (!R.ok() || Count > R.remaining() / TraceSampleWireBytes)
-    return false;
-  Batch.Samples.clear();
-  Batch.Samples.reserve(Count);
-  for (std::uint64_t I = 0; I < Count; ++I) {
-    Sample S;
-    S.Pc = R.u64();
-    S.Time = R.u64();
-    S.DCacheMiss = R.boolean();
-    Batch.Samples.push_back(S);
-  }
-  return R.atEnd();
+  return persist::decodeSampleBlock(R, Batch.Samples) && R.atEnd();
 }
 
 void regmon::trace::encodeDropPayload(persist::ByteWriter &W,

@@ -28,7 +28,9 @@
 ///   Batch (2)      u8 fate | u32 stream | u64 count
 ///                  | count x (u64 pc | u64 time | u8 dcacheMiss)
 ///                  -- one submitted batch plus the admission decision
-///                  (service::RecordedFate) taken for it.
+///                  (service::RecordedFate) taken for it. The count and
+///                  samples are the journal's sample block
+///                  (persist/SampleBlock.h), one codec for both logs.
 ///   Drop (3)       u64 evictedSeq | u64 shard -- a DropOldest eviction
 ///                  of the batch recorded at evictedSeq.
 ///   PushReject (4) u64 seq -- a push rejected after the door check.
@@ -48,6 +50,7 @@
 #include "persist/Bytes.h"
 #include "service/MonitorService.h"
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -61,8 +64,9 @@ inline constexpr std::uint32_t TraceVersion = 1;
 inline constexpr std::uint64_t TraceHeaderBytes = 8;
 /// Byte length of one record header (seq + kind + len + crc).
 inline constexpr std::uint64_t TraceRecordHeaderBytes = 17;
-/// Wire size of one sample inside a Batch payload.
-inline constexpr std::uint64_t TraceSampleWireBytes = 17;
+/// Largest payload the u32 length field can frame; the recorder refuses
+/// a longer one before writing (see persist::JournalMaxPayloadBytes).
+inline constexpr std::uint64_t TraceMaxPayloadBytes = 0xFFFFFFFFU;
 
 /// What one trace record captures. Values are part of the wire format.
 enum class RecordKind : std::uint8_t {
@@ -82,11 +86,17 @@ const char *toString(RecordKind K);
 std::uint32_t traceRecordCrc(std::uint64_t Seq, std::uint8_t Kind,
                              std::span<const std::uint8_t> Payload);
 
+/// The header framing \p Payload as record \p Seq of kind \p Kind
+/// (length and CRC included); the record is this header followed by the
+/// payload bytes.
+std::array<std::uint8_t, TraceRecordHeaderBytes>
+traceRecordHeader(std::uint64_t Seq, std::uint8_t Kind,
+                  std::span<const std::uint8_t> Payload);
+
 /// Appends the file header (magic + version) to \p W.
 void encodeTraceHeader(persist::ByteWriter &W);
 
-/// Appends a Batch payload: the fate, then the batch bytes in the
-/// journal's sample encoding.
+/// Appends a Batch payload: the fate, the stream, then the sample block.
 void encodeBatchRecordPayload(persist::ByteWriter &W,
                               const service::SampleBatch &Batch,
                               service::RecordedFate Fate);

@@ -69,31 +69,32 @@ std::uint64_t TraceRecorder::append(RecordKind Kind,
   // The sequence is consumed even when the append fails: batches stamped
   // after the recorder dies must still get unique identities.
   const std::uint64_t Seq = NextSeq++;
+  // A payload the u32 length cannot frame kills the recorder before a
+  // byte is written: a wrapped length would read back as a torn tail,
+  // and skipping just this record would leave a seq gap replay cannot
+  // reproduce. The recorded prefix stays intact and replayable.
+  if (ok() && Payload.size() > TraceMaxPayloadBytes)
+    Sink->fail();
   if (!ok()) {
     ++FailuresN;
     obs::addTo(Obs ? Obs->AppendFailures : nullptr);
     return Seq;
   }
-  const std::uint8_t RawKind = static_cast<std::uint8_t>(Kind);
-  persist::ByteWriter W;
-  W.reserve(TraceRecordHeaderBytes + Payload.size());
-  W.u64(Seq);
-  W.u8(RawKind);
-  W.u32(static_cast<std::uint32_t>(Payload.size()));
-  W.u32(traceRecordCrc(Seq, RawKind, Payload));
-  W.bytes(Payload);
+  const auto Header =
+      traceRecordHeader(Seq, static_cast<std::uint8_t>(Kind), Payload);
   // Flush before acknowledging, the journal's durability idiom: an
   // acknowledged record survives a process death; a death mid-write
   // leaves a torn tail the next open repairs.
-  if (!Sink->write(W.data()) || !Sink->flush()) {
+  if (!Sink->write(Header) || !Sink->write(Payload) || !Sink->flush()) {
     ++FailuresN;
     obs::addTo(Obs ? Obs->AppendFailures : nullptr);
     return Seq;
   }
+  const std::uint64_t Bytes = TraceRecordHeaderBytes + Payload.size();
   ++RecordsN;
-  BytesN += W.size();
+  BytesN += Bytes;
   obs::addTo(Obs ? Obs->RecordsTotal : nullptr);
-  obs::addTo(Obs ? Obs->BytesTotal : nullptr, W.size());
+  obs::addTo(Obs ? Obs->BytesTotal : nullptr, Bytes);
   return Seq;
 }
 

@@ -13,13 +13,13 @@
 /// record, so a recording can survive any number of mid-write deaths with
 /// the surviving prefix always replayable.
 ///
-/// The recorder is an *observer*: an append failure (real I/O error or an
-/// injected \ref persist::CrashPoint exhaustion) latches it dead and
-/// every later call degrades to counting the failure -- the recorded
-/// service keeps running, it just stops gaining black-box coverage. This
-/// is the opposite of the write-ahead journal's contract (which refuses
-/// work it cannot make durable): losing trace tail is acceptable, losing
-/// ingest is not.
+/// The recorder is an *observer*: an append failure (real I/O error, an
+/// injected \ref persist::CrashPoint exhaustion, or a payload longer than
+/// the u32 length field can frame) latches it dead and every later call
+/// degrades to counting the failure -- the recorded service keeps
+/// running, it just stops gaining black-box coverage. This is the opposite
+/// of the write-ahead journal's contract (which refuses work it cannot
+/// make durable): losing trace tail is acceptable, losing ingest is not.
 ///
 /// Callers serialize all calls (MonitorService does); the class itself is
 /// single-owner like everything else in the deterministic layers.

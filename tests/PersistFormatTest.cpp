@@ -18,6 +18,7 @@
 #include "persist/Crc32.h"
 #include "persist/Io.h"
 #include "persist/Journal.h"
+#include "persist/SampleBlock.h"
 #include "persist/Snapshot.h"
 #include "persist/StateCodec.h"
 
@@ -33,6 +34,8 @@
 #include "support/Statistics.h"
 #include "workloads/Workloads.h"
 
+#include "HugeSpan.h"
+
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -41,6 +44,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -213,6 +217,158 @@ TEST(PersistBytes, AtEndRejectsTrailingBytes) {
   EXPECT_FALSE(R.atEnd()); // one byte left over
   (void)R.u8();
   EXPECT_TRUE(R.atEnd());
+}
+
+//===----------------------------------------------------------------------===//
+// Sample-block codec
+//===----------------------------------------------------------------------===//
+
+/// The differential oracle: a per-field little-endian encoder that builds
+/// every byte by shifts, one push at a time, sharing nothing with the
+/// codec's memcpy words.
+void referenceU64(std::vector<std::uint8_t> &Out, std::uint64_t V) {
+  for (std::uint32_t I = 0; I < 8; ++I)
+    Out.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
+}
+
+std::vector<std::uint8_t>
+referenceSampleBlock(const std::vector<Sample> &Samples) {
+  std::vector<std::uint8_t> Out;
+  referenceU64(Out, Samples.size());
+  for (const Sample &S : Samples) {
+    referenceU64(Out, S.Pc);
+    referenceU64(Out, S.Time);
+    Out.push_back(S.DCacheMiss ? 1 : 0);
+  }
+  return Out;
+}
+
+/// \p N samples cycling Pc and Time (out of step) through the extreme and
+/// alternating-byte words, with both miss flags.
+std::vector<Sample> patternSamples(std::uint64_t N) {
+  constexpr std::uint64_t Words[] = {
+      0, UINT64_MAX, 0xAA55AA55AA55AA55ULL, 0x55AA55AA55AA55AAULL,
+      0x00FF00FF00FF00FFULL, 0xFF00FF00FF00FF00ULL, 0x0123456789ABCDEFULL};
+  constexpr std::uint64_t NumWords = std::size(Words);
+  std::vector<Sample> Out(N);
+  for (std::uint64_t I = 0; I < N; ++I) {
+    Out[I].Pc = Words[I % NumWords];
+    Out[I].Time = Words[(I / NumWords + 3 * I + 1) % NumWords];
+    Out[I].DCacheMiss = I % 2 == 0;
+  }
+  return Out;
+}
+
+std::vector<std::uint8_t> encodeBlock(const std::vector<Sample> &Samples) {
+  ByteWriter W;
+  encodeSampleBlock(W, Samples);
+  return W.take();
+}
+
+/// Decodes \p Bytes as exactly one block, the way both batch payloads
+/// use the codec (the block ends the payload, so leftovers are an error).
+bool decodeWholeBlock(std::span<const std::uint8_t> Bytes,
+                      std::vector<Sample> &Out) {
+  ByteReader R(Bytes);
+  return decodeSampleBlock(R, Out) && R.atEnd();
+}
+
+TEST(PersistSampleBlock, BulkEncoderMatchesPerFieldReferenceAndRoundTrips) {
+  for (const std::uint64_t N : {0U, 1U, 2031U, 2032U}) {
+    SCOPED_TRACE("samples " + std::to_string(N));
+    const std::vector<Sample> In = patternSamples(N);
+    const std::vector<std::uint8_t> Bytes = encodeBlock(In);
+    EXPECT_EQ(Bytes, referenceSampleBlock(In));
+    EXPECT_EQ(Bytes.size(), sampleBlockBytes(N));
+
+    // Behind other fields, as in both batch payloads: the block lands at
+    // the writer's current end.
+    ByteWriter Prefixed;
+    Prefixed.u8(7);
+    Prefixed.u32(0xDEADBEEFU);
+    encodeSampleBlock(Prefixed, In);
+    ASSERT_EQ(Prefixed.size(), 5 + Bytes.size());
+    EXPECT_TRUE(std::equal(Bytes.begin(), Bytes.end(),
+                           Prefixed.data().begin() + 5));
+
+    std::vector<Sample> Out = patternSamples(3); // stale contents replaced
+    ASSERT_TRUE(decodeWholeBlock(Bytes, Out));
+    ASSERT_EQ(Out.size(), In.size());
+    for (std::uint64_t I = 0; I < N; ++I) {
+      EXPECT_EQ(Out[I].Pc, In[I].Pc) << I;
+      EXPECT_EQ(Out[I].Time, In[I].Time) << I;
+      EXPECT_EQ(Out[I].DCacheMiss, In[I].DCacheMiss) << I;
+    }
+  }
+}
+
+TEST(PersistSampleBlock, GoldenLittleEndianBytes) {
+  ByteWriter W;
+  W.u32(0xDEADBEEFU);
+  W.u64(0x0123456789ABCDEFULL);
+  EXPECT_EQ(std::vector<std::uint8_t>(W.data().begin(), W.data().end()),
+            (std::vector<std::uint8_t>{0xEF, 0xBE, 0xAD, 0xDE, 0xEF, 0xCD,
+                                       0xAB, 0x89, 0x67, 0x45, 0x23, 0x01}));
+  ByteReader R(W.data());
+  EXPECT_EQ(R.u32(), 0xDEADBEEFU);
+  EXPECT_EQ(R.u64(), 0x0123456789ABCDEFULL);
+  EXPECT_TRUE(R.atEnd());
+
+  const std::vector<Sample> One = {
+      {0x0102030405060708ULL, 0x1112131415161718ULL, true}};
+  EXPECT_EQ(encodeBlock(One),
+            (std::vector<std::uint8_t>{
+                0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // count
+                0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // pc
+                0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // time
+                0x01}));                                        // miss
+}
+
+TEST(PersistSampleBlock, RejectsMissByteOtherThanZeroOrOne) {
+  constexpr std::uint64_t N = 5;
+  const std::vector<std::uint8_t> Good = encodeBlock(patternSamples(N));
+  for (const std::uint64_t At : {std::uint64_t{0}, N / 2, N - 1}) {
+    for (const std::uint8_t Bad : {std::uint8_t{2}, std::uint8_t{0xFF}}) {
+      SCOPED_TRACE("sample " + std::to_string(At) + " miss byte " +
+                   std::to_string(Bad));
+      std::vector<std::uint8_t> Bytes = Good;
+      Bytes[8 + At * SampleWireBytes + 16] = Bad;
+      ByteReader R(Bytes);
+      std::vector<Sample> Out;
+      EXPECT_FALSE(decodeSampleBlock(R, Out));
+      EXPECT_FALSE(R.ok());
+      EXPECT_EQ(R.u8(), 0U); // sticky: later reads fail too
+      EXPECT_FALSE(R.atEnd());
+      // The count was honest, so any allocation is bounded by the input.
+      EXPECT_LE(Out.capacity() * SampleWireBytes, Bytes.size());
+    }
+  }
+}
+
+TEST(PersistSampleBlock, RejectsCountsTheBytesCannotHoldBeforeAllocating) {
+  const std::vector<std::uint8_t> Good = encodeBlock(patternSamples(4));
+  auto withCount = [&Good](std::uint64_t Count) {
+    std::vector<std::uint8_t> Bytes = Good;
+    for (std::uint32_t I = 0; I < 8; ++I)
+      Bytes[I] = static_cast<std::uint8_t>(Count >> (8 * I));
+    return Bytes;
+  };
+  for (const std::uint64_t Count : {std::uint64_t{5}, std::uint64_t{1} << 61}) {
+    SCOPED_TRACE("count " + std::to_string(Count));
+    const std::vector<std::uint8_t> Bytes = withCount(Count);
+    ByteReader R(Bytes);
+    std::vector<Sample> Out;
+    EXPECT_FALSE(decodeSampleBlock(R, Out));
+    EXPECT_FALSE(R.ok());
+    EXPECT_EQ(Out.capacity(), 0U); // nothing sized by the claimed count
+  }
+}
+
+TEST(PersistSampleBlock, RejectsOneTrailingByte) {
+  std::vector<std::uint8_t> Bytes = encodeBlock(patternSamples(3));
+  Bytes.push_back(0);
+  std::vector<Sample> Out;
+  EXPECT_FALSE(decodeWholeBlock(Bytes, Out));
 }
 
 //===----------------------------------------------------------------------===//
@@ -544,6 +700,32 @@ TEST(PersistJournal, NonIncreasingSequenceEndsScan) {
   EXPECT_EQ(Count, 1U);
   EXPECT_TRUE(Res.TornTail);
   EXPECT_LT(Res.ValidBytes, Bytes.size());
+}
+
+TEST(PersistJournal, PayloadTooLongForU32LengthIsRefusedBeforeAnyByte) {
+  const std::string Dir = scratchDir("journal_huge");
+  const std::string Path = Dir + "/journal.wal";
+  JournalWriter Writer;
+  ASSERT_TRUE(Writer.open(Path, nullptr));
+  ASSERT_TRUE(Writer.append(1, seqPayload(1)));
+  const std::uint64_t Before = std::filesystem::file_size(Path);
+
+  const persisttest::HugeSpan Huge;
+  ASSERT_TRUE(Huge.ok());
+  ASSERT_GT(Huge.bytes().size(), JournalMaxPayloadBytes);
+  EXPECT_FALSE(Writer.append(2, Huge.bytes()));
+  EXPECT_FALSE(Writer.ok()); // dead, like any failed append
+  Writer.close();
+  EXPECT_EQ(std::filesystem::file_size(Path), Before);
+
+  // The acknowledged prefix is intact: no torn tail for repair to cut.
+  const JournalResult Res = replayJournal(
+      Path, 0, [](std::uint64_t, std::span<const std::uint8_t>) {
+        return true;
+      });
+  EXPECT_EQ(Res.RecordsReplayed, 1U);
+  EXPECT_FALSE(Res.TornTail);
+  EXPECT_EQ(Res.ValidBytes, Before);
 }
 
 TEST(PersistJournal, RejectedPayloadStopsScanAndIsNotCountedInLastSeq) {
@@ -923,12 +1105,17 @@ TEST(PersistStateCodec, LocalPhaseDetectorRejectsDesyncedStableMoments) {
     return W.take();
   };
 
+  // The reader borrows its bytes, so each payload outlives its reader.
   {
-    ByteReader R(BuildPayload(/*Sum=*/7, /*SumSq=*/14)); // wrong Sum (is 6)
+    const std::vector<std::uint8_t> Bytes =
+        BuildPayload(/*Sum=*/7, /*SumSq=*/14); // wrong Sum (is 6)
+    ByteReader R(Bytes);
     EXPECT_FALSE(StateCodec::decode(R, Victim));
   }
   {
-    ByteReader R(BuildPayload(/*Sum=*/6, /*SumSq=*/13)); // wrong SumSq (14)
+    const std::vector<std::uint8_t> Bytes =
+        BuildPayload(/*Sum=*/6, /*SumSq=*/13); // wrong SumSq (14)
+    ByteReader R(Bytes);
     EXPECT_FALSE(StateCodec::decode(R, Victim));
   }
   {

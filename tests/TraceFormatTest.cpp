@@ -20,6 +20,9 @@
 #include "trace/Recorder.h"
 
 #include "persist/Io.h"
+#include "persist/SampleBlock.h"
+
+#include "HugeSpan.h"
 
 #include <gtest/gtest.h>
 
@@ -142,7 +145,7 @@ TEST(TraceFormat, PayloadRoundTrips) {
   // Batch: fate + stream + samples survive the wire.
   const service::SampleBatch In = smallBatch(7);
   const std::vector<std::uint8_t> P = batchPayload(In, RecordedFate::Refused);
-  EXPECT_EQ(P.size(), 1 + 4 + 8 + In.Samples.size() * TraceSampleWireBytes);
+  EXPECT_EQ(P.size(), 1 + 4 + 8 + In.Samples.size() * persist::SampleWireBytes);
   persist::ByteReader R(P);
   service::SampleBatch Out;
   RecordedFate Fate = RecordedFate::Admitted;
@@ -512,6 +515,34 @@ TEST(TraceFormat, RecorderCrashBudgetSweepLeavesRepairablePrefix) {
     EXPECT_EQ(After.LastSeq, S.LastSeq + 1);
     EXPECT_EQ(After.Records.size(), S.Records.size() + 1);
   }
+}
+
+TEST(TraceFormat, PayloadTooLongForU32LengthKillsRecorderBeforeAnyByte) {
+  const std::string Path = scratchFile("huge");
+  TraceRecorder R;
+  ASSERT_TRUE(R.open(Path).Ok);
+  R.recordCheckpoint(0, true);
+  const std::uint64_t Before = std::filesystem::file_size(Path);
+
+  const persisttest::HugeSpan Huge;
+  ASSERT_TRUE(Huge.ok());
+  ASSERT_GT(Huge.bytes().size(), TraceMaxPayloadBytes);
+  R.recordConfig(Huge.bytes());
+  // Counted and seq-consuming like a dead sink, and dead from here on.
+  EXPECT_EQ(R.appendFailures(), 1U);
+  EXPECT_EQ(R.recordsWritten(), 1U);
+  EXPECT_EQ(R.nextSequence(), 3U);
+  EXPECT_FALSE(R.ok());
+  R.recordCheckpoint(2, true);
+  EXPECT_EQ(R.appendFailures(), 2U);
+  EXPECT_FALSE(R.close());
+  EXPECT_EQ(std::filesystem::file_size(Path), Before);
+
+  // The recorded prefix is intact and replayable, no repair needed.
+  const ScanResult S = scanTraceFile(Path);
+  EXPECT_TRUE(S.intact());
+  EXPECT_EQ(S.Records.size(), 1U);
+  EXPECT_EQ(S.ValidBytes, Before);
 }
 
 } // namespace
