@@ -301,14 +301,14 @@ int main(int Argc, char **Argv) {
 
   std::fprintf(
       stderr,
-      "[hotpath] kernel=%s mode=%s\n"
+      "[hotpath] mode=%s\n"
       "  stage1 interval-end: naive %.1f ns, incremental %.1f ns, "
       "speedup %.1fx (gate >= 2x: %s, bit-identical: %s)\n"
       "  stage2 service:      naive %.0f batches/s, incremental %.0f "
       "batches/s, speedup %.2fx (gate >= 2x: %s)\n"
       "  stage3 stream:       naive %.2f ms, incremental %.2f ms, "
       "speedup %.2fx (results identical: %s)\n",
-      hotpathKernelName(), Smoke ? "smoke" : "full", S1.NaiveNsPerEnd,
+      Smoke ? "smoke" : "full", S1.NaiveNsPerEnd,
       S1.IncrNsPerEnd, S1.Speedup, Gate1 ? "pass" : "FAIL",
       S1.BitIdentical ? "yes" : "NO", S2.NaiveBatchesPerSec,
       S2.IncrBatchesPerSec, S2.Speedup, Gate2 ? "pass" : "FAIL",
@@ -317,7 +317,6 @@ int main(int Argc, char **Argv) {
   std::printf(
       "{\n"
       "  \"bench\": \"hotpath\",\n"
-      "  \"kernel\": \"%s\",\n"
       "  \"mode\": \"%s\",\n"
       "  \"interval_end_bins\": %zu,\n"
       "  \"interval_end_naive_ns\": %.2f,\n"
@@ -338,7 +337,7 @@ int main(int Argc, char **Argv) {
       "  \"stream_results_identical\": %s,\n"
       "  \"pass\": %s\n"
       "}\n",
-      hotpathKernelName(), Smoke ? "smoke" : "full", Stage1Bins,
+      Smoke ? "smoke" : "full", Stage1Bins,
       S1.NaiveNsPerEnd, S1.IncrNsPerEnd, S1.Speedup,
       Gate1 ? "true" : "false", S1.BitIdentical ? "true" : "false",
       ServiceInstrs,

@@ -50,8 +50,8 @@ void RegionMonitor::setEventHandler(EventHandler H) {
 void RegionMonitor::attachObservability(const obs::MonitorInstruments *O) {
   Obs = O;
   if (Obs)
-    // Configure-time constant (0 = scalar, 1 = auto): identical whichever
-    // engine runs, so exports stay byte-stable across engines.
+    // A constant: identical whichever engine runs, so exports stay
+    // byte-stable across engines.
     obs::setGauge(Obs->HotpathKernel,
                   static_cast<double>(hotpathKernelId()));
   if (Obs && SimilarityFellBack) {
@@ -229,7 +229,7 @@ RegionMonitor::stateTimeline(RegionId Id) const {
   return StateTimelines[Id];
 }
 
-REGMON_PURE void
+REGMON_PURE std::uint64_t
 RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   assert(!Samples.empty() && "an interval carries a full sample buffer");
 
@@ -407,6 +407,7 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   }
 
   ++Intervals;
+  return UcrScratch.size();
 }
 
 void RegionMonitor::triggerFormation(std::span<const Addr> UcrPcs) {

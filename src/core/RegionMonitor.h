@@ -166,8 +166,10 @@ public:
   /// \ref observeInterval, after the monitor's own state is consistent.
   void setEventHandler(EventHandler Handler);
 
-  /// Consumes one interval's sample buffer.
-  void observeInterval(std::span<const Sample> Samples);
+  /// Consumes one interval's sample buffer. Returns the exact number of
+  /// its samples no region claimed (the UCR count; \ref lastUcrFraction
+  /// is that count over the buffer size).
+  std::uint64_t observeInterval(std::span<const Sample> Samples);
 
   /// Returns every region ever formed, indexed by RegionId (pruned regions
   /// included; see \ref isActive).

@@ -77,8 +77,9 @@ struct MonitorInstruments {
   Counter *SimilarityCompares = nullptr;
   Gauge *ActiveRegions = nullptr;
   Gauge *LastUcrFraction = nullptr;
-  /// Configure-time hot-path kernel selection: 0 = scalar, 1 = auto
-  /// (support/HotpathKernels.h).
+  /// Hot-path kernel id, always 1: the four-lane kernel
+  /// (support/HotpathKernels.h). The help text keeps naming the removed
+  /// scalar id 0 so exports stay byte-stable.
   Gauge *HotpathKernel = nullptr;
   BucketHistogram *IntervalSamples = nullptr;
   BucketHistogram *PhaseR = nullptr;

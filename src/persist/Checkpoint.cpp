@@ -7,8 +7,8 @@
 #include "persist/Checkpoint.h"
 
 #include "persist/Bytes.h"
-#include "persist/Crc32.h"
 
+#include <limits>
 #include <utility>
 
 using namespace regmon::persist;
@@ -87,12 +87,11 @@ bool CheckpointManager::commitSnapshot(std::span<const std::uint8_t> Encoded,
 bool CheckpointManager::compactJournal(std::uint64_t ThroughSeq) {
   // Kept records are re-framed while the scan's payload views are alive.
   ByteWriter W;
-  W.u32(JournalMagic);
-  W.u32(JournalVersion);
+  W.bytes(logHeader(JournalFormat));
   const JournalResult Scan = replayJournal(
       journalPath(), ThroughSeq,
       [&W](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
-        W.bytes(journalRecordHeader(Seq, Payload));
+        W.bytes(recordHeader(Seq, JournalBatchKind, Payload));
         W.bytes(Payload);
         return true;
       });
@@ -159,9 +158,16 @@ bool CheckpointManager::appendJournal(std::uint64_t Seq,
                                       std::span<const std::uint8_t> Payload) {
   if (!Valid)
     return false;
-  if (!Writer.ok() && !Writer.open(journalPath(), Injected))
-    return false;
-  return Writer.append(Seq, Payload);
+  if (!Writer.ok()) {
+    // Resume after the last valid record; only its position is wanted, so
+    // every record counts as skipped.
+    const JournalResult Tail = replayJournal(
+        journalPath(), std::numeric_limits<std::uint64_t>::max(), nullptr);
+    if (!Writer.open(journalPath(), JournalFormat, Tail.ValidBytes,
+                     Tail.LastSeq, Injected))
+      return false;
+  }
+  return Writer.append(Seq, JournalBatchKind, Payload);
 }
 
 JournalResult CheckpointManager::replayAndRepair(
@@ -187,9 +193,9 @@ JournalResult CheckpointManager::replayAndRepair(
     if (Obs)
       obs::addTo(Obs->JournalTornTails);
     // Cut the file back to its valid prefix (possibly zero bytes, in which
-    // case the next append rewrites the header) so new records extend a
-    // well-formed journal instead of hiding behind torn bytes.
-    if (truncateFile(journalPath(), Res.ValidBytes, nullptr)) {
+    // case the next append rewrites the header): the writer refuses to
+    // extend a journal with torn bytes its new records would hide behind.
+    if (repairLog(journalPath(), Res.ValidBytes, nullptr)) {
       ++Counters.JournalRepairs;
       if (Obs)
         obs::addTo(Obs->JournalRepairs);

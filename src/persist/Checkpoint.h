@@ -126,8 +126,11 @@ public:
   /// The Previous rung ended up being the one recovered from.
   void noteFallbackUsed();
 
-  /// Appends one record to the journal, opening the writer on first use.
-  /// False means the record is not durable and journaling is dead.
+  /// Appends one record to the journal, opening the writer on first use
+  /// after the journal's last valid record. False means the record is not
+  /// durable and journaling is dead; that includes a \p Seq not above the
+  /// journal's last and a journal with damage \ref replayAndRepair has
+  /// not yet cut (appended behind it, the record would be lost).
   bool appendJournal(std::uint64_t Seq, std::span<const std::uint8_t> Payload);
 
   /// Replays the journal through \p Replay, skipping records at or below
@@ -152,7 +155,7 @@ private:
   std::string Root;
   bool Valid = false;
   CrashPoint *Injected = nullptr;
-  JournalWriter Writer;
+  LogWriter Writer;
   RecoveryCounters Counters;
   const obs::PersistInstruments *Obs = nullptr;
 };

@@ -113,16 +113,6 @@ bool regmon::persist::removeFile(const std::string &Path, CrashPoint *Crash) {
   return !Ec;
 }
 
-bool regmon::persist::truncateFile(const std::string &Path,
-                                   std::uint64_t NewLength,
-                                   CrashPoint *Crash) {
-  if (Crash != nullptr && !Crash->grantOp())
-    return false;
-  std::error_code Ec;
-  std::filesystem::resize_file(Path, NewLength, Ec);
-  return !Ec;
-}
-
 bool regmon::persist::ensureDir(const std::string &Dir) {
   std::error_code Ec;
   std::filesystem::create_directories(Dir, Ec);

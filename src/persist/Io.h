@@ -136,10 +136,6 @@ bool renameFile(const std::string &From, const std::string &To,
 /// Removes \p Path if present. Missing files succeed. Costs one unit.
 bool removeFile(const std::string &Path, CrashPoint *Crash);
 
-/// Truncates \p Path to \p NewLength bytes. Costs one unit.
-bool truncateFile(const std::string &Path, std::uint64_t NewLength,
-                  CrashPoint *Crash);
-
 /// Creates \p Dir (and parents) if missing; true if it exists afterwards.
 bool ensureDir(const std::string &Dir);
 

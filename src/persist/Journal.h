@@ -5,66 +5,41 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The write-ahead journal that makes state between snapshots replayable.
-/// Layout (little-endian):
+/// The write-ahead journal that makes state between snapshots replayable:
+/// a record log (persist/RecordLog.h) in \ref JournalFormat whose records
+/// are all of kind \ref JournalBatchKind, one submitted batch each, with
+/// sequence numbers assigned by the service. Payloads are opaque to this
+/// layer (the service encodes sample batches into them).
 ///
-///     u32 magic 'RGWJ'   u32 version
-///     repeated records: [ u64 seq | u32 payloadLen | u32 recordCrc | bytes ]
-///
-/// Records carry strictly increasing sequence numbers assigned by the
-/// writer; payloads are opaque to this layer (the service encodes sample
-/// batches into them). The record CRC covers the sequence number and
-/// length as well as the payload, so a bit flip anywhere in a record --
-/// including its header fields -- is detected, never replayed with a
-/// silently wrong sequence. Each append is flushed before it is
-/// acknowledged, so an acknowledged record survives a crash of the
-/// process (the paper model here is a power cut, hence the torn-tail
-/// handling below).
-///
-/// Replay trusts the longest valid prefix: it stops at the first record
-/// whose header is truncated, whose payload is missing bytes, whose CRC
-/// fails, or whose sequence number does not increase -- all reported as a
-/// torn tail, never as an error that aborts recovery. \ref
-/// JournalResult::ValidBytes tells the owner where the good prefix ends so
-/// the file can be repaired (truncated) before new appends extend it.
+/// Replay trusts the longest valid prefix and never aborts recovery: a
+/// torn or corrupt record, or a payload the service rejects, ends it as a
+/// torn tail, and any damage to the file header (a version 1 journal
+/// included) as \ref JournalResult::HeaderCorrupt. ValidBytes tells the
+/// owner (CheckpointManager) where the good prefix ends, so it can repair
+/// the file before new appends extend it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef REGMON_PERSIST_JOURNAL_H
 #define REGMON_PERSIST_JOURNAL_H
 
-#include "persist/Io.h"
+#include "persist/RecordLog.h"
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 
 namespace regmon::persist {
 
-/// 'RGWJ' in little-endian byte order.
-inline constexpr std::uint32_t JournalMagic = 0x4A574752U;
-inline constexpr std::uint32_t JournalVersion = 1;
+/// 'RGWJ' in little-endian byte order. Version 2 adopted the record
+/// header shared with the flight recorder (one kind byte per record).
+inline constexpr LogFormat JournalFormat{0x4A574752U, 2};
 
-/// Byte length of one record header (seq + len + crc).
-inline constexpr std::uint64_t JournalRecordHeaderBytes = 16;
-/// Largest payload the u32 length field can frame. A longer one is
-/// refused before a byte is written: a wrapped length would read back as
-/// a torn tail, and repair would cut every later acknowledged record.
-inline constexpr std::uint64_t JournalMaxPayloadBytes = 0xFFFFFFFFU;
-
-/// The CRC stored in a journal record: seq and length chained with the
-/// payload, so header corruption is as detectable as payload corruption.
-/// Shared by the writer, the replayer, and journal compaction.
-std::uint32_t journalRecordCrc(std::uint64_t Seq,
-                               std::span<const std::uint8_t> Payload);
-
-/// The header framing \p Payload as record \p Seq (length and CRC
-/// included); the record is this header followed by the payload bytes.
-std::array<std::uint8_t, JournalRecordHeaderBytes>
-journalRecordHeader(std::uint64_t Seq, std::span<const std::uint8_t> Payload);
+/// The kind of every journal record: one submitted batch. It is the
+/// flight recorder's Batch kind (trace/Format.h), so the byte means the
+/// same in both logs.
+inline constexpr std::uint8_t JournalBatchKind = 2;
 
 /// Outcome of scanning a journal file.
 struct JournalResult {
@@ -79,42 +54,15 @@ struct JournalResult {
   std::uint64_t ValidBytes = 0;
   /// A torn or corrupt record terminated the scan early.
   bool TornTail = false;
-  /// The file header itself was damaged; nothing was replayed.
+  /// The file header itself was damaged (short, foreign, another
+  /// version, or no bytes at all); nothing was replayed.
   bool HeaderCorrupt = false;
   /// No journal file existed (a fresh directory, not corruption).
   bool Missing = false;
-  /// The replay callback rejected a record (malformed payload); treated
-  /// like a torn tail: the scan stops there.
+  /// The replay callback rejected a record (malformed payload) or the
+  /// record was not a batch; treated like a torn tail: the scan stops
+  /// there.
   bool PayloadRejected = false;
-};
-
-/// Appends records to a journal file, flushing each one.
-class JournalWriter {
-public:
-  JournalWriter() = default;
-  ~JournalWriter();
-
-  JournalWriter(const JournalWriter &) = delete;
-  JournalWriter &operator=(const JournalWriter &) = delete;
-
-  /// Opens \p Path for appending, writing the file header first when the
-  /// file is new or empty. \p Crash (nullable) gates every byte.
-  bool open(const std::string &Path, CrashPoint *Crash);
-
-  /// True while the writer can accept appends.
-  bool ok() const;
-
-  /// Appends and flushes one record. A false return means the record is
-  /// not durable (it may be partially on disk -- a torn tail) and the
-  /// writer is dead. A payload over \ref JournalMaxPayloadBytes is
-  /// refused that way before a byte is written.
-  bool append(std::uint64_t Seq, std::span<const std::uint8_t> Payload);
-
-  /// Closes the file; the writer can be \ref open-ed again.
-  void close();
-
-private:
-  std::unique_ptr<FileSink> Sink;
 };
 
 /// Scans \p Path, invoking \p Replay for every valid record with sequence

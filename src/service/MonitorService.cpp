@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 using namespace regmon;
@@ -401,12 +400,7 @@ void MonitorService::process(const SampleBatch &Batch) {
   if (!Batch.Samples.empty()) {
     core::RegionMonitor &Monitor = *St.Monitor;
     const std::uint64_t PhaseChangesBefore = Monitor.totalPhaseChanges();
-    Monitor.observeInterval(Batch.Samples);
-    // lastUcrFraction() is k/n of this interval, so the product recovers
-    // the exact unattributed-sample count.
-    const auto Ucr = static_cast<std::uint64_t>(std::llround(
-        Monitor.lastUcrFraction() *
-        static_cast<double>(Batch.Samples.size())));
+    const std::uint64_t Ucr = Monitor.observeInterval(Batch.Samples);
     const std::uint64_t IntervalClock =
         St.IntervalsProcessed.fetch_add(1, std::memory_order_relaxed) + 1;
     St.TotalSamples.fetch_add(Batch.Samples.size(),

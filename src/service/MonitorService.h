@@ -362,6 +362,11 @@ public:
   /// recovery re-runs the same admission decisions over the same
   /// sequence), and \ref restore / \ref checkpoint become available.
   /// Must be called before \ref start; \p Store must outlive the service.
+  /// \ref restore must run after it and before \ref start: it repairs
+  /// the journal and resumes its sequence. Without it the journal refuses
+  /// every append that replay would lose (behind a torn tail, or at a
+  /// sequence that does not increase), and \ref submit refuses each
+  /// batch as JournalRejected.
   void attachPersistence(persist::CheckpointManager &Store);
 
   /// Recovers state from the attached store: climbs the snapshot ladder

@@ -29,12 +29,10 @@
 /// the roundings are still deterministic and engine-independent, so the
 /// exported bytes never depend on the engine or kernel selected.
 ///
-/// Kernel selection is a configure-time choice (-DREGMON_HOTPATH_KERNEL=
-/// auto|scalar). "auto" splits the accumulation across four independent
-/// lanes -- breaking the loop-carried dependency chain so the compiler's
-/// auto-vectorizer can keep the SoA bin arrays streaming -- and "scalar"
-/// is the portable single-accumulator fallback. Integer associativity
-/// makes the two kernels bit-identical; the selection only moves time.
+/// The kernels split the accumulation across four independent lanes --
+/// breaking the loop-carried dependency chain so the compiler's
+/// auto-vectorizer can keep the SoA bin arrays streaming. Integer
+/// associativity makes the lane split invisible in the results.
 ///
 /// REGMON_HOT (support/Contracts.h) tags a function as per-sample /
 /// per-bin hot-path code. The macro expands to nothing; it exists so
@@ -69,23 +67,10 @@ struct HistMoments {
   std::uint64_t Sxy = 0;
 };
 
-/// Returns the configure-time kernel selection ("auto" or "scalar").
-inline const char *hotpathKernelName() {
-#if defined(REGMON_HOTPATH_KERNEL_SCALAR)
-  return "scalar";
-#else
-  return "auto";
-#endif
-}
-
-/// Numeric id of the kernel selection for gauges: 0 = scalar, 1 = auto.
-inline int hotpathKernelId() {
-#if defined(REGMON_HOTPATH_KERNEL_SCALAR)
-  return 0;
-#else
-  return 1;
-#endif
-}
+/// Numeric id of the hot-path kernel for the monitor_hotpath_kernel
+/// gauge. Only the four-lane kernel exists; it keeps its historical id 1
+/// ("auto") so exports stay byte-stable.
+inline int hotpathKernelId() { return 1; }
 
 /// Recomputes all five moments of (\p X, \p Y) from scratch -- the oracle
 /// kernel the incremental engine is differentially tested against. Spans
@@ -96,20 +81,10 @@ recomputeMoments(std::span<const std::uint32_t> X,
   assert(X.size() == Y.size() && "histograms must match");
   HistMoments M;
   const std::size_t E = X.size();
-#if defined(REGMON_HOTPATH_KERNEL_SCALAR)
-  for (std::size_t I = 0; I != E; ++I) {
-    const std::uint64_t Xi = X[I], Yi = Y[I];
-    M.SumX += Xi;
-    M.SumY += Yi;
-    M.Sxx += Xi * Xi;
-    M.Syy += Yi * Yi;
-    M.Sxy += Xi * Yi;
-  }
-#else
   // Four independent accumulator lanes: the loop-carried dependency is per
   // lane, so the vectorizer can turn this into wide integer adds over the
   // flat bin arrays. Folding lanes in fixed order keeps the result equal
-  // to the scalar kernel (unsigned addition is associative).
+  // to a sequential sum (unsigned addition is associative).
   std::uint64_t SumX[4] = {0, 0, 0, 0}, SumY[4] = {0, 0, 0, 0};
   std::uint64_t Sxx[4] = {0, 0, 0, 0}, Syy[4] = {0, 0, 0, 0};
   std::uint64_t Sxy[4] = {0, 0, 0, 0};
@@ -139,7 +114,6 @@ recomputeMoments(std::span<const std::uint32_t> X,
     M.Syy += Syy[L];
     M.Sxy += Sxy[L];
   }
-#endif
   return M;
 }
 
@@ -193,12 +167,6 @@ REGMON_PURE inline double cosineFromMoments(const HistMoments &M) {
 /// the historical sequential double accumulation bit for bit while the
 /// integer loop vectorizes.
 REGMON_HOT inline std::uint64_t pcSum(const Addr *Pcs, std::size_t N) {
-#if defined(REGMON_HOTPATH_KERNEL_SCALAR)
-  std::uint64_t Sum = 0;
-  for (std::size_t I = 0; I != N; ++I)
-    Sum += Pcs[I];
-  return Sum;
-#else
   std::uint64_t Lane[4] = {0, 0, 0, 0};
   std::size_t I = 0;
   for (const std::size_t N4 = N & ~std::size_t{3}; I != N4; I += 4) {
@@ -210,7 +178,6 @@ REGMON_HOT inline std::uint64_t pcSum(const Addr *Pcs, std::size_t N) {
   for (; I != N; ++I)
     Lane[0] += Pcs[I];
   return Lane[0] + Lane[1] + Lane[2] + Lane[3];
-#endif
 }
 
 } // namespace regmon

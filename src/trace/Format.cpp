@@ -6,7 +6,6 @@
 
 #include "trace/Format.h"
 
-#include "persist/Crc32.h"
 #include "persist/SampleBlock.h"
 
 using namespace regmon;
@@ -26,34 +25,6 @@ const char *regmon::trace::toString(RecordKind K) {
     return "checkpoint";
   }
   return "?";
-}
-
-std::uint32_t regmon::trace::traceRecordCrc(
-    std::uint64_t Seq, std::uint8_t Kind,
-    std::span<const std::uint8_t> Payload) {
-  std::array<std::uint8_t, 13> Header{};
-  persist::storeLE(Header.data(), Seq);
-  Header[8] = Kind;
-  persist::storeLE(Header.data() + 9,
-                   static_cast<std::uint32_t>(Payload.size()));
-  return persist::crc32(Payload, persist::crc32(Header));
-}
-
-std::array<std::uint8_t, TraceRecordHeaderBytes>
-regmon::trace::traceRecordHeader(std::uint64_t Seq, std::uint8_t Kind,
-                                 std::span<const std::uint8_t> Payload) {
-  std::array<std::uint8_t, TraceRecordHeaderBytes> Header{};
-  persist::storeLE(Header.data(), Seq);
-  Header[8] = Kind;
-  persist::storeLE(Header.data() + 9,
-                   static_cast<std::uint32_t>(Payload.size()));
-  persist::storeLE(Header.data() + 13, traceRecordCrc(Seq, Kind, Payload));
-  return Header;
-}
-
-void regmon::trace::encodeTraceHeader(persist::ByteWriter &W) {
-  W.u32(TraceMagic);
-  W.u32(TraceVersion);
 }
 
 void regmon::trace::encodeBatchRecordPayload(persist::ByteWriter &W,

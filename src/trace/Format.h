@@ -5,20 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The black-box flight recorder's on-disk format: a versioned
-/// little-endian container capturing every decision a MonitorService run
-/// took, so an incident replays bit-identically. Layout:
-///
-///     u32 magic 'RGTF'   u32 version
-///     repeated records: [ u64 seq | u8 kind | u32 len | u32 crc | bytes ]
-///
+/// The black-box flight recorder's on-disk format, capturing every
+/// decision a MonitorService run took so an incident replays
+/// bit-identically: a record log (persist/RecordLog.h, the framing the
+/// write-ahead journal shares) in \ref TraceFormat, 'RGTF' version 1.
 /// Sequence numbers are assigned consecutively from 1 across *all* record
-/// kinds -- the file order is the recorded decision order. The record CRC
-/// binds seq, kind and length together with the payload (the journal's
-/// idiom, persist/Journal.h), so a bit flip anywhere in a record is
-/// detected, never replayed with silently wrong framing. Each append is
-/// flushed before it is acknowledged; a crash mid-append leaves a torn
-/// tail the reader detects and the recorder repairs on reopen.
+/// kinds -- the file order is the recorded decision order. A crash
+/// mid-append leaves a torn tail the reader detects and the recorder
+/// repairs on reopen.
 ///
 /// Record kinds and payloads (all little-endian, persist/Bytes.h):
 ///
@@ -48,25 +42,15 @@
 #define REGMON_TRACE_FORMAT_H
 
 #include "persist/Bytes.h"
+#include "persist/RecordLog.h"
 #include "service/MonitorService.h"
 
-#include <array>
 #include <cstdint>
-#include <span>
 
 namespace regmon::trace {
 
-/// 'RGTF' in little-endian byte order.
-inline constexpr std::uint32_t TraceMagic = 0x46544752U;
-inline constexpr std::uint32_t TraceVersion = 1;
-
-/// Byte length of the file header (magic + version).
-inline constexpr std::uint64_t TraceHeaderBytes = 8;
-/// Byte length of one record header (seq + kind + len + crc).
-inline constexpr std::uint64_t TraceRecordHeaderBytes = 17;
-/// Largest payload the u32 length field can frame; the recorder refuses
-/// a longer one before writing (see persist::JournalMaxPayloadBytes).
-inline constexpr std::uint64_t TraceMaxPayloadBytes = 0xFFFFFFFFU;
+/// 'RGTF' in little-endian byte order, version 1.
+inline constexpr persist::LogFormat TraceFormat{0x46544752U, 1};
 
 /// What one trace record captures. Values are part of the wire format.
 enum class RecordKind : std::uint8_t {
@@ -79,22 +63,6 @@ enum class RecordKind : std::uint8_t {
 
 /// Returns a short identifier for reports.
 const char *toString(RecordKind K);
-
-/// The CRC stored in a trace record: seq, kind and length chained with
-/// the payload, so header corruption is as detectable as payload
-/// corruption. Shared by the recorder and the scanner.
-std::uint32_t traceRecordCrc(std::uint64_t Seq, std::uint8_t Kind,
-                             std::span<const std::uint8_t> Payload);
-
-/// The header framing \p Payload as record \p Seq of kind \p Kind
-/// (length and CRC included); the record is this header followed by the
-/// payload bytes.
-std::array<std::uint8_t, TraceRecordHeaderBytes>
-traceRecordHeader(std::uint64_t Seq, std::uint8_t Kind,
-                  std::span<const std::uint8_t> Payload);
-
-/// Appends the file header (magic + version) to \p W.
-void encodeTraceHeader(persist::ByteWriter &W);
 
 /// Appends a Batch payload: the fate, the stream, then the sample block.
 void encodeBatchRecordPayload(persist::ByteWriter &W,

@@ -58,69 +58,18 @@ BodyDecode decodeBody(std::uint64_t Seq, std::uint8_t RawKind,
 ScanResult regmon::trace::scanTraceBytes(
     std::span<const std::uint8_t> Bytes) {
   ScanResult Out;
-  Out.FileBytes = Bytes.size();
-  if (Bytes.empty())
-    return Out; // a fresh (never-opened) trace: intact and empty
-  if (Bytes.size() < TraceHeaderBytes) {
-    Out.HeaderTorn = true;
-    return Out;
-  }
-  {
-    persist::ByteReader H(Bytes.first(TraceHeaderBytes));
-    if (H.u32() != TraceMagic) {
-      Out.HeaderCorrupt = true;
-      return Out;
-    }
-    if (H.u32() != TraceVersion) {
-      Out.VersionSkew = true;
-      return Out;
-    }
-  }
-  Out.ValidBytes = TraceHeaderBytes;
-  std::uint64_t Pos = TraceHeaderBytes;
-  while (Pos < Bytes.size()) {
-    const std::uint64_t Left = Bytes.size() - Pos;
-    if (Left < TraceRecordHeaderBytes) {
-      Out.TornTail = true; // recorder died inside a record header
-      break;
-    }
-    persist::ByteReader R(Bytes.subspan(Pos, TraceRecordHeaderBytes));
-    const std::uint64_t Seq = R.u64();
-    const std::uint8_t RawKind = R.u8();
-    const std::uint32_t Len = R.u32();
-    const std::uint32_t Crc = R.u32();
-    // A hostile length is bounded against the bytes present before any
-    // use; a length past the end is indistinguishable from a torn
-    // payload and treated the same way.
-    if (Len > Left - TraceRecordHeaderBytes) {
-      Out.TornTail = true;
-      break;
-    }
-    const std::span<const std::uint8_t> Payload =
-        Bytes.subspan(Pos + TraceRecordHeaderBytes, Len);
-    if (Crc != traceRecordCrc(Seq, RawKind, Payload)) {
-      Out.TornTail = true;
-      break;
-    }
-    if (Seq <= Out.LastSeq) {
-      Out.TornTail = true; // sequence must strictly increase from 1
-      break;
-    }
-    TraceRecord Rec;
-    const BodyDecode D = decodeBody(Seq, RawKind, Payload, Rec);
-    if (D == BodyDecode::Unknown) {
-      Out.UnknownKind = true;
-      break;
-    }
-    if (D == BodyDecode::Malformed) {
-      Out.MalformedPayload = true;
-      break;
-    }
-    Out.Records.push_back(std::move(Rec));
-    Out.LastSeq = Seq;
-    Pos += TraceRecordHeaderBytes + Len;
-    Out.ValidBytes = Pos;
-  }
+  BodyDecode Stop = BodyDecode::Ok;
+  static_cast<persist::LogScan &>(Out) = persist::scanLog(
+      Bytes, TraceFormat, [&](const persist::LogRecord &R) {
+        TraceRecord Rec;
+        Stop = decodeBody(R.Seq, R.Kind, R.Payload, Rec);
+        if (Stop != BodyDecode::Ok)
+          return false;
+        Out.Records.push_back(std::move(Rec));
+        return true;
+      });
+  Out.UnknownKind = Stop == BodyDecode::Unknown;
+  Out.MalformedPayload = Stop == BodyDecode::Malformed;
   return Out;
 }
 

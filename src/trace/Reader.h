@@ -7,12 +7,14 @@
 /// \file
 /// The trust boundary of the flight recorder: a scanner that turns an
 /// arbitrary byte string into the longest valid prefix of decoded trace
-/// records plus a precise diagnosis of why the scan stopped. It is total
-/// -- every truncation, bit flip, version skew, hostile length and
-/// unknown kind yields flags on \ref ScanResult, never undefined
-/// behaviour -- and it trusts the longest valid prefix exactly like the
-/// journal replayer (persist/Journal.h): \ref ScanResult::ValidBytes is
-/// the repair point a recorder truncates to before appending again.
+/// records plus a precise diagnosis of why the scan stopped. The shared
+/// record-log scan (persist/RecordLog.h) finds the framing and its
+/// damage; this layer decodes each record's payload by kind and refuses
+/// unknown kinds and malformed payloads. It is total -- every truncation,
+/// bit flip, version skew, hostile length and unknown kind yields flags
+/// on \ref ScanResult, never undefined behaviour. \ref
+/// ScanResult::ValidBytes is the repair point a recorder truncates to
+/// before appending again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,44 +49,30 @@ struct TraceRecord {
 };
 
 /// Outcome of scanning trace bytes: the decoded valid prefix plus why the
-/// scan ended. At most one of the failure flags is set.
-struct ScanResult {
+/// scan ended (the persist::LogScan flags, plus the ones below). Any
+/// damage ends a scan, so at most one cause is reported.
+struct ScanResult : persist::LogScan {
   std::vector<TraceRecord> Records;
-  /// Byte length of the valid prefix (file header included once it is
-  /// intact); the repair point.
-  std::uint64_t ValidBytes = 0;
-  /// Highest sequence number in the valid prefix.
-  std::uint64_t LastSeq = 0;
-  /// Total input length, so callers can tell "intact" from "repairable".
-  std::uint64_t FileBytes = 0;
-  /// A torn or corrupt record (short header, hostile length, CRC
-  /// mismatch, non-increasing seq) ended the scan. Repairable: truncate
-  /// to ValidBytes.
-  bool TornTail = false;
-  /// A CRC-valid record carried a kind this reader does not know. The
-  /// bytes are from a newer writer, not corruption: a recorder refuses
-  /// to repair (truncating would destroy someone else's valid data).
+  /// A CRC-valid record carried a kind this reader does not know (with
+  /// Rejected). The bytes are from a newer writer, not corruption: a
+  /// recorder refuses to repair (truncating would destroy someone else's
+  /// valid data).
   bool UnknownKind = false;
-  /// A CRC-valid record's payload failed structural decode (writer bug
-  /// or forged CRC). Repairable like a torn tail.
+  /// A CRC-valid record's payload failed structural decode (with
+  /// Rejected): a writer bug or a forged CRC. Repairable like a torn
+  /// tail.
   bool MalformedPayload = false;
-  /// Fewer than TraceHeaderBytes bytes: a recorder died inside the file
-  /// header. Repairable to an empty file (no record was ever valid).
-  bool HeaderTorn = false;
-  /// The magic is wrong: not a trace file. Never repaired.
-  bool HeaderCorrupt = false;
-  /// The version is not ours. Never repaired.
-  bool VersionSkew = false;
   /// The file does not exist (scanTraceFile only).
   bool Missing = false;
 
   /// True when the input is a complete well-formed trace.
   bool intact() const {
-    return !TornTail && !UnknownKind && !MalformedPayload && !HeaderTorn &&
-           !HeaderCorrupt && !VersionSkew && !Missing;
+    return !TornTail && !Rejected && !HeaderTorn && !HeaderCorrupt &&
+           !VersionSkew && !Missing;
   }
   /// True when truncating to ValidBytes yields an intact trace (and a
-  /// recorder may then append to it).
+  /// recorder may then append to it). A torn header repairs to an empty
+  /// file; a wrong magic or version is never repaired.
   bool repairable() const {
     return !UnknownKind && !HeaderCorrupt && !VersionSkew && !Missing;
   }

@@ -6,12 +6,13 @@
 ///
 /// \file
 /// The writing half of the flight recorder: a \ref service::BatchRecorder
-/// that appends each recorded decision as one trace record, flushed
-/// before the append is acknowledged. \ref open repairs a torn tail left
-/// by a previous kill (truncating to the scanner's valid prefix, the
-/// journal's repair idiom) and resumes the sequence after the last valid
-/// record, so a recording can survive any number of mid-write deaths with
-/// the surviving prefix always replayable.
+/// that appends each recorded decision as one trace record through the
+/// shared record-log writer (persist/RecordLog.h), flushed before the
+/// append is acknowledged. \ref open repairs a torn tail left by a
+/// previous kill (truncating to the scanner's valid prefix) and resumes
+/// the sequence after the last valid record, so a recording can survive
+/// any number of mid-write deaths with the surviving prefix always
+/// replayable.
 ///
 /// The recorder is an *observer*: an append failure (real I/O error, an
 /// injected \ref persist::CrashPoint exhaustion, or a payload longer than
@@ -30,11 +31,10 @@
 #define REGMON_TRACE_RECORDER_H
 
 #include "obs/Instruments.h"
-#include "persist/Io.h"
+#include "persist/RecordLog.h"
 #include "trace/Reader.h"
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -55,7 +55,7 @@ public:
   };
 
   TraceRecorder() = default;
-  ~TraceRecorder() override;
+  ~TraceRecorder() override = default;
 
   TraceRecorder(const TraceRecorder &) = delete;
   TraceRecorder &operator=(const TraceRecorder &) = delete;
@@ -71,11 +71,11 @@ public:
   OpenResult open(const std::string &Path, persist::CrashPoint *Crash = nullptr);
 
   /// True while appends can succeed.
-  bool ok() const;
+  bool ok() const { return Log.ok(); }
 
   /// Flushes and closes; false if any step failed. Safe when never
   /// opened. The recorder can be \ref open-ed again afterwards.
-  bool close();
+  bool close() { return Log.close(); }
 
   /// Wires the flight-recorder counters (nullable; see obs/Instruments.h).
   void attachObservability(const obs::TraceInstruments *Instruments) {
@@ -105,7 +105,7 @@ private:
   /// unique even across a dead recorder.
   std::uint64_t append(RecordKind Kind, std::span<const std::uint8_t> Payload);
 
-  std::unique_ptr<persist::FileSink> Sink;
+  persist::LogWriter Log;
   const obs::TraceInstruments *Obs = nullptr;
   std::uint64_t NextSeq = 1;
   std::uint64_t RecordsN = 0;

@@ -127,7 +127,7 @@ TEST(CliSmoke, TraceVerifyRepairRoundTrip) {
   std::remove(Trace.c_str());
   {
     regmon::persist::ByteWriter W;
-    regmon::trace::encodeTraceHeader(W);
+    W.bytes(regmon::persist::logHeader(regmon::trace::TraceFormat));
     W.u8(0xAB); // one garbage byte: a torn record header
     std::ofstream Out(Trace, std::ios::binary);
     Out.write(reinterpret_cast<const char *>(W.data().data()),

@@ -312,6 +312,46 @@ TEST(CrashRecovery, JournalAppendCrashSweepRecoversAcknowledgedPrefix) {
   }
 }
 
+// A service attached to a journal that holds batches but started without
+// restore() restarts its sequence at 1. Acknowledging its batches would
+// lose them: replay ends at the first sequence that does not increase and
+// repair cuts the rest. The journal refuses the append, so the service
+// refuses the batch (JournalRejected) and recovery still owns every
+// batch it acknowledged.
+TEST(CrashRecovery, SkippedRestoreRefusesBatchesInsteadOfLosingThem) {
+  const std::vector<RecordedStream> Fleet = smallFleet();
+  const std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  ASSERT_GE(Batches.size(), 4U);
+  const std::string Dir = scratchDir("norestore");
+  {
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet);
+    Service->attachPersistence(Store);
+    ASSERT_EQ(Service->restore(), RestoreOutcome::ColdStart);
+    Service->start();
+    for (std::size_t I = 0; I < 3; ++I)
+      ASSERT_TRUE(Service->submit(Batches[I]));
+    Service->stop();
+  }
+  {
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet);
+    Service->attachPersistence(Store); // restore() skipped
+    Service->start();
+    EXPECT_FALSE(Service->submit(Batches[3]));
+    Service->stop();
+    EXPECT_EQ(Service->snapshot().BatchesRejected, 1U);
+    EXPECT_EQ(Service->snapshot().BatchesProcessed, 0U);
+  }
+  CheckpointManager Store(Dir);
+  auto Service = makeService(Fleet);
+  Service->attachPersistence(Store);
+  EXPECT_EQ(Service->restore(), RestoreOutcome::JournalOnly);
+  EXPECT_EQ(Service->persistedSequence(), 3U);
+  EXPECT_EQ(Store.counters().JournalTornTails, 0U);
+  EXPECT_EQ(Service->encodeState(), referenceBytes(Fleet, Batches, 3));
+}
+
 // Kill the process inside a snapshot commit -- during the tmp write, the
 // two renames, and journal compaction -- and assert recovery lands on
 // either the old or the new snapshot with the journal bridging the rest:

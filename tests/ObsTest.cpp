@@ -18,9 +18,13 @@
 
 #include "core/RegionMonitor.h"
 #include "faults/FaultPlan.h"
+#include "sampling/Sampler.h"
 #include "service/MonitorService.h"
+#include "sim/Engine.h"
+#include "sim/ProgramCodeMap.h"
 #include "support/Histogram.h"
 #include "trace/Recorder.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +32,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -451,6 +456,46 @@ TEST(ObsService, PerStreamSeriesAndAggregatesMatchSnapshot) {
             std::string::npos);
 }
 
+// The service's per-stream UCR count and the monitor's counter come from
+// one exact integer per interval, so they agree over a real workload
+// whose intervals are partly unattributed.
+TEST(ObsService, SnapshotUcrSamplesMatchMonitorSeries) {
+  std::vector<std::unique_ptr<workloads::Workload>> Workloads;
+  std::vector<std::unique_ptr<sim::ProgramCodeMap>> Maps;
+  service::MonitorService Service(
+      {/*Workers=*/2, /*QueueCapacity=*/16, service::OverflowPolicy::Block,
+       /*ValidateBatches=*/true, {}});
+  for (const char *Name : {"synthetic.periodic", "synthetic.pollution"}) {
+    Workloads.push_back(
+        std::make_unique<workloads::Workload>(workloads::make(Name)));
+    Maps.push_back(
+        std::make_unique<sim::ProgramCodeMap>(Workloads.back()->Prog));
+    Service.addStream(*Maps.back());
+  }
+  MetricsRegistry R;
+  Service.attachObservability(R);
+  Service.start();
+  for (service::StreamId Id = 0; Id < Workloads.size(); ++Id) {
+    sim::Engine Engine(Workloads[Id]->Prog, Workloads[Id]->Script, 7 + Id);
+    sampling::Sampler Sampler(Engine, {45'000, 2032});
+    std::vector<Sample> Buffer;
+    for (int I = 0; I < 40 && Sampler.fillBuffer(Buffer); ++I)
+      ASSERT_TRUE(Service.submit({Id, Buffer}));
+  }
+  Service.stop();
+
+  const service::ServiceSnapshot Snap = Service.snapshot();
+  ASSERT_EQ(Snap.Streams.size(), 2U);
+  for (const service::StreamSnapshot &St : Snap.Streams) {
+    SCOPED_TRACE("stream " + std::to_string(St.Stream));
+    EXPECT_GT(St.UcrSamples, 0U);
+    EXPECT_LT(St.UcrSamples, St.TotalSamples);
+    const Counter &Series =
+        R.counter("monitor_samples_ucr_total", "", streamLabel(St.Stream));
+    EXPECT_EQ(St.UcrSamples, Series.value());
+  }
+}
+
 TEST(ObsService, QuarantineAndRecoveryAreTraced) {
   TestCodeMap Map;
   service::ServiceConfig Cfg{/*Workers=*/1, /*QueueCapacity=*/16,
@@ -515,7 +560,7 @@ TEST(ObsService, TraceInstrumentsMirrorRecorderAccounting) {
   // The 8-byte file header predates attach (open() writes it before any
   // instruments exist), so the byte counter covers records only.
   EXPECT_EQ(I.BytesTotal->value(),
-            Rec.bytesWritten() - trace::TraceHeaderBytes);
+            Rec.bytesWritten() - persist::LogHeaderBytes);
   EXPECT_EQ(I.AppendFailures->value(), 0u);
 
   const std::uint64_t RecordBytes = I.BytesTotal->value();

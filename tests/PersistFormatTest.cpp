@@ -556,11 +556,11 @@ std::vector<std::uint8_t> seqPayload(std::uint64_t Seq) {
 
 /// Appends records 1..N to a fresh journal at \p Path.
 void writeJournal(const std::string &Path, std::uint64_t N) {
-  JournalWriter Writer;
-  ASSERT_TRUE(Writer.open(Path, nullptr));
+  LogWriter Writer;
+  ASSERT_TRUE(Writer.open(Path, JournalFormat, 0, 0, nullptr));
   for (std::uint64_t Seq = 1; Seq <= N; ++Seq)
-    ASSERT_TRUE(Writer.append(Seq, seqPayload(Seq)));
-  Writer.close();
+    ASSERT_TRUE(Writer.append(Seq, JournalBatchKind, seqPayload(Seq)));
+  ASSERT_TRUE(Writer.close());
 }
 
 TEST(PersistJournal, AppendReplayRoundTripWithSkipThreshold) {
@@ -679,13 +679,10 @@ TEST(PersistJournal, NonIncreasingSequenceEndsScan) {
   const std::string Path = Dir + "/journal.wal";
   // Hand-build: header + seq 5 + seq 5 again (stale tail after reuse).
   ByteWriter W;
-  W.u32(JournalMagic);
-  W.u32(JournalVersion);
+  W.bytes(logHeader(JournalFormat));
   for (int I = 0; I < 2; ++I) {
     const std::vector<std::uint8_t> P = seqPayload(5);
-    W.u64(5);
-    W.u32(static_cast<std::uint32_t>(P.size()));
-    W.u32(journalRecordCrc(5, P));
+    W.bytes(recordHeader(5, JournalBatchKind, P));
     W.bytes(P);
   }
   const std::vector<std::uint8_t> Bytes = W.take();
@@ -705,17 +702,17 @@ TEST(PersistJournal, NonIncreasingSequenceEndsScan) {
 TEST(PersistJournal, PayloadTooLongForU32LengthIsRefusedBeforeAnyByte) {
   const std::string Dir = scratchDir("journal_huge");
   const std::string Path = Dir + "/journal.wal";
-  JournalWriter Writer;
-  ASSERT_TRUE(Writer.open(Path, nullptr));
-  ASSERT_TRUE(Writer.append(1, seqPayload(1)));
+  LogWriter Writer;
+  ASSERT_TRUE(Writer.open(Path, JournalFormat, 0, 0, nullptr));
+  ASSERT_TRUE(Writer.append(1, JournalBatchKind, seqPayload(1)));
   const std::uint64_t Before = std::filesystem::file_size(Path);
 
   const persisttest::HugeSpan Huge;
   ASSERT_TRUE(Huge.ok());
-  ASSERT_GT(Huge.bytes().size(), JournalMaxPayloadBytes);
-  EXPECT_FALSE(Writer.append(2, Huge.bytes()));
+  ASSERT_GT(Huge.bytes().size(), MaxRecordPayloadBytes);
+  EXPECT_FALSE(Writer.append(2, JournalBatchKind, Huge.bytes()));
   EXPECT_FALSE(Writer.ok()); // dead, like any failed append
-  Writer.close();
+  EXPECT_FALSE(Writer.close());
   EXPECT_EQ(std::filesystem::file_size(Path), Before);
 
   // The acknowledged prefix is intact: no torn tail for repair to cut.
@@ -726,6 +723,71 @@ TEST(PersistJournal, PayloadTooLongForU32LengthIsRefusedBeforeAnyByte) {
   EXPECT_EQ(Res.RecordsReplayed, 1U);
   EXPECT_FALSE(Res.TornTail);
   EXPECT_EQ(Res.ValidBytes, Before);
+}
+
+// A crash mid-append leaves torn bytes. A record appended behind them
+// would be acknowledged, then hidden from replay and cut by the repair:
+// the journal must refuse it until the owner's repair has run.
+TEST(PersistJournal, TornJournalRefusesAppendsUntilRepaired) {
+  const std::string Dir = scratchDir("journal_torn_append");
+  {
+    CheckpointManager M(Dir);
+    for (std::uint64_t Seq = 1; Seq <= 2; ++Seq)
+      ASSERT_TRUE(M.appendJournal(Seq, seqPayload(Seq)));
+  }
+  CheckpointManager M(Dir);
+  {
+    const std::vector<std::uint8_t> Garbage = {0x13, 0x37, 0xFE};
+    FileSink Sink(M.journalPath(), /*Append=*/true, nullptr);
+    ASSERT_TRUE(Sink.write(Garbage));
+    ASSERT_TRUE(Sink.close());
+  }
+  const std::vector<std::uint8_t> Torn = mustRead(M.journalPath());
+
+  EXPECT_FALSE(M.appendJournal(3, seqPayload(3)));
+  EXPECT_EQ(mustRead(M.journalPath()), Torn) << "a refused append wrote";
+
+  const JournalResult Repair = M.replayAndRepair(
+      0, [](std::uint64_t, std::span<const std::uint8_t>) { return true; });
+  EXPECT_TRUE(Repair.TornTail);
+  EXPECT_EQ(Repair.RecordsReplayed, 2U);
+  ASSERT_TRUE(M.appendJournal(3, seqPayload(3)));
+  std::vector<std::uint64_t> Seen;
+  const JournalResult After = M.replayAndRepair(
+      0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
+        Seen.push_back(Seq);
+        return true;
+      });
+  EXPECT_FALSE(After.TornTail);
+  EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+// A writer that never learned the journal's last sequence (its owner
+// skipped recovery) restarts at 1. Replay ends at the first record that
+// does not increase, so such appends must be refused, not acknowledged.
+TEST(PersistJournal, NonIncreasingAppendIsRefusedBeforeAnyByte) {
+  const std::string Dir = scratchDir("journal_stale_seq");
+  {
+    CheckpointManager M(Dir);
+    for (std::uint64_t Seq = 1; Seq <= 3; ++Seq)
+      ASSERT_TRUE(M.appendJournal(Seq, seqPayload(Seq)));
+  }
+  CheckpointManager M(Dir);
+  const std::vector<std::uint8_t> Before = mustRead(M.journalPath());
+  EXPECT_FALSE(M.appendJournal(1, seqPayload(1)));
+  EXPECT_FALSE(M.appendJournal(3, seqPayload(3)));
+  EXPECT_EQ(mustRead(M.journalPath()), Before) << "a refused append wrote";
+
+  ASSERT_TRUE(M.appendJournal(4, seqPayload(4)));
+  EXPECT_FALSE(M.appendJournal(4, seqPayload(4)));
+  std::vector<std::uint64_t> Seen;
+  const JournalResult Res = M.replayAndRepair(
+      0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
+        Seen.push_back(Seq);
+        return true;
+      });
+  EXPECT_FALSE(Res.TornTail);
+  EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2, 3, 4}));
 }
 
 TEST(PersistJournal, RejectedPayloadStopsScanAndIsNotCountedInLastSeq) {

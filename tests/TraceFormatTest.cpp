@@ -53,7 +53,7 @@ std::string scratchFile(const std::string &Tag) {
 
 std::vector<std::uint8_t> headerBytes() {
   persist::ByteWriter W;
-  encodeTraceHeader(W);
+  W.bytes(persist::logHeader(TraceFormat));
   return W.take();
 }
 
@@ -61,10 +61,7 @@ std::vector<std::uint8_t> headerBytes() {
 std::vector<std::uint8_t> record(std::uint64_t Seq, std::uint8_t Kind,
                                  std::span<const std::uint8_t> Payload) {
   persist::ByteWriter W;
-  W.u64(Seq);
-  W.u8(Kind);
-  W.u32(static_cast<std::uint32_t>(Payload.size()));
-  W.u32(traceRecordCrc(Seq, Kind, Payload));
+  W.bytes(persist::recordHeader(Seq, Kind, Payload));
   W.bytes(Payload);
   return W.take();
 }
@@ -133,11 +130,11 @@ TEST(TraceFormat, KindNamesAreDistinct) {
 
 TEST(TraceFormat, HeaderAloneIsAnIntactEmptyTrace) {
   const std::vector<std::uint8_t> H = headerBytes();
-  ASSERT_EQ(H.size(), TraceHeaderBytes);
+  ASSERT_EQ(H.size(), persist::LogHeaderBytes);
   const ScanResult S = scanTraceBytes(H);
   EXPECT_TRUE(S.intact());
   EXPECT_TRUE(S.Records.empty());
-  EXPECT_EQ(S.ValidBytes, TraceHeaderBytes);
+  EXPECT_EQ(S.ValidBytes, persist::LogHeaderBytes);
   EXPECT_EQ(S.LastSeq, 0U);
 }
 
@@ -291,7 +288,7 @@ TEST(TraceFormat, TruncationSweepEveryLength) {
       // An empty byte string is a never-opened trace: intact and empty.
       EXPECT_TRUE(S.intact());
       EXPECT_EQ(S.ValidBytes, 0U);
-    } else if (Len < TraceHeaderBytes) {
+    } else if (Len < persist::LogHeaderBytes) {
       EXPECT_TRUE(S.HeaderTorn);
       EXPECT_EQ(S.ValidBytes, 0U);
     } else if (AtBoundary) {
@@ -330,7 +327,7 @@ TEST(TraceFormat, BitFlipSweepEveryOffset) {
     if (Off < 4) {
       EXPECT_TRUE(S.HeaderCorrupt);
       EXPECT_FALSE(S.repairable());
-    } else if (Off < TraceHeaderBytes) {
+    } else if (Off < persist::LogHeaderBytes) {
       EXPECT_TRUE(S.VersionSkew);
       EXPECT_FALSE(S.repairable());
     } else {
@@ -358,7 +355,7 @@ TEST(TraceFormat, HostileRecordLengthIsATornTailNotAnAllocation) {
   append(Bytes, W.take());
   const ScanResult S = scanTraceBytes(Bytes);
   EXPECT_TRUE(S.TornTail);
-  EXPECT_EQ(S.ValidBytes, TraceHeaderBytes);
+  EXPECT_EQ(S.ValidBytes, persist::LogHeaderBytes);
   EXPECT_TRUE(S.repairable());
 }
 
@@ -374,7 +371,7 @@ TEST(TraceFormat, HostileSampleCountWithValidCrcIsMalformedPayload) {
          record(1, static_cast<std::uint8_t>(RecordKind::Batch), P.data()));
   const ScanResult S = scanTraceBytes(Bytes);
   EXPECT_TRUE(S.MalformedPayload);
-  EXPECT_EQ(S.ValidBytes, TraceHeaderBytes);
+  EXPECT_EQ(S.ValidBytes, persist::LogHeaderBytes);
   EXPECT_TRUE(S.repairable());
 }
 
@@ -385,7 +382,7 @@ TEST(TraceFormat, UnknownKindRefusesRepair) {
   const ScanResult S = scanTraceBytes(Bytes);
   EXPECT_TRUE(S.UnknownKind);
   EXPECT_FALSE(S.repairable()) << "repair would destroy a newer writer's data";
-  EXPECT_EQ(S.ValidBytes, TraceHeaderBytes);
+  EXPECT_EQ(S.ValidBytes, persist::LogHeaderBytes);
 
   // The recorder must refuse to open (and so to truncate) such a file.
   const std::string Path = scratchFile("unknownkind");
@@ -401,8 +398,8 @@ TEST(TraceFormat, UnknownKindRefusesRepair) {
 
 TEST(TraceFormat, VersionSkewRefusesRepair) {
   persist::ByteWriter W;
-  W.u32(TraceMagic);
-  W.u32(TraceVersion + 1);
+  W.u32(TraceFormat.Magic);
+  W.u32(TraceFormat.Version + 1);
   const ScanResult S = scanTraceBytes(W.data());
   EXPECT_TRUE(S.VersionSkew);
   EXPECT_FALSE(S.repairable());
@@ -500,9 +497,9 @@ TEST(TraceFormat, RecorderCrashBudgetSweepLeavesRepairablePrefix) {
     const TraceRecorder::OpenResult Re = Resumed.open(Path);
     ASSERT_TRUE(Re.Ok);
     // A kill inside the file header repairs to empty and rewrites the
-    // header, so the resume point is never below TraceHeaderBytes.
+    // header, so the resume point is never below persist::LogHeaderBytes.
     EXPECT_EQ(Re.ValidBytes,
-              std::max<std::uint64_t>(S.ValidBytes, TraceHeaderBytes));
+              std::max<std::uint64_t>(S.ValidBytes, persist::LogHeaderBytes));
     EXPECT_EQ(Re.NextSeq, S.LastSeq + 1);
     EXPECT_EQ(Re.Repaired, TornBytes.size() > S.ValidBytes);
     // The repaired file extends cleanly: one more record, still intact.
@@ -526,7 +523,7 @@ TEST(TraceFormat, PayloadTooLongForU32LengthKillsRecorderBeforeAnyByte) {
 
   const persisttest::HugeSpan Huge;
   ASSERT_TRUE(Huge.ok());
-  ASSERT_GT(Huge.bytes().size(), TraceMaxPayloadBytes);
+  ASSERT_GT(Huge.bytes().size(), persist::MaxRecordPayloadBytes);
   R.recordConfig(Huge.bytes());
   // Counted and seq-consuming like a dead sink, and dead from here on.
   EXPECT_EQ(R.appendFailures(), 1U);

@@ -172,7 +172,7 @@ TEST(TraceReplay, TornTailReplaysTheValidPrefix) {
   ASSERT_GT(FullScan.Records.size(), 4U);
 
   // Tear mid-way through the last record.
-  ASSERT_TRUE(persist::truncateFile(Trace, Full->size() - 5, nullptr));
+  std::filesystem::resize_file(Trace, Full->size() - 5);
   const ReplayOutcome Rep = replayScenario("quarantine-recovery", Trace);
   EXPECT_TRUE(Rep.File.Scan.TornTail);
   EXPECT_TRUE(Rep.File.Replay.Ok) << "a torn tail must not fail the prefix";
@@ -247,7 +247,7 @@ TEST(TraceReplay, CrashKillSweepRepairedPrefixReplaysCleanly) {
     const trace::ScanResult Scan = trace::scanTraceBytes(*Torn);
     ASSERT_TRUE(Scan.repairable());
     ASSERT_GT(Scan.Records.size(), 0U);
-    ASSERT_TRUE(persist::truncateFile(Trace, Scan.ValidBytes, nullptr));
+    ASSERT_TRUE(persist::repairLog(Trace, Scan.ValidBytes, nullptr));
     const ReplayOutcome Rep1 = replayScenario("quarantine-recovery", Trace);
     EXPECT_TRUE(Rep1.File.Scan.intact());
     ASSERT_TRUE(Rep1.File.Replay.Ok)

@@ -49,7 +49,7 @@
 #include "obs/Export.h"
 #include "obs/Instruments.h"
 #include "persist/Checkpoint.h"
-#include "persist/Io.h"
+#include "persist/RecordLog.h"
 #include "rto/Harness.h"
 #include "sampling/Sampler.h"
 #include "service/MonitorService.h"
@@ -1128,13 +1128,12 @@ int cmdTraceVerify(const Options &Opts) {
                  "the valid prefix\n");
     return 1;
   }
-  const std::uint64_t Keep = Scan.HeaderTorn ? 0 : Scan.ValidBytes;
-  if (!persist::truncateFile(Opts.Trace, Keep, nullptr)) {
+  if (!persist::repairLog(Opts.Trace, Scan.ValidBytes, nullptr)) {
     std::fprintf(stderr, "error: cannot truncate '%s'\n", Opts.Trace.c_str());
     return 1;
   }
   std::printf("  repaired: truncated to %llu byte(s)\n",
-              static_cast<unsigned long long>(Keep));
+              static_cast<unsigned long long>(Scan.ValidBytes));
   return 0;
 }
 
