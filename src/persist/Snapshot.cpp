@@ -23,8 +23,6 @@ const char *regmon::persist::toString(SnapshotError E) {
     return "bad-magic";
   case SnapshotError::UnsupportedVersion:
     return "unsupported-version";
-  case SnapshotError::MigrationFailed:
-    return "migration-failed";
   case SnapshotError::SectionLimit:
     return "section-limit";
   case SnapshotError::SectionOverrun:
@@ -37,22 +35,6 @@ const char *regmon::persist::toString(SnapshotError E) {
     return "file-crc-mismatch";
   }
   return "?";
-}
-
-namespace {
-
-bool identityNormalize(std::vector<SnapshotSection> &) { return true; }
-
-constexpr SnapshotMigration BuiltinMigrations[] = {
-    // v1 -> v1: the current version's normalization hook. Identity today;
-    // a future v1.x field fixup slots in here without touching the loader.
-    {1, 1, &identityNormalize},
-};
-
-} // namespace
-
-std::span<const SnapshotMigration> regmon::persist::builtinMigrations() {
-  return BuiltinMigrations;
 }
 
 std::vector<std::uint8_t>
@@ -74,8 +56,7 @@ regmon::persist::encodeSnapshot(std::span<const SnapshotSection> Sections,
 
 SnapshotError
 regmon::persist::decodeSnapshot(std::span<const std::uint8_t> Data,
-                                std::vector<SnapshotSection> &Sections,
-                                std::span<const SnapshotMigration> Migrations) {
+                                std::vector<SnapshotSection> &Sections) {
   Sections.clear();
   // Fixed header (magic + version + count) plus footer CRC.
   if (Data.size() < 16)
@@ -116,24 +97,8 @@ regmon::persist::decodeSnapshot(std::span<const std::uint8_t> Data,
     return SnapshotError::FileCrcMismatch;
 
   // Only now -- with every byte vouched for -- interpret the version.
-  std::uint32_t V = Version;
-  std::uint64_t Steps = 0;
-  while (V != SnapshotVersion) {
-    const SnapshotMigration *Found = nullptr;
-    for (const SnapshotMigration &M : Migrations)
-      if (M.From == V && M.To != V) {
-        Found = &M;
-        break;
-      }
-    if (Found == nullptr || ++Steps > Migrations.size())
-      return SnapshotError::UnsupportedVersion;
-    if (!Found->Apply(Parsed))
-      return SnapshotError::MigrationFailed;
-    V = Found->To;
-  }
-  for (const SnapshotMigration &M : Migrations)
-    if (M.From == V && M.To == V && !M.Apply(Parsed))
-      return SnapshotError::MigrationFailed;
+  if (Version != SnapshotVersion)
+    return SnapshotError::UnsupportedVersion;
 
   Sections = std::move(Parsed);
   return SnapshotError::None;

@@ -22,9 +22,9 @@
 /// clean \ref SnapshotError.
 ///
 /// Versioning: the version field names the schema of the section payloads.
-/// Loading applies the \ref SnapshotMigration chain to walk old schemas
-/// forward, ending with the current version's normalization hook (today an
-/// identity pass -- the seam where a v1.x fixup will land).
+/// Only \ref SnapshotVersion is read; any other version is refused as
+/// \ref SnapshotError::UnsupportedVersion, so an old snapshot is never
+/// misread -- recovery falls to the next rung instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,7 @@ namespace regmon::persist {
 /// 'RGMN' in little-endian byte order.
 inline constexpr std::uint32_t SnapshotMagic = 0x4E4D4752U;
 /// Current schema version of section payloads.
-inline constexpr std::uint32_t SnapshotVersion = 1;
+inline constexpr std::uint32_t SnapshotVersion = 2;
 /// Upper bound on sections per snapshot; a corrupt count field must not
 /// buy a long parse loop.
 inline constexpr std::uint32_t SnapshotMaxSections = 1U << 20;
@@ -58,8 +58,7 @@ enum class SnapshotError : std::uint8_t {
   FileMissing,        ///< No file at the path (not corruption).
   TooShort,           ///< Shorter than the fixed header + footer.
   BadMagic,           ///< First four bytes are not 'RGMN'.
-  UnsupportedVersion, ///< Schema newer than this build, or no migration path.
-  MigrationFailed,    ///< A migration hook rejected the sections.
+  UnsupportedVersion, ///< Any schema version other than SnapshotVersion.
   SectionLimit,       ///< Section count exceeds SnapshotMaxSections.
   SectionOverrun,     ///< A section header or payload ran past the file.
   SectionCrcMismatch, ///< A section's payload failed its CRC.
@@ -70,19 +69,6 @@ enum class SnapshotError : std::uint8_t {
 /// Returns a short identifier for reports and counters.
 const char *toString(SnapshotError E);
 
-/// Rewrites sections in place from schema \p From to schema \p To. A
-/// From == To entry is the current version's normalization hook, applied
-/// once per load.
-struct SnapshotMigration {
-  std::uint32_t From = 0;
-  std::uint32_t To = 0;
-  bool (*Apply)(std::vector<SnapshotSection> &Sections) = nullptr;
-};
-
-/// The built-in migration chain (currently just the v1 -> v1 identity
-/// normalization hook).
-std::span<const SnapshotMigration> builtinMigrations();
-
 /// Encodes \p Sections into the container format described above.
 /// \p Version is exposed for format tests; production callers use the
 /// default.
@@ -90,14 +76,10 @@ std::vector<std::uint8_t>
 encodeSnapshot(std::span<const SnapshotSection> Sections,
                std::uint32_t Version = SnapshotVersion);
 
-/// Decodes \p Data into \p Sections, walking \p Migrations as needed.
-/// On failure \p Sections is cleared and the reason is returned; \ref
-/// SnapshotError::None means success.
-SnapshotError
-decodeSnapshot(std::span<const std::uint8_t> Data,
-               std::vector<SnapshotSection> &Sections,
-               std::span<const SnapshotMigration> Migrations =
-                   builtinMigrations());
+/// Decodes \p Data into \p Sections. On failure \p Sections is cleared
+/// and the reason is returned; \ref SnapshotError::None means success.
+SnapshotError decodeSnapshot(std::span<const std::uint8_t> Data,
+                             std::vector<SnapshotSection> &Sections);
 
 } // namespace regmon::persist
 

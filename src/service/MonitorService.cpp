@@ -187,44 +187,21 @@ bool MonitorService::submit(SampleBatch Batch) {
   // advancing the stream's health: a closed queue says nothing about the
   // collector's behaviour.
   if (S.Queue.closed()) {
-    Rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsRejected);
+    countRejected();
     recordFate(Batch, RecordedFate::DoorRejected);
     return false;
   }
-  if (Persist) {
-    // Write-ahead: journal before admission, so recovery re-runs the
-    // same admission logic over the same per-stream sequence and lands
-    // on the same health decisions. The mutex makes the journal's
-    // global record order a real submission order across streams.
-    std::lock_guard<std::mutex> Lock(JournalMutex);
-    bool Durable = !JournalDead;
-    if (Durable) {
-      persist::ByteWriter W;
-      encodeBatchPayload(W, Batch);
-      Durable = Persist->appendJournal(JournalSeq + 1, W.data());
-    }
-    if (!Durable) {
-      // A batch that cannot be made durable is refused, not processed:
-      // accepting it would let a crash silently lose acknowledged work.
-      JournalDead = true;
-      Rejected.fetch_add(1, std::memory_order_relaxed);
-      obs::addTo(ObsRejected);
-      recordFate(Batch, RecordedFate::JournalRejected);
-      return false;
-    }
-    ++JournalSeq;
+  if (!journal(Batch)) {
+    // A batch that cannot be made durable is refused, not processed:
+    // accepting it would let a crash silently lose acknowledged work.
+    countRejected();
+    recordFate(Batch, RecordedFate::JournalRejected);
+    return false;
   }
-  if (Config.ValidateBatches &&
-      !admit(St, structurallyValid(Batch.Samples))) {
+  if (!admit(St, Batch)) {
     recordFate(Batch, RecordedFate::Refused);
     return false;
   }
-  // Stamp the post-admission health into the batch for the worker-side
-  // adaptive controller. Read here -- under the per-stream submit
-  // serialization -- it is a pure function of the stream's admitted
-  // sequence; read on the worker it would race later submissions.
-  Batch.AdmitHealth = St.Health.load(std::memory_order_relaxed);
   // Record the admission before the batch can move (push or process), so
   // the stamped sequence is available to later drop/push-reject records.
   // Per-stream record order equals per-stream admission order (the
@@ -232,28 +209,20 @@ bool MonitorService::submit(SampleBatch Batch) {
   // order applyRecorded re-runs the health machine in.
   recordFate(Batch, RecordedFate::Admitted);
   if (Config.Inline) {
-    // Worker-less mode: the submitting thread is the worker. Mirror the
-    // dequeue path exactly (hook, process, shard accounting) so every
-    // counter an embedding reads means the same thing in both modes.
-    Submitted.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsSubmitted);
-    if (WorkerHook)
-      WorkerHook(St.Shard, Batch);
-    process(Batch);
-    Shards[St.Shard]->BatchesProcessed.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    // Worker-less mode: the submitting thread is the worker.
+    processInline(Batch, /*RunHook=*/true);
     return true;
   }
   // Count before pushing: once the push lands, a worker may process the
   // batch immediately, and a snapshot must never observe more processed
-  // than submitted. A rejected push is uncounted again.
+  // than submitted. A rejected push is uncounted again, and the export
+  // counts only pushes that landed.
   Submitted.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t TraceSeq = Batch.TraceSeq;
   SampleBatch Evicted;
   if (!S.Queue.push(std::move(Batch), Recorder ? &Evicted : nullptr)) {
     Submitted.fetch_sub(1, std::memory_order_relaxed);
-    Rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsRejected);
+    countRejected();
     if (Recorder) {
       std::lock_guard<std::mutex> Lock(RecorderMutex);
       Recorder->recordPushReject(TraceSeq);
@@ -272,6 +241,54 @@ bool MonitorService::submit(SampleBatch Batch) {
   return true;
 }
 
+bool MonitorService::journal(const SampleBatch &Batch) {
+  if (!Persist)
+    return true;
+  // Write-ahead: journal before admission, so recovery re-runs the same
+  // admission logic over the same per-stream sequence and lands on the
+  // same health decisions. The mutex makes the journal's global record
+  // order a real submission order across streams.
+  std::lock_guard<std::mutex> Lock(JournalMutex);
+  if (!JournalDead) {
+    persist::ByteWriter W;
+    encodeBatchPayload(W, Batch);
+    JournalDead = !Persist->appendJournal(JournalSeq + 1, W.data());
+  }
+  if (JournalDead)
+    return false;
+  ++JournalSeq;
+  return true;
+}
+
+bool MonitorService::admit(StreamState &St, SampleBatch &Batch) {
+  if (Config.ValidateBatches &&
+      !advanceHealth(St, structurallyValid(Batch.Samples)))
+    return false;
+  // Stamp the post-admission health into the batch for the worker-side
+  // adaptive controller. Read here -- under the per-stream submit
+  // serialization -- it is a pure function of the stream's admitted
+  // sequence; read on the worker it would race later submissions.
+  Batch.AdmitHealth = St.Health.load(std::memory_order_relaxed);
+  return true;
+}
+
+void MonitorService::processInline(const SampleBatch &Batch, bool RunHook) {
+  countSubmitted();
+  if (RunHook && WorkerHook)
+    WorkerHook(Streams[Batch.Stream]->Shard, Batch);
+  process(Batch);
+}
+
+void MonitorService::countSubmitted() {
+  Submitted.fetch_add(1, std::memory_order_relaxed);
+  obs::addTo(ObsSubmitted);
+}
+
+void MonitorService::countRejected() {
+  Rejected.fetch_add(1, std::memory_order_relaxed);
+  obs::addTo(ObsRejected);
+}
+
 void MonitorService::recordFate(SampleBatch &Batch, RecordedFate Fate) {
   if (!Recorder)
     return;
@@ -279,41 +296,42 @@ void MonitorService::recordFate(SampleBatch &Batch, RecordedFate Fate) {
   Batch.TraceSeq = Recorder->recordBatch(Batch, Fate);
 }
 
-bool MonitorService::admit(StreamState &St, bool Valid) {
-  // Serialized per stream (see submit()); plain relaxed loads/stores are
-  // enough, atomics only keep concurrent snapshot readers tear-free.
-  // The admission count is the logical clock stamped on health events:
-  // replay re-runs the same decisions, so it reproduces the same stamps.
-  const auto Clock =
-      St.AdmissionClock.fetch_add(1, std::memory_order_relaxed) + 1;
-  const auto H = St.Health.load(std::memory_order_relaxed);
+bool MonitorService::advanceHealth(StreamState &St, bool Valid) {
+  // Serialized per stream (see submit()). The atomics only keep
+  // concurrent snapshot readers tear-free, so relaxed loads and stores
+  // are enough. The admission count is the logical clock stamped on
+  // health events: replay re-runs the same decisions, so it reproduces
+  // the same stamps.
+  const std::uint64_t Clock = ++St.AdmissionClock;
   const auto CleanTo = [&](StreamHealth Next) {
-    const auto Streak =
-        St.CleanStreak.load(std::memory_order_relaxed) + 1;
+    const std::uint32_t Streak = St.CleanStreak + 1;
     if (Streak >= Config.Health.RecoveryCleanBatches) {
-      St.CleanStreak.store(0, std::memory_order_relaxed);
-      St.ConsecutivePoisoned.store(0, std::memory_order_relaxed);
+      St.CleanStreak = 0;
+      St.ConsecutivePoisoned = 0;
       // A full recovery also forgives the past: the next quarantine
       // starts from the base backoff again.
-      St.QuarantineEpisodes.store(0, std::memory_order_relaxed);
+      St.QuarantineEpisodes = 0;
       St.Health.store(StreamHealth::Healthy, std::memory_order_relaxed);
       obs::addTo(ObsRecoveries);
       obs::recordEvent(ObsTracer, obs::EventKind::StreamRecovered, St.Id, 0,
                        Clock, static_cast<double>(Streak));
     } else {
-      St.CleanStreak.store(Streak, std::memory_order_relaxed);
+      St.CleanStreak = Streak;
       St.Health.store(Next, std::memory_order_relaxed);
     }
   };
+  const auto CountPoisoned = [&] {
+    St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
+    obs::addTo(ObsPoisoned);
+  };
 
-  switch (H) {
+  switch (St.Health.load(std::memory_order_relaxed)) {
   case StreamHealth::Healthy:
     if (Valid)
       return true;
-    St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsPoisoned);
-    St.ConsecutivePoisoned.store(1, std::memory_order_relaxed);
-    St.CleanStreak.store(0, std::memory_order_relaxed);
+    CountPoisoned();
+    St.ConsecutivePoisoned = 1;
+    St.CleanStreak = 0;
     if (1 >= Config.Health.PoisonQuarantineThreshold)
       quarantine(St);
     else
@@ -325,42 +343,36 @@ bool MonitorService::admit(StreamState &St, bool Valid) {
       CleanTo(StreamHealth::Degraded);
       return true;
     }
-    St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsPoisoned);
-    St.CleanStreak.store(0, std::memory_order_relaxed);
-    if (St.ConsecutivePoisoned.fetch_add(1, std::memory_order_relaxed) + 1 >=
-        Config.Health.PoisonQuarantineThreshold)
+    CountPoisoned();
+    St.CleanStreak = 0;
+    if (++St.ConsecutivePoisoned >= Config.Health.PoisonQuarantineThreshold)
       quarantine(St);
     return false;
 
-  case StreamHealth::Quarantined: {
-    const auto Sat = St.QuarantineRejections.load(std::memory_order_relaxed);
-    if (Sat < St.Backoff.load(std::memory_order_relaxed)) {
-      St.QuarantineRejections.store(Sat + 1, std::memory_order_relaxed);
+  case StreamHealth::Quarantined:
+    if (St.QuarantineRejections < St.Backoff) {
+      ++St.QuarantineRejections;
       St.QuarantinedBatches.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     // Backoff served: this batch is the probe.
     St.Readmissions.fetch_add(1, std::memory_order_relaxed);
     if (Valid) {
-      St.ConsecutivePoisoned.store(0, std::memory_order_relaxed);
-      St.CleanStreak.store(1, std::memory_order_relaxed);
+      St.ConsecutivePoisoned = 0;
+      St.CleanStreak = 1;
       St.Health.store(StreamHealth::Recovering, std::memory_order_relaxed);
       return true;
     }
-    St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsPoisoned);
+    CountPoisoned();
     quarantine(St);
     return false;
-  }
 
   case StreamHealth::Recovering:
     if (Valid) {
       CleanTo(StreamHealth::Recovering);
       return true;
     }
-    St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsPoisoned);
+    CountPoisoned();
     quarantine(St);
     return false;
   }
@@ -369,19 +381,14 @@ bool MonitorService::admit(StreamState &St, bool Valid) {
 
 void MonitorService::quarantine(StreamState &St) {
   St.TimesQuarantined.fetch_add(1, std::memory_order_relaxed);
-  const auto Episode =
-      St.QuarantineEpisodes.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t Served =
-      quarantineBackoffBatches(Config.Health, Episode);
-  St.Backoff.store(Served, std::memory_order_relaxed);
-  St.QuarantineRejections.store(0, std::memory_order_relaxed);
-  St.CleanStreak.store(0, std::memory_order_relaxed);
-  St.ConsecutivePoisoned.store(0, std::memory_order_relaxed);
+  St.Backoff = quarantineBackoffBatches(Config.Health, ++St.QuarantineEpisodes);
+  St.QuarantineRejections = 0;
+  St.CleanStreak = 0;
+  St.ConsecutivePoisoned = 0;
   St.Health.store(StreamHealth::Quarantined, std::memory_order_relaxed);
   obs::addTo(ObsQuarantines);
   obs::recordEvent(ObsTracer, obs::EventKind::StreamQuarantined, St.Id, 0,
-                   St.AdmissionClock.load(std::memory_order_relaxed),
-                   static_cast<double>(Served));
+                   St.AdmissionClock, static_cast<double>(St.Backoff));
 }
 
 void MonitorService::workerLoop(Shard &S) {
@@ -390,7 +397,6 @@ void MonitorService::workerLoop(Shard &S) {
     if (WorkerHook)
       WorkerHook(S.Index, Batch);
     process(Batch);
-    S.BatchesProcessed.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -401,19 +407,9 @@ void MonitorService::process(const SampleBatch &Batch) {
     core::RegionMonitor &Monitor = *St.Monitor;
     const std::uint64_t PhaseChangesBefore = Monitor.totalPhaseChanges();
     const std::uint64_t Ucr = Monitor.observeInterval(Batch.Samples);
-    const std::uint64_t IntervalClock =
-        St.IntervalsProcessed.fetch_add(1, std::memory_order_relaxed) + 1;
     St.TotalSamples.fetch_add(Batch.Samples.size(),
                               std::memory_order_relaxed);
     St.UcrSamples.fetch_add(Ucr, std::memory_order_relaxed);
-    St.PhaseChanges.store(Monitor.totalPhaseChanges(),
-                          std::memory_order_relaxed);
-    St.FormationTriggers.store(Monitor.formationTriggers(),
-                               std::memory_order_relaxed);
-    St.RegionsFormed.store(Monitor.regions().size(),
-                           std::memory_order_relaxed);
-    St.ActiveRegions.store(Monitor.activeRegionCount(),
-                           std::memory_order_relaxed);
     // Adaptive controller: one decision per interval, fed nothing but
     // stream-local logical state -- the monitor's post-interval view plus
     // the health stamped at admission -- so a replay of the same admitted
@@ -428,10 +424,7 @@ void MonitorService::process(const SampleBatch &Batch) {
     F.UcrFraction = Monitor.lastUcrFraction();
     F.Healthy = Batch.AdmitHealth == StreamHealth::Healthy;
     const sampling::AdaptiveDecision Decision = Ctl.observe(F);
-    St.PeriodScaleLog2.store(Ctl.scaleLog2(), std::memory_order_relaxed);
-    St.SamplesSaved.store(Ctl.samplesSaved(), std::memory_order_relaxed);
-    St.CtlLengthens.store(Ctl.lengthens(), std::memory_order_relaxed);
-    St.CtlTightens.store(Ctl.tightens(), std::memory_order_relaxed);
+    publish(St);
     obs::addTo(St.Instruments.SamplingSamplesSaved,
                Ctl.samplesSaved() - SavedBefore);
     obs::setGauge(St.Instruments.SamplingPeriodCurrent,
@@ -440,13 +433,13 @@ void MonitorService::process(const SampleBatch &Batch) {
       obs::addTo(St.Instruments.SamplingLengthens);
       obs::recordEvent(St.Instruments.Tracer,
                        obs::EventKind::SamplingPeriodLengthened, St.Id, 0,
-                       IntervalClock,
+                       Monitor.intervals(),
                        static_cast<double>(Ctl.currentPeriodCycles()));
     } else if (Decision == sampling::AdaptiveDecision::Tighten) {
       obs::addTo(St.Instruments.SamplingTightens);
       obs::recordEvent(St.Instruments.Tracer,
                        obs::EventKind::SamplingPeriodTightened, St.Id, 0,
-                       IntervalClock,
+                       Monitor.intervals(),
                        static_cast<double>(Ctl.currentPeriodCycles()));
     }
   }
@@ -455,13 +448,29 @@ void MonitorService::process(const SampleBatch &Batch) {
   St.BatchesProcessed.fetch_add(1, std::memory_order_release);
 }
 
+void MonitorService::publish(StreamState &St) {
+  const core::RegionMonitor &Monitor = *St.Monitor;
+  St.IntervalsProcessed.store(Monitor.intervals(), std::memory_order_relaxed);
+  St.PhaseChanges.store(Monitor.totalPhaseChanges(),
+                        std::memory_order_relaxed);
+  St.FormationTriggers.store(Monitor.formationTriggers(),
+                             std::memory_order_relaxed);
+  St.RegionsFormed.store(Monitor.regions().size(), std::memory_order_relaxed);
+  St.ActiveRegions.store(Monitor.activeRegionCount(),
+                         std::memory_order_relaxed);
+  const sampling::AdaptiveController &Ctl = St.Controller;
+  St.PeriodScaleLog2.store(Ctl.scaleLog2(), std::memory_order_relaxed);
+  St.SamplesSaved.store(Ctl.samplesSaved(), std::memory_order_relaxed);
+  St.CtlLengthens.store(Ctl.lengthens(), std::memory_order_relaxed);
+  St.CtlTightens.store(Ctl.tightens(), std::memory_order_relaxed);
+}
+
 ServiceSnapshot MonitorService::snapshot() const {
   ServiceSnapshot Snap;
   Snap.Shards.reserve(Shards.size());
   for (const auto &S : Shards) {
     ShardSnapshot Sh;
     Sh.QueueDepth = S->Queue.size();
-    Sh.BatchesProcessed = S->BatchesProcessed.load(std::memory_order_relaxed);
     Sh.BatchesDropped = S->Queue.dropped();
     Snap.QueueDepth += Sh.QueueDepth;
     Snap.BatchesDropped += Sh.BatchesDropped;
@@ -596,52 +605,37 @@ bool MonitorService::applyRecorded(SampleBatch Batch, RecordedFate Fate,
     // Environmental refusals (closed queue, dead journal): reproduce the
     // accounting without re-running the environment that caused them.
     // Neither advanced the health machine or the journal originally.
-    Rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsRejected);
+    countRejected();
     return true;
   case RecordedFate::Refused:
   case RecordedFate::Admitted:
     break;
   }
-  if (Persist && !JournalDead) {
-    // Mirror submit()'s write-ahead: the original journaled this batch
-    // before admission, so a replay that is itself persisted lands on
-    // the same journal sequence (encodeState compares bit-identical).
-    persist::ByteWriter W;
-    encodeBatchPayload(W, Batch);
-    if (!Persist->appendJournal(JournalSeq + 1, W.data()))
-      return false;
-    ++JournalSeq;
-  }
-  const bool Admit =
-      !Config.ValidateBatches || admit(St, structurallyValid(Batch.Samples));
-  if (Admit != (Fate == RecordedFate::Admitted))
+  // Mirror submit()'s write-ahead: the original journaled this batch
+  // before admission, so a replay that is itself persisted lands on the
+  // same journal sequence (encodeState compares bit-identical).
+  if (!journal(Batch))
+    return false;
+  const bool Admitted = admit(St, Batch);
+  if (Admitted != (Fate == RecordedFate::Admitted))
     return false; // divergence: the health machine decided differently
-  if (!Admit)
+  if (!Admitted)
     return true;
-  // Same stamp submit() takes: replayed admission re-derives the health
-  // the controller saw, keeping its period schedule bit-identical.
-  Batch.AdmitHealth = St.Health.load(std::memory_order_relaxed);
   if (PushFailed) {
     // Original: push rejected after the door check (queue closed under
     // it). Submitted was pre-counted then uncounted; only the rejection
     // sticks.
-    Rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsRejected);
+    countRejected();
     return true;
   }
-  Submitted.fetch_add(1, std::memory_order_relaxed);
-  obs::addTo(ObsSubmitted);
   if (Dropped) {
     // Evicted by DropOldest before any worker saw it: submitted and
     // dropped, never processed.
+    countSubmitted();
     Shards[St.Shard]->Queue.countDrop();
     return true;
   }
-  if (WorkerHook)
-    WorkerHook(St.Shard, Batch);
-  process(Batch);
-  Shards[St.Shard]->BatchesProcessed.fetch_add(1, std::memory_order_relaxed);
+  processInline(Batch, /*RunHook=*/true);
   return true;
 }
 
@@ -668,22 +662,16 @@ std::vector<std::uint8_t> MonitorService::encodeState() const {
     // lifetime, not learned state, and are not replay-reproducible.
     W.u64(Submitted.load(std::memory_order_relaxed));
     W.u32(static_cast<std::uint32_t>(Streams.size()));
-    W.u32(static_cast<std::uint32_t>(Shards.size()));
-    for (const auto &S : Shards)
-      W.u64(S->BatchesProcessed.load(std::memory_order_relaxed));
     Sections.push_back({MetaSectionId, W.take()});
   }
+  // Each stream persists only the numbers it owns; the monitor and the
+  // controller carry their own counts, which publish() re-derives.
   for (StreamId Id = 0; Id < Streams.size(); ++Id) {
     const StreamState &St = *Streams[Id];
     persist::ByteWriter W;
     W.u32(Id);
     W.u64(St.Shard);
     W.u64(St.BatchesProcessed.load(std::memory_order_relaxed));
-    W.u64(St.IntervalsProcessed.load(std::memory_order_relaxed));
-    W.u64(St.PhaseChanges.load(std::memory_order_relaxed));
-    W.u64(St.FormationTriggers.load(std::memory_order_relaxed));
-    W.u64(St.RegionsFormed.load(std::memory_order_relaxed));
-    W.u64(St.ActiveRegions.load(std::memory_order_relaxed));
     W.u64(St.TotalSamples.load(std::memory_order_relaxed));
     W.u64(St.UcrSamples.load(std::memory_order_relaxed));
     W.u8(static_cast<std::uint8_t>(St.Health.load(std::memory_order_relaxed)));
@@ -691,11 +679,12 @@ std::vector<std::uint8_t> MonitorService::encodeState() const {
     W.u64(St.QuarantinedBatches.load(std::memory_order_relaxed));
     W.u64(St.TimesQuarantined.load(std::memory_order_relaxed));
     W.u64(St.Readmissions.load(std::memory_order_relaxed));
-    W.u64(St.QuarantineEpisodes.load(std::memory_order_relaxed));
-    W.u32(St.ConsecutivePoisoned.load(std::memory_order_relaxed));
-    W.u32(St.CleanStreak.load(std::memory_order_relaxed));
-    W.u64(St.Backoff.load(std::memory_order_relaxed));
-    W.u64(St.QuarantineRejections.load(std::memory_order_relaxed));
+    W.u64(St.AdmissionClock);
+    W.u64(St.QuarantineEpisodes);
+    W.u32(St.ConsecutivePoisoned);
+    W.u32(St.CleanStreak);
+    W.u64(St.Backoff);
+    W.u64(St.QuarantineRejections);
     persist::StateCodec::encode(W, St.Controller);
     persist::StateCodec::encode(W, *St.Monitor);
     Sections.push_back({StreamSectionId, W.take()});
@@ -720,24 +709,20 @@ bool MonitorService::decodeState(
     const std::uint32_t CleanBatches = R.u32();
     const std::uint64_t Sub = R.u64();
     const std::uint32_t StreamCount = R.u32();
-    const std::uint32_t ShardCount = R.u32();
-    if (!R.ok() || Workers != Config.Workers ||
+    if (!R.atEnd() || Workers != Config.Workers ||
         Policy != static_cast<std::uint8_t>(Config.Policy) ||
         Validate != Config.ValidateBatches ||
         PoisonThresh != Config.Health.PoisonQuarantineThreshold ||
         BackoffBase != Config.Health.QuarantineBaseBatches ||
         BackoffMax != Config.Health.QuarantineMaxBatches ||
         CleanBatches != Config.Health.RecoveryCleanBatches ||
-        StreamCount != Streams.size() || ShardCount != Shards.size())
-      return false;
-    for (auto &S : Shards)
-      S->BatchesProcessed.store(R.u64(), std::memory_order_relaxed);
-    if (!R.atEnd())
+        StreamCount != Streams.size())
       return false;
     Submitted.store(Sub, std::memory_order_relaxed);
     JournalSeq = Seq;
     SnapshotSeq = Seq;
   }
+  const HealthConfig &HC = Config.Health;
   std::vector<bool> Seen(Streams.size(), false);
   for (std::size_t I = 1; I < Sections.size(); ++I) {
     if (Sections[I].Id != StreamSectionId)
@@ -754,43 +739,47 @@ bool MonitorService::decodeState(
       A.store(R.u64(), std::memory_order_relaxed);
     };
     LoadU64(St.BatchesProcessed);
-    LoadU64(St.IntervalsProcessed);
-    LoadU64(St.PhaseChanges);
-    LoadU64(St.FormationTriggers);
-    LoadU64(St.RegionsFormed);
-    LoadU64(St.ActiveRegions);
     LoadU64(St.TotalSamples);
     LoadU64(St.UcrSamples);
     const std::uint8_t Health = R.u8();
     if (!R.ok() ||
         Health > static_cast<std::uint8_t>(StreamHealth::Recovering))
       return false;
-    St.Health.store(static_cast<StreamHealth>(Health),
-                    std::memory_order_relaxed);
+    const auto H = static_cast<StreamHealth>(Health);
+    St.Health.store(H, std::memory_order_relaxed);
     LoadU64(St.PoisonedBatches);
     LoadU64(St.QuarantinedBatches);
     LoadU64(St.TimesQuarantined);
     LoadU64(St.Readmissions);
-    LoadU64(St.QuarantineEpisodes);
-    St.ConsecutivePoisoned.store(R.u32(), std::memory_order_relaxed);
-    St.CleanStreak.store(R.u32(), std::memory_order_relaxed);
-    LoadU64(St.Backoff);
-    LoadU64(St.QuarantineRejections);
+    St.AdmissionClock = R.u64();
+    St.QuarantineEpisodes = R.u64();
+    St.ConsecutivePoisoned = R.u32();
+    St.CleanStreak = R.u32();
+    St.Backoff = R.u64();
+    St.QuarantineRejections = R.u64();
+    // Refuse health state the machine cannot reach: a forged or desynced
+    // backoff would otherwise refuse batches for as long as it says.
+    const bool Quarantined = H == StreamHealth::Quarantined;
+    if (!R.ok() ||
+        St.QuarantineEpisodes >
+            St.TimesQuarantined.load(std::memory_order_relaxed) ||
+        (Quarantined &&
+         (St.QuarantineEpisodes == 0 ||
+          St.Backoff !=
+              quarantineBackoffBatches(HC, St.QuarantineEpisodes) ||
+          St.QuarantineRejections > St.Backoff)) ||
+        St.ConsecutivePoisoned >=
+            std::max<std::uint32_t>(HC.PoisonQuarantineThreshold, 1) ||
+        St.CleanStreak >=
+            std::max<std::uint32_t>(HC.RecoveryCleanBatches, 2))
+      return false;
     // The controller payload carries its own config fingerprint; a
     // snapshot taken under different adaptive tuning (or with desynced
     // dynamic state) fails here and the rung is rejected.
-    if (!persist::StateCodec::decode(R, St.Controller))
+    if (!persist::StateCodec::decode(R, St.Controller) ||
+        !persist::StateCodec::decode(R, *St.Monitor) || !R.atEnd())
       return false;
-    St.PeriodScaleLog2.store(St.Controller.scaleLog2(),
-                             std::memory_order_relaxed);
-    St.SamplesSaved.store(St.Controller.samplesSaved(),
-                          std::memory_order_relaxed);
-    St.CtlLengthens.store(St.Controller.lengthens(),
-                          std::memory_order_relaxed);
-    St.CtlTightens.store(St.Controller.tightens(),
-                         std::memory_order_relaxed);
-    if (!persist::StateCodec::decode(R, *St.Monitor) || !R.atEnd())
-      return false;
+    publish(St);
   }
   return true;
 }
@@ -799,12 +788,9 @@ void MonitorService::resetPersistedState() {
   for (auto &StPtr : Streams) {
     StreamState &St = *StPtr;
     St.Monitor->reset();
+    St.Controller.reset();
+    publish(St);
     St.BatchesProcessed.store(0, std::memory_order_relaxed);
-    St.IntervalsProcessed.store(0, std::memory_order_relaxed);
-    St.PhaseChanges.store(0, std::memory_order_relaxed);
-    St.FormationTriggers.store(0, std::memory_order_relaxed);
-    St.RegionsFormed.store(0, std::memory_order_relaxed);
-    St.ActiveRegions.store(0, std::memory_order_relaxed);
     St.TotalSamples.store(0, std::memory_order_relaxed);
     St.UcrSamples.store(0, std::memory_order_relaxed);
     St.Health.store(StreamHealth::Healthy, std::memory_order_relaxed);
@@ -812,20 +798,13 @@ void MonitorService::resetPersistedState() {
     St.QuarantinedBatches.store(0, std::memory_order_relaxed);
     St.TimesQuarantined.store(0, std::memory_order_relaxed);
     St.Readmissions.store(0, std::memory_order_relaxed);
-    St.QuarantineEpisodes.store(0, std::memory_order_relaxed);
-    St.ConsecutivePoisoned.store(0, std::memory_order_relaxed);
-    St.CleanStreak.store(0, std::memory_order_relaxed);
-    St.Backoff.store(0, std::memory_order_relaxed);
-    St.QuarantineRejections.store(0, std::memory_order_relaxed);
-    St.AdmissionClock.store(0, std::memory_order_relaxed);
-    St.Controller.reset();
-    St.PeriodScaleLog2.store(0, std::memory_order_relaxed);
-    St.SamplesSaved.store(0, std::memory_order_relaxed);
-    St.CtlLengthens.store(0, std::memory_order_relaxed);
-    St.CtlTightens.store(0, std::memory_order_relaxed);
+    St.AdmissionClock = 0;
+    St.QuarantineEpisodes = 0;
+    St.ConsecutivePoisoned = 0;
+    St.CleanStreak = 0;
+    St.Backoff = 0;
+    St.QuarantineRejections = 0;
   }
-  for (auto &S : Shards)
-    S->BatchesProcessed.store(0, std::memory_order_relaxed);
   Submitted.store(0, std::memory_order_relaxed);
   JournalSeq = 0;
   SnapshotSeq = 0;
@@ -838,17 +817,13 @@ bool MonitorService::replayRecord(std::span<const std::uint8_t> Payload) {
   if (!R.ok() || Batch.Stream >= Streams.size() ||
       !persist::decodeSampleBlock(R, Batch.Samples) || !R.atEnd())
     return false;
-  StreamState &St = *Streams[Batch.Stream];
-  // The record is well-formed; from here on mirror submit()'s accepted
-  // path exactly (health machine, then inline processing standing in for
-  // the shard worker). A batch the health machine refuses was refused in
-  // the original run too -- the refusal *is* the replayed behaviour.
-  if (Config.ValidateBatches && !admit(St, structurallyValid(Batch.Samples)))
-    return true;
-  Batch.AdmitHealth = St.Health.load(std::memory_order_relaxed);
-  Submitted.fetch_add(1, std::memory_order_relaxed);
-  process(Batch);
-  Shards[St.Shard]->BatchesProcessed.fetch_add(1, std::memory_order_relaxed);
+  // The record is well-formed; from here on take submit()'s accepted
+  // path (health machine, then inline processing standing in for the
+  // shard worker, whose hook does not fire: no worker dequeued it). A
+  // batch the health machine refuses was refused in the original run
+  // too -- the refusal *is* the replayed behaviour.
+  if (admit(*Streams[Batch.Stream], Batch))
+    processInline(Batch, /*RunHook=*/false);
   return true;
 }
 

@@ -199,7 +199,6 @@ struct StreamSnapshot {
 /// Point-in-time statistics of one shard (queue + worker).
 struct ShardSnapshot {
   std::size_t QueueDepth = 0;
-  std::uint64_t BatchesProcessed = 0;
   /// Batches evicted by the DropOldest policy before processing.
   std::uint64_t BatchesDropped = 0;
 };
@@ -375,6 +374,8 @@ public:
   /// path. Must run after every stream is registered and before \ref
   /// start. Safe on an empty or damaged directory -- corruption degrades
   /// to a colder rung with the reason counted, it never crashes.
+  /// Replayed batches count in the attached exports, which count this
+  /// process's work; \ref snapshot counts the streams' lifetime.
   RestoreOutcome restore();
 
   /// Commits a snapshot of the full service state and compacts the
@@ -428,52 +429,51 @@ public:
                      bool PushFailed);
 
 private:
-  /// Per-stream state. Monitor and the processing counters are written
-  /// only by the owning shard's worker while running; the health fields
-  /// are written only at submit time (serialized per stream, see \ref
-  /// submit). Everything cross-thread-readable is atomic so snapshots
-  /// never tear.
+  /// Per-stream state. Each number has one owner. The worker (or the
+  /// submitting thread in Inline mode) owns the monitor, the controller
+  /// and the processing counters; the submit side owns the health
+  /// machine, serialized per stream (see \ref submit). Fields snapshot()
+  /// reads are atomic so it never tears; the rest are plain.
   struct StreamState {
     const core::CodeMap *Map = nullptr;
     StreamId Id = 0;
     std::size_t Shard = 0;
     std::unique_ptr<core::RegionMonitor> Monitor;
+    /// Adaptive sampling controller, advanced once per processed interval.
+    sampling::AdaptiveController Controller;
     /// Per-stream monitor instruments (wired by attachObservability; all
     /// null pointers otherwise). Lives here so its address stays stable
     /// for the monitor's lifetime.
     obs::MonitorInstruments Instruments;
-    /// Admission decisions taken for this stream -- the logical clock
-    /// stamped on quarantine/recovery events (deterministic under the
-    /// per-stream submission serialization, unlike any wall clock).
-    std::atomic<std::uint64_t> AdmissionClock{0};
     std::atomic<std::uint64_t> BatchesProcessed{0};
-    std::atomic<std::uint64_t> IntervalsProcessed{0};
-    std::atomic<std::uint64_t> PhaseChanges{0};
-    std::atomic<std::uint64_t> FormationTriggers{0};
-    std::atomic<std::uint64_t> RegionsFormed{0};
-    std::atomic<std::uint64_t> ActiveRegions{0};
     std::atomic<std::uint64_t> TotalSamples{0};
     std::atomic<std::uint64_t> UcrSamples{0};
-    // Health machine (submit side). Plain loads/stores: per-stream
-    // submissions are serialized, atomics only guard snapshot readers.
+    // Health machine: the fields snapshot() reads.
     std::atomic<StreamHealth> Health{StreamHealth::Healthy};
     std::atomic<std::uint64_t> PoisonedBatches{0};
     std::atomic<std::uint64_t> QuarantinedBatches{0};
     std::atomic<std::uint64_t> TimesQuarantined{0};
     std::atomic<std::uint64_t> Readmissions{0};
+    // Health machine: submit-side only.
+    /// Admission decisions taken for this stream -- the logical clock
+    /// stamped on quarantine/recovery events (deterministic under the
+    /// per-stream submission serialization, unlike any wall clock).
+    std::uint64_t AdmissionClock = 0;
     /// Quarantine episodes since the last full recovery; drives the
     /// exponential backoff, unlike the lifetime TimesQuarantined.
-    std::atomic<std::uint64_t> QuarantineEpisodes{0};
-    std::atomic<std::uint32_t> ConsecutivePoisoned{0};
-    std::atomic<std::uint32_t> CleanStreak{0};
-    std::atomic<std::uint64_t> Backoff{0};
-    std::atomic<std::uint64_t> QuarantineRejections{0};
-    /// Adaptive sampling controller. Worker-side state like Monitor:
-    /// advanced only by the owning shard's worker (or the submitting
-    /// thread in Inline mode), one decision per processed interval.
-    sampling::AdaptiveController Controller;
-    // Controller outputs re-published through atomics so snapshot() and
-    // recommendedPeriodCycles() never touch the worker-owned object.
+    std::uint64_t QuarantineEpisodes = 0;
+    std::uint32_t ConsecutivePoisoned = 0;
+    std::uint32_t CleanStreak = 0;
+    std::uint64_t Backoff = 0;
+    std::uint64_t QuarantineRejections = 0;
+    // Copies of monitor- and controller-owned numbers, written only by
+    // publish() so snapshot() and recommendedPeriodCycles() never touch
+    // the worker-owned objects.
+    std::atomic<std::uint64_t> IntervalsProcessed{0};
+    std::atomic<std::uint64_t> PhaseChanges{0};
+    std::atomic<std::uint64_t> FormationTriggers{0};
+    std::atomic<std::uint64_t> RegionsFormed{0};
+    std::atomic<std::uint64_t> ActiveRegions{0};
     std::atomic<std::uint32_t> PeriodScaleLog2{0};
     std::atomic<std::uint64_t> SamplesSaved{0};
     std::atomic<std::uint64_t> CtlLengthens{0};
@@ -486,17 +486,38 @@ private:
         : Index(Idx), Queue(Capacity, Policy) {}
     const std::size_t Index;
     RingBuffer<SampleBatch> Queue;
-    std::atomic<std::uint64_t> BatchesProcessed{0};
     std::thread Worker;
   };
 
   void workerLoop(Shard &S);
   void process(const SampleBatch &Batch);
+  /// Copies the numbers \p St's monitor and controller own into the
+  /// atomics snapshot() reads.
+  static void publish(StreamState &St);
+
+  // The accepted-batch path, shared by submit, applyRecorded and
+  // journal replay.
+
+  /// Write-ahead: journals \p Batch at the next sequence number. True
+  /// when no store is attached or the append is durable; a failed append
+  /// latches the journal dead, refusing every later batch too.
+  bool journal(const SampleBatch &Batch);
+  /// Runs \p Batch through \p St's health machine (when validating) and
+  /// stamps the post-admission health into it; true when admitted.
+  bool admit(StreamState &St, SampleBatch &Batch);
   /// Advances \p St's health machine for one batch whose structural
   /// validity is \p Valid; returns true when the batch is admitted.
-  bool admit(StreamState &St, bool Valid);
+  bool advanceHealth(StreamState &St, bool Valid);
   /// Puts \p St into quarantine, doubling the backoff per episode.
   void quarantine(StreamState &St);
+  /// Counts \p Batch submitted and processes it on the calling thread,
+  /// standing in for its shard worker. \p RunHook fires the worker hook
+  /// first, as a dequeue would.
+  void processInline(const SampleBatch &Batch, bool RunHook);
+  /// Counts one batch submitted, in the snapshot and the export.
+  void countSubmitted();
+  /// Counts one batch refused at the door, in the snapshot and the export.
+  void countRejected();
 
   /// Records \p Batch with \p Fate against the attached recorder (no-op
   /// when none), stamping the assigned sequence into Batch.TraceSeq.

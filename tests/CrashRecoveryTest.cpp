@@ -20,8 +20,13 @@
 #include "service/MonitorService.h"
 
 #include "faults/FaultPlan.h"
+#include "obs/EventTracer.h"
+#include "obs/Export.h"
+#include "obs/Instruments.h"
+#include "obs/Metrics.h"
 #include "persist/Checkpoint.h"
 #include "persist/Io.h"
+#include "persist/Snapshot.h"
 #include "persist/StateCodec.h"
 #include "sampling/Sampler.h"
 #include "sim/Engine.h"
@@ -34,8 +39,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -106,8 +113,9 @@ ServiceConfig testConfig() {
 }
 
 std::unique_ptr<MonitorService>
-makeService(const std::vector<RecordedStream> &Fleet) {
-  auto Service = std::make_unique<MonitorService>(testConfig());
+makeService(const std::vector<RecordedStream> &Fleet,
+            const ServiceConfig &Cfg = testConfig()) {
+  auto Service = std::make_unique<MonitorService>(Cfg);
   for (const RecordedStream &S : Fleet)
     Service->addStream(*S.Map);
   return Service;
@@ -129,6 +137,79 @@ referenceBytes(const std::vector<RecordedStream> &Fleet,
     (void)Service->submit(Batches[I]); // health rejections are legitimate
   Service->stop();
   return Service->encodeState();
+}
+
+/// Decodes the committed snapshot in \p Dir, hands its sections to
+/// \p Edit, and writes them back sealed as \p Version, so every CRC
+/// holds and only decode can object.
+void rewriteSnapshot(
+    const std::string &Dir,
+    const std::function<void(std::vector<persist::SnapshotSection> &)> &Edit,
+    std::uint32_t Version = persist::SnapshotVersion) {
+  const std::string Path = Dir + "/snapshot.bin";
+  const auto Data = persist::readFileBytes(Path);
+  ASSERT_TRUE(Data.has_value());
+  std::vector<persist::SnapshotSection> Sections;
+  ASSERT_EQ(persist::decodeSnapshot(*Data, Sections),
+            persist::SnapshotError::None);
+  Edit(Sections);
+  persist::FileSink Sink(Path, /*Append=*/false, nullptr);
+  ASSERT_TRUE(Sink.write(persist::encodeSnapshot(Sections, Version)));
+  ASSERT_TRUE(Sink.close());
+}
+
+/// The health fields of a stream section, which follow its id, shard and
+/// three processing counters.
+struct HealthFields {
+  std::uint8_t Health = 0;
+  std::uint64_t Poisoned = 0, Quarantined = 0, TimesQuarantined = 0,
+                Readmissions = 0, AdmissionClock = 0, Episodes = 0;
+  std::uint32_t ConsecutivePoisoned = 0, CleanStreak = 0;
+  std::uint64_t Backoff = 0, Served = 0;
+};
+
+/// Rewrites \p Section's health fields through \p Edit and keeps every
+/// other byte.
+void forgeHealth(persist::SnapshotSection &Section,
+                 const std::function<void(HealthFields &)> &Edit) {
+  persist::ByteReader R(Section.Payload);
+  persist::ByteWriter W;
+  W.u32(R.u32());
+  for (int I = 0; I < 4; ++I)
+    W.u64(R.u64()); // shard, batches, samples, UCR samples
+  HealthFields H;
+  H.Health = R.u8();
+  for (std::uint64_t *F : {&H.Poisoned, &H.Quarantined, &H.TimesQuarantined,
+                           &H.Readmissions, &H.AdmissionClock, &H.Episodes})
+    *F = R.u64();
+  H.ConsecutivePoisoned = R.u32();
+  H.CleanStreak = R.u32();
+  H.Backoff = R.u64();
+  H.Served = R.u64();
+  std::vector<std::uint8_t> Rest(R.remaining()); // controller and monitor
+  ASSERT_TRUE(R.bytes(Rest));
+  Edit(H);
+  W.u8(H.Health);
+  for (std::uint64_t F : {H.Poisoned, H.Quarantined, H.TimesQuarantined,
+                          H.Readmissions, H.AdmissionClock, H.Episodes})
+    W.u64(F);
+  W.u32(H.ConsecutivePoisoned);
+  W.u32(H.CleanStreak);
+  W.u64(H.Backoff);
+  W.u64(H.Served);
+  W.bytes(Rest);
+  Section.Payload = W.take();
+}
+
+/// The stream health events (quarantine, recovery) of \p Tracer's text
+/// export, one line each.
+std::string healthEvents(const obs::EventTracer &Tracer) {
+  std::istringstream In(obs::exportTraceText(Tracer));
+  std::string Line, Out;
+  while (std::getline(In, Line))
+    if (Line.find("kind=stream-") != std::string::npos)
+      Out += Line + "\n";
+  return Out;
 }
 
 TEST(CrashRecoveryNames, RestoreOutcomesAreDistinct) {
@@ -586,6 +667,273 @@ TEST(CrashRecovery, WarmRestartBitIdenticalUnderFaultInjection) {
     (void)Service->submit(Batches[I]);
   Service->stop();
   EXPECT_EQ(Service->encodeState(), RefFull);
+}
+
+// Exports count the work this process did, journal replay included;
+// snapshot() counts the stream's lifetime. A service restored from a
+// snapshot plus a journal tail of admitted batches therefore exports
+// exactly the tail, in the service and in the monitor series alike.
+TEST(CrashRecovery, ReplayedJournalTailIsCountedInTheExports) {
+  const std::vector<RecordedStream> Fleet = smallFleet();
+  const std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  constexpr std::size_t Checkpointed = 20, Tail = 10;
+  ASSERT_GE(Batches.size(), Checkpointed + Tail);
+  ServiceConfig Cfg = testConfig();
+  Cfg.Inline = true;
+  const std::string Dir = scratchDir("replay_obs");
+  {
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet, Cfg);
+    Service->attachPersistence(Store);
+    ASSERT_EQ(Service->restore(), RestoreOutcome::ColdStart);
+    Service->start();
+    for (std::size_t I = 0; I < Checkpointed + Tail; ++I) {
+      ASSERT_FALSE(Batches[I].Samples.empty());
+      ASSERT_TRUE(Service->submit(Batches[I]));
+      if (I + 1 == Checkpointed) {
+        ASSERT_TRUE(Service->checkpoint());
+      }
+    }
+    Service->stop();
+  }
+  CheckpointManager Store(Dir);
+  obs::MetricsRegistry Registry;
+  auto Service = makeService(Fleet, Cfg);
+  Service->attachObservability(Registry);
+  Service->attachPersistence(Store);
+  ASSERT_EQ(Service->restore(), RestoreOutcome::SnapshotPlusJournal);
+  const ServiceSnapshot Snap = Service->snapshot();
+  EXPECT_EQ(Snap.BatchesSubmitted, Checkpointed + Tail);
+  EXPECT_EQ(Snap.IntervalsProcessed, Checkpointed + Tail);
+  EXPECT_EQ(Registry.counter("service_batches_submitted_total").value(), Tail);
+  std::uint64_t Intervals = 0;
+  for (StreamId Id = 0; Id < Fleet.size(); ++Id)
+    Intervals += Registry
+                     .counter("monitor_intervals_total", "",
+                              obs::streamLabel(Id))
+                     .value();
+  EXPECT_EQ(Intervals, Tail);
+}
+
+// The admission clock stamps health events, so it is persisted with the
+// rest of the health machine: a restored stream stamps the same logical
+// times as one that never restarted.
+TEST(CrashRecovery, RestoredHealthEventsMatchTheUninterruptedRun) {
+  std::vector<RecordedStream> Fleet;
+  Fleet.push_back(record("synthetic.steady", 5));
+  ServiceConfig Cfg = testConfig();
+  Cfg.Health.PoisonQuarantineThreshold = 1;
+  Cfg.Health.QuarantineBaseBatches = 2;
+  Cfg.Health.RecoveryCleanBatches = 2;
+  // Eleven clean batches, one poisoned (quarantine at admission 12), then
+  // clean ones that serve the backoff, probe, and recover.
+  std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  ASSERT_GE(Batches.size(), 18U);
+  Batches.resize(18);
+  faults::poisonBatch(Batches[11].Samples);
+  constexpr std::size_t Checkpointed = 10;
+
+  obs::EventTracer Whole;
+  std::vector<std::uint8_t> WholeState;
+  {
+    CheckpointManager Store(scratchDir("clock_whole"));
+    obs::MetricsRegistry Registry;
+    auto Service = makeService(Fleet, Cfg);
+    Service->attachObservability(Registry, &Whole);
+    Service->attachPersistence(Store);
+    ASSERT_EQ(Service->restore(), RestoreOutcome::ColdStart);
+    Service->start();
+    for (const SampleBatch &B : Batches)
+      (void)Service->submit(B); // the poisoned batch and the backoff bounce
+    Service->stop();
+    WholeState = Service->encodeState();
+  }
+  const std::string Want = healthEvents(Whole);
+  EXPECT_NE(Want.find("interval=12 stream=0 region=0 kind=stream-quarantined"),
+            std::string::npos)
+      << Want;
+  EXPECT_NE(Want.find("kind=stream-recovered"), std::string::npos) << Want;
+
+  const std::string Dir = scratchDir("clock_split");
+  {
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet, Cfg);
+    Service->attachPersistence(Store);
+    ASSERT_EQ(Service->restore(), RestoreOutcome::ColdStart);
+    Service->start();
+    for (std::size_t I = 0; I < Checkpointed; ++I)
+      ASSERT_TRUE(Service->submit(Batches[I]));
+    Service->stop();
+    ASSERT_TRUE(Service->checkpoint());
+  }
+  CheckpointManager Store(Dir);
+  obs::MetricsRegistry Registry;
+  obs::EventTracer Split;
+  auto Service = makeService(Fleet, Cfg);
+  Service->attachObservability(Registry, &Split);
+  Service->attachPersistence(Store);
+  ASSERT_EQ(Service->restore(), RestoreOutcome::SnapshotOnly);
+  Service->start();
+  for (std::size_t I = Checkpointed; I < Batches.size(); ++I)
+    (void)Service->submit(Batches[I]);
+  Service->stop();
+  EXPECT_EQ(healthEvents(Split), Want);
+  EXPECT_EQ(Service->encodeState(), WholeState);
+}
+
+// A snapshot's health state must be one the machine can reach. A forged,
+// CRC-valid snapshot that claims otherwise -- e.g. a quarantine whose
+// backoff no episode count produces -- is rejected like a corrupt rung,
+// and recovery falls back to the journal instead of refusing the stream
+// for as long as the forged state says.
+TEST(CrashRecovery, UnreachableHealthStateRejectsTheRung) {
+  std::vector<RecordedStream> Fleet;
+  Fleet.push_back(record("synthetic.steady", 3));
+  const std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  constexpr std::size_t N = 3;
+  const HealthConfig HC = testConfig().Health;
+  const std::uint64_t FirstBackoff = quarantineBackoffBatches(HC, 1);
+  ASSERT_GE(Batches.size(), N + FirstBackoff + 1);
+  const std::string Pristine = scratchDir("forge_pristine");
+  {
+    CheckpointManager Store(Pristine);
+    auto Service = makeService(Fleet);
+    Service->attachPersistence(Store);
+    ASSERT_EQ(Service->restore(), RestoreOutcome::ColdStart);
+    Service->start();
+    for (std::size_t I = 0; I < N; ++I)
+      ASSERT_TRUE(Service->submit(Batches[I]));
+    Service->stop();
+    ASSERT_TRUE(Service->checkpoint());
+  }
+  const std::vector<std::uint8_t> RefBytes = referenceBytes(Fleet, Batches, N);
+
+  const auto forged = [&](const std::function<void(HealthFields &)> &Edit) {
+    const std::string Dir = scratchDir("forge");
+    std::filesystem::copy(Pristine, Dir,
+                          std::filesystem::copy_options::recursive |
+                              std::filesystem::copy_options::overwrite_existing);
+    rewriteSnapshot(Dir, [&](std::vector<persist::SnapshotSection> &S) {
+      ASSERT_EQ(S.size(), 2U);
+      forgeHealth(S[1], Edit);
+    });
+    return Dir;
+  };
+  const auto H = [](StreamHealth State) {
+    return static_cast<std::uint8_t>(State);
+  };
+  const std::pair<const char *, std::function<void(HealthFields &)>>
+      Unreachable[] = {
+          {"backoff no episode count produces",
+           [&](HealthFields &F) {
+             F.Health = H(StreamHealth::Quarantined);
+             F.TimesQuarantined = F.Episodes = 1;
+             F.Backoff = UINT64_MAX;
+           }},
+          {"more episodes than quarantines",
+           [&](HealthFields &F) { F.Episodes = 1; }},
+          {"quarantined without an episode",
+           [&](HealthFields &F) {
+             F.Health = H(StreamHealth::Quarantined);
+             F.TimesQuarantined = 1;
+             F.Backoff = quarantineBackoffBatches(HC, 0);
+           }},
+          {"served more than the backoff",
+           [&](HealthFields &F) {
+             F.Health = H(StreamHealth::Quarantined);
+             F.TimesQuarantined = F.Episodes = 1;
+             F.Backoff = FirstBackoff;
+             F.Served = FirstBackoff + 1;
+           }},
+          {"poison run that should have quarantined",
+           [&](HealthFields &F) {
+             F.Health = H(StreamHealth::Degraded);
+             F.Poisoned = F.ConsecutivePoisoned = HC.PoisonQuarantineThreshold;
+           }},
+          {"clean streak that should have recovered",
+           [&](HealthFields &F) {
+             F.Health = H(StreamHealth::Recovering);
+             F.CleanStreak = HC.RecoveryCleanBatches;
+           }},
+      };
+  for (const auto &[What, Edit] : Unreachable) {
+    SCOPED_TRACE(What);
+    const std::string Dir = forged(Edit);
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet);
+    Service->attachPersistence(Store);
+    EXPECT_EQ(Service->restore(), RestoreOutcome::JournalOnly);
+    EXPECT_EQ(Store.counters().CorruptSnapshots, 1U);
+    EXPECT_EQ(Store.counters().ColdStarts, 1U);
+    EXPECT_EQ(Service->encodeState(), RefBytes);
+    Service->start();
+    EXPECT_TRUE(Service->submit(Batches[N]));
+    Service->stop();
+  }
+
+  // Control: the same forgery with a backoff the machine does produce
+  // loads, and the stream serves exactly that backoff before its probe.
+  const std::string Dir = forged([&](HealthFields &F) {
+    F.Health = H(StreamHealth::Quarantined);
+    F.TimesQuarantined = F.Episodes = 1;
+    F.Backoff = FirstBackoff;
+  });
+  CheckpointManager Store(Dir);
+  auto Service = makeService(Fleet);
+  Service->attachPersistence(Store);
+  ASSERT_EQ(Service->restore(), RestoreOutcome::SnapshotOnly);
+  EXPECT_EQ(Store.counters().CorruptSnapshots, 0U);
+  Service->start();
+  for (std::size_t I = 0; I < FirstBackoff; ++I)
+    EXPECT_FALSE(Service->submit(Batches[N + I]));
+  EXPECT_TRUE(Service->submit(Batches[N + FirstBackoff])); // the probe
+  Service->stop();
+  EXPECT_EQ(Service->snapshot().Streams[0].Health, StreamHealth::Recovering);
+}
+
+// A version-1 snapshot cannot be read faithfully (it never stored the
+// admission clock), so it is refused as unsupported, like any version
+// but the current one, and recovery falls to the next rung: here the
+// previous snapshot plus the journal.
+TEST(CrashRecovery, OldSnapshotVersionFallsThroughTheLadder) {
+  const std::vector<RecordedStream> Fleet = smallFleet();
+  std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  ASSERT_GE(Batches.size(), 6U);
+  Batches.resize(6);
+  ServiceConfig Cfg = testConfig();
+  Cfg.Inline = true;
+  const std::string Dir = scratchDir("v1");
+  std::vector<std::uint8_t> RefBytes;
+  {
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet, Cfg);
+    Service->attachPersistence(Store);
+    ASSERT_EQ(Service->restore(), RestoreOutcome::ColdStart);
+    Service->start();
+    for (std::size_t I = 0; I < Batches.size(); ++I) {
+      ASSERT_TRUE(Service->submit(Batches[I]));
+      if (I == 1 || I == 3) {
+        ASSERT_TRUE(Service->checkpoint());
+      }
+    }
+    Service->stop();
+    RefBytes = Service->encodeState();
+  }
+  rewriteSnapshot(
+      Dir, [](std::vector<persist::SnapshotSection> &) {}, /*Version=*/1);
+  const auto V1 = persist::readFileBytes(Dir + "/snapshot.bin");
+  ASSERT_TRUE(V1.has_value());
+  std::vector<persist::SnapshotSection> Sections;
+  EXPECT_EQ(persist::decodeSnapshot(*V1, Sections),
+            persist::SnapshotError::UnsupportedVersion);
+
+  CheckpointManager Store(Dir);
+  auto Service = makeService(Fleet, Cfg);
+  Service->attachPersistence(Store);
+  EXPECT_EQ(Service->restore(), RestoreOutcome::SnapshotPlusJournal);
+  EXPECT_EQ(Store.counters().CorruptSnapshots, 1U);
+  EXPECT_EQ(Store.counters().FallbacksUsed, 1U);
+  EXPECT_EQ(Service->encodeState(), RefBytes);
 }
 
 // The payoff the ISSUE demands: a warm restart reaches its first stable

@@ -419,10 +419,15 @@ TEST(PersistSnapshot, ErrorTaxonomy) {
   EXPECT_EQ(decodeSnapshot(Mutated, Out), SnapshotError::BadMagic);
   EXPECT_TRUE(Out.empty());
 
-  // UnsupportedVersion: a schema this build has no migration path for.
-  const std::vector<std::uint8_t> Future =
-      encodeSnapshot(sampleSections(), /*Version=*/999);
-  EXPECT_EQ(decodeSnapshot(Future, Out), SnapshotError::UnsupportedVersion);
+  // UnsupportedVersion: any schema but the current one, older or newer.
+  for (const std::uint32_t Version : {0U, SnapshotVersion - 1,
+                                      SnapshotVersion + 1, 999U}) {
+    const std::vector<std::uint8_t> Other =
+        encodeSnapshot(sampleSections(), Version);
+    EXPECT_EQ(decodeSnapshot(Other, Out), SnapshotError::UnsupportedVersion)
+        << "version " << Version;
+    EXPECT_TRUE(Out.empty());
+  }
 
   // SectionLimit: a corrupt count field must not buy a long parse loop.
   {
@@ -490,57 +495,6 @@ TEST(PersistSnapshotFuzz, EveryBitFlipRejected) {
       EXPECT_TRUE(Out.empty()) << "offset " << Off << " bit " << Bit;
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Migrations
-//===----------------------------------------------------------------------===//
-
-bool upgradeV0(std::vector<SnapshotSection> &Sections) {
-  // A v0 -> v1 shim for the test: tag every section id.
-  for (SnapshotSection &S : Sections)
-    S.Id += 100;
-  return true;
-}
-bool identityHook(std::vector<SnapshotSection> &) { return true; }
-bool failingHook(std::vector<SnapshotSection> &) { return false; }
-
-TEST(PersistSnapshotMigration, ChainWalksOldSchemaForward) {
-  const SnapshotMigration Chain[] = {
-      {0, 1, &upgradeV0},
-      {1, 1, &identityHook},
-  };
-  const std::vector<std::uint8_t> Old =
-      encodeSnapshot(sampleSections(), /*Version=*/0);
-  std::vector<SnapshotSection> Out;
-  ASSERT_EQ(decodeSnapshot(Old, Out, Chain), SnapshotError::None);
-  ASSERT_EQ(Out.size(), 3U);
-  EXPECT_EQ(Out[0].Id, 101U); // upgraded
-  EXPECT_EQ(Out[1].Id, 102U);
-}
-
-TEST(PersistSnapshotMigration, FailingHookReportsMigrationFailed) {
-  const SnapshotMigration Chain[] = {
-      {0, 1, &failingHook},
-      {1, 1, &identityHook},
-  };
-  const std::vector<std::uint8_t> Old =
-      encodeSnapshot(sampleSections(), /*Version=*/0);
-  std::vector<SnapshotSection> Out;
-  EXPECT_EQ(decodeSnapshot(Old, Out, Chain), SnapshotError::MigrationFailed);
-  EXPECT_TRUE(Out.empty());
-}
-
-TEST(PersistSnapshotMigration, CyclicChainRejectedNotLooped) {
-  const SnapshotMigration Chain[] = {
-      {5, 6, &identityHook},
-      {6, 5, &identityHook},
-  };
-  const std::vector<std::uint8_t> Old =
-      encodeSnapshot(sampleSections(), /*Version=*/5);
-  std::vector<SnapshotSection> Out;
-  EXPECT_EQ(decodeSnapshot(Old, Out, Chain),
-            SnapshotError::UnsupportedVersion);
 }
 
 //===----------------------------------------------------------------------===//
