@@ -47,16 +47,16 @@ void BM_Similarity(benchmark::State &State, core::SimilarityKind Kind) {
                           static_cast<std::int64_t>(Bins));
 }
 
-void BM_Attribution(benchmark::State &State, core::AttributorKind Kind) {
+template <class AttributorT>
+void BM_Attribution(benchmark::State &State, AttributorT Attrib) {
   const auto Regions = static_cast<std::uint32_t>(State.range(0));
-  const auto Attrib = core::makeAttributor(Kind);
   // Regions of 64 instructions spread over a 1 MiB text section, with
   // nesting every 8th region.
   Rng Random(3);
   for (std::uint32_t Id = 0; Id < Regions; ++Id) {
     const Addr Start = (Random.nextBelow(4096)) * 256;
     const Addr Len = Id % 8 == 0 ? 2048 : 256;
-    Attrib->insert(Id, Start, Start + Len);
+    Attrib.insert(Id, Start, Start + Len);
   }
   std::vector<Addr> Pcs(1024);
   for (auto &Pc : Pcs)
@@ -66,7 +66,7 @@ void BM_Attribution(benchmark::State &State, core::AttributorKind Kind) {
   std::size_t I = 0;
   for (auto _ : State) {
     Out.clear();
-    Attrib->lookup(Pcs[I++ & 1023], Out);
+    Attrib.lookup(Pcs[I++ & 1023], Out);
     benchmark::DoNotOptimize(Out.data());
   }
 }
@@ -119,12 +119,12 @@ BENCHMARK_CAPTURE(BM_Similarity, cosine, core::SimilarityKind::Cosine)
 BENCHMARK_CAPTURE(BM_Similarity, overlap, core::SimilarityKind::Overlap)
     ->Arg(64)
     ->Arg(1024);
-BENCHMARK_CAPTURE(BM_Attribution, list, core::AttributorKind::List)
+BENCHMARK_CAPTURE(BM_Attribution, list, core::ListAttributor())
     ->Arg(4)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256);
-BENCHMARK_CAPTURE(BM_Attribution, tree, core::AttributorKind::IntervalTree)
+BENCHMARK_CAPTURE(BM_Attribution, tree, core::IntervalTreeAttributor())
     ->Arg(4)
     ->Arg(16)
     ->Arg(64)

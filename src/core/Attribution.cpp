@@ -8,12 +8,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 
 using namespace regmon;
 using namespace regmon::core;
-
-Attributor::~Attributor() = default;
 
 void ListAttributor::insert(RegionId Id, Addr Start, Addr End) {
   assert(Start < End && "region must be non-empty");
@@ -47,14 +44,4 @@ void IntervalTreeAttributor::remove(RegionId Id, Addr Start, Addr End) {
 void IntervalTreeAttributor::lookup(Addr Pc,
                                     std::vector<RegionId> &Out) const {
   Tree.stab(Pc, Out);
-}
-
-std::unique_ptr<Attributor> regmon::core::makeAttributor(AttributorKind Kind) {
-  switch (Kind) {
-  case AttributorKind::List:
-    return std::make_unique<ListAttributor>();
-  case AttributorKind::IntervalTree:
-    return std::make_unique<IntervalTreeAttributor>();
-  }
-  return nullptr;
 }

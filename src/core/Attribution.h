@@ -6,14 +6,15 @@
 ///
 /// \file
 /// Distributing performance-counter samples across monitored regions is the
-/// dominant cost of region monitoring (paper section 3.2.3). Two strategies
-/// are provided behind one interface:
+/// dominant cost of region monitoring (paper section 3.2.3). Two structures
+/// with one shape (insert / remove / lookup / size) are provided:
 ///
 ///  * ListAttributor         -- walk the region list: O(n) per sample, the
-///                              scheme the prototype started with;
+///                              scheme the prototype started with, kept as
+///                              Fig. 16's baseline;
 ///  * IntervalTreeAttributor -- stab an augmented interval tree:
 ///                              O(log n + k) per sample, the improvement the
-///                              paper proposes (Fig. 16 compares the two).
+///                              paper proposes and the RegionMonitor's index.
 ///
 /// Both report *every* region containing the PC: regions overlap (nested
 /// loops), which is why Fig. 2's stacked sample counts exceed the buffer
@@ -29,37 +30,25 @@
 #include "support/Types.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace regmon::core {
 
-/// Strategy interface for mapping a PC to the regions containing it.
-class Attributor {
+/// O(n)-per-sample linear scan over the region list.
+class ListAttributor {
 public:
-  virtual ~Attributor();
-
   /// Registers region \p Id covering [\p Start, \p End).
-  virtual void insert(RegionId Id, Addr Start, Addr End) = 0;
+  void insert(RegionId Id, Addr Start, Addr End);
 
   /// Unregisters a region previously inserted with identical bounds.
-  virtual void remove(RegionId Id, Addr Start, Addr End) = 0;
+  void remove(RegionId Id, Addr Start, Addr End);
 
   /// Appends to \p Out the id of every region containing \p Pc. \p Out is
   /// not cleared (callers reuse one buffer across a whole interval).
-  virtual void lookup(Addr Pc, std::vector<RegionId> &Out) const = 0;
+  void lookup(Addr Pc, std::vector<RegionId> &Out) const;
 
   /// Returns the number of registered regions.
-  virtual std::size_t size() const = 0;
-};
-
-/// O(n)-per-sample linear scan over the region list.
-class ListAttributor final : public Attributor {
-public:
-  void insert(RegionId Id, Addr Start, Addr End) override;
-  void remove(RegionId Id, Addr Start, Addr End) override;
-  void lookup(Addr Pc, std::vector<RegionId> &Out) const override;
-  std::size_t size() const override { return Entries.size(); }
+  std::size_t size() const { return Entries.size(); }
 
 private:
   struct Entry {
@@ -71,25 +60,17 @@ private:
 };
 
 /// O(log n + k)-per-sample stabbing query over an augmented interval tree.
-class IntervalTreeAttributor final : public Attributor {
+/// Same contract as ListAttributor.
+class IntervalTreeAttributor {
 public:
-  void insert(RegionId Id, Addr Start, Addr End) override;
-  void remove(RegionId Id, Addr Start, Addr End) override;
-  void lookup(Addr Pc, std::vector<RegionId> &Out) const override;
-  std::size_t size() const override { return Tree.size(); }
+  void insert(RegionId Id, Addr Start, Addr End);
+  void remove(RegionId Id, Addr Start, Addr End);
+  void lookup(Addr Pc, std::vector<RegionId> &Out) const;
+  std::size_t size() const { return Tree.size(); }
 
 private:
   IntervalTree Tree;
 };
-
-/// Selects which attribution strategy a RegionMonitor uses.
-enum class AttributorKind : std::uint8_t {
-  List,
-  IntervalTree,
-};
-
-/// Factory for the strategy selected by \p Kind.
-std::unique_ptr<Attributor> makeAttributor(AttributorKind Kind);
 
 } // namespace regmon::core
 

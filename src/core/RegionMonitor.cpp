@@ -31,7 +31,6 @@ obs::EventKind phaseEntryKind(LocalPhaseState S) {
 
 RegionMonitor::RegionMonitor(const CodeMap &CM, RegionMonitorConfig Cfg)
     : Map(CM), Config(Cfg),
-      Attrib(makeAttributor(Config.Attribution)),
       Metric(makeSimilarity(Config.Similarity.Kind, &SimilarityFellBack)) {
   assert(Config.UcrTriggerFraction >= 0 && Config.UcrTriggerFraction <= 1 &&
          "UCR trigger must be a fraction");
@@ -85,7 +84,9 @@ void RegionMonitor::emit(RegionEvent::Kind K, RegionId Id) {
       obs::addTo(Obs->MissPhaseChanges);
       obs::recordEvent(Obs->Tracer, obs::EventKind::MissPhaseChange,
                        Obs->Stream, Id, Intervals,
-                       MissDetectors[Id] ? MissDetectors[Id]->lastR() : 0.0);
+                       Records[Id].MissDetector
+                           ? Records[Id].MissDetector->lastR()
+                           : 0.0);
       break;
     }
   }
@@ -93,66 +94,55 @@ void RegionMonitor::emit(RegionEvent::Kind K, RegionId Id) {
     Handler(RegionEvent{K, Id, Intervals});
 }
 
-bool RegionMonitor::isActive(RegionId Id) const {
-  assert(Id < Regions.size() && "unknown region");
-  return Active[Id];
+const RegionMonitor::RegionRecord &
+RegionMonitor::record(RegionId Id) const {
+  assert(Id < Records.size() && "unknown region");
+  return Records[Id];
 }
+
+bool RegionMonitor::isActive(RegionId Id) const { return record(Id).Active; }
 
 std::vector<RegionId> RegionMonitor::activeRegionIds() const {
   std::vector<RegionId> Out;
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    if (Active[Id])
+  for (RegionId Id = 0; Id < Records.size(); ++Id)
+    if (Records[Id].Active)
       Out.push_back(Id);
   return Out;
 }
 
 std::size_t RegionMonitor::activeRegionCount() const {
   std::size_t N = 0;
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    N += Active[Id] ? 1 : 0;
+  for (const RegionRecord &Rec : Records)
+    N += Rec.Active ? 1 : 0;
   return N;
 }
 
 std::size_t RegionMonitor::stableRegionCount() const {
   std::size_t N = 0;
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    N += Active[Id] && Detectors[Id]->state() == LocalPhaseState::Stable ? 1
-                                                                         : 0;
+  for (const RegionRecord &Rec : Records)
+    N += Rec.Active && Rec.Detector->state() == LocalPhaseState::Stable ? 1
+                                                                       : 0;
   return N;
 }
 
 std::uint64_t RegionMonitor::totalPhaseChanges() const {
   std::uint64_t N = 0;
-  for (const RegionStats &S : Stats)
-    N += S.PhaseChanges;
+  for (const RegionRecord &Rec : Records)
+    N += Rec.Stats.PhaseChanges;
   return N;
 }
 
 std::uint64_t RegionMonitor::totalSamples() const {
   std::uint64_t N = 0;
-  for (const RegionStats &S : Stats)
-    N += S.TotalSamples;
+  for (const RegionRecord &Rec : Records)
+    N += Rec.Stats.TotalSamples;
   return N;
 }
 
 void RegionMonitor::reset() {
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    if (Active[Id])
-      Attrib->remove(Id, Regions[Id].Start, Regions[Id].End);
-  assert(Attrib->size() == 0 && "attribution index out of sync");
   Regions.clear();
-  Active.clear();
-  CurrHists.clear();
-  CurrMissHists.clear();
-  Detectors.clear();
-  MissDetectors.clear();
-  Stats.clear();
-  LastSampledInterval.clear();
-  CumulativeMisses.clear();
-  RecentMiss.clear();
-  SampleTimelines.clear();
-  RTimelines.clear();
-  StateTimelines.clear();
+  Records.clear();
+  Index = IntervalTreeAttributor();
   UcrHistory.clear();
   Intervals = 0;
   FormationTriggers = 0;
@@ -161,29 +151,24 @@ void RegionMonitor::reset() {
 }
 
 const LocalPhaseDetector &RegionMonitor::detector(RegionId Id) const {
-  assert(Id < Detectors.size() && "unknown region");
-  return *Detectors[Id];
+  return *record(Id).Detector;
 }
 
 const RegionStats &RegionMonitor::stats(RegionId Id) const {
-  assert(Id < Stats.size() && "unknown region");
-  return Stats[Id];
+  return record(Id).Stats;
 }
 
 std::uint64_t RegionMonitor::lastSampleCount(RegionId Id) const {
-  assert(Id < CurrHists.size() && "unknown region");
-  return CurrHists[Id].total();
+  return record(Id).Curr.total();
 }
 
 double RegionMonitor::recentMissFraction(RegionId Id) const {
-  assert(Id < RecentMiss.size() && "unknown region");
-  return RecentMiss[Id].mean();
+  return record(Id).RecentMiss.mean();
 }
 
 std::vector<RegionMonitor::DelinquentLoad>
 RegionMonitor::delinquentLoads(RegionId Id, std::size_t N) const {
-  assert(Id < CumulativeMisses.size() && "unknown region");
-  const std::vector<std::uint64_t> &Bins = CumulativeMisses[Id];
+  const std::vector<std::uint64_t> &Bins = record(Id).CumulativeMisses;
   std::vector<DelinquentLoad> All;
   for (std::size_t Bin = 0; Bin < Bins.size(); ++Bin)
     if (Bins[Bin] > 0)
@@ -201,8 +186,7 @@ RegionMonitor::delinquentLoads(RegionId Id, std::size_t N) const {
 
 const LocalPhaseDetector &RegionMonitor::missDetector(RegionId Id) const {
   assert(Config.TrackMissPhases && "miss channel is not enabled");
-  assert(Id < MissDetectors.size() && "unknown region");
-  return *MissDetectors[Id];
+  return *record(Id).MissDetector;
 }
 
 double RegionMonitor::lastUcrFraction() const {
@@ -212,21 +196,18 @@ double RegionMonitor::lastUcrFraction() const {
 std::span<const std::uint32_t>
 RegionMonitor::sampleTimeline(RegionId Id) const {
   assert(Config.RecordTimelines && "timelines were not recorded");
-  assert(Id < SampleTimelines.size() && "unknown region");
-  return SampleTimelines[Id];
+  return record(Id).Timeline->Samples;
 }
 
 std::span<const double> RegionMonitor::rTimeline(RegionId Id) const {
   assert(Config.RecordTimelines && "timelines were not recorded");
-  assert(Id < RTimelines.size() && "unknown region");
-  return RTimelines[Id];
+  return record(Id).Timeline->R;
 }
 
 std::span<const LocalPhaseState>
 RegionMonitor::stateTimeline(RegionId Id) const {
   assert(Config.RecordTimelines && "timelines were not recorded");
-  assert(Id < StateTimelines.size() && "unknown region");
-  return StateTimelines[Id];
+  return record(Id).Timeline->States;
 }
 
 REGMON_PURE std::uint64_t
@@ -234,10 +215,10 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   assert(!Samples.empty() && "an interval carries a full sample buffer");
 
   // Fresh histograms for this interval.
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    if (Active[Id]) {
-      CurrHists[Id].reset();
-      CurrMissHists[Id].reset();
+  for (RegionRecord &Rec : Records)
+    if (Rec.Active) {
+      Rec.Curr.reset();
+      Rec.CurrMiss.reset();
     }
 
   // Incremental engine: prime the per-region cross-moment accumulators
@@ -247,18 +228,18 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   const bool Fast = IncrementalSimilarity;
   const bool FastMiss = Fast && Config.TrackMissPhases;
   if (Fast) {
-    SxyAcc.assign(Regions.size(), 0);
-    StablePtrs.assign(Regions.size(), nullptr);
-    for (RegionId Id = 0; Id < Regions.size(); ++Id)
-      if (Active[Id])
-        StablePtrs[Id] = Detectors[Id]->stableSet().data();
+    SxyAcc.assign(Records.size(), 0);
+    StablePtrs.assign(Records.size(), nullptr);
+    for (RegionId Id = 0; Id < Records.size(); ++Id)
+      if (Records[Id].Active)
+        StablePtrs[Id] = Records[Id].Detector->stableSet().data();
   }
   if (FastMiss) {
-    MissSxyAcc.assign(Regions.size(), 0);
-    MissStablePtrs.assign(Regions.size(), nullptr);
-    for (RegionId Id = 0; Id < Regions.size(); ++Id)
-      if (Active[Id])
-        MissStablePtrs[Id] = MissDetectors[Id]->stableSet().data();
+    MissSxyAcc.assign(Records.size(), 0);
+    MissStablePtrs.assign(Records.size(), nullptr);
+    for (RegionId Id = 0; Id < Records.size(); ++Id)
+      if (Records[Id].Active)
+        MissStablePtrs[Id] = Records[Id].MissDetector->stableSet().data();
   }
 
   // 1. Attribute every sample; unmatched samples belong to the UCR.
@@ -266,13 +247,14 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   std::uint64_t RejectedNow = 0;
   for (const Sample &S : Samples) {
     LookupScratch.clear();
-    Attrib->lookup(S.Pc, LookupScratch);
+    Index.lookup(S.Pc, LookupScratch);
     if (LookupScratch.empty()) {
       UcrScratch.push_back(S.Pc);
       continue;
     }
     for (RegionId Id : LookupScratch) {
-      const std::ptrdiff_t Bin = CurrHists[Id].tryAddSampleAt(S.Pc);
+      RegionRecord &Rec = Records[Id];
+      const std::ptrdiff_t Bin = Rec.Curr.tryAddSampleAt(S.Pc);
       if (Bin < 0) {
         // The attribution index said the PC falls inside this region but
         // the histogram's bounds disagree -- a corrupted PC or a hostile
@@ -286,14 +268,13 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
         if (FastMiss) {
           // Same bounds as the cycle histogram, which just accepted the
           // PC, so the miss histogram cannot reject it.
-          const std::ptrdiff_t MissBin =
-              CurrMissHists[Id].tryAddSampleAt(S.Pc);
+          const std::ptrdiff_t MissBin = Rec.CurrMiss.tryAddSampleAt(S.Pc);
           assert(MissBin >= 0 && "miss histogram disagrees on bounds");
           if (MissBin >= 0)
             MissSxyAcc[Id] +=
                 MissStablePtrs[Id][static_cast<std::size_t>(MissBin)];
         } else {
-          CurrMissHists[Id].addSample(S.Pc);
+          Rec.CurrMiss.addSample(S.Pc);
         }
       }
     }
@@ -317,32 +298,34 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   // 3. Local phase detection, one region at a time. Regions formed in step
   // 2 start analyzing with the *next* interval (their histograms for this
   // one are empty).
-  for (RegionId Id = 0; Id < Regions.size(); ++Id) {
-    if (!Active[Id])
+  for (RegionId Id = 0; Id < Records.size(); ++Id) {
+    RegionRecord &Rec = Records[Id];
+    if (!Rec.Active)
       continue;
-    RegionStats &RS = Stats[Id];
+    LocalPhaseDetector &Detector = *Rec.Detector;
+    RegionStats &RS = Rec.Stats;
     ++RS.LifetimeIntervals;
-    const InstrHistogram &Curr = CurrHists[Id];
+    const InstrHistogram &Curr = Rec.Curr;
     if (!Curr.empty()) {
       ++RS.ActiveIntervals;
       RS.TotalSamples += Curr.total();
-      LastSampledInterval[Id] = Intervals;
+      Rec.LastSampledInterval = Intervals;
       if (!Undersampled) {
         if (Fast)
-          Detectors[Id]->observeMoments(Curr, SxyAcc[Id]);
+          Detector.observeMoments(Curr, SxyAcc[Id]);
         else
-          Detectors[Id]->observe(Curr.bins());
+          Detector.observe(Curr.bins());
         if (Obs) {
-          if (Detectors[Id]->lastObservationComparedR())
+          if (Detector.lastObservationComparedR())
             obs::addTo(Obs->SimilarityCompares);
-          obs::observeIn(Obs->PhaseR, Detectors[Id]->lastR());
-          const LocalPhaseState Now = Detectors[Id]->state();
-          if (Now != Detectors[Id]->stateBeforeLastObserve())
+          obs::observeIn(Obs->PhaseR, Detector.lastR());
+          const LocalPhaseState Now = Detector.state();
+          if (Now != Detector.stateBeforeLastObserve())
             obs::recordEvent(Obs->Tracer, phaseEntryKind(Now), Obs->Stream,
-                             Id, Intervals, Detectors[Id]->lastR());
+                             Id, Intervals, Detector.lastR());
         }
-        if (Detectors[Id]->lastObservationChangedPhase())
-          emit(Detectors[Id]->state() == LocalPhaseState::Stable
+        if (Detector.lastObservationChangedPhase())
+          emit(Detector.state() == LocalPhaseState::Stable
                    ? RegionEvent::Kind::BecameStable
                    : RegionEvent::Kind::BecameUnstable,
                Id);
@@ -352,36 +335,37 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
       // Miss counts are real samples, so they accrue even when degraded;
       // only the windowed feedback signal (which drives unpatch
       // decisions) is withheld from under-sampled evidence.
-      const InstrHistogram &Misses = CurrMissHists[Id];
+      const InstrHistogram &Misses = Rec.CurrMiss;
       RS.TotalMisses += Misses.total();
       if (!Undersampled)
-        RecentMiss[Id].add(static_cast<double>(Misses.total()) /
+        Rec.RecentMiss.add(static_cast<double>(Misses.total()) /
                            static_cast<double>(Curr.total()));
       if (!Misses.empty()) {
         std::span<const std::uint32_t> Bins = Misses.bins();
-        std::vector<std::uint64_t> &Cum = CumulativeMisses[Id];
+        std::vector<std::uint64_t> &Cum = Rec.CumulativeMisses;
         for (std::size_t Bin = 0; Bin < Bins.size(); ++Bin)
           Cum[Bin] += Bins[Bin];
       }
       if (!Undersampled && Config.TrackMissPhases && !Misses.empty()) {
+        LocalPhaseDetector &MissDetector = *Rec.MissDetector;
         if (Fast)
-          MissDetectors[Id]->observeMoments(Misses, MissSxyAcc[Id]);
+          MissDetector.observeMoments(Misses, MissSxyAcc[Id]);
         else
-          MissDetectors[Id]->observe(Misses.bins());
-        RS.MissPhaseChanges = MissDetectors[Id]->phaseChanges();
-        if (MissDetectors[Id]->lastObservationChangedPhase() &&
-            !Detectors[Id]->lastObservationChangedPhase())
+          MissDetector.observe(Misses.bins());
+        RS.MissPhaseChanges = MissDetector.phaseChanges();
+        if (MissDetector.lastObservationChangedPhase() &&
+            !Detector.lastObservationChangedPhase())
           emit(RegionEvent::Kind::MissPhaseChange, Id);
       }
     }
-    RS.PhaseChanges = Detectors[Id]->phaseChanges();
-    if (Detectors[Id]->state() == LocalPhaseState::Stable)
+    RS.PhaseChanges = Detector.phaseChanges();
+    if (Detector.state() == LocalPhaseState::Stable)
       ++RS.StableIntervals;
-    if (Config.RecordTimelines) {
-      SampleTimelines[Id].push_back(
+    if (Rec.Timeline) {
+      Rec.Timeline->Samples.push_back(
           static_cast<std::uint32_t>(Curr.total()));
-      RTimelines[Id].push_back(Detectors[Id]->lastR());
-      StateTimelines[Id].push_back(Detectors[Id]->state());
+      Rec.Timeline->R.push_back(Detector.lastR());
+      Rec.Timeline->States.push_back(Detector.state());
     }
   }
 
@@ -443,10 +427,7 @@ void RegionMonitor::triggerFormation(std::span<const Addr> UcrPcs) {
                      return A->Count > B->Count;
                    });
 
-  std::size_t ActiveCount = 0;
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    ActiveCount += Active[Id] ? 1 : 0;
-
+  std::size_t ActiveCount = activeRegionCount();
   std::size_t FormedNow = 0;
   for (const Candidate *C : Ranked) {
     if (FormedNow >= Config.MaxNewRegionsPerTrigger ||
@@ -460,55 +441,51 @@ void RegionMonitor::triggerFormation(std::span<const Addr> UcrPcs) {
     // samples within this same interval).
     const bool Duplicate = std::any_of(
         Regions.begin(), Regions.end(), [&](const Region &R) {
-          return Active[R.Id] && R.Start == C->Info.Start &&
+          return Records[R.Id].Active && R.Start == C->Info.Start &&
                  R.End == C->Info.End;
         });
     if (Duplicate)
       continue;
 
-    const auto Id = static_cast<RegionId>(Regions.size());
     Region R;
-    R.Id = Id;
     R.Name = C->Info.Name;
     R.Start = C->Info.Start;
     R.End = C->Info.End;
     R.FormedAtInterval = Intervals;
-    Regions.push_back(std::move(R));
-    Active.push_back(true);
-    CurrHists.emplace_back(C->Info.Start, C->Info.End);
-    CurrMissHists.emplace_back(C->Info.Start, C->Info.End);
-    Detectors.push_back(std::make_unique<LocalPhaseDetector>(
-        Regions.back().instrCount(), *Metric, Config.Lpd));
-    MissDetectors.push_back(
-        Config.TrackMissPhases
-            ? std::make_unique<LocalPhaseDetector>(
-                  Regions.back().instrCount(), *Metric, Config.Lpd)
-            : nullptr);
-    Stats.emplace_back();
-    LastSampledInterval.push_back(Intervals);
-    CumulativeMisses.emplace_back(Regions.back().instrCount(), 0);
-    RecentMiss.emplace_back(Config.MissWindowIntervals);
-    if (Config.RecordTimelines) {
-      SampleTimelines.emplace_back();
-      RTimelines.emplace_back();
-      StateTimelines.emplace_back();
-    }
-    Attrib->insert(Id, Regions.back().Start, Regions.back().End);
+    addRegion(std::move(R), /*Active=*/true);
     ++ActiveCount;
     ++FormedNow;
-    emit(RegionEvent::Kind::Formed, Id);
+    emit(RegionEvent::Kind::Formed, Regions.back().Id);
   }
 }
 
+RegionMonitor::RegionRecord &RegionMonitor::addRegion(Region R, bool Active) {
+  R.Id = static_cast<RegionId>(Regions.size());
+  const std::size_t Instrs = R.instrCount();
+  const auto MakeDetector = [&] {
+    return std::make_unique<LocalPhaseDetector>(Instrs, *Metric, Config.Lpd);
+  };
+  RegionRecord &Rec = Records.emplace_back(RegionRecord{
+      Active, InstrHistogram(R.Start, R.End), InstrHistogram(R.Start, R.End),
+      MakeDetector(), Config.TrackMissPhases ? MakeDetector() : nullptr,
+      RegionStats{}, /*LastSampledInterval=*/R.FormedAtInterval,
+      std::vector<std::uint64_t>(Instrs, 0),
+      WindowedStats(Config.MissWindowIntervals),
+      Config.RecordTimelines ? std::make_unique<Timelines>() : nullptr});
+  if (Active)
+    Index.insert(R.Id, R.Start, R.End);
+  Regions.push_back(std::move(R));
+  return Rec;
+}
+
 void RegionMonitor::pruneCold() {
-  for (RegionId Id = 0; Id < Regions.size(); ++Id) {
-    if (!Active[Id])
+  for (RegionId Id = 0; Id < Records.size(); ++Id) {
+    RegionRecord &Rec = Records[Id];
+    if (!Rec.Active ||
+        Intervals - Rec.LastSampledInterval < Config.PruneAfterIdleIntervals)
       continue;
-    if (Intervals - LastSampledInterval[Id] <
-        Config.PruneAfterIdleIntervals)
-      continue;
-    Active[Id] = false;
-    Attrib->remove(Id, Regions[Id].Start, Regions[Id].End);
+    Rec.Active = false;
+    Index.remove(Id, Regions[Id].Start, Regions[Id].End);
     emit(RegionEvent::Kind::Pruned, Id);
   }
 }

@@ -66,8 +66,6 @@ struct RegionMonitorConfig {
   std::size_t MaxNewRegionsPerTrigger = 8;
   /// Cap on simultaneously monitored regions.
   std::size_t MaxRegions = 128;
-  /// Sample-attribution strategy (Fig. 16 compares the two).
-  AttributorKind Attribution = AttributorKind::IntervalTree;
   /// Histogram similarity metric for local phase detection, plus the
   /// engine computing it (assigning a bare SimilarityKind keeps the
   /// default incremental engine). The naive engine recomputes the moments
@@ -226,8 +224,7 @@ public:
 
   /// Returns the monitor to its freshly constructed state (no regions, no
   /// history), keeping the configuration and CodeMap. Lets a service
-  /// shard reuse a monitor for a new stream without reallocating the
-  /// attribution index.
+  /// shard reuse a monitor for a new stream.
   void reset();
 
   /// Returns the number of intervals observed.
@@ -275,17 +272,50 @@ public:
 
 private:
   /// Checkpointing serializes every learned field below (scratch buffers
-  /// and the event handler excluded) and re-inserts active regions into
-  /// the attribution index on decode (persist/StateCodec.h).
+  /// and the event handler excluded) and rebuilds each region through
+  /// \ref addRegion on decode (persist/StateCodec.h).
   friend class persist::StateCodec;
 
+  /// RecordTimelines only: one region's per-interval chart series.
+  struct Timelines {
+    std::vector<std::uint32_t> Samples;
+    std::vector<double> R;
+    std::vector<LocalPhaseState> States;
+  };
+
+  /// One region's learned state, indexed by RegionId beside Regions. The
+  /// detectors and timelines sit behind pointers to keep the record small:
+  /// every interval walks all records.
+  struct RegionRecord {
+    bool Active = false;
+    /// This interval's cycle and miss histograms.
+    InstrHistogram Curr;
+    InstrHistogram CurrMiss;
+    std::unique_ptr<LocalPhaseDetector> Detector;
+    /// TrackMissPhases only.
+    std::unique_ptr<LocalPhaseDetector> MissDetector;
+    RegionStats Stats;
+    std::uint64_t LastSampledInterval = 0;
+    std::vector<std::uint64_t> CumulativeMisses; // per bin
+    WindowedStats RecentMiss;
+    /// RecordTimelines only.
+    std::unique_ptr<Timelines> Timeline;
+  };
+
+  /// Appends \p R under the next RegionId with a fresh record, and enters
+  /// it into the attribution index when \p Active. Formation and decode
+  /// both build regions here. The reference is valid until the next call.
+  RegionRecord &addRegion(Region R, bool Active);
+  const RegionRecord &record(RegionId Id) const;
   void triggerFormation(std::span<const Addr> UcrPcs);
   void pruneCold();
   void emit(RegionEvent::Kind K, RegionId Id);
 
   const CodeMap &Map;
   RegionMonitorConfig Config;
-  std::unique_ptr<Attributor> Attrib;
+  /// The attribution index: holds exactly the active regions. Only
+  /// addRegion inserts, only pruneCold removes, and reset clears it.
+  IntervalTreeAttributor Index;
   /// Declared before Metric: the constructor's makeSimilarity call writes
   /// through its address, so it must be initialized first.
   bool SimilarityFellBack = false;
@@ -294,20 +324,7 @@ private:
   const obs::MonitorInstruments *Obs = nullptr;
 
   std::vector<Region> Regions;
-  std::vector<bool> Active;
-  std::vector<InstrHistogram> CurrHists;
-  std::vector<InstrHistogram> CurrMissHists;
-  std::vector<std::unique_ptr<LocalPhaseDetector>> Detectors;
-  std::vector<std::unique_ptr<LocalPhaseDetector>> MissDetectors;
-  std::vector<RegionStats> Stats;
-  std::vector<std::uint64_t> LastSampledInterval;
-  std::vector<std::vector<std::uint64_t>> CumulativeMisses; // per bin
-  std::vector<WindowedStats> RecentMiss;
-
-  // Optional recorded timelines, parallel to Regions.
-  std::vector<std::vector<std::uint32_t>> SampleTimelines;
-  std::vector<std::vector<double>> RTimelines;
-  std::vector<std::vector<LocalPhaseState>> StateTimelines;
+  std::vector<RegionRecord> Records;
 
   std::vector<double> UcrHistory;
   std::uint64_t Intervals = 0;

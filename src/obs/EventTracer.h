@@ -51,6 +51,8 @@ enum class EventKind : std::uint8_t {
   JournalReplayed = 11,
   StreamQuarantined = 12,
   StreamRecovered = 13,
+  // 14-16: reserved; nothing records them (the RTO harness carries no
+  // instruments), and append-only forbids reusing the values.
   TraceDeployed = 14,
   TraceUndone = 15,
   TraceSelfUndo = 16,

@@ -119,23 +119,6 @@ GpdInstruments makeGpdInstruments(MetricsRegistry &Registry,
   return I;
 }
 
-RtoInstruments makeRtoInstruments(MetricsRegistry &Registry,
-                                  EventTracer *Tracer, std::uint32_t Stream,
-                                  std::string_view Label) {
-  RtoInstruments I;
-  I.Patches = &Registry.counter("rto_patches_total",
-                                "optimized traces deployed", Label);
-  I.Unpatches = &Registry.counter("rto_unpatches_total",
-                                  "optimized traces undone", Label);
-  I.FailedPatches = &Registry.counter("rto_failed_patches_total",
-                                      "trace deployments that failed", Label);
-  I.SelfUndos = &Registry.counter(
-      "rto_self_undos_total", "regressions undone by self-monitoring", Label);
-  I.Tracer = Tracer;
-  I.Stream = Stream;
-  return I;
-}
-
 PersistInstruments makePersistInstruments(MetricsRegistry &Registry,
                                           EventTracer *Tracer,
                                           std::uint32_t Stream,

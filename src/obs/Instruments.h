@@ -120,16 +120,6 @@ struct GpdInstruments {
   std::uint32_t Stream = 0;
 };
 
-/// Instruments for the RTO harness (trace deploy/undo lifecycle).
-struct RtoInstruments {
-  Counter *Patches = nullptr;
-  Counter *Unpatches = nullptr;
-  Counter *FailedPatches = nullptr;
-  Counter *SelfUndos = nullptr;
-  EventTracer *Tracer = nullptr;
-  std::uint32_t Stream = 0;
-};
-
 /// Instruments for the checkpoint/restore layer. Events use journal
 /// sequence numbers (or running commit counts) as their logical clock.
 struct PersistInstruments {
@@ -212,11 +202,6 @@ SamplerInstruments makeSamplerInstruments(MetricsRegistry &Registry,
 
 /// Registers the GPD metric catalogue.
 GpdInstruments makeGpdInstruments(MetricsRegistry &Registry,
-                                  EventTracer *Tracer, std::uint32_t Stream,
-                                  std::string_view Label);
-
-/// Registers the RTO metric catalogue.
-RtoInstruments makeRtoInstruments(MetricsRegistry &Registry,
                                   EventTracer *Tracer, std::uint32_t Stream,
                                   std::string_view Label);
 

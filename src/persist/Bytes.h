@@ -110,10 +110,6 @@ public:
   }
 
   /// Length-prefixed (u64 element count) vectors.
-  void vecU8(std::span<const std::uint8_t> V) {
-    u64(V.size());
-    bytes(V);
-  }
   void vecU32(std::span<const std::uint32_t> V) {
     u64(V.size());
     for (std::uint32_t X : V)
@@ -187,18 +183,6 @@ public:
       return false;
     }
     Out.assign(reinterpret_cast<const char *>(Buf.data() + Pos), Len);
-    Pos += Len;
-    return true;
-  }
-
-  bool vecU8(std::vector<std::uint8_t> &Out) {
-    const std::uint64_t Len = u64();
-    if (Failed || Len > remaining()) {
-      fail();
-      return false;
-    }
-    Out.assign(Buf.begin() + static_cast<std::int64_t>(Pos),
-               Buf.begin() + static_cast<std::int64_t>(Pos + Len));
     Pos += Len;
     return true;
   }

@@ -105,14 +105,6 @@ bool regmon::persist::renameFile(const std::string &From,
   return !Ec;
 }
 
-bool regmon::persist::removeFile(const std::string &Path, CrashPoint *Crash) {
-  if (Crash != nullptr && !Crash->grantOp())
-    return false;
-  std::error_code Ec;
-  std::filesystem::remove(Path, Ec);
-  return !Ec;
-}
-
 bool regmon::persist::ensureDir(const std::string &Dir) {
   std::error_code Ec;
   std::filesystem::create_directories(Dir, Ec);

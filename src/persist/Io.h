@@ -133,9 +133,6 @@ bool fileExists(const std::string &Path);
 bool renameFile(const std::string &From, const std::string &To,
                 CrashPoint *Crash);
 
-/// Removes \p Path if present. Missing files succeed. Costs one unit.
-bool removeFile(const std::string &Path, CrashPoint *Crash);
-
 /// Creates \p Dir (and parents) if missing; true if it exists afterwards.
 bool ensureDir(const std::string &Dir);
 

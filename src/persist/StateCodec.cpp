@@ -8,7 +8,9 @@
 
 #include "support/Types.h"
 
-#include <memory>
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 using namespace regmon;
 using namespace regmon::persist;
@@ -173,18 +175,19 @@ void StateCodec::encode(ByteWriter &W, const core::RegionMonitor &M) {
   W.u32(static_cast<std::uint32_t>(M.Regions.size()));
   for (core::RegionId Id = 0; Id < M.Regions.size(); ++Id) {
     const core::Region &Reg = M.Regions[Id];
+    const core::RegionMonitor::RegionRecord &Rec = M.Records[Id];
     W.str(Reg.Name);
     W.u64(Reg.Start);
     W.u64(Reg.End);
     W.u64(Reg.FormedAtInterval);
-    W.boolean(M.Active[Id]);
-    encode(W, M.CurrHists[Id]);
-    encode(W, M.CurrMissHists[Id]);
-    encode(W, *M.Detectors[Id]);
-    W.boolean(M.MissDetectors[Id] != nullptr);
-    if (M.MissDetectors[Id] != nullptr)
-      encode(W, *M.MissDetectors[Id]);
-    const core::RegionStats &RS = M.Stats[Id];
+    W.boolean(Rec.Active);
+    encode(W, Rec.Curr);
+    encode(W, Rec.CurrMiss);
+    encode(W, *Rec.Detector);
+    W.boolean(Rec.MissDetector != nullptr);
+    if (Rec.MissDetector != nullptr)
+      encode(W, *Rec.MissDetector);
+    const core::RegionStats &RS = Rec.Stats;
     W.u64(RS.LifetimeIntervals);
     W.u64(RS.StableIntervals);
     W.u64(RS.ActiveIntervals);
@@ -192,14 +195,14 @@ void StateCodec::encode(ByteWriter &W, const core::RegionMonitor &M) {
     W.u64(RS.TotalMisses);
     W.u64(RS.PhaseChanges);
     W.u64(RS.MissPhaseChanges);
-    W.u64(M.LastSampledInterval[Id]);
-    W.vecU64(M.CumulativeMisses[Id]);
-    encode(W, M.RecentMiss[Id]);
-    if (M.Config.RecordTimelines) {
-      W.vecU32(M.SampleTimelines[Id]);
-      W.vecF64(M.RTimelines[Id]);
-      W.u64(M.StateTimelines[Id].size());
-      for (core::LocalPhaseState S : M.StateTimelines[Id])
+    W.u64(Rec.LastSampledInterval);
+    W.vecU64(Rec.CumulativeMisses);
+    encode(W, Rec.RecentMiss);
+    if (Rec.Timeline != nullptr) {
+      W.vecU32(Rec.Timeline->Samples);
+      W.vecF64(Rec.Timeline->R);
+      W.u64(Rec.Timeline->States.size());
+      for (core::LocalPhaseState S : Rec.Timeline->States)
         W.u8(static_cast<std::uint8_t>(S));
     }
   }
@@ -233,7 +236,6 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
 
   for (std::uint32_t Id = 0; Id < RegionCount; ++Id) {
     core::Region Reg;
-    Reg.Id = Id;
     if (!R.str(Reg.Name))
       return Reject();
     Reg.Start = R.u64();
@@ -244,45 +246,23 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
         Reg.End % InstrBytes != 0 ||
         (Reg.End - Reg.Start) / InstrBytes > MaxInstrsPerRegion)
       return Reject();
-    const std::uint64_t Instrs = (Reg.End - Reg.Start) / InstrBytes;
+    const std::uint64_t Instrs = Reg.instrCount();
+    const std::uint64_t FormedAt = Reg.FormedAtInterval;
 
-    // Construct the region's parallel state exactly as triggerFormation
-    // would, then decode into it. All parallel arrays grow together so a
-    // failure at any later field still leaves reset() a consistent view.
-    M.Regions.push_back(std::move(Reg));
-    const core::Region &Placed = M.Regions.back();
-    M.Active.push_back(IsActive);
-    M.CurrHists.emplace_back(Placed.Start, Placed.End);
-    M.CurrMissHists.emplace_back(Placed.Start, Placed.End);
-    M.Detectors.push_back(std::make_unique<core::LocalPhaseDetector>(
-        Instrs, *M.Metric, M.Config.Lpd));
-    M.MissDetectors.push_back(nullptr);
-    M.Stats.emplace_back();
-    M.LastSampledInterval.push_back(0);
-    M.CumulativeMisses.emplace_back();
-    M.RecentMiss.emplace_back(M.Config.MissWindowIntervals);
-    if (M.Config.RecordTimelines) {
-      M.SampleTimelines.emplace_back();
-      M.RTimelines.emplace_back();
-      M.StateTimelines.emplace_back();
-    }
-    if (IsActive)
-      M.Attrib->insert(Placed.Id, Placed.Start, Placed.End);
-
-    if (!decode(R, M.CurrHists.back()) ||
-        !decode(R, M.CurrMissHists.back()) ||
-        !decode(R, *M.Detectors.back()))
+    // The monitor builds the region as formation would; decode fills in
+    // its learned state. A failure at any later field leaves reset() a
+    // consistent monitor to clear.
+    core::RegionMonitor::RegionRecord &Rec =
+        M.addRegion(std::move(Reg), IsActive);
+    if (!decode(R, Rec.Curr) || !decode(R, Rec.CurrMiss) ||
+        !decode(R, *Rec.Detector))
       return Reject();
     const bool HasMissDetector = R.boolean();
     if (!R.ok() || HasMissDetector != M.Config.TrackMissPhases)
       return Reject();
-    if (HasMissDetector) {
-      M.MissDetectors.back() = std::make_unique<core::LocalPhaseDetector>(
-          Instrs, *M.Metric, M.Config.Lpd);
-      if (!decode(R, *M.MissDetectors.back()))
-        return Reject();
-    }
-    core::RegionStats &RS = M.Stats.back();
+    if (HasMissDetector && !decode(R, *Rec.MissDetector))
+      return Reject();
+    core::RegionStats &RS = Rec.Stats;
     RS.LifetimeIntervals = R.u64();
     RS.StableIntervals = R.u64();
     RS.ActiveIntervals = R.u64();
@@ -290,21 +270,26 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
     RS.TotalMisses = R.u64();
     RS.PhaseChanges = R.u64();
     RS.MissPhaseChanges = R.u64();
-    M.LastSampledInterval.back() = R.u64();
-    if (!R.vecU64(M.CumulativeMisses.back()) ||
-        M.CumulativeMisses.back().size() != Instrs)
+    Rec.LastSampledInterval = R.u64();
+    // Formation stamps both clocks inside an interval that then completes,
+    // and sampling only moves the sample clock forward. A clock outside
+    // [FormedAt, Intervals) would wrap pruneCold's idle subtraction.
+    if (!R.ok() || Rec.LastSampledInterval >= M.Intervals ||
+        Rec.LastSampledInterval < FormedAt)
       return Reject();
-    if (!decode(R, M.RecentMiss.back(), M.Config.MissWindowIntervals) ||
-        M.RecentMiss.back().Cap != M.Config.MissWindowIntervals)
+    if (!R.vecU64(Rec.CumulativeMisses) ||
+        Rec.CumulativeMisses.size() != Instrs)
       return Reject();
-    if (M.Config.RecordTimelines) {
-      if (!R.vecU32(M.SampleTimelines.back()) ||
-          !R.vecF64(M.RTimelines.back()))
+    if (!decode(R, Rec.RecentMiss, M.Config.MissWindowIntervals) ||
+        Rec.RecentMiss.Cap != M.Config.MissWindowIntervals)
+      return Reject();
+    if (Rec.Timeline != nullptr) {
+      if (!R.vecU32(Rec.Timeline->Samples) || !R.vecF64(Rec.Timeline->R))
         return Reject();
       const std::uint64_t States = R.u64();
       if (!R.ok() || States > R.remaining())
         return Reject();
-      auto &Timeline = M.StateTimelines.back();
+      auto &Timeline = Rec.Timeline->States;
       Timeline.reserve(States);
       for (std::uint64_t I = 0; I < States; ++I) {
         const std::uint8_t S = R.u8();
@@ -316,6 +301,18 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
         return Reject();
     }
   }
+
+  // Formation never forms a region over an active region's exact bounds;
+  // two such active regions would attribute every sample there twice.
+  // Sorting keeps the check O(n log n) for a hostile region count.
+  std::vector<std::pair<Addr, Addr>> ActiveBounds;
+  for (core::RegionId Id = 0; Id < M.Regions.size(); ++Id)
+    if (M.Records[Id].Active)
+      ActiveBounds.emplace_back(M.Regions[Id].Start, M.Regions[Id].End);
+  std::sort(ActiveBounds.begin(), ActiveBounds.end());
+  if (std::adjacent_find(ActiveBounds.begin(), ActiveBounds.end()) !=
+      ActiveBounds.end())
+    return Reject();
   return true;
 }
 

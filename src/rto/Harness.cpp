@@ -39,18 +39,6 @@ private:
   std::map<std::pair<Addr, Addr>, sim::LoopId> ByBounds;
 };
 
-/// Folds one finished run's deployment counters into the attached
-/// instruments (no-op when Config.Obs is null). Aggregating once at run
-/// end keeps the hot loop free of per-interval metric traffic.
-void foldRunCounters(const RtoConfig &Config, const RtoResult &Result) {
-  if (!Config.Obs)
-    return;
-  obs::addTo(Config.Obs->Patches, Result.Patches);
-  obs::addTo(Config.Obs->Unpatches, Result.Unpatches);
-  obs::addTo(Config.Obs->FailedPatches, Result.FailedPatches);
-  obs::addTo(Config.Obs->SelfUndos, Result.SelfUndos);
-}
-
 /// Owns the seeded decision stream for injected deployment failures and
 /// installs it on \p Traces when the config asks for injection. Failures
 /// are a function of (DeployFailureSeed, attempt index) only, so the same
@@ -111,14 +99,8 @@ RtoResult rto::runOriginal(const sim::Program &Prog,
       // The fair-comparison ORIG variant: a phase change (leaving stable)
       // unpatches everything so optimizations are re-evaluated when the
       // phase restabilizes.
-      if (Gpd.lastIntervalChangedPhase()) {
-        const std::uint64_t Before = Traces.unpatches();
+      if (Gpd.lastIntervalChangedPhase())
         Traces.unpatchAll();
-        if (Config.Obs && Traces.unpatches() > Before)
-          obs::recordEvent(Config.Obs->Tracer, obs::EventKind::TraceUndone,
-                           Config.Obs->Stream, 0, Monitor.intervals(),
-                           static_cast<double>(Traces.unpatches() - Before));
-      }
       return;
     }
     ++StableIntervals;
@@ -131,10 +113,7 @@ RtoResult rto::runOriginal(const sim::Program &Prog,
           Index.loopFor(Monitor.regions()[Id]);
       if (!L || Traces.deployed(*L))
         continue;
-      if (Traces.deploy(*L) && Config.Obs)
-        obs::recordEvent(Config.Obs->Tracer, obs::EventKind::TraceDeployed,
-                         Config.Obs->Stream, Id, Monitor.intervals(),
-                         static_cast<double>(*L));
+      Traces.deploy(*L);
     }
   });
   Eng.finish();
@@ -152,7 +131,6 @@ RtoResult rto::runOriginal(const sim::Program &Prog,
           ? 0.0
           : static_cast<double>(StableIntervals) /
                 static_cast<double>(Result.Intervals);
-  foldRunCounters(Config, Result);
   return Result;
 }
 
@@ -187,29 +165,19 @@ RtoResult rto::runLocal(const sim::Program &Prog,
       return;
     switch (Event.K) {
     case core::RegionEvent::Kind::BecameStable:
-      if (Traces.deploy(*L)) {
-        if (Config.Obs)
-          obs::recordEvent(Config.Obs->Tracer, obs::EventKind::TraceDeployed,
-                           Config.Obs->Stream, Event.Id, Event.Interval,
-                           static_cast<double>(*L));
-        if (Config.SelfMonitor == SelfMonitorMode::Observational)
-          Watch[*L] = DeploymentRecord{Event.Id,
-                                       Monitor.recentMissFraction(Event.Id),
-                                       Event.Interval};
-      }
+      if (Traces.deploy(*L) &&
+          Config.SelfMonitor == SelfMonitorMode::Observational)
+        Watch[*L] = DeploymentRecord{Event.Id,
+                                     Monitor.recentMissFraction(Event.Id),
+                                     Event.Interval};
       break;
     case core::RegionEvent::Kind::BecameUnstable:
     case core::RegionEvent::Kind::Pruned:
     case core::RegionEvent::Kind::MissPhaseChange:
       // A miss-characteristics change invalidates a prefetch trace even
       // when the cycle histogram held steady.
-      if (Traces.deployed(*L)) {
+      if (Traces.deployed(*L))
         Traces.unpatch(*L);
-        if (Config.Obs)
-          obs::recordEvent(Config.Obs->Tracer, obs::EventKind::TraceUndone,
-                           Config.Obs->Stream, Event.Id, Event.Interval,
-                           static_cast<double>(*L));
-      }
       break;
     case core::RegionEvent::Kind::Formed:
       break;
@@ -235,11 +203,6 @@ RtoResult rto::runLocal(const sim::Program &Prog,
         if (Traces.harmfulStreak(*L) >= Config.SelfMonitorHarmIntervals) {
           Traces.unpatch(*L);
           ++SelfUndos;
-          if (Config.Obs)
-            obs::recordEvent(Config.Obs->Tracer,
-                             obs::EventKind::TraceSelfUndo,
-                             Config.Obs->Stream, Id, Monitor.intervals(),
-                             static_cast<double>(*L));
         }
       }
       break;
@@ -263,11 +226,6 @@ RtoResult rto::runLocal(const sim::Program &Prog,
           if (Current > Required) {
             Traces.unpatch(L);
             ++SelfUndos;
-            if (Config.Obs)
-              obs::recordEvent(Config.Obs->Tracer,
-                               obs::EventKind::TraceSelfUndo,
-                               Config.Obs->Stream, Record.Region,
-                               Monitor.intervals(), static_cast<double>(L));
             It = Watch.erase(It);
             continue;
           }
@@ -298,7 +256,6 @@ RtoResult rto::runLocal(const sim::Program &Prog,
           ? 0.0
           : static_cast<double>(StableIntervals) /
                 static_cast<double>(Result.Intervals);
-  foldRunCounters(Config, Result);
   return Result;
 }
 

@@ -32,7 +32,6 @@
 
 #include "core/RegionMonitor.h"
 #include "gpd/CentroidPhaseDetector.h"
-#include "obs/Instruments.h"
 #include "rto/OptimizationModel.h"
 #include "sampling/Sampler.h"
 #include "sim/Engine.h"
@@ -92,10 +91,6 @@ struct RtoConfig {
   /// run seed so the same failure pattern can be replayed across
   /// strategies and sweeps.
   std::uint64_t DeployFailureSeed = 0;
-  /// Observability instruments (obs layer); null disables. Counters are
-  /// aggregated once per run; trace-lifecycle events use the monitor's
-  /// interval count as their logical clock. Must outlive the run.
-  const obs::RtoInstruments *Obs = nullptr;
 };
 
 /// Outcome of one optimizer run.

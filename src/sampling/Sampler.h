@@ -92,9 +92,6 @@ public:
   /// exponent.
   std::uint32_t setPeriodScaleLog2(std::uint32_t Log2);
 
-  /// Current dynamic period scale exponent (0 = configured base period).
-  std::uint32_t periodScaleLog2() const { return ScaleLog2; }
-
   /// Effective period: PeriodCycles << scale, saturating.
   Cycles effectivePeriodCycles() const {
     return scaledPeriod(Config.PeriodCycles, ScaleLog2);

@@ -332,9 +332,6 @@ public:
   /// intervals to apply the recommendation.
   Cycles recommendedPeriodCycles(StreamId Stream) const;
 
-  /// Returns the number of registered streams.
-  std::size_t streamCount() const { return Streams.size(); }
-
   /// Returns the service configuration.
   const ServiceConfig &config() const { return Config; }
 

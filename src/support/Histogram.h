@@ -102,12 +102,6 @@ public:
     SumSq = Other.SumSq;
   }
 
-  /// Returns the bin index of address \p Pc.
-  std::size_t binFor(Addr Pc) const {
-    assert(Pc >= StartAddr && "sample below the region");
-    return static_cast<std::size_t>((Pc - StartAddr) / InstrBytes);
-  }
-
   /// Returns the base address of the covered region.
   Addr start() const { return StartAddr; }
   /// Returns the number of instruction bins.

@@ -208,11 +208,6 @@ bool IntervalTree::erase(Addr Start, Addr End, std::uint32_t Value) {
   return Erased;
 }
 
-void IntervalTree::stab(
-    Addr Point, const std::function<void(std::uint32_t)> &Visit) const {
-  stabNode(Root.get(), Point, Visit);
-}
-
 void IntervalTree::stab(Addr Point, std::vector<std::uint32_t> &Out) const {
   stabNode(Root.get(), Point,
            [&Out](std::uint32_t V) { Out.push_back(V); });

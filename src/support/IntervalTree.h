@@ -23,7 +23,6 @@
 #include "support/Types.h"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,9 +57,6 @@ public:
   /// Removes one interval exactly matching (\p Start, \p End, \p Value).
   /// Returns true if an entry was removed.
   bool erase(Addr Start, Addr End, std::uint32_t Value);
-
-  /// Invokes \p Visit(value) for every stored interval containing \p Point.
-  void stab(Addr Point, const std::function<void(std::uint32_t)> &Visit) const;
 
   /// Appends the payloads of every stored interval containing \p Point to
   /// \p Out. Allocation-free when \p Out has reserved capacity; this is the

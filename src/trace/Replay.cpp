@@ -37,9 +37,11 @@ ReplayResult regmon::trace::replayRecords(const ScanResult &Scan,
     Out.Ok = true; // a fresh trace replays to a fresh service
     return Out;
   }
-  if (Cfg.RequireConfigMatch &&
-      (Scan.Records.front().Kind != RecordKind::Config ||
-       Scan.Records.front().Config != Service.configFingerprint())) {
+  // Byte-compare the Config record against the replaying service before
+  // applying anything: a replay under a different configuration diverges
+  // in ways that are much harder to diagnose downstream.
+  if (Scan.Records.front().Kind != RecordKind::Config ||
+      Scan.Records.front().Config != Service.configFingerprint()) {
     Out.ConfigMismatch = true;
     return Out;
   }

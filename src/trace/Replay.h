@@ -43,11 +43,6 @@ struct ReplayConfig {
   /// replaying service to have persistence attached). Off by default:
   /// most replays only want the in-memory state back.
   bool ApplyCheckpoints = false;
-  /// Byte-compare the trace's Config record against the replaying
-  /// service's fingerprint before applying anything. Leave on: a replay
-  /// under a different configuration diverges in ways that are much
-  /// harder to diagnose downstream.
-  bool RequireConfigMatch = true;
 };
 
 /// What \ref replayRecords did.

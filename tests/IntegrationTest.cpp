@@ -159,21 +159,4 @@ TEST(Integration, DetectorsAreDeterministic) {
   EXPECT_EQ(A.Monitor.regions().size(), B.Monitor.regions().size());
 }
 
-TEST(Integration, AttributionStrategyDoesNotChangeResults) {
-  // Fig. 16's precondition: list and interval-tree attribution are
-  // behaviourally identical; only cost differs.
-  core::RegionMonitorConfig ListConfig;
-  ListConfig.Attribution = core::AttributorKind::List;
-  const FullRun WithList("254.gap", 45'000, ListConfig);
-  const FullRun WithTree("254.gap", 45'000);
-  EXPECT_EQ(WithList.totalLocalChanges(), WithTree.totalLocalChanges());
-  EXPECT_EQ(WithList.Monitor.regions().size(),
-            WithTree.Monitor.regions().size());
-  ASSERT_EQ(WithList.Monitor.ucrHistory().size(),
-            WithTree.Monitor.ucrHistory().size());
-  for (std::size_t I = 0; I < WithList.Monitor.ucrHistory().size(); ++I)
-    ASSERT_DOUBLE_EQ(WithList.Monitor.ucrHistory()[I],
-                     WithTree.Monitor.ucrHistory()[I]);
-}
-
 } // namespace

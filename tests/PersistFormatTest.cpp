@@ -46,6 +46,7 @@
 #include <filesystem>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -1226,6 +1227,107 @@ TEST(PersistStateCodec, RegionMonitorRejectsTruncationAndResets) {
   ByteReader R(Bytes);
   EXPECT_FALSE(StateCodec::decode(R, Mismatched));
   EXPECT_TRUE(Mismatched.regions().empty());
+}
+
+/// One region of a hand-written monitor payload.
+struct ForgedRegion {
+  Addr Start = 0x1000;
+  Addr End = 0x1000 + 8 * InstrBytes;
+  std::uint64_t FormedAt = 0;
+  bool Active = true;
+  std::uint64_t LastSampled = 0;
+};
+
+/// Writes a default-config monitor payload in the layout of
+/// StateCodec::encode(ByteWriter &, const RegionMonitor &): the bytes a
+/// CRC-valid forged snapshot would carry. Every region is otherwise cold.
+std::vector<std::uint8_t> forgeMonitor(std::uint64_t Intervals,
+                                       const std::vector<ForgedRegion> &Rs) {
+  const core::RegionMonitorConfig Cfg;
+  const std::unique_ptr<core::SimilarityMetric> Metric =
+      core::makeSimilarity(Cfg.Similarity.Kind);
+  ByteWriter W;
+  W.boolean(Cfg.TrackMissPhases);
+  W.boolean(Cfg.RecordTimelines);
+  W.u64(Cfg.MissWindowIntervals);
+  W.u64(Intervals);
+  W.u64(/*FormationTriggers=*/Rs.size());
+  W.u64(/*UndersampledIntervals=*/0);
+  W.vecF64(std::vector<double>(Intervals, 0.5)); // UCR history
+  W.u32(static_cast<std::uint32_t>(Rs.size()));
+  for (const ForgedRegion &F : Rs) {
+    const std::size_t Instrs = (F.End - F.Start) / InstrBytes;
+    W.str("forged");
+    W.u64(F.Start);
+    W.u64(F.End);
+    W.u64(F.FormedAt);
+    W.boolean(F.Active);
+    const InstrHistogram Empty(F.Start, F.End);
+    StateCodec::encode(W, Empty); // this interval's cycle histogram
+    StateCodec::encode(W, Empty); // and its miss histogram
+    StateCodec::encode(W, core::LocalPhaseDetector(Instrs, *Metric, Cfg.Lpd));
+    W.boolean(false); // no miss-channel detector
+    for (int Stat = 0; Stat < 7; ++Stat)
+      W.u64(0); // RegionStats
+    W.u64(F.LastSampled);
+    W.vecU64(std::vector<std::uint64_t>(Instrs, 0)); // cumulative misses
+    StateCodec::encode(W, WindowedStats(Cfg.MissWindowIntervals));
+  }
+  return W.take();
+}
+
+/// Decode never consults the code map.
+class NoCodeMap final : public core::CodeMap {
+public:
+  std::optional<core::CodeRegionInfo> regionFor(Addr) const override {
+    return std::nullopt;
+  }
+};
+
+bool monitorLoads(const std::vector<std::uint8_t> &Bytes) {
+  const NoCodeMap Map;
+  core::RegionMonitor M(Map);
+  ByteReader R(Bytes);
+  const bool Loaded = StateCodec::decode(R, M) && R.atEnd();
+  EXPECT_EQ(Loaded, !M.regions().empty()) << "a failed decode must reset";
+  return Loaded;
+}
+
+TEST(PersistStateCodec, RegionMonitorRejectsDuplicateActiveBounds) {
+  // Formation skips a candidate whose bounds equal an active region's.
+  // Two active regions over one range would attribute every sample there
+  // twice. The copies are not adjacent, so the check cannot rely on order.
+  ForgedRegion First;
+  ForgedRegion Other;
+  Other.Start = First.End;
+  Other.End = First.End + 4 * InstrBytes;
+  Other.FormedAt = Other.LastSampled = 1;
+  ForgedRegion Copy = First;
+  Copy.FormedAt = Copy.LastSampled = 2;
+
+  EXPECT_FALSE(monitorLoads(forgeMonitor(4, {First, Other, Copy})));
+  // Control: the first copy pruned before the second formed, a state
+  // formation reaches.
+  First.Active = false;
+  EXPECT_TRUE(monitorLoads(forgeMonitor(4, {First, Other, Copy})));
+}
+
+TEST(PersistStateCodec, RegionMonitorRejectsSampleClockOutsideItsLifetime) {
+  // Formation stamps both clocks inside an interval that then completes,
+  // and sampling only moves the sample clock forward: FormedAt <=
+  // LastSampled < Intervals. A clock past the interval count would wrap
+  // pruneCold's idle subtraction.
+  const auto Payload = [](std::uint64_t LastSampled) {
+    ForgedRegion F;
+    F.FormedAt = 3;
+    F.LastSampled = LastSampled;
+    return forgeMonitor(/*Intervals=*/10, {F});
+  };
+  EXPECT_TRUE(monitorLoads(Payload(3)));
+  EXPECT_TRUE(monitorLoads(Payload(9)));
+  EXPECT_FALSE(monitorLoads(Payload(10)));
+  EXPECT_FALSE(monitorLoads(Payload(~std::uint64_t{0})));
+  EXPECT_FALSE(monitorLoads(Payload(2))); // sampled before it was formed
 }
 
 TEST(PersistStateCodec, CentroidDetectorRoundTripAndContinuation) {

@@ -10,8 +10,7 @@
 //   regmon-cli gpd <workload> [--period N] [--seed N]
 //   regmon-cli monitor <workload> [--period N] [--seed N]
 //                      [--similarity pearson|cosine|overlap]
-//                      [--attribution tree|list] [--adaptive-rt]
-//                      [--miss-phases] [--prune N]
+//                      [--adaptive-rt] [--miss-phases] [--prune N]
 //   regmon-cli rto <workload> [--period N] [--seed N]
 //                  [--self-monitor off|oracle|observed]
 //   regmon-cli sweep <workload> [--seed N]
@@ -79,7 +78,6 @@ struct Options {
   Cycles Period = 45'000;
   std::uint64_t Seed = 1;
   core::SimilarityKind Similarity = core::SimilarityKind::Pearson;
-  core::AttributorKind Attribution = core::AttributorKind::IntervalTree;
   bool AdaptiveRt = false;
   bool MissPhases = false;
   std::optional<std::uint64_t> PruneAfter;
@@ -133,9 +131,8 @@ void printUsage(std::FILE *To, const char *Prog) {
       "  replay <workload>         re-drive a recorded trace, export metrics\n"
       "  trace-verify              scan a trace file, optionally repair it\n"
       "common flags: --period N --seed N\n"
-      "monitor flags: --similarity pearson|cosine|overlap "
-      "--attribution tree|list\n"
-      "               --adaptive-rt --miss-phases --prune N\n"
+      "monitor flags: --similarity pearson|cosine|overlap --adaptive-rt\n"
+      "               --miss-phases --prune N\n"
       "rto flags: --self-monitor off|oracle|observed\n"
       "serve flags: --streams N --workers N --queue N "
       "--policy block|drop --intervals N\n"
@@ -191,18 +188,6 @@ bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
       Opts.Similarity = core::SimilarityKind::Overlap;
     else {
       std::fprintf(stderr, "error: unknown similarity '%s'\n", V.c_str());
-      std::exit(2);
-    }
-    return true;
-  }
-  if (Flag == "--attribution") {
-    const std::string V = Next();
-    if (V == "tree")
-      Opts.Attribution = core::AttributorKind::IntervalTree;
-    else if (V == "list")
-      Opts.Attribution = core::AttributorKind::List;
-    else {
-      std::fprintf(stderr, "error: unknown attribution '%s'\n", V.c_str());
       std::exit(2);
     }
     return true;
@@ -400,7 +385,6 @@ int cmdMonitor(const Options &Opts) {
 
   core::RegionMonitorConfig Config;
   Config.Similarity = Opts.Similarity;
-  Config.Attribution = Opts.Attribution;
   Config.Lpd.AdaptiveThreshold = Opts.AdaptiveRt;
   Config.TrackMissPhases = Opts.MissPhases;
   if (Opts.PruneAfter) {
@@ -757,7 +741,6 @@ void runObserved(const Options &Opts, obs::MetricsRegistry &Registry,
 
   core::RegionMonitorConfig Config;
   Config.Similarity = Opts.Similarity;
-  Config.Attribution = Opts.Attribution;
   Config.Lpd.AdaptiveThreshold = Opts.AdaptiveRt;
   Config.TrackMissPhases = Opts.MissPhases;
   if (Opts.PruneAfter) {
