@@ -6,13 +6,17 @@
 //
 // Fig. 16: "Improvement from using interval trees instead of simple
 // lists" for sample attribution. Each benchmark's final region set is
-// loaded into both attribution structures and the identical recorded
+// loaded into the three attribution structures and the identical recorded
 // sample stream is looked up through each; we report the interval-tree
-// cost normalized to the list cost.
+// cost normalized to the list cost, and beside it the cost of the flat
+// segment table the RegionMonitor attributes through, timed through the
+// span lookup the monitor uses. Exits 1 unless all three structures
+// count the same hits on every program.
 //
-// Expected shape: ~1 (or slightly above, from tree maintenance) for
-// programs with a handful of regions; well below 1 for the many-region
-// programs (gcc, crafty, parser, bzip2, fma3d in the paper).
+// Expected shape: tree/list ~1 (or slightly above, from tree maintenance)
+// for programs with a handful of regions; well below 1 for the
+// many-region programs (gcc, crafty, parser, bzip2, fma3d in the paper).
+// table/list below 1 everywhere.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,11 +31,11 @@ using namespace regmon;
 using namespace regmon::bench;
 
 int main() {
-  std::printf("[Fig. 16] Attribution cost: interval tree normalized to "
-              "list @ 45K\n\n");
+  std::printf("[Fig. 16] Attribution cost: interval tree and segment "
+              "table normalized to list @ 45K\n\n");
   TextTable Table;
   Table.header({"benchmark", "regions", "list ms", "tree ms",
-                "tree/list factor"});
+                "tree/list factor", "table ms", "table/list"});
 
   std::vector<std::string> Names = workloads::fig6Names();
   Names.push_back("179.art"); // the paper's Fig. 16 adds 179.art
@@ -46,15 +50,17 @@ int main() {
 
     core::ListAttributor List;
     core::IntervalTreeAttributor Tree;
+    core::SegmentAttributor Segments;
     for (core::RegionId Id : Ids) {
       const core::Region &R = Run.monitor().regions()[Id];
       List.insert(Id, R.Start, R.End);
       Tree.insert(Id, R.Start, R.End);
+      Segments.insert(Id, R.Start, R.End);
     }
 
     std::vector<core::RegionId> Scratch;
     Scratch.reserve(8);
-    std::uint64_t HitsList = 0, HitsTree = 0;
+    std::uint64_t HitsList = 0, HitsTree = 0, HitsTable = 0;
     const double ListSec = timeSeconds([&] {
       for (const auto &Interval : Stream.Intervals)
         for (const Sample &S : Interval) {
@@ -71,7 +77,12 @@ int main() {
           HitsTree += Scratch.size();
         }
     });
-    if (HitsList != HitsTree) {
+    const double TableSec = timeSeconds([&] {
+      for (const auto &Interval : Stream.Intervals)
+        for (const Sample &S : Interval)
+          HitsTable += Segments.lookup(S.Pc).size();
+    });
+    if (HitsList != HitsTree || HitsList != HitsTable) {
       std::fprintf(stderr, "attribution mismatch on %s\n", Name.c_str());
       return 1;
     }
@@ -79,7 +90,9 @@ int main() {
     Table.row({Name, TextTable::count(Ids.size()),
                TextTable::num(ListSec * 1e3, 2),
                TextTable::num(TreeSec * 1e3, 2),
-               TextTable::num(ListSec > 0 ? TreeSec / ListSec : 0, 3)});
+               TextTable::num(ListSec > 0 ? TreeSec / ListSec : 0, 3),
+               TextTable::num(TableSec * 1e3, 2),
+               TextTable::num(ListSec > 0 ? TableSec / ListSec : 0, 3)});
   }
   std::printf("%s", Table.render().c_str());
   return 0;

@@ -22,6 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 using namespace regmon;
@@ -65,9 +66,15 @@ void BM_Attribution(benchmark::State &State, AttributorT Attrib) {
   Out.reserve(16);
   std::size_t I = 0;
   for (auto _ : State) {
-    Out.clear();
-    Attrib.lookup(Pcs[I++ & 1023], Out);
-    benchmark::DoNotOptimize(Out.data());
+    const Addr Pc = Pcs[I++ & 1023];
+    if constexpr (std::is_same_v<AttributorT, core::SegmentAttributor>) {
+      // The table answers with a span into itself, as the monitor uses it.
+      benchmark::DoNotOptimize(Attrib.lookup(Pc).data());
+    } else {
+      Out.clear();
+      Attrib.lookup(Pc, Out);
+      benchmark::DoNotOptimize(Out.data());
+    }
   }
 }
 
@@ -125,6 +132,11 @@ BENCHMARK_CAPTURE(BM_Attribution, list, core::ListAttributor())
     ->Arg(64)
     ->Arg(256);
 BENCHMARK_CAPTURE(BM_Attribution, tree, core::IntervalTreeAttributor())
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256);
+BENCHMARK_CAPTURE(BM_Attribution, table, core::SegmentAttributor())
     ->Arg(4)
     ->Arg(16)
     ->Arg(64)

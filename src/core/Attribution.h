@@ -6,19 +6,24 @@
 ///
 /// \file
 /// Distributing performance-counter samples across monitored regions is the
-/// dominant cost of region monitoring (paper section 3.2.3). Two structures
-/// with one shape (insert / remove / lookup / size) are provided:
+/// dominant cost of region monitoring (paper section 3.2.3). Three
+/// structures with one insert / remove / size shape are provided:
 ///
 ///  * ListAttributor         -- walk the region list: O(n) per sample, the
 ///                              scheme the prototype started with, kept as
 ///                              Fig. 16's baseline;
 ///  * IntervalTreeAttributor -- stab an augmented interval tree:
 ///                              O(log n + k) per sample, the improvement the
-///                              paper proposes and the RegionMonitor's index.
+///                              paper proposes, kept as Fig. 16's second
+///                              column;
+///  * SegmentAttributor      -- binary-search a flat table of elementary
+///                              segments: O(log n) per sample with no
+///                              pointer chase and no output buffer, the
+///                              RegionMonitor's index.
 ///
-/// Both report *every* region containing the PC: regions overlap (nested
-/// loops), which is why Fig. 2's stacked sample counts exceed the buffer
-/// size.
+/// All three report *every* region containing the PC: regions overlap
+/// (nested loops), which is why Fig. 2's stacked sample counts exceed the
+/// buffer size.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,10 +31,13 @@
 #define REGMON_CORE_ATTRIBUTION_H
 
 #include "core/Region.h"
+#include "support/Contracts.h"
 #include "support/IntervalTree.h"
 #include "support/Types.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace regmon::core {
@@ -70,6 +78,66 @@ public:
 
 private:
   IntervalTree Tree;
+};
+
+/// The region set cut into elementary segments: the sorted, unique region
+/// bounds split the address space into runs that every region either
+/// covers whole or misses, so one table row per run answers every PC in
+/// it. The region set changes only at formation and retirement, while
+/// every sample is looked up, so insert and remove rebuild the table
+/// eagerly (O(n log n + ids)) and lookup is one branch-free binary search.
+/// A table that was never filled holds no storage.
+class SegmentAttributor {
+public:
+  /// Registers region \p Id covering [\p Start, \p End) and rebuilds.
+  void insert(RegionId Id, Addr Start, Addr End);
+
+  /// Unregisters a region previously inserted with identical bounds and
+  /// rebuilds.
+  void remove(RegionId Id, Addr Start, Addr End);
+
+  /// Returns the id of every region containing \p Pc, in insertion order.
+  /// The span points into the table and stays valid until the next insert
+  /// or remove.
+  REGMON_HOT std::span<const RegionId> lookup(Addr Pc) const {
+    std::size_t N = Bounds.size();
+    if (N == 0)
+      return {};
+    // The last bound <= Pc; Bounds[0] is 0, so one always exists. Each
+    // step keeps it inside [Base, Base + N) and compiles to a conditional
+    // move: consecutive samples rarely share a segment, so a data-
+    // dependent branch here would mispredict about half the time.
+    const Addr *Base = Bounds.data();
+    while (N > 1) {
+      const std::size_t Half = N / 2;
+      Base = Base[Half] <= Pc ? Base + Half : Base;
+      N -= Half;
+    }
+    const auto Segment = static_cast<std::size_t>(Base - Bounds.data());
+    return {Ids.data() + Offsets[Segment], Ids.data() + Offsets[Segment + 1]};
+  }
+
+  /// Returns the number of registered regions.
+  std::size_t size() const { return Entries.size(); }
+
+private:
+  /// Recomputes Bounds, Offsets and Ids from Entries.
+  void rebuild();
+
+  struct Entry {
+    Addr Start;
+    Addr End;
+    RegionId Id;
+  };
+  /// The registered regions, in insertion order.
+  std::vector<Entry> Entries;
+  /// 0, then every distinct region bound, ascending: segment S is
+  /// [Bounds[S], Bounds[S + 1]), and the last one runs to the top of the
+  /// address space (no region reaches into it).
+  std::vector<Addr> Bounds;
+  /// Segment S's region ids are Ids[Offsets[S], Offsets[S + 1]).
+  std::vector<std::uint32_t> Offsets;
+  std::vector<RegionId> Ids;
 };
 
 } // namespace regmon::core

@@ -142,7 +142,7 @@ std::uint64_t RegionMonitor::totalSamples() const {
 void RegionMonitor::reset() {
   Regions.clear();
   Records.clear();
-  Index = IntervalTreeAttributor();
+  Index = SegmentAttributor();
   UcrHistory.clear();
   Intervals = 0;
   FormationTriggers = 0;
@@ -243,44 +243,12 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   }
 
   // 1. Attribute every sample; unmatched samples belong to the UCR.
-  UcrScratch.clear();
+  if (UcrScratch.size() < Samples.size())
+    UcrScratch.resize(Samples.size());
   std::uint64_t RejectedNow = 0;
-  for (const Sample &S : Samples) {
-    LookupScratch.clear();
-    Index.lookup(S.Pc, LookupScratch);
-    if (LookupScratch.empty()) {
-      UcrScratch.push_back(S.Pc);
-      continue;
-    }
-    for (RegionId Id : LookupScratch) {
-      RegionRecord &Rec = Records[Id];
-      const std::ptrdiff_t Bin = Rec.Curr.tryAddSampleAt(S.Pc);
-      if (Bin < 0) {
-        // The attribution index said the PC falls inside this region but
-        // the histogram's bounds disagree -- a corrupted PC or a hostile
-        // restore desynchronized the two. Count it, never write OOB.
-        ++RejectedNow;
-        continue;
-      }
-      if (Fast)
-        SxyAcc[Id] += StablePtrs[Id][Bin];
-      if (S.DCacheMiss) {
-        if (FastMiss) {
-          // Same bounds as the cycle histogram, which just accepted the
-          // PC, so the miss histogram cannot reject it.
-          const std::ptrdiff_t MissBin = Rec.CurrMiss.tryAddSampleAt(S.Pc);
-          assert(MissBin >= 0 && "miss histogram disagrees on bounds");
-          if (MissBin >= 0)
-            MissSxyAcc[Id] +=
-                MissStablePtrs[Id][static_cast<std::size_t>(MissBin)];
-        } else {
-          Rec.CurrMiss.addSample(S.Pc);
-        }
-      }
-    }
-  }
+  const std::size_t UcrCount = attributeSamples(Samples, RejectedNow);
   OutOfRegionSamples += RejectedNow;
-  const double UcrFraction = static_cast<double>(UcrScratch.size()) /
+  const double UcrFraction = static_cast<double>(UcrCount) /
                              static_cast<double>(Samples.size());
   UcrHistory.push_back(UcrFraction);
 
@@ -293,7 +261,7 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
 
   // 2. Working-set change? Build regions for the new hot code.
   if (!Undersampled && UcrFraction > Config.UcrTriggerFraction)
-    triggerFormation(UcrScratch);
+    triggerFormation(std::span<const Addr>(UcrScratch).first(UcrCount));
 
   // 3. Local phase detection, one region at a time. Regions formed in step
   // 2 start analyzing with the *next* interval (their histograms for this
@@ -379,7 +347,7 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   if (Obs) {
     obs::addTo(Obs->Intervals);
     obs::addTo(Obs->SamplesTotal, Samples.size());
-    obs::addTo(Obs->SamplesUcr, UcrScratch.size());
+    obs::addTo(Obs->SamplesUcr, UcrCount);
     obs::addTo(Obs->SamplesOutOfRegion, RejectedNow);
     if (Undersampled)
       obs::addTo(Obs->UndersampledIntervals);
@@ -391,7 +359,49 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   }
 
   ++Intervals;
-  return UcrScratch.size();
+  return UcrCount;
+}
+
+REGMON_HOT std::size_t
+RegionMonitor::attributeSamples(std::span<const Sample> Samples,
+                                std::uint64_t &Rejected) {
+  const bool Fast = IncrementalSimilarity;
+  const bool FastMiss = Fast && Config.TrackMissPhases;
+  std::size_t UcrCount = 0;
+  for (const Sample &S : Samples) {
+    const std::span<const RegionId> Hits = Index.lookup(S.Pc);
+    if (Hits.empty()) {
+      UcrScratch[UcrCount++] = S.Pc;
+      continue;
+    }
+    for (RegionId Id : Hits) {
+      RegionRecord &Rec = Records[Id];
+      const std::ptrdiff_t Bin = Rec.Curr.tryAddSampleAt(S.Pc);
+      if (Bin < 0) {
+        // The attribution index said the PC falls inside this region but
+        // the histogram's bounds disagree -- a corrupted PC or a hostile
+        // restore desynchronized the two. Count it, never write OOB.
+        ++Rejected;
+        continue;
+      }
+      if (Fast)
+        SxyAcc[Id] += StablePtrs[Id][Bin];
+      if (S.DCacheMiss) {
+        if (FastMiss) {
+          // Same bounds as the cycle histogram, which just accepted the
+          // PC, so the miss histogram cannot reject it.
+          const std::ptrdiff_t MissBin = Rec.CurrMiss.tryAddSampleAt(S.Pc);
+          assert(MissBin >= 0 && "miss histogram disagrees on bounds");
+          if (MissBin >= 0)
+            MissSxyAcc[Id] +=
+                MissStablePtrs[Id][static_cast<std::size_t>(MissBin)];
+        } else {
+          Rec.CurrMiss.addSample(S.Pc);
+        }
+      }
+    }
+  }
+  return UcrCount;
 }
 
 void RegionMonitor::triggerFormation(std::span<const Addr> UcrPcs) {

@@ -38,6 +38,7 @@
 #include "core/Region.h"
 #include "core/Similarity.h"
 #include "obs/Instruments.h"
+#include "support/Contracts.h"
 #include "support/Histogram.h"
 #include "support/Statistics.h"
 #include "support/Types.h"
@@ -307,6 +308,14 @@ private:
   /// both build regions here. The reference is valid until the next call.
   RegionRecord &addRegion(Region R, bool Active);
   const RegionRecord &record(RegionId Id) const;
+  /// Step 1 of observeInterval, once per sample: charges each sample to
+  /// every active region containing its PC (with the incremental engine,
+  /// also to the region's cross moment, primed by observeInterval) and
+  /// writes the PCs no region claims to the front of UcrScratch, which
+  /// must hold Samples.size() entries. Returns how many it wrote, and adds
+  /// to \p Rejected the hits a region's histogram refused.
+  REGMON_HOT std::size_t attributeSamples(std::span<const Sample> Samples,
+                                          std::uint64_t &Rejected);
   void triggerFormation(std::span<const Addr> UcrPcs);
   void pruneCold();
   void emit(RegionEvent::Kind K, RegionId Id);
@@ -314,8 +323,9 @@ private:
   const CodeMap &Map;
   RegionMonitorConfig Config;
   /// The attribution index: holds exactly the active regions. Only
-  /// addRegion inserts, only pruneCold removes, and reset clears it.
-  IntervalTreeAttributor Index;
+  /// addRegion inserts, only pruneCold removes (each rebuilds the table),
+  /// and reset clears it.
+  SegmentAttributor Index;
   /// Declared before Metric: the constructor's makeSimilarity call writes
   /// through its address, so it must be initialized first.
   bool SimilarityFellBack = false;
@@ -339,7 +349,9 @@ private:
   bool IncrementalSimilarity = false;
 
   // Reused scratch buffers (hot path).
-  std::vector<RegionId> LookupScratch;
+  /// The interval's unclaimed PCs, written by index: it grows to the
+  /// largest buffer seen and never shrinks, so only its first N entries
+  /// belong to the current interval.
   std::vector<Addr> UcrScratch;
   /// Incremental engine scratch, re-primed each interval: per-region
   /// cross moments sum(prev_i * curr_i) accumulated as samples land, and

@@ -234,6 +234,10 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
   if (!R.ok() || RegionCount > MaxRegionsDecoded)
     return Reject();
 
+  // Formation never holds more than MaxRegions active regions. Refusing
+  // more as they arrive also bounds the attribution table, which every
+  // active region rebuilds and whose size grows with nesting depth.
+  std::uint64_t ActiveCount = 0;
   for (std::uint32_t Id = 0; Id < RegionCount; ++Id) {
     core::Region Reg;
     if (!R.str(Reg.Name))
@@ -245,6 +249,8 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
     if (!R.ok() || Reg.Start >= Reg.End || Reg.Start % InstrBytes != 0 ||
         Reg.End % InstrBytes != 0 ||
         (Reg.End - Reg.Start) / InstrBytes > MaxInstrsPerRegion)
+      return Reject();
+    if (IsActive && ++ActiveCount > M.Config.MaxRegions)
       return Reject();
     const std::uint64_t Instrs = Reg.instrCount();
     const std::uint64_t FormedAt = Reg.FormedAtInterval;

@@ -53,9 +53,10 @@ public:
   /// optional timelines). Decode requires \p M freshly constructed (or
   /// reset) with the *same configuration* the encoder ran under, builds
   /// each region through the monitor as formation does, and refuses
-  /// region state formation cannot reach (two active regions with equal
-  /// bounds, a sample clock outside [formed, intervals)); on failure \p M
-  /// is reset back to cold state.
+  /// region state formation cannot reach (more active regions than
+  /// MaxRegions, two active regions with equal bounds, a sample clock
+  /// outside [formed, intervals)); on failure \p M is reset back to cold
+  /// state.
   static void encode(ByteWriter &W, const core::RegionMonitor &M);
   static bool decode(ByteReader &R, core::RegionMonitor &M);
 

@@ -17,6 +17,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace regmon;
@@ -24,9 +28,22 @@ using namespace regmon::core;
 
 namespace {
 
+/// Appends to \p Out the id of every region of \p A containing \p Pc. The
+/// list and the tree append in place; the table hands back a span into
+/// itself, which is copied.
+void lookupInto(const auto &A, Addr Pc, std::vector<RegionId> &Out) {
+  if constexpr (std::is_same_v<std::remove_cvref_t<decltype(A)>,
+                               SegmentAttributor>) {
+    const std::span<const RegionId> Ids = A.lookup(Pc);
+    Out.insert(Out.end(), Ids.begin(), Ids.end());
+  } else {
+    A.lookup(Pc, Out);
+  }
+}
+
 std::vector<RegionId> lookupSorted(const auto &A, Addr Pc) {
   std::vector<RegionId> Out;
-  A.lookup(Pc, Out);
+  lookupInto(A, Pc, Out);
   std::sort(Out.begin(), Out.end());
   return Out;
 }
@@ -35,20 +52,32 @@ std::vector<RegionId> lookupSorted(const auto &A, Addr Pc) {
 enum class Structure : std::uint8_t {
   List,
   IntervalTree,
+  Table,
 };
 
-/// Both structures behind one parameterized suite: every behavioural test
-/// must hold for the list and the interval tree alike. Each body is a
-/// generic lambda, so it calls the structure under test directly.
+/// The three structures behind one parameterized suite: every behavioural
+/// test must hold for the list, the interval tree and the segment table
+/// alike. Each body is a generic lambda, so it calls the structure under
+/// test directly.
 class AttributorTest : public ::testing::TestWithParam<Structure> {
 protected:
   template <class BodyT> void run(BodyT Body) const {
-    if (GetParam() == Structure::List) {
+    switch (GetParam()) {
+    case Structure::List: {
       ListAttributor A;
       Body(A);
-    } else {
+      return;
+    }
+    case Structure::IntervalTree: {
       IntervalTreeAttributor A;
       Body(A);
+      return;
+    }
+    case Structure::Table: {
+      SegmentAttributor A;
+      Body(A);
+      return;
+    }
     }
   }
 };
@@ -95,24 +124,98 @@ TEST_P(AttributorTest, LookupAppendsWithoutClearing) {
   run([](auto &A) {
     A.insert(7, 0x100, 0x200);
     std::vector<RegionId> Out = {42};
-    A.lookup(0x150, Out);
+    lookupInto(A, 0x150, Out);
     ASSERT_EQ(Out.size(), 2u);
     EXPECT_EQ(Out[0], 42u) << "existing contents preserved";
     EXPECT_EQ(Out[1], 7u);
   });
 }
 
+TEST_P(AttributorTest, IdenticalBoundsReportEveryId) {
+  run([](auto &A) {
+    A.insert(4, 0x1000, 0x1100);
+    A.insert(9, 0x1000, 0x1100);
+    EXPECT_EQ(lookupSorted(A, 0x1000), (std::vector<RegionId>{4, 9}));
+    EXPECT_EQ(lookupSorted(A, 0x10fc), (std::vector<RegionId>{4, 9}));
+    EXPECT_TRUE(lookupSorted(A, 0xffc).empty());
+    EXPECT_TRUE(lookupSorted(A, 0x1100).empty());
+  });
+}
+
+TEST_P(AttributorTest, AdjacentRegionsSplitAtTheSharedBound) {
+  run([](auto &A) {
+    A.insert(1, 0x1000, 0x1100);
+    A.insert(2, 0x1100, 0x1200);
+    EXPECT_EQ(lookupSorted(A, 0x10fc), std::vector<RegionId>{1});
+    EXPECT_EQ(lookupSorted(A, 0x1100), std::vector<RegionId>{2});
+    EXPECT_EQ(lookupSorted(A, 0x11fc), std::vector<RegionId>{2});
+    EXPECT_TRUE(lookupSorted(A, 0x1200).empty());
+  });
+}
+
+TEST_P(AttributorTest, RegionStartingAtAddressZero) {
+  run([](auto &A) {
+    A.insert(5, 0, 0x40);
+    EXPECT_EQ(lookupSorted(A, 0), std::vector<RegionId>{5});
+    EXPECT_EQ(lookupSorted(A, 0x3c), std::vector<RegionId>{5});
+    EXPECT_TRUE(lookupSorted(A, 0x40).empty());
+  });
+}
+
+TEST_P(AttributorTest, RegionEndingAtTheHighestAlignedAddress) {
+  run([](auto &A) {
+    constexpr Addr Top = ~Addr{InstrBytes - 1};
+    A.insert(6, Top - 0x40, Top);
+    EXPECT_TRUE(lookupSorted(A, Top - 0x44).empty());
+    EXPECT_EQ(lookupSorted(A, Top - 0x40), std::vector<RegionId>{6});
+    EXPECT_EQ(lookupSorted(A, Top - InstrBytes), std::vector<RegionId>{6});
+    EXPECT_TRUE(lookupSorted(A, Top).empty());
+    EXPECT_TRUE(lookupSorted(A, ~Addr{0}).empty());
+  });
+}
+
+TEST_P(AttributorTest, RemovingEveryRegionMatchesNothing) {
+  run([](auto &A) {
+    A.insert(1, 0x1000, 0x2000);
+    A.insert(2, 0x1800, 0x1900);
+    A.remove(2, 0x1800, 0x1900);
+    A.remove(1, 0x1000, 0x2000);
+    EXPECT_EQ(A.size(), 0u);
+    for (Addr Pc : {Addr{0}, Addr{0x1000}, Addr{0x1880}, Addr{0x2000}})
+      EXPECT_TRUE(lookupSorted(A, Pc).empty()) << "pc " << Pc;
+    // An emptied structure fills again.
+    A.insert(3, 0x1800, 0x1900);
+    EXPECT_EQ(lookupSorted(A, 0x1880), std::vector<RegionId>{3});
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, AttributorTest,
                          ::testing::Values(Structure::List,
-                                           Structure::IntervalTree),
-                         [](const auto &Info) {
-                           return Info.param == Structure::List
-                                      ? "List"
-                                      : "IntervalTree";
+                                           Structure::IntervalTree,
+                                           Structure::Table),
+                         [](const auto &Info) -> std::string {
+                           switch (Info.param) {
+                           case Structure::List:
+                             return "List";
+                           case Structure::IntervalTree:
+                             return "IntervalTree";
+                           case Structure::Table:
+                             return "Table";
+                           }
+                           return "Unknown";
                          });
 
-/// Property sweep: the two structures agree on random region sets with
-/// interleaved removals.
+/// A table that was never filled holds no storage, yet every lookup
+/// answers with an empty span.
+TEST(SegmentAttributor, NeverFilledTableReturnsEmptySpans) {
+  const SegmentAttributor Table;
+  EXPECT_EQ(Table.size(), 0u);
+  for (Addr Pc : {Addr{0}, Addr{0x1000}, ~Addr{InstrBytes - 1}, ~Addr{0}})
+    EXPECT_TRUE(Table.lookup(Pc).empty()) << "pc " << Pc;
+}
+
+/// Property sweep: the three structures agree on random region sets with
+/// interleaved removals. (The name predates the table.)
 class AttributorEquivalenceTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -120,6 +223,7 @@ TEST_P(AttributorEquivalenceTest, ListAndTreeAgree) {
   Rng Random(GetParam());
   ListAttributor List;
   IntervalTreeAttributor Tree;
+  SegmentAttributor Table;
   struct Entry {
     RegionId Id;
     Addr Start, End;
@@ -132,19 +236,23 @@ TEST_P(AttributorEquivalenceTest, ListAndTreeAgree) {
       const Entry E = Live[Pick];
       List.remove(E.Id, E.Start, E.End);
       Tree.remove(E.Id, E.Start, E.End);
+      Table.remove(E.Id, E.Start, E.End);
       Live.erase(Live.begin() + static_cast<std::ptrdiff_t>(Pick));
     } else {
       const Addr Start = Random.nextBelow(10'000) * 4;
       const Addr End = Start + (1 + Random.nextBelow(256)) * 4;
       List.insert(Op, Start, End);
       Tree.insert(Op, Start, End);
+      Table.insert(Op, Start, End);
       Live.push_back(Entry{Op, Start, End});
     }
     ASSERT_EQ(List.size(), Tree.size());
+    ASSERT_EQ(List.size(), Table.size());
     for (int Probe = 0; Probe < 10; ++Probe) {
       const Addr Pc = Random.nextBelow(42'000);
-      ASSERT_EQ(lookupSorted(List, Pc), lookupSorted(Tree, Pc))
-          << "pc " << Pc << " op " << Op;
+      const std::vector<RegionId> Want = lookupSorted(List, Pc);
+      ASSERT_EQ(lookupSorted(Tree, Pc), Want) << "pc " << Pc << " op " << Op;
+      ASSERT_EQ(lookupSorted(Table, Pc), Want) << "pc " << Pc << " op " << Op;
     }
   }
 }
@@ -153,8 +261,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AttributorEquivalenceTest,
                          ::testing::Range<std::uint64_t>(200, 210));
 
 /// Fig. 16's inputs: a workload's final region set, nested loops included,
-/// loaded into both structures, and every sample of its recorded stream
-/// looked up through each.
+/// loaded into all three structures, and every sample of its recorded
+/// stream looked up through each. (The name predates the table.)
 TEST(AttributorEquivalence, ListAndTreeAgreeOnRecordedRegionSets) {
   for (const char *Name : {"254.gap", "176.gcc"}) {
     SCOPED_TRACE(Name);
@@ -170,10 +278,12 @@ TEST(AttributorEquivalence, ListAndTreeAgreeOnRecordedRegionSets) {
 
     ListAttributor List;
     IntervalTreeAttributor Tree;
+    SegmentAttributor Table;
     for (RegionId Id : Monitor.activeRegionIds()) {
       const Region &R = Monitor.regions()[Id];
       List.insert(Id, R.Start, R.End);
       Tree.insert(Id, R.Start, R.End);
+      Table.insert(Id, R.Start, R.End);
     }
     ASSERT_GT(List.size(), 1u);
 
@@ -182,10 +292,147 @@ TEST(AttributorEquivalence, ListAndTreeAgreeOnRecordedRegionSets) {
       for (const Sample &S : Interval) {
         const std::vector<RegionId> Want = lookupSorted(List, S.Pc);
         ASSERT_EQ(lookupSorted(Tree, S.Pc), Want) << "pc " << S.Pc;
+        ASSERT_EQ(lookupSorted(Table, S.Pc), Want) << "pc " << S.Pc;
         Hits += Want.size();
       }
     EXPECT_GT(Hits, 0u);
   }
+}
+
+/// Observes one interval through \p M and checks its attribution against
+/// a ListAttributor over the regions active going in: each of them holds
+/// exactly the samples the list gives it, and the returned UCR count is
+/// the samples the list gives no region. Counts are indexed by RegionId.
+void observeAgainstList(RegionMonitor &M, std::span<const Sample> Interval) {
+  const std::vector<RegionId> Active = M.activeRegionIds();
+  ListAttributor List;
+  for (RegionId Id : Active) {
+    const Region &R = M.regions()[Id];
+    List.insert(Id, R.Start, R.End);
+  }
+  std::vector<std::uint64_t> Want(M.regions().size(), 0);
+  std::uint64_t WantUcr = 0;
+  std::vector<RegionId> Hits;
+  for (const Sample &S : Interval) {
+    Hits.clear();
+    List.lookup(S.Pc, Hits);
+    WantUcr += Hits.empty() ? 1 : 0;
+    for (RegionId Id : Hits)
+      ++Want[Id];
+  }
+
+  ASSERT_EQ(M.observeInterval(Interval), WantUcr)
+      << "interval " << M.intervals();
+  for (RegionId Id : Active)
+    ASSERT_EQ(M.lastSampleCount(Id), Want[Id])
+        << "region " << Id << " interval " << M.intervals() - 1;
+}
+
+/// Runs \p Stream through \p M, checking every interval against the list.
+void runAgainstList(RegionMonitor &M,
+                    const std::vector<std::vector<Sample>> &Stream) {
+  for (const std::vector<Sample> &Interval : Stream) {
+    observeAgainstList(M, Interval);
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  EXPECT_EQ(M.outOfRegionSamples(), 0u);
+}
+
+std::vector<std::vector<Sample>> recordStream(const workloads::Workload &W,
+                                              std::uint64_t Seed) {
+  sim::Engine Engine(W.Prog, W.Script, Seed);
+  sampling::Sampler Sampler(Engine, {45'000, 2032});
+  return Sampler.collectIntervals(64);
+}
+
+TEST(RegionMonitorAttribution, MatchesAListOnEveryWorkload) {
+  for (const std::string &Name : workloads::allNames()) {
+    SCOPED_TRACE(Name);
+    const workloads::Workload W = workloads::make(Name);
+    const sim::ProgramCodeMap Map(W.Prog);
+    RegionMonitor Monitor(Map);
+    runAgainstList(Monitor, recordStream(W, /*Seed=*/3));
+    if (HasFatalFailure())
+      return;
+  }
+}
+
+TEST(RegionMonitorAttribution, MatchesAListThroughRetirement) {
+  // Pruning after 4 idle intervals retires regions mid-stream, so the
+  // table is rebuilt on removal as well as on formation. At engine seed 3
+  // these 64 intervals form 160 regions and retire 128 of them.
+  const workloads::Workload W = workloads::make("176.gcc");
+  const sim::ProgramCodeMap Map(W.Prog);
+  RegionMonitorConfig Cfg;
+  Cfg.PruneColdRegions = true;
+  Cfg.PruneAfterIdleIntervals = 4;
+  RegionMonitor Monitor(Map, Cfg);
+  runAgainstList(Monitor, recordStream(W, /*Seed=*/3));
+  const std::size_t Formed = Monitor.regions().size();
+  const std::size_t Retired = Formed - Monitor.activeRegionCount();
+  EXPECT_GE(Formed, 100u);
+  EXPECT_GE(Retired, 100u);
+}
+
+/// Two loops, one nested in the other: PCs of the inner loop resolve to
+/// it, the rest of the outer loop's extent to the outer loop, and PCs
+/// past it to nothing.
+class NestedLoops final : public CodeMap {
+public:
+  static constexpr Addr OuterStart = 0x4000;
+  static constexpr Addr InnerStart = 0x4100;
+  static constexpr Addr InnerEnd = 0x4200;
+  static constexpr Addr OuterEnd = 0x4400;
+
+  std::optional<CodeRegionInfo> regionFor(Addr Pc) const override {
+    if (Pc >= InnerStart && Pc < InnerEnd)
+      return CodeRegionInfo{InnerStart, InnerEnd, "inner"};
+    if (Pc >= OuterStart && Pc < OuterEnd)
+      return CodeRegionInfo{OuterStart, OuterEnd, "outer"};
+    return std::nullopt;
+  }
+};
+
+TEST(RegionMonitorAttribution, MatchesAListOnNestedRegions) {
+  // No shipped workload forms overlapping regions, so this stream makes
+  // the outer loop form around an already formed inner loop: interval 0
+  // runs only the inner loop, later ones split between the inner loop,
+  // the rest of the outer loop and unregionable code.
+  Rng Random(11);
+  const auto Pick = [&](Addr Start, Addr End) {
+    return Start + Random.nextBelow((End - Start) / InstrBytes) * InstrBytes;
+  };
+  std::vector<std::vector<Sample>> Stream(12);
+  for (std::size_t I = 0; I < Stream.size(); ++I)
+    for (std::size_t K = 0; K < 2032; ++K) {
+      Sample S;
+      const std::size_t Where = I == 0 ? 0 : K % 4;
+      if (Where <= 1)
+        S.Pc = Pick(NestedLoops::InnerStart, NestedLoops::InnerEnd);
+      else if (Where == 2)
+        S.Pc = Random.nextBelow(2) == 0
+                   ? Pick(NestedLoops::OuterStart, NestedLoops::InnerStart)
+                   : Pick(NestedLoops::InnerEnd, NestedLoops::OuterEnd);
+      else
+        S.Pc = Pick(0x9000, 0x9100);
+      S.Time = (I * 2032 + K) * 45'000;
+      S.DCacheMiss = K % 7 == 0;
+      Stream[I].push_back(S);
+    }
+
+  const NestedLoops Map;
+  RegionMonitor Monitor(Map);
+  runAgainstList(Monitor, Stream);
+  ASSERT_EQ(Monitor.activeRegionCount(), 2u);
+  const Region &Inner = Monitor.regions()[0];
+  const Region &Outer = Monitor.regions()[1];
+  EXPECT_EQ(Inner.Start, NestedLoops::InnerStart);
+  EXPECT_EQ(Outer.Start, NestedLoops::OuterStart);
+  // Every inner sample also counts for the outer loop.
+  EXPECT_GT(Monitor.lastSampleCount(Inner.Id), 0u);
+  EXPECT_EQ(Monitor.lastSampleCount(Outer.Id),
+            Monitor.lastSampleCount(Inner.Id) + 2032 / 4);
 }
 
 } // namespace

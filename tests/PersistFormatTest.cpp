@@ -1330,6 +1330,28 @@ TEST(PersistStateCodec, RegionMonitorRejectsSampleClockOutsideItsLifetime) {
   EXPECT_FALSE(monitorLoads(Payload(2))); // sampled before it was formed
 }
 
+TEST(PersistStateCodec, RegionMonitorRejectsMoreActiveRegionsThanTheCap) {
+  // Formation stops at MaxRegions active regions. More in a payload would
+  // also grow the attribution table, rebuilt for every active region,
+  // past anything formation builds.
+  const std::size_t Cap = core::RegionMonitorConfig().MaxRegions;
+  const auto Disjoint = [](std::size_t Count) {
+    std::vector<ForgedRegion> Rs(Count);
+    for (std::size_t I = 0; I < Count; ++I) {
+      Rs[I].Start = 0x1000 + I * 8 * InstrBytes;
+      Rs[I].End = Rs[I].Start + 8 * InstrBytes;
+    }
+    return Rs;
+  };
+
+  EXPECT_TRUE(monitorLoads(forgeMonitor(4, Disjoint(Cap))));
+  // Retired regions do not count against the cap.
+  std::vector<ForgedRegion> WithRetired = Disjoint(Cap + 1);
+  WithRetired.back().Active = false;
+  EXPECT_TRUE(monitorLoads(forgeMonitor(4, WithRetired)));
+  EXPECT_FALSE(monitorLoads(forgeMonitor(4, Disjoint(Cap + 1))));
+}
+
 TEST(PersistStateCodec, CentroidDetectorRoundTripAndContinuation) {
   gpd::CentroidConfig Cfg;
   Cfg.AdaptiveWindow = true; // window capacity varies: the hard case
