@@ -6,9 +6,12 @@
 
 #include "core/LocalPhaseDetector.h"
 
+#include "support/Contracts.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 using namespace regmon;
 using namespace regmon::core;
@@ -39,43 +42,19 @@ LocalPhaseDetector::LocalPhaseDetector(std::size_t InstrCount,
   }
 }
 
+REGMON_PURE void
+LocalPhaseDetector::adopt(std::span<const std::uint32_t> CurrHist) {
+  std::copy(CurrHist.begin(), CurrHist.end(), PrevHist.begin());
+}
+
 REGMON_PURE LocalPhaseState
 LocalPhaseDetector::observe(std::span<const std::uint32_t> CurrHist) {
-  // The naive (oracle) entry: the current set's self moments are
-  // recomputed in one fused pass, and the cross moment -- when the metric
-  // can use it -- is recomputed inside Metric.compare. Identical integer
-  // sums to the incremental path, therefore identical results.
-  std::uint64_t Total = 0, SumSq = 0;
-  for (std::uint32_t Bin : CurrHist) {
-    Total += Bin;
-    SumSq += static_cast<std::uint64_t>(Bin) * Bin;
-  }
-  return advance(CurrHist, Total, SumSq, 0, /*HaveSxy=*/false);
-}
-
-REGMON_PURE LocalPhaseState
-LocalPhaseDetector::observeMoments(const InstrHistogram &Curr,
-                                   std::uint64_t SxyWithStable) {
-  return advance(Curr.bins(), Curr.total(), Curr.sumOfSquares(),
-                 SxyWithStable, /*HaveSxy=*/true);
-}
-
-REGMON_PURE void
-LocalPhaseDetector::adopt(std::span<const std::uint32_t> CurrHist,
-                               std::uint64_t Total, std::uint64_t SumSq) {
-  std::copy(CurrHist.begin(), CurrHist.end(), PrevHist.begin());
-  PrevSum = Total;
-  PrevSumSq = SumSq;
-}
-
-REGMON_PURE LocalPhaseState
-LocalPhaseDetector::advance(std::span<const std::uint32_t> CurrHist,
-                            std::uint64_t Total, std::uint64_t SumSq,
-                            std::uint64_t Sxy, bool HaveSxy) {
   assert(CurrHist.size() == PrevHist.size() &&
          "histogram does not match the region");
   StateBefore = State;
-  if (Config.MinObserveSamples > 0 && Total < Config.MinObserveSamples) {
+  if (Config.MinObserveSamples > 0 &&
+      std::accumulate(CurrHist.begin(), CurrHist.end(), std::uint64_t{0}) <
+          Config.MinObserveSamples) {
     // Degraded mode: too little sample mass for r to mean anything.
     // The machine holds, exactly as it does over an empty interval.
     ++SkippedUndersampled;
@@ -88,20 +67,14 @@ LocalPhaseDetector::advance(std::span<const std::uint32_t> CurrHist,
 
   if (!PrevValid) {
     // First non-empty interval: nothing to compare against yet.
-    adopt(CurrHist, Total, SumSq);
+    adopt(CurrHist);
     PrevValid = true;
     LastWasChange = false;
     LastWasCompare = false;
     return State;
   }
 
-  if (HaveSxy && Metric.supportsMoments()) {
-    // O(1) interval end: every moment is already accumulated.
-    const HistMoments M{PrevSum, Total, PrevSumSq, SumSq, Sxy};
-    LastR = Metric.compareMoments(PrevHist.size(), M);
-  } else {
-    LastR = Metric.compare(PrevHist, CurrHist);
-  }
+  LastR = Metric.compare(PrevHist, CurrHist);
   LastWasCompare = true;
   const bool Similar = LastR >= EffRt;
 
@@ -109,7 +82,7 @@ LocalPhaseDetector::advance(std::span<const std::uint32_t> CurrHist,
   case LocalPhaseState::Unstable:
     State = Similar ? LocalPhaseState::LessUnstable
                     : LocalPhaseState::Unstable;
-    adopt(CurrHist, Total, SumSq);
+    adopt(CurrHist);
     break;
 
   case LocalPhaseState::LessUnstable:
@@ -117,17 +90,17 @@ LocalPhaseDetector::advance(std::span<const std::uint32_t> CurrHist,
       // Entering stable: the current set becomes the frozen reference --
       // the latest confirmation of the behaviour we will hold others to.
       State = LocalPhaseState::Stable;
-      adopt(CurrHist, Total, SumSq);
+      adopt(CurrHist);
     } else {
       State = LocalPhaseState::Unstable;
-      adopt(CurrHist, Total, SumSq);
+      adopt(CurrHist);
     }
     break;
 
   case LocalPhaseState::Stable:
     if (!Similar) {
       State = LocalPhaseState::Unstable;
-      adopt(CurrHist, Total, SumSq);
+      adopt(CurrHist);
     }
     // else: stay stable, reference stays frozen.
     break;

@@ -98,17 +98,6 @@ public:
   /// region received at least one sample, and returns the updated state.
   LocalPhaseState observe(std::span<const std::uint32_t> CurrHist);
 
-  /// O(1) interval end: like \ref observe, but takes the current-interval
-  /// histogram's self moments from \p Curr (maintained sample by sample)
-  /// and the cross moment sum(prev_i * curr_i) in \p SxyWithStable,
-  /// accumulated by the caller as samples landed against the stable set
-  /// returned by \ref stableSet. Bit-identical to \ref observe when the
-  /// metric \ref SimilarityMetric::supportsMoments (both funnel through
-  /// the same integer moments); metrics without moment support fall back
-  /// to the O(bins) comparison internally, still bit-identical.
-  LocalPhaseState observeMoments(const InstrHistogram &Curr,
-                                 std::uint64_t SxyWithStable);
-
   /// Returns the current state.
   LocalPhaseState state() const { return State; }
   /// Returns the similarity value computed for the most recent non-empty
@@ -130,8 +119,7 @@ public:
   bool lastObservationChangedPhase() const { return LastWasChange; }
   /// Returns true if the most recent \ref observe actually computed a
   /// similarity value (false when it was gated, or adopted the first
-  /// stable set with nothing to compare against). Engine-independent, so
-  /// metrics derived from it stay byte-stable across engines.
+  /// stable set with nothing to compare against).
   bool lastObservationComparedR() const { return LastWasCompare; }
   /// Returns the state the machine held when the most recent \ref observe
   /// began (equal to \ref state when that observation held or was gated).
@@ -148,27 +136,13 @@ private:
   /// (persist/StateCodec.h).
   friend class persist::StateCodec;
 
-  /// The state-machine step shared by \ref observe and
-  /// \ref observeMoments. \p Total / \p SumSq are the current histogram's
-  /// self moments; \p Sxy is the cross moment with the stable set, valid
-  /// only when \p HaveSxy.
-  LocalPhaseState advance(std::span<const std::uint32_t> CurrHist,
-                          std::uint64_t Total, std::uint64_t SumSq,
-                          std::uint64_t Sxy, bool HaveSxy);
-
-  /// prev <- curr: copies the bins and re-primes the stable set's running
-  /// moments in O(1) from the current histogram's.
-  void adopt(std::span<const std::uint32_t> CurrHist, std::uint64_t Total,
-             std::uint64_t SumSq);
+  /// prev <- curr.
+  void adopt(std::span<const std::uint32_t> CurrHist);
 
   const SimilarityMetric &Metric;
   LocalDetectorConfig Config;
   double EffRt;
   std::vector<std::uint32_t> PrevHist;
-  /// Running moments of PrevHist (SumX / Sxx), re-primed on every adopt so
-  /// interval-end similarity never rescans the stable set.
-  std::uint64_t PrevSum = 0;
-  std::uint64_t PrevSumSq = 0;
   bool PrevValid = false;
   LocalPhaseState State = LocalPhaseState::Unstable;
   LocalPhaseState StateBefore = LocalPhaseState::Unstable;

@@ -6,6 +6,8 @@
 
 #include "core/RegionMonitor.h"
 
+#include "support/HotpathKernels.h"
+
 #include <algorithm>
 #include <cassert>
 #include <map>
@@ -31,15 +33,10 @@ obs::EventKind phaseEntryKind(LocalPhaseState S) {
 
 RegionMonitor::RegionMonitor(const CodeMap &CM, RegionMonitorConfig Cfg)
     : Map(CM), Config(Cfg),
-      Metric(makeSimilarity(Config.Similarity.Kind, &SimilarityFellBack)) {
+      Metric(makeSimilarity(Config.Similarity, &SimilarityFellBack)) {
   assert(Config.UcrTriggerFraction >= 0 && Config.UcrTriggerFraction <= 1 &&
          "UCR trigger must be a fraction");
   assert(Config.MaxRegions > 0 && "must allow at least one region");
-  // An out-of-enum engine value (version skew, fuzzed config) selects the
-  // naive oracle: always correct, merely slower.
-  IncrementalSimilarity =
-      Config.Similarity.Engine == SimilarityEngine::Incremental &&
-      Metric->supportsMoments();
 }
 
 void RegionMonitor::setEventHandler(EventHandler H) {
@@ -49,8 +46,7 @@ void RegionMonitor::setEventHandler(EventHandler H) {
 void RegionMonitor::attachObservability(const obs::MonitorInstruments *O) {
   Obs = O;
   if (Obs)
-    // A constant: identical whichever engine runs, so exports stay
-    // byte-stable across engines.
+    // A constant: only the four-lane kernel exists (HotpathKernels.h).
     obs::setGauge(Obs->HotpathKernel,
                   static_cast<double>(hotpathKernelId()));
   if (Obs && SimilarityFellBack) {
@@ -221,27 +217,6 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
       Rec.CurrMiss.reset();
     }
 
-  // Incremental engine: prime the per-region cross-moment accumulators
-  // and fetch each stable set's base pointer. Pointers are re-fetched
-  // every interval -- never cached across intervals -- because a
-  // checkpoint restore can reallocate a detector's stable-set buffer.
-  const bool Fast = IncrementalSimilarity;
-  const bool FastMiss = Fast && Config.TrackMissPhases;
-  if (Fast) {
-    SxyAcc.assign(Records.size(), 0);
-    StablePtrs.assign(Records.size(), nullptr);
-    for (RegionId Id = 0; Id < Records.size(); ++Id)
-      if (Records[Id].Active)
-        StablePtrs[Id] = Records[Id].Detector->stableSet().data();
-  }
-  if (FastMiss) {
-    MissSxyAcc.assign(Records.size(), 0);
-    MissStablePtrs.assign(Records.size(), nullptr);
-    for (RegionId Id = 0; Id < Records.size(); ++Id)
-      if (Records[Id].Active)
-        MissStablePtrs[Id] = Records[Id].MissDetector->stableSet().data();
-  }
-
   // 1. Attribute every sample; unmatched samples belong to the UCR.
   if (UcrScratch.size() < Samples.size())
     UcrScratch.resize(Samples.size());
@@ -279,10 +254,7 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
       RS.TotalSamples += Curr.total();
       Rec.LastSampledInterval = Intervals;
       if (!Undersampled) {
-        if (Fast)
-          Detector.observeMoments(Curr, SxyAcc[Id]);
-        else
-          Detector.observe(Curr.bins());
+        Detector.observe(Curr.bins());
         if (Obs) {
           if (Detector.lastObservationComparedR())
             obs::addTo(Obs->SimilarityCompares);
@@ -316,10 +288,7 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
       }
       if (!Undersampled && Config.TrackMissPhases && !Misses.empty()) {
         LocalPhaseDetector &MissDetector = *Rec.MissDetector;
-        if (Fast)
-          MissDetector.observeMoments(Misses, MissSxyAcc[Id]);
-        else
-          MissDetector.observe(Misses.bins());
+        MissDetector.observe(Misses.bins());
         RS.MissPhaseChanges = MissDetector.phaseChanges();
         if (MissDetector.lastObservationChangedPhase() &&
             !Detector.lastObservationChangedPhase())
@@ -365,8 +334,6 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
 REGMON_HOT std::size_t
 RegionMonitor::attributeSamples(std::span<const Sample> Samples,
                                 std::uint64_t &Rejected) {
-  const bool Fast = IncrementalSimilarity;
-  const bool FastMiss = Fast && Config.TrackMissPhases;
   std::size_t UcrCount = 0;
   for (const Sample &S : Samples) {
     const std::span<const RegionId> Hits = Index.lookup(S.Pc);
@@ -376,29 +343,16 @@ RegionMonitor::attributeSamples(std::span<const Sample> Samples,
     }
     for (RegionId Id : Hits) {
       RegionRecord &Rec = Records[Id];
-      const std::ptrdiff_t Bin = Rec.Curr.tryAddSampleAt(S.Pc);
-      if (Bin < 0) {
+      if (!Rec.Curr.tryAddSample(S.Pc)) {
         // The attribution index said the PC falls inside this region but
         // the histogram's bounds disagree -- a corrupted PC or a hostile
         // restore desynchronized the two. Count it, never write OOB.
         ++Rejected;
         continue;
       }
-      if (Fast)
-        SxyAcc[Id] += StablePtrs[Id][Bin];
-      if (S.DCacheMiss) {
-        if (FastMiss) {
-          // Same bounds as the cycle histogram, which just accepted the
-          // PC, so the miss histogram cannot reject it.
-          const std::ptrdiff_t MissBin = Rec.CurrMiss.tryAddSampleAt(S.Pc);
-          assert(MissBin >= 0 && "miss histogram disagrees on bounds");
-          if (MissBin >= 0)
-            MissSxyAcc[Id] +=
-                MissStablePtrs[Id][static_cast<std::size_t>(MissBin)];
-        } else {
-          Rec.CurrMiss.addSample(S.Pc);
-        }
-      }
+      // Same bounds as the cycle histogram, which just accepted the PC.
+      if (S.DCacheMiss)
+        Rec.CurrMiss.addSample(S.Pc);
     }
   }
   return UcrCount;

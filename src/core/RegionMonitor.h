@@ -67,13 +67,8 @@ struct RegionMonitorConfig {
   std::size_t MaxNewRegionsPerTrigger = 8;
   /// Cap on simultaneously monitored regions.
   std::size_t MaxRegions = 128;
-  /// Histogram similarity metric for local phase detection, plus the
-  /// engine computing it (assigning a bare SimilarityKind keeps the
-  /// default incremental engine). The naive engine recomputes the moments
-  /// from scratch at each interval end and is kept as the differential-
-  /// test oracle; both engines are bit-identical (see
-  /// support/HotpathKernels.h).
-  SimilarityConfig Similarity;
+  /// Histogram similarity metric for local phase detection.
+  SimilarityKind Similarity = SimilarityKind::Pearson;
   /// Per-region detector parameters.
   LocalDetectorConfig Lpd;
   /// Degraded-mode gate: intervals delivering fewer than this many
@@ -309,11 +304,11 @@ private:
   RegionRecord &addRegion(Region R, bool Active);
   const RegionRecord &record(RegionId Id) const;
   /// Step 1 of observeInterval, once per sample: charges each sample to
-  /// every active region containing its PC (with the incremental engine,
-  /// also to the region's cross moment, primed by observeInterval) and
-  /// writes the PCs no region claims to the front of UcrScratch, which
-  /// must hold Samples.size() entries. Returns how many it wrote, and adds
-  /// to \p Rejected the hits a region's histogram refused.
+  /// every active region containing its PC (and, when it missed, to the
+  /// region's miss histogram) and writes the PCs no region claims to the
+  /// front of UcrScratch, which must hold Samples.size() entries. Returns
+  /// how many it wrote, and adds to \p Rejected the hits a region's
+  /// histogram refused.
   REGMON_HOT std::size_t attributeSamples(std::span<const Sample> Samples,
                                           std::uint64_t &Rejected);
   void triggerFormation(std::span<const Addr> UcrPcs);
@@ -342,26 +337,10 @@ private:
   std::uint64_t UndersampledIntervals = 0;
   std::uint64_t OutOfRegionSamples = 0;
 
-  /// True when interval-end similarity runs on the incremental engine:
-  /// the configured engine is Incremental (anything else -- including an
-  /// out-of-enum value from a hostile config -- selects naive) and the
-  /// metric supports moment evaluation.
-  bool IncrementalSimilarity = false;
-
-  // Reused scratch buffers (hot path).
-  /// The interval's unclaimed PCs, written by index: it grows to the
-  /// largest buffer seen and never shrinks, so only its first N entries
-  /// belong to the current interval.
+  /// Reused hot-path scratch: the interval's unclaimed PCs, written by
+  /// index. It grows to the largest buffer seen and never shrinks, so
+  /// only its first N entries belong to the current interval.
   std::vector<Addr> UcrScratch;
-  /// Incremental engine scratch, re-primed each interval: per-region
-  /// cross moments sum(prev_i * curr_i) accumulated as samples land, and
-  /// the stable-set base pointers they are accumulated against
-  /// (re-fetched each interval -- a checkpoint restore may reallocate a
-  /// detector's stable set).
-  std::vector<std::uint64_t> SxyAcc;
-  std::vector<std::uint64_t> MissSxyAcc;
-  std::vector<const std::uint32_t *> StablePtrs;
-  std::vector<const std::uint32_t *> MissStablePtrs;
 };
 
 } // namespace regmon::core

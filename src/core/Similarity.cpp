@@ -6,6 +6,7 @@
 
 #include "core/Similarity.h"
 
+#include "support/HotpathKernels.h"
 #include "support/Statistics.h"
 
 #include <algorithm>
@@ -17,12 +18,6 @@ using namespace regmon::core;
 
 SimilarityMetric::~SimilarityMetric() = default;
 
-double SimilarityMetric::compareMoments(std::uint64_t,
-                                        const HistMoments &) const {
-  assert(false && "compareMoments on a metric without moment support");
-  return 0.0;
-}
-
 REGMON_PURE double
 PearsonSimilarity::compare(std::span<const std::uint32_t> Stable,
                            std::span<const std::uint32_t> Current) const {
@@ -30,24 +25,12 @@ PearsonSimilarity::compare(std::span<const std::uint32_t> Stable,
 }
 
 REGMON_PURE double
-PearsonSimilarity::compareMoments(std::uint64_t N,
-                                  const HistMoments &M) const {
-  return pearsonFromMoments(N, M);
-}
-
-REGMON_PURE double
 CosineSimilarity::compare(std::span<const std::uint32_t> Stable,
                           std::span<const std::uint32_t> Current) const {
   assert(Stable.size() == Current.size() && "histograms must match");
-  // Integer moments, like Pearson: the from-scratch recompute is then the
-  // bit-identical oracle for the incremental engine's running moments.
+  // Exact integer moments, like Pearson, combined by the shared kernel
+  // (support/HotpathKernels.h).
   return cosineFromMoments(recomputeMoments(Stable, Current));
-}
-
-REGMON_PURE double
-CosineSimilarity::compareMoments(std::uint64_t,
-                                 const HistMoments &M) const {
-  return cosineFromMoments(M);
 }
 
 REGMON_PURE double

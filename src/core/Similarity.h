@@ -30,9 +30,6 @@
 #ifndef REGMON_CORE_SIMILARITY_H
 #define REGMON_CORE_SIMILARITY_H
 
-#include "support/Histogram.h"
-#include "support/HotpathKernels.h"
-
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -48,18 +45,6 @@ public:
   virtual double compare(std::span<const std::uint32_t> Stable,
                          std::span<const std::uint32_t> Current) const = 0;
 
-  /// Returns true if the metric is a pure function of the integer moments
-  /// in \ref HistMoments, i.e. \ref compareMoments produces bit-identical
-  /// results to \ref compare. Metrics needing per-bin state (Overlap's
-  /// per-bin min) return false and always take the naive path.
-  virtual bool supportsMoments() const { return false; }
-
-  /// Returns the similarity from pre-accumulated integer moments over
-  /// \p N bins. Only meaningful when \ref supportsMoments; the default
-  /// returns 0 (never-similar) so a misrouted call fails loudly in tests
-  /// rather than silently agreeing.
-  virtual double compareMoments(std::uint64_t N, const HistMoments &M) const;
-
   /// Returns a short identifier for reports ("pearson", ...).
   virtual const char *name() const = 0;
 };
@@ -69,9 +54,6 @@ class PearsonSimilarity final : public SimilarityMetric {
 public:
   double compare(std::span<const std::uint32_t> Stable,
                  std::span<const std::uint32_t> Current) const override;
-  bool supportsMoments() const override { return true; }
-  double compareMoments(std::uint64_t N,
-                        const HistMoments &M) const override;
   const char *name() const override { return "pearson"; }
 };
 
@@ -80,9 +62,6 @@ class CosineSimilarity final : public SimilarityMetric {
 public:
   double compare(std::span<const std::uint32_t> Stable,
                  std::span<const std::uint32_t> Current) const override;
-  bool supportsMoments() const override { return true; }
-  double compareMoments(std::uint64_t N,
-                        const HistMoments &M) const override;
   const char *name() const override { return "cosine"; }
 };
 
@@ -100,31 +79,6 @@ enum class SimilarityKind : std::uint8_t {
   Pearson,
   Cosine,
   Overlap,
-};
-
-/// Selects how interval-end similarity is computed. Both engines funnel
-/// through the same integer moments and the same combine functions
-/// (support/HotpathKernels.h), so they are bit-identical; the choice only
-/// moves time. Naive stays compiled-in as the differential-test oracle.
-enum class SimilarityEngine : std::uint8_t {
-  /// O(1) interval end: moments maintained as samples land.
-  Incremental,
-  /// O(bins) interval end: moments recomputed from scratch (the oracle).
-  Naive,
-};
-
-/// Similarity configuration of a region monitor: which metric, computed by
-/// which engine. Implicitly convertible from a bare SimilarityKind so
-/// `Config.Similarity = SimilarityKind::Cosine` keeps selecting the
-/// default (incremental) engine.
-struct SimilarityConfig {
-  SimilarityKind Kind = SimilarityKind::Pearson;
-  SimilarityEngine Engine = SimilarityEngine::Incremental;
-
-  SimilarityConfig() = default;
-  SimilarityConfig(SimilarityKind K) : Kind(K) {} // NOLINT: implicit
-  SimilarityConfig(SimilarityKind K, SimilarityEngine E)
-      : Kind(K), Engine(E) {}
 };
 
 /// Factory for the metric selected by \p Kind. An out-of-enum \p Kind --

@@ -71,9 +71,8 @@ struct MonitorInstruments {
   Counter *PhaseChanges = nullptr;
   Counter *MissPhaseChanges = nullptr;
   Counter *SimilarityFallbacks = nullptr;
-  /// Interval-end similarity evaluations actually computed (identical for
-  /// the naive and incremental engines: both compute r for exactly the
-  /// same observations).
+  /// Interval-end similarity evaluations actually computed: observations
+  /// that compared against a stable set (not gated, not the first).
   Counter *SimilarityCompares = nullptr;
   Gauge *ActiveRegions = nullptr;
   Gauge *LastUcrFraction = nullptr;

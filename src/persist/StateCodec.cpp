@@ -9,6 +9,7 @@
 #include "support/Types.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -46,7 +47,7 @@ void StateCodec::encode(ByteWriter &W, const InstrHistogram &H) {
   W.u64(H.StartAddr);
   W.vecU32(H.Bins);
   W.u64(H.TotalCount);
-  W.u64(H.SumSq);
+  W.u64(sumOfSquaredBins(H.Bins));
 }
 
 bool StateCodec::decode(ByteReader &R, InstrHistogram &H) {
@@ -56,9 +57,9 @@ bool StateCodec::decode(ByteReader &R, InstrHistogram &H) {
     return false;
   const std::uint64_t Total = R.u64();
   const std::uint64_t SumSq = R.u64();
-  // The running moments must agree with a from-scratch recompute over the
-  // decoded bins: a hostile payload desynchronizing them would make the
-  // incremental and naive engines disagree after restore.
+  // The sum of squares is derived from the bins (encode computes it); a
+  // payload whose sums disagree with its bins is corrupt, not merely
+  // redundant, so the whole histogram is refused.
   if (!R.ok() || Start != H.StartAddr || Bins.size() != H.Bins.size() ||
       Total != sumOfBins(Bins) || SumSq != sumOfSquaredBins(Bins)) {
     R.fail();
@@ -66,7 +67,6 @@ bool StateCodec::decode(ByteReader &R, InstrHistogram &H) {
   }
   H.Bins = std::move(Bins);
   H.TotalCount = Total;
-  H.SumSq = SumSq;
   return true;
 }
 
@@ -110,8 +110,8 @@ bool StateCodec::decode(ByteReader &R, WindowedStats &S,
 
 void StateCodec::encode(ByteWriter &W, const core::LocalPhaseDetector &D) {
   W.vecU32(D.PrevHist);
-  W.u64(D.PrevSum);
-  W.u64(D.PrevSumSq);
+  W.u64(sumOfBins(D.PrevHist));
+  W.u64(sumOfSquaredBins(D.PrevHist));
   W.boolean(D.PrevValid);
   W.u8(static_cast<std::uint8_t>(D.State));
   W.f64(D.LastR);
@@ -134,17 +134,17 @@ bool StateCodec::decode(ByteReader &R, core::LocalPhaseDetector &D) {
   const std::uint64_t PhaseChanges = R.u64();
   const std::uint64_t Observed = R.u64();
   const std::uint64_t Skipped = R.u64();
-  // Like the histogram moments: the stable set's running sums must match
-  // a recompute, or the O(1) similarity path would silently diverge from
-  // the oracle after a hostile restore.
+  // Like the histogram's: the stable set's derived sums must match its
+  // bins. Beyond that, refuse what observe cannot reach: every metric
+  // returns a finite r, and a phase change needs a compare, which counts
+  // as an observation.
   if (!R.ok() || Prev.size() != D.PrevHist.size() || State > 2 ||
-      PrevSum != sumOfBins(Prev) || PrevSumSq != sumOfSquaredBins(Prev)) {
+      PrevSum != sumOfBins(Prev) || PrevSumSq != sumOfSquaredBins(Prev) ||
+      !std::isfinite(LastR) || PhaseChanges > Observed) {
     R.fail();
     return false;
   }
   D.PrevHist = std::move(Prev);
-  D.PrevSum = PrevSum;
-  D.PrevSumSq = PrevSumSq;
   D.PrevValid = PrevValid;
   D.State = static_cast<core::LocalPhaseState>(State);
   D.LastR = LastR;

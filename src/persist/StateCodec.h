@@ -60,12 +60,17 @@ public:
   static void encode(ByteWriter &W, const core::RegionMonitor &M);
   static bool decode(ByteReader &R, core::RegionMonitor &M);
 
-  /// Local phase detector (state machine + frozen stable set).
+  /// Local phase detector (state machine + frozen stable set, followed by
+  /// the stable set's sum and sum of squares, derived at encode). Decode
+  /// refuses sums that disagree with the set and state observe cannot
+  /// reach: a non-finite r, or more phase changes than observations.
   static void encode(ByteWriter &W, const core::LocalPhaseDetector &D);
   static bool decode(ByteReader &R, core::LocalPhaseDetector &D);
 
-  /// Per-instruction histogram. Decode validates the region bounds match
-  /// the histogram \p H was constructed for.
+  /// Per-instruction histogram: start, bins, total and sum of squares
+  /// (derived at encode). Decode validates the region bounds match the
+  /// histogram \p H was constructed for and refuses sums that disagree
+  /// with the bins.
   static void encode(ByteWriter &W, const InstrHistogram &H);
   static bool decode(ByteReader &R, InstrHistogram &H);
 

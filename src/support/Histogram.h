@@ -15,7 +15,7 @@
 #ifndef REGMON_SUPPORT_HISTOGRAM_H
 #define REGMON_SUPPORT_HISTOGRAM_H
 
-#include "support/HotpathKernels.h"
+#include "support/Contracts.h"
 #include "support/Types.h"
 
 #include <algorithm>
@@ -52,25 +52,16 @@ public:
   /// restores) must not underflow the bin index or write out of bounds
   /// just because NDEBUG stripped an assert. Callers that can see
   /// rejections count them in the SamplesOutOfRegion metric.
-  bool tryAddSample(Addr Pc) { return tryAddSampleAt(Pc) >= 0; }
-
-  /// Like \ref tryAddSample, but returns the bin index the sample landed
-  /// in, or -1 on rejection. The incremental similarity engine uses the
-  /// index to accumulate the stable-set cross moment as samples land.
-  REGMON_HOT std::ptrdiff_t tryAddSampleAt(Addr Pc) {
+  REGMON_HOT bool tryAddSample(Addr Pc) {
     if (Pc < StartAddr)
-      return -1;
+      return false;
     const std::size_t Bin =
         static_cast<std::size_t>((Pc - StartAddr) / InstrBytes);
     if (Bin >= Bins.size())
-      return -1;
-    // (y+1)^2 = y^2 + 2y + 1: the sum of squared bins stays exact as each
-    // sample lands, making interval-end variance O(1).
-    const std::uint64_t Old = Bins[Bin];
-    Bins[Bin] = static_cast<std::uint32_t>(Old + 1);
-    SumSq += 2 * Old + 1;
+      return false;
+    ++Bins[Bin];
     ++TotalCount;
-    return static_cast<std::ptrdiff_t>(Bin);
+    return true;
   }
 
   /// Records one sample at \p Pc, which must lie inside the region.
@@ -86,11 +77,10 @@ public:
   /// returns immediately: per-interval resets of idle or miss-free
   /// regions must not pay an O(bins) clear for nothing.
   void reset() {
-    if (TotalCount == 0 && SumSq == 0)
+    if (TotalCount == 0)
       return;
     std::fill(Bins.begin(), Bins.end(), 0u);
     TotalCount = 0;
-    SumSq = 0;
   }
 
   /// Copies \p Other's bins into this histogram. Regions must match.
@@ -99,7 +89,6 @@ public:
            Other.StartAddr == StartAddr && "histogram regions differ");
     Bins = Other.Bins;
     TotalCount = Other.TotalCount;
-    SumSq = Other.SumSq;
   }
 
   /// Returns the base address of the covered region.
@@ -108,9 +97,6 @@ public:
   std::size_t size() const { return Bins.size(); }
   /// Returns the total number of samples recorded since the last reset.
   std::uint64_t total() const { return TotalCount; }
-  /// Returns the sum of squared bin counts, maintained sample by sample
-  /// (the Syy moment of support/HotpathKernels.h).
-  std::uint64_t sumOfSquares() const { return SumSq; }
   /// Returns true if no samples were recorded since the last reset.
   bool empty() const { return TotalCount == 0; }
   /// Returns the raw bin counts.
@@ -123,9 +109,6 @@ private:
   Addr StartAddr = 0;
   std::vector<std::uint32_t> Bins;
   std::uint64_t TotalCount = 0;
-  /// Sum of squared bin counts, kept in lockstep with Bins (checkpoints
-  /// validate it against a from-scratch recompute on decode).
-  std::uint64_t SumSq = 0;
 };
 
 } // namespace regmon

@@ -5,29 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sampling hot path's inner kernels, shared by the naive (oracle) and
-/// incremental similarity engines so both produce *bit-identical* results.
+/// The sampling hot path's inner kernels. Interval-end similarity is one
+/// path: at each interval end a region's detector compares its stable
+/// histogram with its current one, and Pearson and cosine both reduce the
+/// pair to integer moments here and combine them here.
 ///
-/// The trick that makes bit-identity unconditional: every moment Pearson
-/// and cosine need over histogram bins
+/// Every moment Pearson and cosine need over histogram bins
 ///
 ///     SumX  = sum x_i        SumY  = sum y_i
 ///     Sxx   = sum x_i^2      Syy   = sum y_i^2      Sxy = sum x_i * y_i
 ///
 /// is an *integer* and is accumulated in uint64_t. Unsigned 64-bit
-/// addition is associative and commutative (mod 2^64), so a from-scratch
-/// recompute (the oracle), an incrementally maintained running total, and
-/// an unrolled multi-accumulator kernel all produce the same uint64_t
-/// values -- regardless of summation order, unroll factor, or how the
-/// compiler vectorizes the loop. The lossy step -- converting to double
-/// and combining into r -- happens exactly once, in pearsonFromMoments /
-/// cosineFromMoments, shared by every engine. Identical integer moments
-/// through identical double arithmetic yields identical bits.
+/// addition is associative and commutative (mod 2^64), so a sequential
+/// loop and the unrolled multi-accumulator kernel below produce the same
+/// uint64_t values -- regardless of summation order, unroll factor, or
+/// how the compiler vectorizes the loop. The lossy step -- converting to
+/// double and combining into r -- happens exactly once, in
+/// pearsonFromMoments / cosineFromMoments. Identical integer moments
+/// through identical double arithmetic yield identical bits, so r does
+/// not depend on how the moments were summed.
 ///
 /// ULP envelope: the conversions double(A - B) and sqrt() round when a
 /// moment difference exceeds 2^53 (DESIGN.md §12 documents the envelope);
-/// the roundings are still deterministic and engine-independent, so the
-/// exported bytes never depend on the engine or kernel selected.
+/// the roundings are still deterministic, so the exported bytes never
+/// depend on the kernel's lane split.
 ///
 /// The kernels split the accumulation across four independent lanes --
 /// breaking the loop-carried dependency chain so the compiler's
@@ -72,9 +73,8 @@ struct HistMoments {
 /// ("auto") so exports stay byte-stable.
 inline int hotpathKernelId() { return 1; }
 
-/// Recomputes all five moments of (\p X, \p Y) from scratch -- the oracle
-/// kernel the incremental engine is differentially tested against. Spans
-/// must be equal length.
+/// Computes all five moments of (\p X, \p Y) in one pass over the bins.
+/// Spans must be equal length.
 REGMON_HOT inline HistMoments
 recomputeMoments(std::span<const std::uint32_t> X,
                  std::span<const std::uint32_t> Y) {
@@ -118,8 +118,8 @@ recomputeMoments(std::span<const std::uint32_t> X,
 }
 
 /// Combines integer moments into Pearson's r over \p N bins. The single
-/// lossy (integer -> double) step of the pipeline; every engine and kernel
-/// funnels through this function, which is what makes them bit-identical.
+/// lossy (integer -> double) step of the pipeline: pearson() on histogram
+/// bins and the Pearson metric both funnel through it.
 ///
 /// Release-hardened contract (mirrors the historical pearson() float
 /// path): N == 0 compares two empty histograms, identically flat, r = 1;

@@ -132,10 +132,9 @@ double regmon::pearson(std::span<const double> X, std::span<const double> Y) {
 
 double regmon::pearson(std::span<const std::uint32_t> X,
                        std::span<const std::uint32_t> Y) {
-  // Histogram bins take the exact integer-moment path: the same moments
-  // the incremental similarity engine maintains, combined by the same
-  // function, so a from-scratch recompute is the bit-identical oracle for
-  // the O(1) interval-end path (support/HotpathKernels.h).
+  // Histogram bins take the exact integer-moment path: integer sums do
+  // not depend on summation order, so r is the same whichever way the
+  // kernel splits the loop (support/HotpathKernels.h).
   if (X.size() != Y.size())
     return 0.0;
   return pearsonFromMoments(X.size(), recomputeMoments(X, Y));

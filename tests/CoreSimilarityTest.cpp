@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <vector>
 
 using namespace regmon;
@@ -298,62 +297,32 @@ std::vector<Sample> loopInterval(std::size_t Count) {
 TEST(Similarity, MonitorCountsFallbackOnceInRegistryAndTracesIt) {
   // The monitor-level contract behind makeSimilarity's out-param: an
   // out-of-enum kind must surface as exactly one SimilarityFallbacks
-  // count and one trace event per attach, regardless of the configured
-  // engine (the fallback metric is Pearson, which supports moments, so
-  // both engines remain available).
+  // count and one trace event per attach.
   OneLoopMap Map;
-  for (const SimilarityEngine Engine :
-       {SimilarityEngine::Incremental, SimilarityEngine::Naive}) {
-    core::RegionMonitorConfig Config;
-    Config.Similarity = {static_cast<SimilarityKind>(0xEF), Engine};
-    core::RegionMonitor M(Map, Config);
-    EXPECT_TRUE(M.similarityFellBack());
+  core::RegionMonitorConfig Config;
+  Config.Similarity = static_cast<SimilarityKind>(0xEF);
+  core::RegionMonitor M(Map, Config);
+  EXPECT_TRUE(M.similarityFellBack());
 
-    obs::MetricsRegistry Registry;
-    obs::EventTracer Tracer;
-    const obs::MonitorInstruments Obs =
-        obs::makeMonitorInstruments(Registry, &Tracer, 0, "");
-    M.attachObservability(&Obs);
-    EXPECT_EQ(Obs.SimilarityFallbacks->value(), 1u);
-    EXPECT_NE(obs::exportTraceText(Tracer).find("kind=similarity-fallback"),
-              std::string::npos);
-    // The kernel-selection gauge is published on attach and is a
-    // configure-time constant: engine choice must not leak into it.
-    EXPECT_EQ(Obs.HotpathKernel->value(), double(hotpathKernelId()));
+  obs::MetricsRegistry Registry;
+  obs::EventTracer Tracer;
+  const obs::MonitorInstruments Obs =
+      obs::makeMonitorInstruments(Registry, &Tracer, 0, "");
+  M.attachObservability(&Obs);
+  EXPECT_EQ(Obs.SimilarityFallbacks->value(), 1u);
+  EXPECT_NE(obs::exportTraceText(Tracer).find("kind=similarity-fallback"),
+            std::string::npos);
+  // The kernel-selection gauge is published on attach and is a
+  // configure-time constant.
+  EXPECT_EQ(Obs.HotpathKernel->value(), double(hotpathKernelId()));
 
-    // The substituted Pearson metric still detects phases, and the
-    // interval-end compares are counted identically for both engines.
-    for (int I = 0; I < 8; ++I)
-      M.observeInterval(loopInterval(256));
-    EXPECT_EQ(M.regions().size(), 1u);
-    EXPECT_GT(Obs.SimilarityCompares->value(), 0u);
-    EXPECT_EQ(Obs.SimilarityFallbacks->value(), 1u) << "counted once only";
-  }
-}
-
-TEST(Similarity, HostileEngineValueSelectsNaiveAndStaysIdentical) {
-  // An out-of-enum *engine* value (the same version-skew scenario as the
-  // kind) must select the naive path -- never an uninitialized fast-path
-  // state -- and remain bit-identical to an explicit naive monitor.
-  OneLoopMap Map;
-  core::RegionMonitorConfig Hostile;
-  Hostile.Similarity = {SimilarityKind::Pearson,
-                        static_cast<SimilarityEngine>(0x7F)};
-  core::RegionMonitorConfig Naive;
-  Naive.Similarity = {SimilarityKind::Pearson, SimilarityEngine::Naive};
-
-  core::RegionMonitor A(Map, Hostile);
-  core::RegionMonitor B(Map, Naive);
-  for (int I = 0; I < 8; ++I) {
-    const std::vector<Sample> Interval = loopInterval(200 + I % 3);
-    A.observeInterval(Interval);
-    B.observeInterval(Interval);
-  }
-  ASSERT_EQ(A.regions().size(), 1u);
-  ASSERT_EQ(B.regions().size(), 1u);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(A.detector(0).lastR()),
-            std::bit_cast<std::uint64_t>(B.detector(0).lastR()));
-  EXPECT_EQ(A.totalPhaseChanges(), B.totalPhaseChanges());
+  // The substituted Pearson metric still detects phases, and its
+  // interval-end compares are counted.
+  for (int I = 0; I < 8; ++I)
+    M.observeInterval(loopInterval(256));
+  EXPECT_EQ(M.regions().size(), 1u);
+  EXPECT_GT(Obs.SimilarityCompares->value(), 0u);
+  EXPECT_EQ(Obs.SimilarityFallbacks->value(), 1u) << "counted once only";
 }
 
 } // namespace

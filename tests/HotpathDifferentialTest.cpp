@@ -1,41 +1,33 @@
-//===- tests/HotpathDifferentialTest.cpp - Naive vs incremental engines ---===//
+//===- tests/HotpathDifferentialTest.cpp - Monitor r vs a from-scratch r --===//
 //
 // Part of the regmon project. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The hot-path optimization's correctness contract: the incremental
-// similarity engine (running moments maintained as samples land, O(1)
-// interval ends) is bit-identical to the naive O(bins) recompute it
-// replaced. This suite proves it differentially:
+// The hot path's correctness contract: every r the region monitor reports
+// is the r its metric gives the region's two histograms at interval end.
+// This suite proves it against an oracle built outside the monitor:
 //
-//  * full-monitor lockstep over every registered workload and over
-//    fault-injected streams -- identical phase-event sequences, UCR
-//    values, per-region r bits, and stats at every interval;
-//  * byte-identical Prometheus / JSON / trace exports from instrumented
-//    runs of both engines;
-//  * property/fuzz tests of the running moments themselves (random
-//    add/reset sequences vs from-scratch recompute, degenerate-input
-//    NaN-freedom, kernel-vs-reference equality);
-//  * detector-level lockstep fuzz of observe vs observeMoments;
-//  * a mid-stream checkpoint crossing engines: state written by the
-//    incremental engine restores into a naive-engine monitor (and vice
-//    versa) and continues bit-identically.
+//  * full-monitor lockstep over every registered workload, over the
+//    cosine and overlap metrics, and over fault-injected streams: after
+//    every interval, each compared detector's r (cycle and miss channel)
+//    is bit-identical to makeSimilarity(kind)->compare over its stable set
+//    copied before the interval and the histogram a ListAttributor counts
+//    from the interval's samples;
+//  * property/fuzz tests of the moment kernels themselves (kernel vs a
+//    scalar reference, pearsonFromMoments vs pearson, degenerate-input
+//    NaN-freedom).
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Attribution.h"
 #include "core/LocalPhaseDetector.h"
 #include "core/RegionMonitor.h"
 #include "core/Similarity.h"
 #include "faults/FaultPlan.h"
-#include "obs/Export.h"
-#include "obs/Instruments.h"
-#include "persist/Bytes.h"
-#include "persist/StateCodec.h"
 #include "sampling/Sampler.h"
 #include "sim/Engine.h"
 #include "sim/ProgramCodeMap.h"
-#include "support/Histogram.h"
 #include "support/HotpathKernels.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -44,10 +36,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 using namespace regmon;
@@ -65,101 +57,121 @@ struct RecordedStream {
 };
 
 RecordedStream record(const std::string &Name, std::uint64_t Seed,
-                      std::size_t MaxIntervals = 0) {
+                      std::size_t MaxIntervals) {
   RecordedStream S;
   S.W = std::make_unique<workloads::Workload>(workloads::make(Name));
   S.Map = std::make_unique<sim::ProgramCodeMap>(S.W->Prog);
   sim::Engine Engine(S.W->Prog, S.W->Script, Seed);
   sampling::Sampler Sampler(Engine, {45'000, 2032});
-  S.Intervals = Sampler.collectIntervals();
-  if (MaxIntervals != 0 && S.Intervals.size() > MaxIntervals)
-    S.Intervals.resize(MaxIntervals);
+  S.Intervals = Sampler.collectIntervals(MaxIntervals);
   return S;
 }
 
-core::RegionMonitorConfig engineConfig(core::SimilarityEngine Engine,
-                                       core::SimilarityKind Kind =
-                                           core::SimilarityKind::Pearson) {
+core::RegionMonitorConfig lockstepConfig(core::SimilarityKind Kind) {
   core::RegionMonitorConfig Cfg;
-  Cfg.Similarity = {Kind, Engine};
-  Cfg.TrackMissPhases = true; // cover the miss-channel incremental path
+  Cfg.Similarity = Kind;
+  Cfg.TrackMissPhases = true; // check the miss channel's r as well
   return Cfg;
 }
 
-/// Every deployment-facing event, flattened for exact sequence equality.
-using EventLog = std::vector<std::tuple<int, core::RegionId, std::uint64_t>>;
+/// One detector's oracle inputs for one interval: its stable set copied
+/// before the interval, the histogram counted outside the monitor, and
+/// its r going in.
+struct OracleChannel {
+  std::vector<std::uint32_t> Stable;
+  std::vector<std::uint32_t> Hist;
+  std::uint64_t Samples = 0;
+  std::uint64_t RBefore = 0;
 
-void captureEvents(core::RegionMonitor &M, EventLog &Log) {
-  M.setEventHandler([&Log](const core::RegionEvent &E) {
-    Log.emplace_back(static_cast<int>(E.K), E.Id, E.Interval);
-  });
+  void prime(const core::LocalPhaseDetector &D) {
+    Stable.assign(D.stableSet().begin(), D.stableSet().end());
+    Hist.assign(Stable.size(), 0);
+    Samples = 0;
+    RBefore = bits(D.lastR());
+  }
+};
+
+/// How many from-scratch r values a lockstep run checked, per channel.
+struct LockstepCounts {
+  std::uint64_t Compares = 0;
+  std::uint64_t MissCompares = 0;
+};
+
+/// Checks \p D after an interval against \p C: a detector that compared
+/// reports exactly \p Oracle's r over (stable before, counted histogram);
+/// one whose region got no samples kept its r. Returns 1 when it checked
+/// a compare, else 0.
+std::uint64_t checkChannel(const core::LocalPhaseDetector &D,
+                           const OracleChannel &C,
+                           const core::SimilarityMetric &Oracle,
+                           const std::string &Where) {
+  if (C.Samples == 0) {
+    EXPECT_EQ(bits(D.lastR()), C.RBefore) << Where << ": r moved unsampled";
+    return 0;
+  }
+  if (!D.lastObservationComparedR())
+    return 0;
+  const double Want = Oracle.compare(C.Stable, C.Hist);
+  EXPECT_TRUE(std::isfinite(Want)) << Where;
+  EXPECT_EQ(bits(D.lastR()), bits(Want))
+      << Where << ": monitor r " << D.lastR() << ", oracle r " << Want;
+  return 1;
 }
 
-/// Drives \p Naive and \p Incr over \p Intervals in lockstep, asserting
-/// the full observable state matches at every interval boundary.
-void runLockstep(core::RegionMonitor &Naive, core::RegionMonitor &Incr,
-                 const std::vector<std::vector<Sample>> &Intervals,
-                 const std::string &Tag) {
-  EventLog NaiveLog, IncrLog;
-  captureEvents(Naive, NaiveLog);
-  captureEvents(Incr, IncrLog);
+/// Drives \p M over \p Intervals. After every interval, each region that
+/// was active going in is checked on both channels by \ref checkChannel;
+/// its histograms are counted through a ListAttributor over the active
+/// set, from the raw samples.
+LockstepCounts runLockstep(core::RegionMonitor &M,
+                           const std::vector<std::vector<Sample>> &Intervals,
+                           const std::string &Tag) {
+  const std::unique_ptr<core::SimilarityMetric> Oracle =
+      core::makeSimilarity(M.config().Similarity);
+  LockstepCounts Counts;
+  std::vector<OracleChannel> Cycle, Miss;
+  std::vector<core::RegionId> Hits;
 
   for (std::size_t I = 0; I < Intervals.size(); ++I) {
-    Naive.observeInterval(Intervals[I]);
-    Incr.observeInterval(Intervals[I]);
-
-    ASSERT_EQ(NaiveLog, IncrLog) << Tag << " interval " << I;
-    ASSERT_EQ(bits(Naive.lastUcrFraction()), bits(Incr.lastUcrFraction()))
-        << Tag << " interval " << I;
-    ASSERT_EQ(Naive.totalPhaseChanges(), Incr.totalPhaseChanges())
-        << Tag << " interval " << I;
-    ASSERT_EQ(Naive.formationTriggers(), Incr.formationTriggers())
-        << Tag << " interval " << I;
-    ASSERT_EQ(Naive.activeRegionCount(), Incr.activeRegionCount())
-        << Tag << " interval " << I;
-
-    ASSERT_EQ(Naive.regions().size(), Incr.regions().size())
-        << Tag << " interval " << I;
-    for (core::RegionId Id = 0; Id < Naive.regions().size(); ++Id) {
-      const core::LocalPhaseDetector &Dn = Naive.detector(Id);
-      const core::LocalPhaseDetector &Di = Incr.detector(Id);
-      ASSERT_EQ(Dn.state(), Di.state())
-          << Tag << " interval " << I << " region " << Id;
-      ASSERT_EQ(bits(Dn.lastR()), bits(Di.lastR()))
-          << Tag << " interval " << I << " region " << Id;
-      ASSERT_EQ(Dn.phaseChanges(), Di.phaseChanges())
-          << Tag << " interval " << I << " region " << Id;
-      const core::LocalPhaseDetector &Mn = Naive.missDetector(Id);
-      const core::LocalPhaseDetector &Mi = Incr.missDetector(Id);
-      ASSERT_EQ(Mn.state(), Mi.state())
-          << Tag << " interval " << I << " region " << Id << " (miss)";
-      ASSERT_EQ(bits(Mn.lastR()), bits(Mi.lastR()))
-          << Tag << " interval " << I << " region " << Id << " (miss)";
+    const std::vector<core::RegionId> Active = M.activeRegionIds();
+    Cycle.resize(M.regions().size());
+    Miss.resize(M.regions().size());
+    core::ListAttributor List;
+    for (core::RegionId Id : Active) {
+      const core::Region &R = M.regions()[Id];
+      List.insert(Id, R.Start, R.End);
+      Cycle[Id].prime(M.detector(Id));
+      Miss[Id].prime(M.missDetector(Id));
     }
-  }
+    for (const Sample &S : Intervals[I]) {
+      Hits.clear();
+      List.lookup(S.Pc, Hits);
+      for (core::RegionId Id : Hits) {
+        const std::size_t Bin = static_cast<std::size_t>(
+            (S.Pc - M.regions()[Id].Start) / InstrBytes);
+        ++Cycle[Id].Hist[Bin];
+        ++Cycle[Id].Samples;
+        if (S.DCacheMiss) {
+          ++Miss[Id].Hist[Bin];
+          ++Miss[Id].Samples;
+        }
+      }
+    }
 
-  // Terminal aggregates: UCR history bits and per-region stats.
-  ASSERT_EQ(Naive.ucrHistory().size(), Incr.ucrHistory().size()) << Tag;
-  for (std::size_t I = 0; I < Naive.ucrHistory().size(); ++I)
-    EXPECT_EQ(bits(Naive.ucrHistory()[I]), bits(Incr.ucrHistory()[I]))
-        << Tag << " ucr[" << I << "]";
-  EXPECT_EQ(Naive.totalSamples(), Incr.totalSamples()) << Tag;
-  EXPECT_EQ(Naive.outOfRegionSamples(), Incr.outOfRegionSamples()) << Tag;
-  for (core::RegionId Id = 0; Id < Naive.regions().size(); ++Id) {
-    const core::RegionStats &Sn = Naive.stats(Id);
-    const core::RegionStats &Si = Incr.stats(Id);
-    EXPECT_EQ(Sn.StableIntervals, Si.StableIntervals) << Tag << " " << Id;
-    EXPECT_EQ(Sn.TotalSamples, Si.TotalSamples) << Tag << " " << Id;
-    EXPECT_EQ(Sn.TotalMisses, Si.TotalMisses) << Tag << " " << Id;
-    EXPECT_EQ(Sn.PhaseChanges, Si.PhaseChanges) << Tag << " " << Id;
-    EXPECT_EQ(Sn.MissPhaseChanges, Si.MissPhaseChanges) << Tag << " " << Id;
-  }
-}
+    M.observeInterval(Intervals[I]);
 
-std::vector<std::uint8_t> encodeMonitor(const core::RegionMonitor &M) {
-  persist::ByteWriter W;
-  persist::StateCodec::encode(W, M);
-  return W.take();
+    for (core::RegionId Id : Active) {
+      const std::string Where = Tag + " interval " + std::to_string(I) +
+                                " region " + std::to_string(Id);
+      EXPECT_EQ(M.lastSampleCount(Id), Cycle[Id].Samples) << Where;
+      Counts.Compares +=
+          checkChannel(M.detector(Id), Cycle[Id], *Oracle, Where);
+      Counts.MissCompares += checkChannel(M.missDetector(Id), Miss[Id],
+                                          *Oracle, Where + " (miss)");
+    }
+    if (::testing::Test::HasFailure())
+      return Counts;
+  }
+  return Counts;
 }
 
 //===----------------------------------------------------------------------===//
@@ -167,27 +179,34 @@ std::vector<std::uint8_t> encodeMonitor(const core::RegionMonitor &M) {
 //===----------------------------------------------------------------------===//
 
 TEST(HotpathDifferential, EveryWorkloadLockstep) {
+  LockstepCounts Total;
   for (const std::string &Name : workloads::allNames()) {
     SCOPED_TRACE(Name);
     const RecordedStream S = record(Name, /*Seed=*/11, /*MaxIntervals=*/30);
-    core::RegionMonitor Naive(
-        *S.Map, engineConfig(core::SimilarityEngine::Naive));
-    core::RegionMonitor Incr(
-        *S.Map, engineConfig(core::SimilarityEngine::Incremental));
-    runLockstep(Naive, Incr, S.Intervals, Name);
+    core::RegionMonitor M(*S.Map,
+                          lockstepConfig(core::SimilarityKind::Pearson));
+    const LockstepCounts C = runLockstep(M, S.Intervals, Name);
+    if (HasFailure())
+      return;
+    Total.Compares += C.Compares;
+    Total.MissCompares += C.MissCompares;
   }
+  // The oracle must actually have been consulted on both channels, or the
+  // equalities above prove nothing.
+  EXPECT_GT(Total.Compares, 100u);
+  EXPECT_GT(Total.MissCompares, 0u);
 }
 
 TEST(HotpathDifferential, CosineAndOverlapMetricsLockstep) {
   const RecordedStream S = record("synthetic.periodic", 5, 40);
   for (const core::SimilarityKind Kind :
        {core::SimilarityKind::Cosine, core::SimilarityKind::Overlap}) {
-    core::RegionMonitor Naive(
-        *S.Map, engineConfig(core::SimilarityEngine::Naive, Kind));
-    core::RegionMonitor Incr(
-        *S.Map, engineConfig(core::SimilarityEngine::Incremental, Kind));
-    runLockstep(Naive, Incr, S.Intervals,
-                Kind == core::SimilarityKind::Cosine ? "cosine" : "overlap");
+    const std::string Tag =
+        Kind == core::SimilarityKind::Cosine ? "cosine" : "overlap";
+    SCOPED_TRACE(Tag);
+    core::RegionMonitor M(*S.Map, lockstepConfig(Kind));
+    const LockstepCounts C = runLockstep(M, S.Intervals, Tag);
+    EXPECT_GT(C.Compares, 0u);
   }
 }
 
@@ -209,92 +228,17 @@ TEST(HotpathDifferential, FaultedStreamsLockstep) {
     for (const std::vector<Sample> &Clean : S.Intervals)
       Faulted.push_back(Injector.apply(Clean));
 
-    core::RegionMonitor Naive(
-        *S.Map, engineConfig(core::SimilarityEngine::Naive));
-    core::RegionMonitor Incr(
-        *S.Map, engineConfig(core::SimilarityEngine::Incremental));
-    runLockstep(Naive, Incr, Faulted, "faulted");
+    core::RegionMonitor M(*S.Map,
+                          lockstepConfig(core::SimilarityKind::Pearson));
+    const LockstepCounts C = runLockstep(M, Faulted, "faulted");
+    EXPECT_GT(C.Compares, 0u);
+    EXPECT_GT(C.MissCompares, 0u);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Byte-identical observability exports
-//===----------------------------------------------------------------------===//
-
-TEST(HotpathDifferential, ExportsByteIdenticalAcrossEngines) {
-  const RecordedStream S = record("181.mcf", 7, 40);
-
-  auto RunInstrumented = [&](core::SimilarityEngine Engine) {
-    obs::MetricsRegistry Registry;
-    obs::EventTracer Tracer(4096);
-    const obs::MonitorInstruments Instruments = obs::makeMonitorInstruments(
-        Registry, &Tracer, /*Stream=*/0, obs::streamLabel(0));
-    core::RegionMonitor Monitor(*S.Map, engineConfig(Engine));
-    Monitor.attachObservability(&Instruments);
-    for (const std::vector<Sample> &Interval : S.Intervals)
-      Monitor.observeInterval(Interval);
-    Monitor.attachObservability(nullptr);
-    return std::tuple<std::string, std::string, std::string>{
-        obs::exportPrometheus(Registry), obs::exportJson(Registry, &Tracer),
-        obs::exportTraceText(Tracer)};
-  };
-
-  const auto [NaiveProm, NaiveJson, NaiveTrace] =
-      RunInstrumented(core::SimilarityEngine::Naive);
-  const auto [IncrProm, IncrJson, IncrTrace] =
-      RunInstrumented(core::SimilarityEngine::Incremental);
-
-  EXPECT_EQ(NaiveProm, IncrProm);
-  EXPECT_EQ(NaiveJson, IncrJson);
-  EXPECT_EQ(NaiveTrace, IncrTrace);
-  // The exports must actually carry monitor data, or the equality above
-  // proves nothing.
-  EXPECT_NE(NaiveProm.find("monitor_intervals_total"), std::string::npos);
-  EXPECT_NE(NaiveProm.find("monitor_similarity_compares_total"),
-            std::string::npos);
-  EXPECT_NE(NaiveProm.find("monitor_hotpath_kernel"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
 // Moment properties (fuzz)
 //===----------------------------------------------------------------------===//
-
-/// From-scratch reference for the histogram's running sum of squares.
-std::uint64_t sumSqReference(std::span<const std::uint32_t> Bins) {
-  std::uint64_t S = 0;
-  for (const std::uint32_t B : Bins)
-    S += static_cast<std::uint64_t>(B) * B;
-  return S;
-}
-
-TEST(HotpathMoments, RunningSumSqMatchesRecomputeUnderFuzz) {
-  Rng Random(2026);
-  for (int Round = 0; Round < 50; ++Round) {
-    const std::size_t Instrs = 1 + Random.nextBelow(300);
-    const Addr Start = 0x1000;
-    InstrHistogram H(Start, Start + static_cast<Addr>(Instrs) * InstrBytes);
-    const std::size_t Ops = 1 + Random.nextBelow(400);
-    for (std::size_t Op = 0; Op < Ops; ++Op) {
-      const std::uint64_t Dice = Random.nextBelow(100);
-      if (Dice < 4) {
-        H.reset();
-      } else if (Dice < 10) {
-        // Out-of-range PC: rejected, moments must not move.
-        const std::uint64_t Before = H.sumOfSquares();
-        EXPECT_FALSE(H.tryAddSample(
-            Start + static_cast<Addr>(Instrs + Random.nextBelow(64)) *
-                        InstrBytes));
-        EXPECT_EQ(H.sumOfSquares(), Before);
-      } else {
-        H.addSample(Start +
-                    static_cast<Addr>(Random.nextBelow(Instrs)) * InstrBytes);
-      }
-      ASSERT_EQ(H.sumOfSquares(), sumSqReference(H.bins()))
-          << "round " << Round << " op " << Op;
-      ASSERT_EQ(H.sumOfSquares(), recomputeMoments(H.bins(), H.bins()).Syy);
-    }
-  }
-}
 
 TEST(HotpathMoments, KernelMatchesScalarReferenceUnderFuzz) {
   // The (possibly multi-lane) recomputeMoments kernel vs a trivially
@@ -391,103 +335,6 @@ TEST(HotpathMoments, DegenerateInputsAreNaNFree) {
     EXPECT_TRUE(std::isfinite(C1));
     EXPECT_LE(C1, 1.0);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Detector-level lockstep (fuzz)
-//===----------------------------------------------------------------------===//
-
-TEST(HotpathDifferential, DetectorObserveMomentsLockstepFuzz) {
-  const std::unique_ptr<core::SimilarityMetric> Metric =
-      core::makeSimilarity(core::SimilarityKind::Pearson);
-  Rng Random(41);
-  for (int Round = 0; Round < 25; ++Round) {
-    const std::size_t Instrs = 4 + Random.nextBelow(200);
-    const Addr Start = 0x4000;
-    core::LocalPhaseDetector Naive(Instrs, *Metric);
-    core::LocalPhaseDetector Incr(Instrs, *Metric);
-    InstrHistogram Curr(Start, Start + static_cast<Addr>(Instrs) * InstrBytes);
-
-    for (int Interval = 0; Interval < 60; ++Interval) {
-      Curr.reset();
-      // A drifting hotspot: stretches of stability with occasional jumps,
-      // so the fuzz visits every state-machine edge.
-      const std::size_t Hot = (static_cast<std::size_t>(Interval) / 7 +
-                               Random.nextBelow(2)) %
-                              Instrs;
-      const std::size_t Samples = Random.nextBelow(120);
-      std::uint64_t Sxy = 0;
-      const std::span<const std::uint32_t> Stable = Incr.stableSet();
-      for (std::size_t K = 0; K < Samples; ++K) {
-        const std::size_t Bin = Random.nextBelow(3) == 0
-                                    ? Random.nextBelow(Instrs)
-                                    : Hot;
-        // Accumulate the cross moment exactly as the monitor does: read
-        // the stable set at the landing bin *before* bumping the bin.
-        Sxy += Stable[Bin];
-        Curr.addSample(Start + static_cast<Addr>(Bin) * InstrBytes);
-      }
-      if (Curr.empty())
-        continue; // empty intervals do not advance the machine
-
-      Naive.observe(Curr.bins());
-      Incr.observeMoments(Curr, Sxy);
-      ASSERT_EQ(Naive.state(), Incr.state())
-          << "round " << Round << " interval " << Interval;
-      ASSERT_EQ(bits(Naive.lastR()), bits(Incr.lastR()))
-          << "round " << Round << " interval " << Interval;
-      ASSERT_EQ(Naive.phaseChanges(), Incr.phaseChanges());
-      ASSERT_EQ(Naive.lastObservationComparedR(),
-                Incr.lastObservationComparedR());
-      const std::span<const std::uint32_t> Sn = Naive.stableSet();
-      const std::span<const std::uint32_t> Si = Incr.stableSet();
-      ASSERT_TRUE(std::equal(Sn.begin(), Sn.end(), Si.begin(), Si.end()));
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-engine checkpoint/restore
-//===----------------------------------------------------------------------===//
-
-TEST(HotpathDifferential, CheckpointCrossesEnginesMidStream) {
-  const RecordedStream S = record("synthetic.periodic", 7, 0);
-  ASSERT_GT(S.Intervals.size(), 8U);
-  const std::size_t Half = S.Intervals.size() / 2;
-
-  // The uninterrupted incremental run is the reference.
-  core::RegionMonitor Reference(
-      *S.Map, engineConfig(core::SimilarityEngine::Incremental));
-  for (const std::vector<Sample> &Interval : S.Intervals)
-    Reference.observeInterval(Interval);
-  const std::vector<std::uint8_t> ReferenceBytes = encodeMonitor(Reference);
-  ASSERT_FALSE(Reference.regions().empty()) << "stream formed no regions";
-
-  // Run half on one engine, checkpoint mid-stream (running moments and
-  // all), restore into a monitor configured with the *other* engine, and
-  // finish there. Both crossings must land byte-identical to the
-  // reference: the serialized state is engine-neutral.
-  const auto CrossOver = [&](core::SimilarityEngine First,
-                             core::SimilarityEngine Second) {
-    core::RegionMonitor Source(*S.Map, engineConfig(First));
-    for (std::size_t I = 0; I < Half; ++I)
-      Source.observeInterval(S.Intervals[I]);
-    const std::vector<std::uint8_t> Bytes = encodeMonitor(Source);
-
-    core::RegionMonitor Restored(*S.Map, engineConfig(Second));
-    persist::ByteReader R(Bytes);
-    EXPECT_TRUE(persist::StateCodec::decode(R, Restored));
-    for (std::size_t I = Half; I < S.Intervals.size(); ++I)
-      Restored.observeInterval(S.Intervals[I]);
-    return encodeMonitor(Restored);
-  };
-
-  EXPECT_EQ(CrossOver(core::SimilarityEngine::Incremental,
-                      core::SimilarityEngine::Naive),
-            ReferenceBytes);
-  EXPECT_EQ(CrossOver(core::SimilarityEngine::Naive,
-                      core::SimilarityEngine::Incremental),
-            ReferenceBytes);
 }
 
 } // namespace

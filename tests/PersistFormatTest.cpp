@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -1047,10 +1048,9 @@ TEST(PersistStateCodec, InstrHistogramRoundTripAndMismatchRejected) {
 }
 
 TEST(PersistStateCodec, InstrHistogramMomentsSurviveRoundTrip) {
-  // Mid-interval checkpoint of a partially filled histogram: the running
-  // sum of squares (the incremental engine's Syy moment) must restore
-  // exactly, or the O(1) similarity path would diverge from the naive
-  // oracle after a warm restart.
+  // Mid-interval checkpoint of a partially filled histogram: the bins
+  // restore exactly, and with them the sum of squares the encoder derives
+  // from them, so a restored histogram continues byte for byte.
   InstrHistogram Orig(0x1000, 0x1000 + 32 * InstrBytes);
   for (int I = 0; I < 77; ++I)
     Orig.addSample(0x1000 + static_cast<Addr>((I * 7) % 32) * InstrBytes);
@@ -1059,44 +1059,106 @@ TEST(PersistStateCodec, InstrHistogramMomentsSurviveRoundTrip) {
   InstrHistogram Copy(0x1000, 0x1000 + 32 * InstrBytes);
   ByteReader R(Bytes);
   ASSERT_TRUE(StateCodec::decode(R, Copy));
-  EXPECT_EQ(Copy.sumOfSquares(), Orig.sumOfSquares());
+  EXPECT_TRUE(std::ranges::equal(Copy.bins(), Orig.bins()));
+  EXPECT_EQ(encodeBytes(Copy), Bytes);
 
-  // Continuation keeps the moment in sync with the bins on both sides.
+  // Continuation keeps both sides in step.
   for (int I = 0; I < 20; ++I) {
     Orig.addSample(0x1000 + static_cast<Addr>(I % 32) * InstrBytes);
     Copy.addSample(0x1000 + static_cast<Addr>(I % 32) * InstrBytes);
   }
+  EXPECT_TRUE(std::ranges::equal(Copy.bins(), Orig.bins()));
   EXPECT_EQ(encodeBytes(Copy), encodeBytes(Orig));
-  EXPECT_EQ(Copy.sumOfSquares(), Orig.sumOfSquares());
 }
 
 TEST(PersistStateCodec, InstrHistogramRejectsDesyncedSumOfSquares) {
-  // Bins and total agree, but the running sum of squares was tampered
-  // with: accepted, it would silently desynchronize the incremental
-  // similarity engine from the naive oracle. All-or-nothing demands
-  // rejection.
+  // Bins and total agree, but the sum of squares was tampered with. The
+  // bytes are corrupt, so all-or-nothing demands rejection.
   const std::vector<std::uint32_t> Bins(16, 2);
-  ByteWriter W;
-  W.u64(0x1000);
-  W.vecU32(Bins);
-  W.u64(32); // == sum of bins
-  W.u64(65); // != sum of squared bins (16 * 4 = 64)
+  const auto Payload = [&Bins](std::uint64_t SumSq) {
+    ByteWriter W;
+    W.u64(0x1000);
+    W.vecU32(Bins);
+    W.u64(32); // == sum of bins
+    W.u64(SumSq);
+    return W.take();
+  };
   InstrHistogram Victim(0x1000, 0x1000 + 16 * InstrBytes);
-  ByteReader R(W.data());
+  const std::vector<std::uint8_t> Untouched = encodeBytes(Victim);
+  const std::vector<std::uint8_t> Forged =
+      Payload(65); // != sum of squared bins (16 * 4 = 64)
+  ByteReader R(Forged);
   EXPECT_FALSE(StateCodec::decode(R, Victim));
   // The failed decode must not have touched the target.
   EXPECT_EQ(Victim.total(), 0U);
-  EXPECT_EQ(Victim.sumOfSquares(), 0U);
+  EXPECT_EQ(encodeBytes(Victim), Untouched);
 
-  // The honest payload (SumSq == 64) is accepted.
-  ByteWriter W2;
-  W2.u64(0x1000);
-  W2.vecU32(Bins);
-  W2.u64(32);
-  W2.u64(64);
-  ByteReader R2(W2.data());
+  // The honest payload (SumSq == 64) is accepted and re-encodes as is.
+  const std::vector<std::uint8_t> Honest = Payload(64);
+  ByteReader R2(Honest);
   EXPECT_TRUE(StateCodec::decode(R2, Victim));
-  EXPECT_EQ(Victim.sumOfSquares(), 64U);
+  EXPECT_TRUE(std::ranges::equal(Victim.bins(), Bins));
+  EXPECT_EQ(encodeBytes(Victim), Honest);
+}
+
+TEST(PersistStateCodec, HistogramAndDetectorGoldenBytes) {
+  // The histogram and detector wire forms, derived sums included, pinned
+  // as literal bytes: snapshots written before the sums were computed at
+  // encode must keep restoring, so neither the layout nor the sums may
+  // move.
+  InstrHistogram H(0x2000, 0x2000 + 4 * InstrBytes);
+  const std::vector<std::uint32_t> A{3, 0, 1, 2};
+  for (std::size_t Bin = 0; Bin < A.size(); ++Bin)
+    for (std::uint32_t K = 0; K < A[Bin]; ++K)
+      H.addSample(0x2000 + static_cast<Addr>(Bin) * InstrBytes);
+  const std::vector<std::uint8_t> HistGolden{
+      0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // start
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // bin count
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // bins
+      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, //
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // total
+      0x0E, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sum of squares
+  };
+  EXPECT_EQ(encodeBytes(H), HistGolden);
+  {
+    InstrHistogram Copy(0x2000, 0x2000 + 4 * InstrBytes);
+    ByteReader R(HistGolden);
+    ASSERT_TRUE(StateCodec::decode(R, Copy));
+    EXPECT_TRUE(R.atEnd());
+    EXPECT_EQ(encodeBytes(Copy), HistGolden);
+  }
+
+  // Into Stable: A is adopted, A again (LessUnstable), then B, similar
+  // enough to confirm, becomes the frozen stable set.
+  const std::unique_ptr<core::SimilarityMetric> Metric =
+      core::makeSimilarity(core::SimilarityKind::Pearson);
+  core::LocalPhaseDetector D(4, *Metric);
+  const std::vector<std::uint32_t> B{3, 0, 2, 2};
+  D.observe(A);
+  D.observe(A);
+  ASSERT_EQ(D.observe(B), core::LocalPhaseState::Stable);
+  const std::vector<std::uint8_t> DetectorGolden{
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stable set size
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stable set
+      0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, //
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // its sum
+      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // its sum of squares
+      0x01,                                           // stable set valid
+      0x02,                                           // state: Stable
+      0xAB, 0xF5, 0x37, 0x4C, 0x55, 0x8C, 0xED, 0x3F, // r = 18 / sqrt(380)
+      0x01,                                           // changed phase
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // phase changes
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // observed
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // undersampled
+  };
+  EXPECT_EQ(encodeBytes(D), DetectorGolden);
+  {
+    core::LocalPhaseDetector Copy(4, *Metric);
+    ByteReader R(DetectorGolden);
+    ASSERT_TRUE(StateCodec::decode(R, Copy));
+    EXPECT_TRUE(R.atEnd());
+    EXPECT_EQ(encodeBytes(Copy), DetectorGolden);
+  }
 }
 
 TEST(PersistStateCodec, LocalPhaseDetectorRejectsDesyncedStableMoments) {
@@ -1143,6 +1205,62 @@ TEST(PersistStateCodec, LocalPhaseDetectorRejectsDesyncedStableMoments) {
     EXPECT_TRUE(R.atEnd());
     EXPECT_EQ(encodeBytes(Victim), Honest);
     EXPECT_EQ(Victim.state(), core::LocalPhaseState::Stable);
+  }
+}
+
+TEST(PersistStateCodec, LocalPhaseDetectorRejectsUnreachableState) {
+  // observe cannot produce a non-finite r (every metric clamps or sums
+  // finite terms), nor a phase change without the compare that counts as
+  // an observation. A restored NaN r would reach monitor_phase_r and the
+  // r timeline, so such payloads are refused like any other corruption.
+  const std::unique_ptr<core::SimilarityMetric> Metric =
+      core::makeSimilarity(core::SimilarityKind::Pearson);
+  const std::vector<std::uint32_t> Prev{3, 0, 1, 0, 0, 2, 0, 0};
+  struct Fields {
+    double LastR = 0.9;
+    std::uint64_t PhaseChanges = 1;
+    std::uint64_t Observed = 4;
+  };
+  const auto Payload = [&Prev](const Fields &F) {
+    ByteWriter W;
+    W.vecU32(Prev);
+    W.u64(6);        // sum of the stable set
+    W.u64(14);       // its sum of squares
+    W.boolean(true); // PrevValid
+    W.u8(2);         // Stable
+    W.f64(F.LastR);
+    W.boolean(false);
+    W.u64(F.PhaseChanges);
+    W.u64(F.Observed);
+    W.u64(0); // SkippedUndersampled
+    return W.take();
+  };
+  const auto Loads = [&Metric](const std::vector<std::uint8_t> &Bytes) {
+    core::LocalPhaseDetector D(/*InstrCount=*/8, *Metric);
+    ByteReader R(Bytes);
+    const bool Ok = StateCodec::decode(R, D);
+    if (!Ok) {
+      // Refused before any field was written.
+      EXPECT_EQ(D.state(), core::LocalPhaseState::Unstable);
+      EXPECT_EQ(D.observedIntervals(), 0U);
+    }
+    return Ok && R.atEnd();
+  };
+
+  const struct {
+    const char *Name;
+    Fields Forged;
+    Fields Control;
+  } Cases[] = {
+      {"NaN r", {std::nan(""), 1, 4}, {0.9, 1, 4}},
+      {"+inf r", {std::numeric_limits<double>::infinity(), 1, 4},
+       {-1.0, 1, 4}},
+      {"9 phase changes over 2 observations", {0.9, 9, 2}, {0.9, 1, 2}},
+  };
+  for (const auto &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    EXPECT_FALSE(Loads(Payload(C.Forged)));
+    EXPECT_TRUE(Loads(Payload(C.Control)));
   }
 }
 
@@ -1245,7 +1363,7 @@ std::vector<std::uint8_t> forgeMonitor(std::uint64_t Intervals,
                                        const std::vector<ForgedRegion> &Rs) {
   const core::RegionMonitorConfig Cfg;
   const std::unique_ptr<core::SimilarityMetric> Metric =
-      core::makeSimilarity(Cfg.Similarity.Kind);
+      core::makeSimilarity(Cfg.Similarity);
   ByteWriter W;
   W.boolean(Cfg.TrackMissPhases);
   W.boolean(Cfg.RecordTimelines);
