@@ -7,7 +7,9 @@
 // google-benchmark timings of the primitives on the monitoring hot path:
 // the similarity kernels, the two attribution structures across region
 // counts, one detector step of each detector, and the execution-engine
-// sampling rate. These are the constants behind Figs. 15/16.
+// sampling rate. These are the constants behind Figs. 15/16. BM_Crc32
+// times the checksum under every journal record, flight-recorder record
+// and snapshot, on its portable table path and as dispatched on this host.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,7 @@
 #include "core/LocalPhaseDetector.h"
 #include "core/Similarity.h"
 #include "gpd/CentroidPhaseDetector.h"
+#include "persist/Crc32.h"
 #include "sim/Engine.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
@@ -22,6 +25,7 @@
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -113,6 +117,20 @@ void BM_EngineSampling(benchmark::State &State) {
   }
 }
 
+using CrcFn = std::uint32_t (*)(std::span<const std::uint8_t>, std::uint32_t);
+
+void BM_Crc32(benchmark::State &State, CrcFn Crc) {
+  const auto Bytes = static_cast<std::size_t>(State.range(0));
+  Rng Random(7);
+  std::vector<std::uint8_t> Data(Bytes);
+  for (auto &B : Data)
+    B = static_cast<std::uint8_t>(Random.next() >> 56);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Crc(Data, 0));
+  State.SetBytesProcessed(State.iterations() *
+                          static_cast<std::int64_t>(Bytes));
+}
+
 } // namespace
 
 BENCHMARK_CAPTURE(BM_Similarity, pearson, core::SimilarityKind::Pearson)
@@ -144,5 +162,15 @@ BENCHMARK_CAPTURE(BM_Attribution, table, core::SegmentAttributor())
 BENCHMARK(BM_LocalDetectorStep)->Arg(64)->Arg(1024);
 BENCHMARK(BM_GpdStep);
 BENCHMARK(BM_EngineSampling);
+// 13 bytes is the record-header prefix the CRC chains first; 34,561 is
+// one 2032-sample batch record's payload.
+BENCHMARK_CAPTURE(BM_Crc32, table, &persist::crc32Table)
+    ->Arg(13)
+    ->Arg(4096)
+    ->Arg(34561);
+BENCHMARK_CAPTURE(BM_Crc32, dispatched, &persist::crc32)
+    ->Arg(13)
+    ->Arg(4096)
+    ->Arg(34561);
 
 BENCHMARK_MAIN();

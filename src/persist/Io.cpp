@@ -77,13 +77,26 @@ regmon::persist::readFileBytes(const std::string &Path) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (F == nullptr)
     return std::nullopt;
-  std::vector<std::uint8_t> Data;
-  std::uint8_t Chunk[4096];
-  for (;;) {
-    const auto N = std::fread(Chunk, 1, sizeof(Chunk), F);
-    Data.insert(Data.end(), Chunk, Chunk + N);
-    if (N < sizeof(Chunk))
-      break;
+  // One read sized from the file as it stands. A path file_size cannot
+  // measure (a directory, say) starts empty and is left to the chunked
+  // read, whose fread sets the error flag.
+  std::error_code Ec;
+  const std::uint64_t Size = std::filesystem::file_size(Path, Ec);
+  std::vector<std::uint8_t> Data(Ec ? 0 : Size);
+  std::uint64_t Got = 0;
+  if (!Data.empty())
+    Got = std::fread(Data.data(), 1, Data.size(), F);
+  if (Got == Data.size()) {
+    // The file may have grown since it was measured: read on to EOF.
+    std::uint8_t Chunk[4096];
+    for (;;) {
+      const auto N = std::fread(Chunk, 1, sizeof(Chunk), F);
+      Data.insert(Data.end(), Chunk, Chunk + N);
+      if (N < sizeof(Chunk))
+        break;
+    }
+  } else {
+    Data.resize(Got);
   }
   const bool HadError = std::ferror(F) != 0;
   if (std::fclose(F) != 0 || HadError)

@@ -119,8 +119,9 @@ private:
   bool Failed = false;
 };
 
-/// Reads an entire file. std::nullopt when the file cannot be opened or a
-/// read error occurs (a missing file is not corruption -- callers count
+/// Reads an entire file, in one read sized from the file and then on to
+/// EOF should it have grown. std::nullopt when the file cannot be opened
+/// or a read error occurs (a missing file is not corruption -- callers count
 /// the two differently).
 std::optional<std::vector<std::uint8_t>> readFileBytes(const std::string &Path);
 

@@ -135,18 +135,28 @@ bool StateCodec::decode(ByteReader &R, core::LocalPhaseDetector &D) {
   const std::uint64_t Observed = R.u64();
   const std::uint64_t Skipped = R.u64();
   // Like the histogram's: the stable set's derived sums must match its
-  // bins. Beyond that, refuse what observe cannot reach: every metric
-  // returns a finite r, and a phase change needs a compare, which counts
-  // as an observation.
+  // bins. Beyond that, refuse what observe cannot reach. Every metric
+  // returns a finite r. The first observation only adopts, so it alone
+  // sets PrevValid. The first compare is observation 2 and can only enter
+  // LessUnstable, so LessUnstable needs 2 observations, Stable needs 3,
+  // and at most Observed - 2 compares changed phase. A change last
+  // interval was counted.
+  const auto St = static_cast<core::LocalPhaseState>(State);
+  const std::uint64_t MaxChanges = Observed < 2 ? 0 : Observed - 2;
+  const bool Reachable =
+      PrevValid == (Observed > 0) &&
+      !(St == core::LocalPhaseState::LessUnstable && Observed < 2) &&
+      !(St == core::LocalPhaseState::Stable && Observed < 3) &&
+      PhaseChanges <= MaxChanges && (!LastWasChange || PhaseChanges > 0);
   if (!R.ok() || Prev.size() != D.PrevHist.size() || State > 2 ||
       PrevSum != sumOfBins(Prev) || PrevSumSq != sumOfSquaredBins(Prev) ||
-      !std::isfinite(LastR) || PhaseChanges > Observed) {
+      !std::isfinite(LastR) || !Reachable) {
     R.fail();
     return false;
   }
   D.PrevHist = std::move(Prev);
   D.PrevValid = PrevValid;
-  D.State = static_cast<core::LocalPhaseState>(State);
+  D.State = St;
   D.LastR = LastR;
   D.LastWasChange = LastWasChange;
   D.PhaseChanges = PhaseChanges;

@@ -63,7 +63,10 @@ public:
   /// Local phase detector (state machine + frozen stable set, followed by
   /// the stable set's sum and sum of squares, derived at encode). Decode
   /// refuses sums that disagree with the set and state observe cannot
-  /// reach: a non-finite r, or more phase changes than observations.
+  /// reach: a non-finite r, a stable set valid other than exactly after
+  /// the first observation, LessUnstable before 2 observations or Stable
+  /// before 3, more than Observed - 2 phase changes, or a change last
+  /// interval with none counted.
   static void encode(ByteWriter &W, const core::LocalPhaseDetector &D);
   static bool decode(ByteReader &R, core::LocalPhaseDetector &D);
 

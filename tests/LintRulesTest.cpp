@@ -538,6 +538,35 @@ TEST(PurityGraph, DiagnosticsAnchorAtTheAnnotatedRoot) {
   }
 }
 
+TEST(PurityGraph, GnuAttributedFunctionIsAGraphNode) {
+  // `__attribute__((target(...)))` before a declaration names nothing, as
+  // `[[...]]` names nothing: the helper is a node under its own name, and
+  // the hot root's call reaches the allocation in its body. Before a class
+  // name, the class keeps its name.
+  std::vector<FileContext> Files;
+  Files.push_back(buildContext("fixture/purity_gnu_attribute.cpp",
+                               readFixture("purity_gnu_attribute.cpp"),
+                               Layer::Deterministic));
+  CallGraph G = CallGraph::build(Files);
+  bool HelperIsNode = false, MethodInClass = false;
+  for (const GraphNode &N : G.nodes()) {
+    EXPECT_NE(N.Name, "__attribute__");
+    EXPECT_NE(N.ClassName, "__attribute__");
+    HelperIsNode = HelperIsNode || N.Name == "clmulHelper";
+    MethodInClass =
+        MethodInClass || (N.Name == "sum" && N.ClassName == "Lanes");
+  }
+  EXPECT_TRUE(HelperIsNode);
+  EXPECT_TRUE(MethodInClass);
+  bool Found = false;
+  for (const Diagnostic &D : runGraphRules(G, Files))
+    if (D.Rule == "purity-hot" &&
+        D.Message.find("hotClmulRoot -> clmulHelper") != std::string::npos &&
+        D.Message.find("operator new") != std::string::npos)
+      Found = true;
+  EXPECT_TRUE(Found);
+}
+
 TEST(PurityGraph, GoodFixtureAndAllowExemptionStayClean) {
   // hotExempted reaches an allocation, but the evidence line carries
   // `allow(purity-hot)`; pureAlloc allocates, which REGMON_PURE permits.

@@ -31,6 +31,7 @@
 #include "sim/Engine.h"
 #include "sim/ProgramCodeMap.h"
 #include "support/Histogram.h"
+#include "support/Rng.h"
 #include "support/Statistics.h"
 #include "workloads/Workloads.h"
 
@@ -109,6 +110,74 @@ TEST(PersistCrc32, ChainingMatchesConcatenation) {
   AB.insert(AB.end(), B.begin(), B.end());
   EXPECT_EQ(crc32(B, crc32(A)), crc32(AB));
   EXPECT_NE(crc32(A), crc32(B));
+}
+
+/// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320: the
+/// definition both the table loop and the carry-less fold must reproduce.
+std::uint32_t referenceCrc32(std::span<const std::uint8_t> Data,
+                             std::uint32_t Seed) {
+  std::uint32_t C = ~Seed;
+  for (const std::uint8_t B : Data) {
+    C ^= B;
+    for (int K = 0; K < 8; ++K)
+      C = (C >> 1) ^ (0xEDB88320U & (0U - (C & 1U)));
+  }
+  return ~C;
+}
+
+std::vector<std::uint8_t> randomBytes(std::uint64_t N, std::uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<std::uint8_t> B(N);
+  for (std::uint8_t &X : B)
+    X = static_cast<std::uint8_t>(R.next() >> 56);
+  return B;
+}
+
+TEST(PersistCrc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Covers the fold's entry (64 bytes), every 16-byte bulk with every
+  // tail of 0-15 bytes, and every misalignment of the unaligned loads.
+  const std::vector<std::uint8_t> Buf = randomBytes(1100 + 15, 21);
+  Rng Seeds(22);
+  for (std::uint64_t Offset = 0; Offset < 16; ++Offset)
+    for (std::uint64_t Len = 0; Len <= 1100; ++Len) {
+      const std::span<const std::uint8_t> S(Buf.data() + Offset, Len);
+      for (const std::uint32_t Seed :
+           {std::uint32_t{0}, static_cast<std::uint32_t>(Seeds.next())}) {
+        const std::uint32_t Want = referenceCrc32(S, Seed);
+        ASSERT_EQ(crc32(S, Seed), Want)
+            << "offset " << Offset << " length " << Len << " seed " << Seed;
+        ASSERT_EQ(crc32Table(S, Seed), Want)
+            << "offset " << Offset << " length " << Len << " seed " << Seed;
+      }
+    }
+}
+
+TEST(PersistCrc32, ChainingAtEverySplitMatchesWhole) {
+  const std::vector<std::uint8_t> B = randomBytes(300, 23);
+  const std::span<const std::uint8_t> All(B);
+  const std::uint32_t Whole = crc32(All);
+  ASSERT_EQ(crc32Table(All), Whole);
+  for (std::uint64_t K = 0; K <= B.size(); ++K) {
+    EXPECT_EQ(crc32(All.subspan(K), crc32(All.first(K))), Whole) << K;
+    EXPECT_EQ(crc32Table(All.subspan(K), crc32Table(All.first(K))), Whole)
+        << K;
+  }
+}
+
+TEST(PersistCrc32, DispatchedMatchesTableOnLargeBuffers) {
+  // 34,561 bytes is one 2032-sample record payload, the size the journal
+  // and the flight recorder checksum per batch.
+  for (const std::uint64_t Len :
+       {std::uint64_t{34561}, std::uint64_t{65536 + 13},
+        std::uint64_t{(1 << 20) + 5}}) {
+    const std::vector<std::uint8_t> Buf = randomBytes(Len + 3, Len);
+    for (const std::uint64_t Offset : {0, 3}) {
+      const std::span<const std::uint8_t> S(Buf.data() + Offset, Len);
+      EXPECT_EQ(crc32(S), crc32Table(S)) << Len << " at " << Offset;
+      EXPECT_EQ(crc32(S, 0x1234ABCDU), crc32Table(S, 0x1234ABCDU))
+          << Len << " at " << Offset;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -219,6 +288,31 @@ TEST(PersistBytes, AtEndRejectsTrailingBytes) {
   EXPECT_FALSE(R.atEnd()); // one byte left over
   (void)R.u8();
   EXPECT_TRUE(R.atEnd());
+}
+
+//===----------------------------------------------------------------------===//
+// File I/O
+//===----------------------------------------------------------------------===//
+
+TEST(PersistIo, ReadFileBytesReturnsExactContent) {
+  // Empty, one byte, sizes around the 4 KiB chunks the read continues in
+  // after its sized read, and one over 1 MiB.
+  const std::string Dir = scratchDir("read_file_bytes");
+  for (const std::uint64_t Size :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{4095},
+        std::uint64_t{4096}, std::uint64_t{4097},
+        std::uint64_t{(1 << 20) + 7}}) {
+    SCOPED_TRACE(Size);
+    const std::string Path = Dir + "/f" + std::to_string(Size);
+    const std::vector<std::uint8_t> Want = randomBytes(Size, Size + 1);
+    writeBytes(Path, Want);
+    const auto Got = readFileBytes(Path);
+    ASSERT_TRUE(Got.has_value());
+    EXPECT_EQ(*Got, Want);
+  }
+  // Neither a missing path nor a directory is a file's bytes.
+  EXPECT_FALSE(readFileBytes(Dir + "/missing").has_value());
+  EXPECT_FALSE(readFileBytes(Dir).has_value());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1255,7 +1349,82 @@ TEST(PersistStateCodec, LocalPhaseDetectorRejectsUnreachableState) {
       {"NaN r", {std::nan(""), 1, 4}, {0.9, 1, 4}},
       {"+inf r", {std::numeric_limits<double>::infinity(), 1, 4},
        {-1.0, 1, 4}},
-      {"9 phase changes over 2 observations", {0.9, 9, 2}, {0.9, 1, 2}},
+      {"9 phase changes over 2 observations", {0.9, 9, 2}, {0.9, 1, 3}},
+  };
+  for (const auto &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    EXPECT_FALSE(Loads(Payload(C.Forged)));
+    EXPECT_TRUE(Loads(Payload(C.Control)));
+  }
+}
+
+TEST(PersistStateCodec, LocalPhaseDetectorRejectsCountersObserveCannotReach) {
+  // observe adopts on the first observation, compares from the second,
+  // needs two similar compares to reach Stable and counts every entry to
+  // or exit from Stable. A payload whose counters disagree with that
+  // would restore a region that exports stable without having compared.
+  const std::unique_ptr<core::SimilarityMetric> Metric =
+      core::makeSimilarity(core::SimilarityKind::Pearson);
+  const std::vector<std::uint32_t> Prev{3, 0, 1, 0, 0, 2, 0, 0};
+  using St = core::LocalPhaseState;
+  struct Fields {
+    bool PrevValid;
+    St State;
+    bool LastWasChange;
+    std::uint64_t PhaseChanges;
+    std::uint64_t Observed;
+  };
+  const auto Payload = [&Prev](const Fields &F) {
+    ByteWriter W;
+    W.vecU32(Prev);
+    W.u64(6);  // sum of the stable set
+    W.u64(14); // its sum of squares
+    W.boolean(F.PrevValid);
+    W.u8(static_cast<std::uint8_t>(F.State));
+    W.f64(0.9);
+    W.boolean(F.LastWasChange);
+    W.u64(F.PhaseChanges);
+    W.u64(F.Observed);
+    W.u64(0); // SkippedUndersampled
+    return W.take();
+  };
+  const auto Loads = [&Metric](const std::vector<std::uint8_t> &Bytes) {
+    core::LocalPhaseDetector D(/*InstrCount=*/8, *Metric);
+    ByteReader R(Bytes);
+    return StateCodec::decode(R, D) && R.atEnd();
+  };
+
+  // Each control is a state observe reaches, and differs from its forgery
+  // only in the forged field.
+  const struct {
+    const char *Name;
+    Fields Forged;
+    Fields Control;
+  } Cases[] = {
+      {"stable set before any observation",
+       {true, St::Unstable, false, 0, 0},
+       {false, St::Unstable, false, 0, 0}},
+      {"no stable set after an observation",
+       {false, St::Unstable, false, 0, 1},
+       {true, St::Unstable, false, 0, 1}},
+      {"stable with no observation",
+       {false, St::Stable, false, 0, 0},
+       {false, St::Unstable, false, 0, 0}},
+      {"less unstable after one observation",
+       {true, St::LessUnstable, false, 0, 1},
+       {true, St::Unstable, false, 0, 1}},
+      {"stable after two observations",
+       {true, St::Stable, false, 0, 2},
+       {true, St::LessUnstable, false, 0, 2}},
+      {"a phase change before any compare",
+       {true, St::Unstable, false, 1, 1},
+       {true, St::Unstable, false, 0, 1}},
+      {"3 phase changes over 4 observations",
+       {true, St::Stable, true, 3, 4},
+       {true, St::Stable, true, 1, 4}},
+      {"a change last interval with none counted",
+       {true, St::Unstable, true, 0, 3},
+       {true, St::Unstable, false, 0, 3}},
   };
   for (const auto &C : Cases) {
     SCOPED_TRACE(C.Name);

@@ -84,6 +84,12 @@ private:
     return {};
   }
 
+  /// True when a GNU `__attribute__((...))` starts at \p I. Like
+  /// `[[...]]` it names nothing, so callers skip it whole.
+  bool gnuAttributeAt(std::size_t I) const {
+    return isId(T[I], "__attribute__") && nextIs(T, I, "(");
+  }
+
   /// Skips to one past the `;` terminating the current statement,
   /// balancing (), [] and {} (initializer lists, lambdas) on the way.
   std::size_t skipToSemi(std::size_t I) const {
@@ -202,6 +208,10 @@ private:
         J = skipBalanced(T, J, "[", "]"); // [[attributes]]
         continue;
       }
+      if (gnuAttributeAt(J)) {
+        J = skipBalanced(T, J + 1, "(", ")");
+        continue;
+      }
       if (T[J].Kind == TokenKind::Identifier && T[J].Text != "final" &&
           T[J].Text != "alignas") {
         if (Name.empty()) {
@@ -293,6 +303,10 @@ private:
       const Token &Tok = T[I];
       if (Tok.Kind == TokenKind::Directive || Tok.Kind == TokenKind::Literal) {
         ++I;
+        continue;
+      }
+      if (gnuAttributeAt(I)) {
+        I = skipBalanced(T, I + 1, "(", ")");
         continue;
       }
       if (Tok.Kind == TokenKind::Identifier) {
