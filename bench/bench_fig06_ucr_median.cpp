@@ -24,13 +24,15 @@ using namespace regmon;
 using namespace regmon::bench;
 
 int main() {
+  core::RegionMonitorConfig UcrSeries;
+  UcrSeries.RecordTimelines = true;
   std::printf("[Fig. 6] Median %%UCR per benchmark @ 45K cycles/interrupt "
               "(threshold 30%%)\n\n");
   TextTable Table;
   Table.header({"benchmark", "median %UCR", "> threshold",
                 "formation triggers"});
   for (const std::string &Name : workloads::fig6Names()) {
-    MonitorRun Run(workloads::make(Name), 45'000);
+    MonitorRun Run(workloads::make(Name), 45'000, UcrSeries);
     std::span<const double> History = Run.monitor().ucrHistory();
     const std::vector<double> Ucr(History.begin(), History.end());
     const double Median = median(Ucr);

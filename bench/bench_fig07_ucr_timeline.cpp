@@ -24,9 +24,11 @@ using namespace regmon;
 using namespace regmon::bench;
 
 int main() {
+  core::RegionMonitorConfig UcrSeries;
+  UcrSeries.RecordTimelines = true;
   std::printf("[Fig. 7] %%UCR over time (45K cycles/interrupt)\n\n");
   for (const char *Name : {"254.gap", "186.crafty"}) {
-    MonitorRun Run(workloads::make(Name), 45'000);
+    MonitorRun Run(workloads::make(Name), 45'000, UcrSeries);
     std::span<const double> History = Run.monitor().ucrHistory();
 
     const std::size_t Cols = std::min<std::size_t>(96, History.size());

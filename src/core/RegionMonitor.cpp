@@ -139,6 +139,7 @@ void RegionMonitor::reset() {
   Regions.clear();
   Records.clear();
   Index = SegmentAttributor();
+  LastUcrFraction = 0;
   UcrHistory.clear();
   Intervals = 0;
   FormationTriggers = 0;
@@ -185,8 +186,9 @@ const LocalPhaseDetector &RegionMonitor::missDetector(RegionId Id) const {
   return *record(Id).MissDetector;
 }
 
-double RegionMonitor::lastUcrFraction() const {
-  return UcrHistory.empty() ? 0.0 : UcrHistory.back();
+std::span<const double> RegionMonitor::ucrHistory() const {
+  assert(Config.RecordTimelines && "timelines were not recorded");
+  return UcrHistory;
 }
 
 std::span<const std::uint32_t>
@@ -225,7 +227,9 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   OutOfRegionSamples += RejectedNow;
   const double UcrFraction = static_cast<double>(UcrCount) /
                              static_cast<double>(Samples.size());
-  UcrHistory.push_back(UcrFraction);
+  LastUcrFraction = UcrFraction;
+  if (Config.RecordTimelines)
+    UcrHistory.push_back(UcrFraction);
 
   // Degraded mode: an interval below the sample-mass gate is evidence of
   // a faulty collector, not of the program. Its samples still count (they

@@ -82,8 +82,9 @@ struct RegionMonitorConfig {
   /// PruneAfterIdleIntervals consecutive intervals.
   bool PruneColdRegions = false;
   std::uint64_t PruneAfterIdleIntervals = 64;
-  /// Record per-interval, per-region sample counts / r values / states for
-  /// the region charts (Figs. 2, 5, 9-11). Costs memory; off by default.
+  /// Record the per-interval chart series: each region's sample counts, r
+  /// values and states (Figs. 2, 5, 9-11) and the UCR fraction (Figs. 6
+  /// and 7). Each grows by one entry per interval; off by default.
   bool RecordTimelines = false;
   /// Sliding window (in non-empty intervals) over which
   /// \ref RegionMonitor::recentMissFraction is computed.
@@ -187,6 +188,8 @@ public:
 
   /// Returns the number of samples region \p Id received in the most
   /// recently observed interval (0 for regions formed in that interval).
+  /// The interval's histograms are not checkpointed, so a restored monitor
+  /// reads 0 here until it observes its next interval.
   std::uint64_t lastSampleCount(RegionId Id) const;
 
   /// Returns the region's D-cache-miss sample fraction over the last
@@ -233,10 +236,12 @@ public:
   /// Returns the number of region-formation triggers fired (Fig. 7's
   /// repeated triggers in 254.gap / 186.crafty).
   std::uint64_t formationTriggers() const { return FormationTriggers; }
-  /// Returns the UCR sample fraction of the most recent interval.
-  double lastUcrFraction() const;
-  /// Returns the per-interval UCR fraction history (Figs. 6 and 7).
-  std::span<const double> ucrHistory() const { return UcrHistory; }
+  /// Returns the UCR sample fraction of the most recent interval (0 before
+  /// the first).
+  double lastUcrFraction() const { return LastUcrFraction; }
+  /// Returns the per-interval UCR fraction history (Figs. 6 and 7), one
+  /// entry per interval. Requires RecordTimelines.
+  std::span<const double> ucrHistory() const;
 
   /// Per-interval sample counts of region \p Id starting at its formation
   /// interval. Requires RecordTimelines.
@@ -267,9 +272,10 @@ public:
   std::uint64_t outOfRegionSamples() const { return OutOfRegionSamples; }
 
 private:
-  /// Checkpointing serializes every learned field below (scratch buffers
-  /// and the event handler excluded) and rebuilds each region through
-  /// \ref addRegion on decode (persist/StateCodec.h).
+  /// Checkpointing serializes each learned field below once (scratch
+  /// buffers and the event handler excluded; the RegionStats copies of
+  /// detector and miss counts are derived on decode) and rebuilds each
+  /// region through \ref addRegion (persist/StateCodec.h).
   friend class persist::StateCodec;
 
   /// RecordTimelines only: one region's per-interval chart series.
@@ -284,7 +290,8 @@ private:
   /// every interval walks all records.
   struct RegionRecord {
     bool Active = false;
-    /// This interval's cycle and miss histograms.
+    /// This interval's cycle and miss histograms: scratch that
+    /// observeInterval resets before attributing, never checkpointed.
     InstrHistogram Curr;
     InstrHistogram CurrMiss;
     std::unique_ptr<LocalPhaseDetector> Detector;
@@ -331,6 +338,8 @@ private:
   std::vector<Region> Regions;
   std::vector<RegionRecord> Records;
 
+  double LastUcrFraction = 0;
+  /// RecordTimelines only.
   std::vector<double> UcrHistory;
   std::uint64_t Intervals = 0;
   std::uint64_t FormationTriggers = 0;

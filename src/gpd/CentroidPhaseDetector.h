@@ -43,10 +43,6 @@
 #include <span>
 #include <vector>
 
-namespace regmon::persist {
-class StateCodec;
-} // namespace regmon::persist
-
 namespace regmon::gpd {
 
 /// The detector's observable phase state.
@@ -131,10 +127,6 @@ public:
   void attachObservability(const obs::GpdInstruments *O) { Obs = O; }
 
 private:
-  /// Checkpointing serializes the centroid history, state machine, and
-  /// timeline (persist/StateCodec.h).
-  friend class persist::StateCodec;
-
   GlobalPhaseState step(double Centroid);
   void noteState();
 

@@ -40,7 +40,7 @@ namespace regmon::persist {
 /// 'RGMN' in little-endian byte order.
 inline constexpr std::uint32_t SnapshotMagic = 0x4E4D4752U;
 /// Current schema version of section payloads.
-inline constexpr std::uint32_t SnapshotVersion = 2;
+inline constexpr std::uint32_t SnapshotVersion = 3;
 /// Upper bound on sections per snapshot; a corrupt count field must not
 /// buy a long parse loop.
 inline constexpr std::uint32_t SnapshotMaxSections = 1U << 20;

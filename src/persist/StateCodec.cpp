@@ -23,52 +23,10 @@ namespace {
 constexpr std::uint64_t MaxRegionsDecoded = 1ULL << 20;
 constexpr std::uint64_t MaxInstrsPerRegion = 1ULL << 24;
 
-std::uint64_t sumOfBins(std::span<const std::uint32_t> Bins) {
-  std::uint64_t Total = 0;
-  for (std::uint32_t B : Bins)
-    Total += B;
-  return Total;
-}
-
-std::uint64_t sumOfSquaredBins(std::span<const std::uint32_t> Bins) {
-  std::uint64_t Total = 0;
-  for (std::uint32_t B : Bins)
-    Total += static_cast<std::uint64_t>(B) * B;
-  return Total;
-}
+/// False for NaN as well as for values outside [0, 1].
+bool isFraction(double F) { return F >= 0.0 && F <= 1.0; }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// InstrHistogram
-//===----------------------------------------------------------------------===//
-
-void StateCodec::encode(ByteWriter &W, const InstrHistogram &H) {
-  W.u64(H.StartAddr);
-  W.vecU32(H.Bins);
-  W.u64(H.TotalCount);
-  W.u64(sumOfSquaredBins(H.Bins));
-}
-
-bool StateCodec::decode(ByteReader &R, InstrHistogram &H) {
-  const std::uint64_t Start = R.u64();
-  std::vector<std::uint32_t> Bins;
-  if (!R.vecU32(Bins))
-    return false;
-  const std::uint64_t Total = R.u64();
-  const std::uint64_t SumSq = R.u64();
-  // The sum of squares is derived from the bins (encode computes it); a
-  // payload whose sums disagree with its bins is corrupt, not merely
-  // redundant, so the whole histogram is refused.
-  if (!R.ok() || Start != H.StartAddr || Bins.size() != H.Bins.size() ||
-      Total != sumOfBins(Bins) || SumSq != sumOfSquaredBins(Bins)) {
-    R.fail();
-    return false;
-  }
-  H.Bins = std::move(Bins);
-  H.TotalCount = Total;
-  return true;
-}
 
 //===----------------------------------------------------------------------===//
 // WindowedStats
@@ -110,8 +68,6 @@ bool StateCodec::decode(ByteReader &R, WindowedStats &S,
 
 void StateCodec::encode(ByteWriter &W, const core::LocalPhaseDetector &D) {
   W.vecU32(D.PrevHist);
-  W.u64(sumOfBins(D.PrevHist));
-  W.u64(sumOfSquaredBins(D.PrevHist));
   W.boolean(D.PrevValid);
   W.u8(static_cast<std::uint8_t>(D.State));
   W.f64(D.LastR);
@@ -125,8 +81,6 @@ bool StateCodec::decode(ByteReader &R, core::LocalPhaseDetector &D) {
   std::vector<std::uint32_t> Prev;
   if (!R.vecU32(Prev))
     return false;
-  const std::uint64_t PrevSum = R.u64();
-  const std::uint64_t PrevSumSq = R.u64();
   const bool PrevValid = R.boolean();
   const std::uint8_t State = R.u8();
   const double LastR = R.f64();
@@ -134,22 +88,22 @@ bool StateCodec::decode(ByteReader &R, core::LocalPhaseDetector &D) {
   const std::uint64_t PhaseChanges = R.u64();
   const std::uint64_t Observed = R.u64();
   const std::uint64_t Skipped = R.u64();
-  // Like the histogram's: the stable set's derived sums must match its
-  // bins. Beyond that, refuse what observe cannot reach. Every metric
-  // returns a finite r. The first observation only adopts, so it alone
-  // sets PrevValid. The first compare is observation 2 and can only enter
-  // LessUnstable, so LessUnstable needs 2 observations, Stable needs 3,
-  // and at most Observed - 2 compares changed phase. A change last
+  // Refuse what observe cannot reach. Every metric returns a finite r. The
+  // first observation only adopts, so it alone sets PrevValid. The first
+  // compare is observation 2 and can only enter LessUnstable, so
+  // LessUnstable needs 2 observations and at most Observed - 2 compares
+  // changed phase. The machine starts Unstable and each counted change
+  // enters or leaves Stable, so it is Stable exactly when the count is odd
+  // (and, with the bound, after at least 3 observations). A change last
   // interval was counted.
   const auto St = static_cast<core::LocalPhaseState>(State);
   const std::uint64_t MaxChanges = Observed < 2 ? 0 : Observed - 2;
   const bool Reachable =
       PrevValid == (Observed > 0) &&
       !(St == core::LocalPhaseState::LessUnstable && Observed < 2) &&
-      !(St == core::LocalPhaseState::Stable && Observed < 3) &&
+      (St == core::LocalPhaseState::Stable) == (PhaseChanges % 2 == 1) &&
       PhaseChanges <= MaxChanges && (!LastWasChange || PhaseChanges > 0);
   if (!R.ok() || Prev.size() != D.PrevHist.size() || State > 2 ||
-      PrevSum != sumOfBins(Prev) || PrevSumSq != sumOfSquaredBins(Prev) ||
       !std::isfinite(LastR) || !Reachable) {
     R.fail();
     return false;
@@ -180,7 +134,11 @@ void StateCodec::encode(ByteWriter &W, const core::RegionMonitor &M) {
   W.u64(M.Intervals);
   W.u64(M.FormationTriggers);
   W.u64(M.UndersampledIntervals);
-  W.vecF64(M.UcrHistory);
+  // The last UCR fraction, once: the recorded series ends with it.
+  if (M.Config.RecordTimelines)
+    W.vecF64(M.UcrHistory);
+  else
+    W.f64(M.LastUcrFraction);
 
   W.u32(static_cast<std::uint32_t>(M.Regions.size()));
   for (core::RegionId Id = 0; Id < M.Regions.size(); ++Id) {
@@ -191,20 +149,16 @@ void StateCodec::encode(ByteWriter &W, const core::RegionMonitor &M) {
     W.u64(Reg.End);
     W.u64(Reg.FormedAtInterval);
     W.boolean(Rec.Active);
-    encode(W, Rec.Curr);
-    encode(W, Rec.CurrMiss);
     encode(W, *Rec.Detector);
     W.boolean(Rec.MissDetector != nullptr);
     if (Rec.MissDetector != nullptr)
       encode(W, *Rec.MissDetector);
+    // The phase-change copies and the miss total are derived at decode.
     const core::RegionStats &RS = Rec.Stats;
     W.u64(RS.LifetimeIntervals);
     W.u64(RS.StableIntervals);
     W.u64(RS.ActiveIntervals);
     W.u64(RS.TotalSamples);
-    W.u64(RS.TotalMisses);
-    W.u64(RS.PhaseChanges);
-    W.u64(RS.MissPhaseChanges);
     W.u64(Rec.LastSampledInterval);
     W.vecU64(Rec.CumulativeMisses);
     encode(W, Rec.RecentMiss);
@@ -234,11 +188,24 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
       R.u64() != M.Config.MissWindowIntervals || !R.ok())
     return Reject();
 
+  // An interval fires at most one formation trigger and is undersampled
+  // or not.
   M.Intervals = R.u64();
   M.FormationTriggers = R.u64();
   M.UndersampledIntervals = R.u64();
-  if (!R.vecF64(M.UcrHistory))
+  if (!R.ok() || M.FormationTriggers > M.Intervals ||
+      M.UndersampledIntervals > M.Intervals)
     return Reject();
+  if (M.Config.RecordTimelines) {
+    if (!R.vecF64(M.UcrHistory) || M.UcrHistory.size() != M.Intervals ||
+        !std::all_of(M.UcrHistory.begin(), M.UcrHistory.end(), isFraction))
+      return Reject();
+    M.LastUcrFraction = M.UcrHistory.empty() ? 0.0 : M.UcrHistory.back();
+  } else {
+    M.LastUcrFraction = R.f64();
+    if (!R.ok() || !isFraction(M.LastUcrFraction))
+      return Reject();
+  }
 
   const std::uint32_t RegionCount = R.u32();
   if (!R.ok() || RegionCount > MaxRegionsDecoded)
@@ -270,8 +237,7 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
     // consistent monitor to clear.
     core::RegionMonitor::RegionRecord &Rec =
         M.addRegion(std::move(Reg), IsActive);
-    if (!decode(R, Rec.Curr) || !decode(R, Rec.CurrMiss) ||
-        !decode(R, *Rec.Detector))
+    if (!decode(R, *Rec.Detector))
       return Reject();
     const bool HasMissDetector = R.boolean();
     if (!R.ok() || HasMissDetector != M.Config.TrackMissPhases)
@@ -283,9 +249,6 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
     RS.StableIntervals = R.u64();
     RS.ActiveIntervals = R.u64();
     RS.TotalSamples = R.u64();
-    RS.TotalMisses = R.u64();
-    RS.PhaseChanges = R.u64();
-    RS.MissPhaseChanges = R.u64();
     Rec.LastSampledInterval = R.u64();
     // Formation stamps both clocks inside an interval that then completes,
     // and sampling only moves the sample clock forward. A clock outside
@@ -293,9 +256,30 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
     if (!R.ok() || Rec.LastSampledInterval >= M.Intervals ||
         Rec.LastSampledInterval < FormedAt)
       return Reject();
+    // Every interval from formation on ages an active region by one and
+    // adds at most one to its active and stable counts; pruning stops all
+    // three.
+    const std::uint64_t SinceFormed = M.Intervals - FormedAt;
+    if ((IsActive ? RS.LifetimeIntervals != SinceFormed
+                  : RS.LifetimeIntervals > SinceFormed) ||
+        RS.ActiveIntervals > RS.LifetimeIntervals ||
+        RS.StableIntervals > RS.LifetimeIntervals)
+      return Reject();
     if (!R.vecU64(Rec.CumulativeMisses) ||
         Rec.CumulativeMisses.size() != Instrs)
       return Reject();
+    // The miss total grows by the same histogram as the per-bin counts,
+    // and every miss is a sample. Summed so a hostile bin cannot wrap.
+    for (std::uint64_t Misses : Rec.CumulativeMisses) {
+      if (Misses > RS.TotalSamples - RS.TotalMisses)
+        return Reject();
+      RS.TotalMisses += Misses;
+    }
+    // observeInterval keeps both phase-change counts equal to the
+    // detectors'.
+    RS.PhaseChanges = Rec.Detector->PhaseChanges;
+    RS.MissPhaseChanges =
+        HasMissDetector ? Rec.MissDetector->PhaseChanges : 0;
     if (!decode(R, Rec.RecentMiss, M.Config.MissWindowIntervals) ||
         Rec.RecentMiss.Cap != M.Config.MissWindowIntervals)
       return Reject();
@@ -329,76 +313,6 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
   if (std::adjacent_find(ActiveBounds.begin(), ActiveBounds.end()) !=
       ActiveBounds.end())
     return Reject();
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// CentroidPhaseDetector
-//===----------------------------------------------------------------------===//
-
-void StateCodec::encode(ByteWriter &W, const gpd::CentroidPhaseDetector &G) {
-  W.u64(G.Config.HistoryLength);
-  W.boolean(G.Config.AdaptiveWindow);
-  W.u64(G.Config.MinHistoryLength);
-  W.u64(G.Config.MaxHistoryLength);
-  encode(W, G.History);
-  W.u8(static_cast<std::uint8_t>(G.State));
-  W.u32(G.Timer);
-  W.u32(G.QuietStableRun);
-  W.boolean(G.LastWasChange);
-  W.u64(G.PhaseChanges);
-  W.u64(G.Intervals);
-  W.u64(G.StableIntervals);
-  W.u64(G.Timeline.size());
-  for (gpd::GlobalPhaseState S : G.Timeline)
-    W.u8(static_cast<std::uint8_t>(S));
-}
-
-bool StateCodec::decode(ByteReader &R, gpd::CentroidPhaseDetector &G) {
-  if (R.u64() != G.Config.HistoryLength ||
-      R.boolean() != G.Config.AdaptiveWindow ||
-      R.u64() != G.Config.MinHistoryLength ||
-      R.u64() != G.Config.MaxHistoryLength || !R.ok()) {
-    R.fail();
-    return false;
-  }
-  std::uint64_t MaxCap = G.Config.HistoryLength;
-  if (G.Config.AdaptiveWindow && G.Config.MaxHistoryLength > MaxCap)
-    MaxCap = G.Config.MaxHistoryLength;
-  if (!decode(R, G.History, MaxCap))
-    return false;
-  const std::uint8_t State = R.u8();
-  const std::uint32_t Timer = R.u32();
-  const std::uint32_t Quiet = R.u32();
-  const bool LastWasChange = R.boolean();
-  const std::uint64_t PhaseChanges = R.u64();
-  const std::uint64_t Intervals = R.u64();
-  const std::uint64_t StableIntervals = R.u64();
-  const std::uint64_t Len = R.u64();
-  if (!R.ok() || State > 2 || Len > R.remaining()) {
-    R.fail();
-    return false;
-  }
-  std::vector<gpd::GlobalPhaseState> Timeline;
-  Timeline.reserve(Len);
-  for (std::uint64_t I = 0; I < Len; ++I) {
-    const std::uint8_t S = R.u8();
-    if (S > 2) {
-      R.fail();
-      return false;
-    }
-    Timeline.push_back(static_cast<gpd::GlobalPhaseState>(S));
-  }
-  if (!R.ok())
-    return false;
-  G.State = static_cast<gpd::GlobalPhaseState>(State);
-  G.Timer = Timer;
-  G.QuietStableRun = Quiet;
-  G.LastWasChange = LastWasChange;
-  G.PhaseChanges = PhaseChanges;
-  G.Intervals = Intervals;
-  G.StableIntervals = StableIntervals;
-  G.Timeline = std::move(Timeline);
   return true;
 }
 
@@ -461,62 +375,5 @@ bool StateCodec::decode(ByteReader &R, sampling::AdaptiveController &C) {
   C.Lengthens = Lengthens;
   C.Tightens = Tightens;
   C.SamplesSaved = SamplesSaved;
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// TraceDeployments
-//===----------------------------------------------------------------------===//
-
-void StateCodec::encode(ByteWriter &W, const rto::TraceDeployments &T) {
-  W.u64(T.Trained.size());
-  for (const auto &Profile : T.Trained) {
-    W.boolean(Profile.has_value());
-    W.u32(Profile.has_value() ? *Profile : 0);
-  }
-  W.u64(T.HarmStreak.size());
-  for (std::uint32_t Streak : T.HarmStreak)
-    W.u32(Streak);
-  W.u64(T.Patches);
-  W.u64(T.Unpatches);
-  W.u64(T.FailedPatches);
-}
-
-bool StateCodec::decode(ByteReader &R, rto::TraceDeployments &T) {
-  const std::uint64_t Loops = R.u64();
-  if (!R.ok() || Loops != T.Trained.size()) {
-    R.fail();
-    return false;
-  }
-  std::vector<std::optional<sim::ProfileId>> Trained;
-  Trained.reserve(Loops);
-  for (std::uint64_t I = 0; I < Loops; ++I) {
-    const bool Has = R.boolean();
-    const std::uint32_t Profile = R.u32();
-    if (Has)
-      Trained.emplace_back(Profile);
-    else
-      Trained.emplace_back(std::nullopt);
-  }
-  const std::uint64_t Streaks = R.u64();
-  if (!R.ok() || Streaks != T.HarmStreak.size()) {
-    R.fail();
-    return false;
-  }
-  std::vector<std::uint32_t> Harm;
-  Harm.reserve(Streaks);
-  for (std::uint64_t I = 0; I < Streaks; ++I)
-    Harm.push_back(R.u32());
-  const std::uint64_t Patches = R.u64();
-  const std::uint64_t Unpatches = R.u64();
-  const std::uint64_t Failed = R.u64();
-  if (!R.ok())
-    return false;
-  T.Trained = std::move(Trained);
-  for (std::uint64_t I = 0; I < Streaks; ++I)
-    T.HarmStreak[I] = Harm[I];
-  T.Patches = Patches;
-  T.Unpatches = Unpatches;
-  T.FailedPatches = Failed;
   return true;
 }

@@ -26,10 +26,6 @@
 #include <optional>
 #include <vector>
 
-namespace regmon::persist {
-class StateCodec;
-} // namespace regmon::persist
-
 namespace regmon::rto {
 
 /// Deployed-trace state for every loop of one engine run.
@@ -86,11 +82,6 @@ public:
   std::uint64_t failedPatches() const { return FailedPatches; }
 
 private:
-  /// Checkpointing serializes the ledger (training, streaks, counters);
-  /// engine rate factors resync on the next refresh()
-  /// (persist/StateCodec.h).
-  friend class persist::StateCodec;
-
   /// Returns the profile of \p L active in the engine's current mix, or
   /// std::nullopt when the loop is not part of it.
   std::optional<sim::ProfileId> activeProfile(sim::LoopId L) const;

@@ -27,10 +27,6 @@
 
 namespace regmon {
 
-namespace persist {
-class StateCodec;
-} // namespace persist
-
 /// Sample counts per instruction slot of a fixed-size code region.
 class InstrHistogram {
 public:
@@ -103,9 +99,6 @@ public:
   std::span<const std::uint32_t> bins() const { return Bins; }
 
 private:
-  /// Checkpointing serializes the raw bins (persist/StateCodec.h).
-  friend class persist::StateCodec;
-
   Addr StartAddr = 0;
   std::vector<std::uint32_t> Bins;
   std::uint64_t TotalCount = 0;

@@ -99,6 +99,34 @@ TEST(CliSmoke, UnknownWorkloadIsAUsageError) {
   EXPECT_NE(R.Err.find("unknown workload"), std::string::npos);
 }
 
+/// Runs \p Args and expects a usage error (a normal exit 2, not a
+/// signal) whose diagnostic names \p Flag.
+void expectBadFlag(const std::string &Args, const std::string &Flag) {
+  SCOPED_TRACE(Args);
+  const RunResult R = run(Args);
+  EXPECT_EQ(R.Exit, 2);
+  EXPECT_NE(R.Err.find(Flag), std::string::npos) << R.Err;
+}
+
+TEST(CliSmoke, MalformedNumericFlagsAreUsageErrors) {
+  // A numeric flag takes its whole value or nothing: no trailing text, no
+  // sign, no silent narrowing to a smaller field, no rate outside [0, 1].
+  expectBadFlag("monitor synthetic.steady --seed 12abc", "--seed");
+  expectBadFlag("monitor synthetic.steady --period 45000x", "--period");
+  expectBadFlag("serve synthetic.steady --streams -1", "--streams");
+  expectBadFlag("fleet synthetic.steady --leaves 4294967297 --epochs 1",
+                "--leaves");
+  expectBadFlag("fleet synthetic.steady --leaves 1 --epochs 1 --drop-rate 2",
+                "--drop-rate");
+}
+
+TEST(CliSmoke, ZeroOrNonNumericPeriodIsAUsageError) {
+  // Either would leave the sampler a 1-cycle period: a run that never
+  // ends in practice.
+  expectBadFlag("monitor 181.mcf --period 0", "--period");
+  expectBadFlag("monitor 181.mcf --period abc", "--period");
+}
+
 TEST(CliSmoke, ListSucceedsAndNamesWorkloads) {
   const RunResult R = run("list");
   EXPECT_EQ(R.Exit, 0);

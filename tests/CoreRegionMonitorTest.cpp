@@ -231,7 +231,9 @@ TEST(RegionMonitor, TimelinesRecordPerInterval) {
 
 TEST(RegionMonitor, UcrHistoryMatchesIntervals) {
   TestCodeMap Map;
-  RegionMonitor M(Map);
+  RegionMonitorConfig Config;
+  Config.RecordTimelines = true; // the UCR series is a chart series
+  RegionMonitor M(Map, Config);
   M.observeInterval(buffer({{0x1004, 100}}));
   M.observeInterval(buffer({{0x1004, 50}, {0x9000, 50}}));
   ASSERT_EQ(M.ucrHistory().size(), 2u);

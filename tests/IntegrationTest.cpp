@@ -94,7 +94,9 @@ TEST(Integration, McfRegionsAreLocallyStableDespiteGlobalChurn) {
 
 TEST(Integration, GapUcrStaysHighDespiteFormationTriggers) {
   // Figs. 6/7: gap's interpreter cycles can never be claimed.
-  FullRun Run("254.gap", 45'000);
+  core::RegionMonitorConfig Config;
+  Config.RecordTimelines = true; // for the UCR series
+  FullRun Run("254.gap", 45'000, Config);
   std::span<const double> History = Run.Monitor.ucrHistory();
   const std::vector<double> Ucr(History.begin(), History.end());
   EXPECT_GT(median(Ucr), 0.30);

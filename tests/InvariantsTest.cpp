@@ -36,7 +36,9 @@ protected:
     W = std::make_unique<workloads::Workload>(
         workloads::make(GetParam()));
     Map = std::make_unique<sim::ProgramCodeMap>(W->Prog);
-    Monitor = std::make_unique<core::RegionMonitor>(*Map);
+    core::RegionMonitorConfig Config;
+    Config.RecordTimelines = true; // the UCR series is checked below
+    Monitor = std::make_unique<core::RegionMonitor>(*Map, Config);
     sim::Engine Engine(W->Prog, W->Script, /*Seed=*/1);
     sampling::Sampler Sampler(Engine, {450'000, 2032});
     Sampler.run([&](std::span<const Sample> Buffer) {

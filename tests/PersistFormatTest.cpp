@@ -23,14 +23,10 @@
 #include "persist/StateCodec.h"
 
 #include "core/RegionMonitor.h"
-#include "gpd/CentroidPhaseDetector.h"
-#include "rto/OptimizationModel.h"
-#include "rto/TraceDeployments.h"
 #include "sampling/AdaptiveController.h"
 #include "sampling/Sampler.h"
 #include "sim/Engine.h"
 #include "sim/ProgramCodeMap.h"
-#include "support/Histogram.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "workloads/Workloads.h"
@@ -1113,120 +1109,16 @@ TEST(PersistStateCodec, WindowedStatsRejectsOverCapacityAndBadInvariants) {
   }
 }
 
-TEST(PersistStateCodec, InstrHistogramRoundTripAndMismatchRejected) {
-  InstrHistogram Orig(/*Start=*/0x1000, /*End=*/0x1000 + 16 * InstrBytes);
-  for (int I = 0; I < 50; ++I)
-    Orig.addSample(0x1000 + static_cast<Addr>(I % 16) * InstrBytes);
-
-  const std::vector<std::uint8_t> Bytes = encodeBytes(Orig);
-  InstrHistogram Copy(0x1000, 0x1000 + 16 * InstrBytes);
-  ByteReader R(Bytes);
-  ASSERT_TRUE(StateCodec::decode(R, Copy));
-  EXPECT_TRUE(R.atEnd());
-  EXPECT_EQ(encodeBytes(Copy), Bytes);
-  EXPECT_EQ(Copy.total(), Orig.total());
-
-  // Decoding into a histogram for a different region is rejected.
-  InstrHistogram Other(0x2000, 0x2000 + 16 * InstrBytes);
-  ByteReader R2(Bytes);
-  EXPECT_FALSE(StateCodec::decode(R2, Other));
-
-  // A payload whose total disagrees with its bins is rejected.
-  ByteWriter W;
-  W.u64(0x1000);
-  W.vecU32(std::vector<std::uint32_t>(16, 1));
-  W.u64(999); // != sum of bins
-  InstrHistogram Victim(0x1000, 0x1000 + 16 * InstrBytes);
-  ByteReader R3(W.data());
-  EXPECT_FALSE(StateCodec::decode(R3, Victim));
-}
-
-TEST(PersistStateCodec, InstrHistogramMomentsSurviveRoundTrip) {
-  // Mid-interval checkpoint of a partially filled histogram: the bins
-  // restore exactly, and with them the sum of squares the encoder derives
-  // from them, so a restored histogram continues byte for byte.
-  InstrHistogram Orig(0x1000, 0x1000 + 32 * InstrBytes);
-  for (int I = 0; I < 77; ++I)
-    Orig.addSample(0x1000 + static_cast<Addr>((I * 7) % 32) * InstrBytes);
-
-  const std::vector<std::uint8_t> Bytes = encodeBytes(Orig);
-  InstrHistogram Copy(0x1000, 0x1000 + 32 * InstrBytes);
-  ByteReader R(Bytes);
-  ASSERT_TRUE(StateCodec::decode(R, Copy));
-  EXPECT_TRUE(std::ranges::equal(Copy.bins(), Orig.bins()));
-  EXPECT_EQ(encodeBytes(Copy), Bytes);
-
-  // Continuation keeps both sides in step.
-  for (int I = 0; I < 20; ++I) {
-    Orig.addSample(0x1000 + static_cast<Addr>(I % 32) * InstrBytes);
-    Copy.addSample(0x1000 + static_cast<Addr>(I % 32) * InstrBytes);
-  }
-  EXPECT_TRUE(std::ranges::equal(Copy.bins(), Orig.bins()));
-  EXPECT_EQ(encodeBytes(Copy), encodeBytes(Orig));
-}
-
-TEST(PersistStateCodec, InstrHistogramRejectsDesyncedSumOfSquares) {
-  // Bins and total agree, but the sum of squares was tampered with. The
-  // bytes are corrupt, so all-or-nothing demands rejection.
-  const std::vector<std::uint32_t> Bins(16, 2);
-  const auto Payload = [&Bins](std::uint64_t SumSq) {
-    ByteWriter W;
-    W.u64(0x1000);
-    W.vecU32(Bins);
-    W.u64(32); // == sum of bins
-    W.u64(SumSq);
-    return W.take();
-  };
-  InstrHistogram Victim(0x1000, 0x1000 + 16 * InstrBytes);
-  const std::vector<std::uint8_t> Untouched = encodeBytes(Victim);
-  const std::vector<std::uint8_t> Forged =
-      Payload(65); // != sum of squared bins (16 * 4 = 64)
-  ByteReader R(Forged);
-  EXPECT_FALSE(StateCodec::decode(R, Victim));
-  // The failed decode must not have touched the target.
-  EXPECT_EQ(Victim.total(), 0U);
-  EXPECT_EQ(encodeBytes(Victim), Untouched);
-
-  // The honest payload (SumSq == 64) is accepted and re-encodes as is.
-  const std::vector<std::uint8_t> Honest = Payload(64);
-  ByteReader R2(Honest);
-  EXPECT_TRUE(StateCodec::decode(R2, Victim));
-  EXPECT_TRUE(std::ranges::equal(Victim.bins(), Bins));
-  EXPECT_EQ(encodeBytes(Victim), Honest);
-}
-
 TEST(PersistStateCodec, HistogramAndDetectorGoldenBytes) {
-  // The histogram and detector wire forms, derived sums included, pinned
-  // as literal bytes: snapshots written before the sums were computed at
-  // encode must keep restoring, so neither the layout nor the sums may
-  // move.
-  InstrHistogram H(0x2000, 0x2000 + 4 * InstrBytes);
-  const std::vector<std::uint32_t> A{3, 0, 1, 2};
-  for (std::size_t Bin = 0; Bin < A.size(); ++Bin)
-    for (std::uint32_t K = 0; K < A[Bin]; ++K)
-      H.addSample(0x2000 + static_cast<Addr>(Bin) * InstrBytes);
-  const std::vector<std::uint8_t> HistGolden{
-      0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // start
-      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // bin count
-      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // bins
-      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, //
-      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // total
-      0x0E, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sum of squares
-  };
-  EXPECT_EQ(encodeBytes(H), HistGolden);
-  {
-    InstrHistogram Copy(0x2000, 0x2000 + 4 * InstrBytes);
-    ByteReader R(HistGolden);
-    ASSERT_TRUE(StateCodec::decode(R, Copy));
-    EXPECT_TRUE(R.atEnd());
-    EXPECT_EQ(encodeBytes(Copy), HistGolden);
-  }
-
-  // Into Stable: A is adopted, A again (LessUnstable), then B, similar
-  // enough to confirm, becomes the frozen stable set.
+  // The detector's wire form, its stable-set histogram included, pinned as
+  // literal bytes: a layout change is a snapshot format change and must
+  // come with a version bump. Into Stable: A is adopted, A again
+  // (LessUnstable), then B, similar enough to confirm, becomes the frozen
+  // stable set.
   const std::unique_ptr<core::SimilarityMetric> Metric =
       core::makeSimilarity(core::SimilarityKind::Pearson);
   core::LocalPhaseDetector D(4, *Metric);
+  const std::vector<std::uint32_t> A{3, 0, 1, 2};
   const std::vector<std::uint32_t> B{3, 0, 2, 2};
   D.observe(A);
   D.observe(A);
@@ -1235,8 +1127,6 @@ TEST(PersistStateCodec, HistogramAndDetectorGoldenBytes) {
       0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stable set size
       0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stable set
       0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, //
-      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // its sum
-      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // its sum of squares
       0x01,                                           // stable set valid
       0x02,                                           // state: Stable
       0xAB, 0xF5, 0x37, 0x4C, 0x55, 0x8C, 0xED, 0x3F, // r = 18 / sqrt(380)
@@ -1246,60 +1136,11 @@ TEST(PersistStateCodec, HistogramAndDetectorGoldenBytes) {
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // undersampled
   };
   EXPECT_EQ(encodeBytes(D), DetectorGolden);
-  {
-    core::LocalPhaseDetector Copy(4, *Metric);
-    ByteReader R(DetectorGolden);
-    ASSERT_TRUE(StateCodec::decode(R, Copy));
-    EXPECT_TRUE(R.atEnd());
-    EXPECT_EQ(encodeBytes(Copy), DetectorGolden);
-  }
-}
-
-TEST(PersistStateCodec, LocalPhaseDetectorRejectsDesyncedStableMoments) {
-  const std::unique_ptr<core::SimilarityMetric> Metric =
-      core::makeSimilarity(core::SimilarityKind::Pearson);
-  core::LocalPhaseDetector Victim(/*InstrCount=*/8, *Metric);
-
-  // Hand-build a detector payload whose stable set is honest but whose
-  // running moments (PrevSum / PrevSumSq) disagree with it.
-  const std::vector<std::uint32_t> Prev{3, 0, 1, 0, 0, 2, 0, 0};
-  const auto BuildPayload = [&Prev](std::uint64_t Sum, std::uint64_t SumSq) {
-    ByteWriter W;
-    W.vecU32(Prev);
-    W.u64(Sum);
-    W.u64(SumSq);
-    W.boolean(true); // PrevValid
-    W.u8(2);         // Stable
-    W.f64(0.9);
-    W.boolean(false);
-    W.u64(1); // PhaseChanges
-    W.u64(4); // Observed
-    W.u64(0); // SkippedUndersampled
-    return W.take();
-  };
-
-  // The reader borrows its bytes, so each payload outlives its reader.
-  {
-    const std::vector<std::uint8_t> Bytes =
-        BuildPayload(/*Sum=*/7, /*SumSq=*/14); // wrong Sum (is 6)
-    ByteReader R(Bytes);
-    EXPECT_FALSE(StateCodec::decode(R, Victim));
-  }
-  {
-    const std::vector<std::uint8_t> Bytes =
-        BuildPayload(/*Sum=*/6, /*SumSq=*/13); // wrong SumSq (14)
-    ByteReader R(Bytes);
-    EXPECT_FALSE(StateCodec::decode(R, Victim));
-  }
-  {
-    // The honest payload decodes, and a re-encode reproduces it exactly.
-    const std::vector<std::uint8_t> Honest = BuildPayload(6, 14);
-    ByteReader R(Honest);
-    ASSERT_TRUE(StateCodec::decode(R, Victim));
-    EXPECT_TRUE(R.atEnd());
-    EXPECT_EQ(encodeBytes(Victim), Honest);
-    EXPECT_EQ(Victim.state(), core::LocalPhaseState::Stable);
-  }
+  core::LocalPhaseDetector Copy(4, *Metric);
+  ByteReader R(DetectorGolden);
+  ASSERT_TRUE(StateCodec::decode(R, Copy));
+  EXPECT_TRUE(R.atEnd());
+  EXPECT_EQ(encodeBytes(Copy), DetectorGolden);
 }
 
 TEST(PersistStateCodec, LocalPhaseDetectorRejectsUnreachableState) {
@@ -1318,8 +1159,6 @@ TEST(PersistStateCodec, LocalPhaseDetectorRejectsUnreachableState) {
   const auto Payload = [&Prev](const Fields &F) {
     ByteWriter W;
     W.vecU32(Prev);
-    W.u64(6);        // sum of the stable set
-    W.u64(14);       // its sum of squares
     W.boolean(true); // PrevValid
     W.u8(2);         // Stable
     W.f64(F.LastR);
@@ -1361,8 +1200,10 @@ TEST(PersistStateCodec, LocalPhaseDetectorRejectsUnreachableState) {
 TEST(PersistStateCodec, LocalPhaseDetectorRejectsCountersObserveCannotReach) {
   // observe adopts on the first observation, compares from the second,
   // needs two similar compares to reach Stable and counts every entry to
-  // or exit from Stable. A payload whose counters disagree with that
-  // would restore a region that exports stable without having compared.
+  // or exit from Stable, so it is Stable exactly after an odd count. A
+  // payload whose counters disagree with that would restore a region that
+  // exports stable without having compared, or that counts an exit from a
+  // Stable state it never entered.
   const std::unique_ptr<core::SimilarityMetric> Metric =
       core::makeSimilarity(core::SimilarityKind::Pearson);
   const std::vector<std::uint32_t> Prev{3, 0, 1, 0, 0, 2, 0, 0};
@@ -1377,8 +1218,6 @@ TEST(PersistStateCodec, LocalPhaseDetectorRejectsCountersObserveCannotReach) {
   const auto Payload = [&Prev](const Fields &F) {
     ByteWriter W;
     W.vecU32(Prev);
-    W.u64(6);  // sum of the stable set
-    W.u64(14); // its sum of squares
     W.boolean(F.PrevValid);
     W.u8(static_cast<std::uint8_t>(F.State));
     W.f64(0.9);
@@ -1425,6 +1264,15 @@ TEST(PersistStateCodec, LocalPhaseDetectorRejectsCountersObserveCannotReach) {
       {"a change last interval with none counted",
        {true, St::Unstable, true, 0, 3},
        {true, St::Unstable, false, 0, 3}},
+      {"stable with no phase change",
+       {true, St::Stable, false, 0, 3},
+       {true, St::Unstable, false, 0, 3}},
+      {"stable after an even number of phase changes",
+       {true, St::Stable, false, 2, 4},
+       {true, St::Stable, false, 1, 4}},
+      {"unstable after an odd number of phase changes",
+       {true, St::Unstable, false, 1, 4},
+       {true, St::Unstable, false, 0, 4}},
   };
   for (const auto &C : Cases) {
     SCOPED_TRACE(C.Name);
@@ -1523,24 +1371,52 @@ struct ForgedRegion {
   std::uint64_t FormedAt = 0;
   bool Active = true;
   std::uint64_t LastSampled = 0;
+  /// Unset: the lifetime observeInterval gives an active region, the
+  /// intervals since its formation.
+  std::optional<std::uint64_t> Lifetime;
+  std::uint64_t Stable = 0;
+  std::uint64_t Sampled = 0; ///< intervals with samples
+  std::uint64_t Samples = 0;
+  std::uint64_t Misses = 0; ///< all charged to the first instruction
 };
+
+/// The monitor-wide counters of a hand-written payload.
+struct ForgedCounters {
+  std::uint64_t Intervals = 4;
+  std::uint64_t Triggers = 1;
+  std::uint64_t Undersampled = 0;
+  double LastUcr = 0.5;
+  /// Set: the payload is a RecordTimelines monitor's, this is its UCR
+  /// series (LastUcr is unused) and every region's chart series is empty.
+  std::optional<std::vector<double>> UcrHistory;
+};
+
+core::RegionMonitorConfig forgedConfig(bool Timelines) {
+  core::RegionMonitorConfig Cfg;
+  Cfg.RecordTimelines = Timelines;
+  return Cfg;
+}
 
 /// Writes a default-config monitor payload in the layout of
 /// StateCodec::encode(ByteWriter &, const RegionMonitor &): the bytes a
-/// CRC-valid forged snapshot would carry. Every region is otherwise cold.
-std::vector<std::uint8_t> forgeMonitor(std::uint64_t Intervals,
+/// CRC-valid forged snapshot would carry. Every region's detector is cold.
+std::vector<std::uint8_t> forgeMonitor(const ForgedCounters &C,
                                        const std::vector<ForgedRegion> &Rs) {
-  const core::RegionMonitorConfig Cfg;
+  const core::RegionMonitorConfig Cfg =
+      forgedConfig(C.UcrHistory.has_value());
   const std::unique_ptr<core::SimilarityMetric> Metric =
       core::makeSimilarity(Cfg.Similarity);
   ByteWriter W;
   W.boolean(Cfg.TrackMissPhases);
   W.boolean(Cfg.RecordTimelines);
   W.u64(Cfg.MissWindowIntervals);
-  W.u64(Intervals);
-  W.u64(/*FormationTriggers=*/Rs.size());
-  W.u64(/*UndersampledIntervals=*/0);
-  W.vecF64(std::vector<double>(Intervals, 0.5)); // UCR history
+  W.u64(C.Intervals);
+  W.u64(C.Triggers);
+  W.u64(C.Undersampled);
+  if (C.UcrHistory)
+    W.vecF64(*C.UcrHistory);
+  else
+    W.f64(C.LastUcr);
   W.u32(static_cast<std::uint32_t>(Rs.size()));
   for (const ForgedRegion &F : Rs) {
     const std::size_t Instrs = (F.End - F.Start) / InstrBytes;
@@ -1549,18 +1425,36 @@ std::vector<std::uint8_t> forgeMonitor(std::uint64_t Intervals,
     W.u64(F.End);
     W.u64(F.FormedAt);
     W.boolean(F.Active);
-    const InstrHistogram Empty(F.Start, F.End);
-    StateCodec::encode(W, Empty); // this interval's cycle histogram
-    StateCodec::encode(W, Empty); // and its miss histogram
     StateCodec::encode(W, core::LocalPhaseDetector(Instrs, *Metric, Cfg.Lpd));
     W.boolean(false); // no miss-channel detector
-    for (int Stat = 0; Stat < 7; ++Stat)
-      W.u64(0); // RegionStats
+    W.u64(F.Lifetime.value_or(C.Intervals - F.FormedAt));
+    W.u64(F.Stable);
+    W.u64(F.Sampled);
+    W.u64(F.Samples);
     W.u64(F.LastSampled);
-    W.vecU64(std::vector<std::uint64_t>(Instrs, 0)); // cumulative misses
+    std::vector<std::uint64_t> Cumulative(Instrs, 0);
+    Cumulative[0] = F.Misses;
+    W.vecU64(Cumulative);
     StateCodec::encode(W, WindowedStats(Cfg.MissWindowIntervals));
+    if (Cfg.RecordTimelines) {
+      W.vecU32(std::vector<std::uint32_t>{}); // samples
+      W.vecF64(std::vector<double>{});        // r
+      W.u64(0);                               // states
+    }
   }
   return W.take();
+}
+
+/// A payload with one formation trigger per distinct formation interval.
+std::vector<std::uint8_t> forgeMonitor(std::uint64_t Intervals,
+                                       const std::vector<ForgedRegion> &Rs) {
+  ForgedCounters C;
+  C.Intervals = Intervals;
+  std::set<std::uint64_t> FormedAt;
+  for (const ForgedRegion &F : Rs)
+    FormedAt.insert(F.FormedAt);
+  C.Triggers = FormedAt.size();
+  return forgeMonitor(C, Rs);
 }
 
 /// Decode never consults the code map.
@@ -1571,9 +1465,10 @@ public:
   }
 };
 
-bool monitorLoads(const std::vector<std::uint8_t> &Bytes) {
+bool monitorLoads(const std::vector<std::uint8_t> &Bytes,
+                  bool Timelines = false) {
   const NoCodeMap Map;
-  core::RegionMonitor M(Map);
+  core::RegionMonitor M(Map, forgedConfig(Timelines));
   ByteReader R(Bytes);
   const bool Loaded = StateCodec::decode(R, M) && R.atEnd();
   EXPECT_EQ(Loaded, !M.regions().empty()) << "a failed decode must reset";
@@ -1596,6 +1491,7 @@ TEST(PersistStateCodec, RegionMonitorRejectsDuplicateActiveBounds) {
   // Control: the first copy pruned before the second formed, a state
   // formation reaches.
   First.Active = false;
+  First.Lifetime = 2; // pruned at the end of interval 1
   EXPECT_TRUE(monitorLoads(forgeMonitor(4, {First, Other, Copy})));
 }
 
@@ -1639,33 +1535,141 @@ TEST(PersistStateCodec, RegionMonitorRejectsMoreActiveRegionsThanTheCap) {
   EXPECT_FALSE(monitorLoads(forgeMonitor(4, Disjoint(Cap + 1))));
 }
 
-TEST(PersistStateCodec, CentroidDetectorRoundTripAndContinuation) {
-  gpd::CentroidConfig Cfg;
-  Cfg.AdaptiveWindow = true; // window capacity varies: the hard case
-  gpd::CentroidPhaseDetector Orig(Cfg);
-  // Drive through stability and a phase change so the history, timer,
-  // and counters are all nontrivial.
-  for (int I = 0; I < 12; ++I)
-    Orig.observeCentroid(1000.0 + (I % 3));
-  for (int I = 0; I < 4; ++I)
-    Orig.observeCentroid(5000.0 + 7.0 * I);
-
-  const std::vector<std::uint8_t> Bytes = encodeBytes(Orig);
-  gpd::CentroidPhaseDetector Copy(Cfg);
-  {
-    ByteReader R(Bytes);
-    ASSERT_TRUE(StateCodec::decode(R, Copy));
-    EXPECT_TRUE(R.atEnd());
+TEST(PersistStateCodec, RegionMonitorRejectsCountersFormationCannotReach) {
+  // observeInterval fires at most one formation trigger per interval and
+  // counts it undersampled or not. From its formation interval on it ages
+  // every active region by one per interval, adding at most one to the
+  // region's sampled and stable counts; pruning stops all three. Each miss
+  // is also a sample. v3 derives the copies of these counts, so the counts
+  // that remain must agree with each other.
+  ForgedRegion Honest;
+  Honest.FormedAt = 1;
+  Honest.LastSampled = 2;
+  Honest.Sampled = 1;
+  Honest.Samples = 10;
+  Honest.Misses = 4;
+  using FC = ForgedCounters;
+  using FR = ForgedRegion;
+  using Field = void (*)(FC &, FR &, std::uint64_t);
+  // Four intervals; the region was formed in interval 1, so it is 3 old.
+  const struct {
+    const char *Name;
+    Field Set;
+    std::uint64_t Forged;
+    std::uint64_t Control;
+  } Cases[] = {
+      {"more formation triggers than intervals",
+       [](FC &C, FR &, std::uint64_t V) { C.Triggers = V; }, 5, 4},
+      {"more undersampled intervals than intervals",
+       [](FC &C, FR &, std::uint64_t V) { C.Undersampled = V; }, 5, 4},
+      {"an active region younger than its formation",
+       [](FC &, FR &F, std::uint64_t V) { F.Lifetime = V; }, 2, 3},
+      {"an active region older than its formation",
+       [](FC &, FR &F, std::uint64_t V) { F.Lifetime = V; }, 4, 3},
+      {"a pruned region older than its formation",
+       [](FC &, FR &F, std::uint64_t V) {
+         F.Active = false;
+         F.Lifetime = V;
+       },
+       4, 3},
+      {"more sampled intervals than lifetime",
+       [](FC &, FR &F, std::uint64_t V) { F.Sampled = V; }, 4, 3},
+      {"more stable intervals than lifetime",
+       [](FC &, FR &F, std::uint64_t V) { F.Stable = V; }, 4, 3},
+      {"more misses than samples",
+       [](FC &, FR &F, std::uint64_t V) { F.Misses = V; }, 11, 10},
+  };
+  for (const auto &Case : Cases) {
+    SCOPED_TRACE(Case.Name);
+    const auto Payload = [&Case, &Honest](std::uint64_t V) {
+      ForgedCounters C;
+      ForgedRegion F = Honest;
+      Case.Set(C, F, V);
+      return forgeMonitor(C, {F});
+    };
+    EXPECT_FALSE(monitorLoads(Payload(Case.Forged)));
+    EXPECT_TRUE(monitorLoads(Payload(Case.Control)));
   }
-  EXPECT_EQ(encodeBytes(Copy), Bytes);
-  EXPECT_EQ(Copy.state(), Orig.state());
+}
 
-  for (int I = 0; I < 10; ++I) {
-    Orig.observeCentroid(5000.0 + (I % 2));
-    Copy.observeCentroid(5000.0 + (I % 2));
-  }
-  EXPECT_EQ(encodeBytes(Copy), encodeBytes(Orig));
-  EXPECT_EQ(Copy.phaseChanges(), Orig.phaseChanges());
+TEST(PersistStateCodec, RegionMonitorRejectsUnreachableUcr) {
+  // The UCR fraction is a count over the buffer size, and the series
+  // holds one per interval. v3 writes the last fraction once: on its own,
+  // or as the series' last entry under RecordTimelines.
+  const ForgedRegion Region;
+  const auto Single = [&Region](double Last) {
+    ForgedCounters C;
+    C.LastUcr = Last;
+    return forgeMonitor(C, {Region});
+  };
+  EXPECT_TRUE(monitorLoads(Single(0.0)));
+  EXPECT_TRUE(monitorLoads(Single(1.0)));
+  EXPECT_FALSE(monitorLoads(Single(1.5)));
+  EXPECT_FALSE(monitorLoads(Single(-0.25)));
+  EXPECT_FALSE(monitorLoads(Single(std::nan(""))));
+
+  const auto Series = [&Region](std::vector<double> History) {
+    ForgedCounters C; // four intervals
+    C.UcrHistory = std::move(History);
+    return forgeMonitor(C, {Region});
+  };
+  EXPECT_TRUE(monitorLoads(Series({1.0, 0.5, 0.25, 0.0}), true));
+  EXPECT_FALSE(monitorLoads(Series({1.0, 0.5, 0.25}), true));
+  EXPECT_FALSE(monitorLoads(Series({1.0, 0.5, 0.25, 0.0, 0.0}), true));
+  EXPECT_FALSE(monitorLoads(Series({1.0, std::nan(""), 0.25, 0.0}), true));
+  // The layout follows the configuration: a series is not a fraction.
+  EXPECT_FALSE(monitorLoads(Series({1.0, 0.5, 0.25, 0.0})));
+}
+
+TEST(PersistStateCodec, MonitorSnapshotDoesNotGrowWithRunLength) {
+  // The monitor runs for the program's whole life, so once its regions
+  // settle its checkpoint must stop growing: only RecordTimelines keeps
+  // per-interval series.
+  const workloads::Workload W = workloads::make("181.mcf");
+  const sim::ProgramCodeMap Map(W.Prog);
+  const auto Run = [&W, &Map](bool Timelines, auto &&AtInterval) {
+    core::RegionMonitor M(Map, forgedConfig(Timelines));
+    sim::Engine Engine(W.Prog, W.Script, /*Seed=*/1);
+    sampling::Sampler Sampler(Engine, {45'000, 2032});
+    std::vector<Sample> Buffer;
+    while (Sampler.fillBuffer(Buffer) && AtInterval(M, Buffer))
+      ;
+  };
+
+  std::vector<std::size_t> Sizes;
+  Run(false, [&Sizes](core::RegionMonitor &M, const std::vector<Sample> &B) {
+    M.observeInterval(B);
+    if (M.intervals() % 500 == 0)
+      Sizes.push_back(encodeBytes(M).size());
+    return Sizes.size() < 2;
+  });
+  ASSERT_EQ(Sizes.size(), 2U) << "the run ended before 1000 intervals";
+  EXPECT_EQ(Sizes[1], Sizes[0]);
+
+  // With the series recorded, a restored monitor holds the same history
+  // and last fraction, and continues bit-identically.
+  std::unique_ptr<core::RegionMonitor> Copy;
+  Run(true, [&](core::RegionMonitor &M, const std::vector<Sample> &B) {
+    M.observeInterval(B);
+    if (Copy)
+      Copy->observeInterval(B);
+    else if (M.intervals() == 250) {
+      Copy = std::make_unique<core::RegionMonitor>(Map, forgedConfig(true));
+      const std::vector<std::uint8_t> Bytes = encodeBytes(M);
+      ByteReader R(Bytes);
+      EXPECT_TRUE(StateCodec::decode(R, *Copy) && R.atEnd());
+      EXPECT_TRUE(std::ranges::equal(Copy->ucrHistory(), M.ucrHistory()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(Copy->lastUcrFraction()),
+                std::bit_cast<std::uint64_t>(M.lastUcrFraction()));
+    }
+    if (M.intervals() < 500)
+      return true;
+    EXPECT_EQ(encodeBytes(*Copy), encodeBytes(M));
+    EXPECT_TRUE(std::ranges::equal(Copy->ucrHistory(), M.ucrHistory()));
+    EXPECT_EQ(Copy->ucrHistory().size(), 500U);
+    return false;
+  });
+  ASSERT_NE(Copy, nullptr);
 }
 
 TEST(PersistStateCodec, AdaptiveControllerRoundTripAndContinuation) {
@@ -1778,38 +1782,6 @@ TEST(PersistStateCodec, AdaptiveControllerRejectsDesyncedPayloads) {
     ByteReader R(Zeroed);
     EXPECT_TRUE(StateCodec::decode(R, C)) << "all-zero disabled payload";
   }
-}
-
-TEST(PersistStateCodec, TraceDeploymentsRoundTripWithoutTouchingEngine) {
-  workloads::Workload W = workloads::make("synthetic.bottleneck");
-  rto::OptimizationModel Model{W.Opportunities};
-  sim::Engine Eng{W.Prog, W.Script, 1};
-
-  rto::TraceDeployments Orig(Eng, Model, /*PatchOverheadCycles=*/1000);
-  ASSERT_TRUE(Orig.deploy(0));
-  // Cross the workload's profile switch so the deployed trace turns
-  // harmful and the ledger carries a nonzero streak.
-  ASSERT_TRUE(Eng.advanceAndSample(1'200'000'000).has_value());
-  Orig.refresh();
-  Orig.refresh();
-  ASSERT_EQ(Orig.harmfulStreak(0), 2U);
-
-  const std::vector<std::uint8_t> Bytes = encodeBytes(Orig);
-  const double SpeedupBefore = Eng.speedup(0);
-
-  rto::TraceDeployments Copy(Eng, Model, /*PatchOverheadCycles=*/1000);
-  {
-    ByteReader R(Bytes);
-    ASSERT_TRUE(StateCodec::decode(R, Copy));
-    EXPECT_TRUE(R.atEnd());
-  }
-  EXPECT_EQ(encodeBytes(Copy), Bytes);
-  EXPECT_TRUE(Copy.deployed(0));
-  EXPECT_EQ(Copy.harmfulStreak(0), 2U);
-  EXPECT_EQ(Copy.patches(), Orig.patches());
-  // Decode restores bookkeeping only; the engine's rate factors are
-  // untouched until the caller's next refresh().
-  EXPECT_DOUBLE_EQ(Eng.speedup(0), SpeedupBefore);
 }
 
 } // namespace

@@ -59,6 +59,7 @@
 #include "trace/Replay.h"
 #include "workloads/Workloads.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -161,6 +162,40 @@ int usage(const char *Prog) {
   return 2;
 }
 
+/// Parses \p Text, the value of \p Flag, as a whole decimal number in
+/// [\p Min, \p Max]; anything else is a usage error.
+std::uint64_t parseCount(const std::string &Flag, const char *Text,
+                         std::uint64_t Min,
+                         std::uint64_t Max = UINT64_MAX) {
+  const char *End = Text + std::strlen(Text);
+  std::uint64_t V = 0;
+  const auto [Stop, Err] = std::from_chars(Text, End, V);
+  if (Err != std::errc() || Stop != End || V < Min || V > Max) {
+    const std::string Range =
+        Max == UINT64_MAX ? ">= " + std::to_string(Min)
+                          : "in [" + std::to_string(Min) + ", " +
+                                std::to_string(Max) + "]";
+    std::fprintf(stderr, "error: %s needs a whole number %s, got '%s'\n",
+                 Flag.c_str(), Range.c_str(), Text);
+    std::exit(2);
+  }
+  return V;
+}
+
+/// Parses \p Text, the value of \p Flag, as a finite rate in [0, 1];
+/// anything else is a usage error.
+double parseRate(const std::string &Flag, const char *Text) {
+  const char *End = Text + std::strlen(Text);
+  double V = 0;
+  const auto [Stop, Err] = std::from_chars(Text, End, V);
+  if (Err != std::errc() || Stop != End || !(V >= 0.0 && V <= 1.0)) {
+    std::fprintf(stderr, "error: %s needs a rate in [0, 1], got '%s'\n",
+                 Flag.c_str(), Text);
+    std::exit(2);
+  }
+  return V;
+}
+
 bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
   const std::string Flag = Argv[I];
   const auto Next = [&]() -> const char * {
@@ -170,12 +205,20 @@ bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
     }
     return Argv[++I];
   };
+  const auto Count = [&](std::uint64_t Min) {
+    return parseCount(Flag, Next(), Min);
+  };
+  const auto Count32 = [&](std::uint64_t Min) {
+    return static_cast<std::uint32_t>(
+        parseCount(Flag, Next(), Min, UINT32_MAX));
+  };
+  const auto Rate = [&] { return parseRate(Flag, Next()); };
   if (Flag == "--period") {
-    Opts.Period = std::strtoull(Next(), nullptr, 10);
+    Opts.Period = Count(1);
     return true;
   }
   if (Flag == "--seed") {
-    Opts.Seed = std::strtoull(Next(), nullptr, 10);
+    Opts.Seed = Count(0);
     return true;
   }
   if (Flag == "--similarity") {
@@ -201,23 +244,23 @@ bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
     return true;
   }
   if (Flag == "--prune") {
-    Opts.PruneAfter = std::strtoull(Next(), nullptr, 10);
+    Opts.PruneAfter = Count(0);
     return true;
   }
   if (Flag == "--streams") {
-    Opts.Streams = std::strtoull(Next(), nullptr, 10);
+    Opts.Streams = Count(1);
     return true;
   }
   if (Flag == "--workers") {
-    Opts.Workers = std::strtoull(Next(), nullptr, 10);
+    Opts.Workers = Count(1);
     return true;
   }
   if (Flag == "--queue") {
-    Opts.QueueCapacity = std::strtoull(Next(), nullptr, 10);
+    Opts.QueueCapacity = Count(1);
     return true;
   }
   if (Flag == "--intervals") {
-    Opts.MaxIntervals = std::strtoull(Next(), nullptr, 10);
+    Opts.MaxIntervals = Count(0);
     return true;
   }
   if (Flag == "--policy") {
@@ -246,48 +289,47 @@ bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
     return true;
   }
   if (Flag == "--leaves") {
-    Opts.Leaves = static_cast<std::uint32_t>(std::strtoul(Next(), nullptr, 10));
+    Opts.Leaves = Count32(1);
     return true;
   }
   if (Flag == "--fanout") {
-    Opts.Fanout = static_cast<std::uint32_t>(std::strtoul(Next(), nullptr, 10));
+    Opts.Fanout = Count32(0);
     return true;
   }
   if (Flag == "--streams-per-leaf") {
-    Opts.StreamsPerLeaf =
-        static_cast<std::uint32_t>(std::strtoul(Next(), nullptr, 10));
+    Opts.StreamsPerLeaf = Count32(1);
     return true;
   }
   if (Flag == "--epochs") {
-    Opts.Epochs = std::strtoull(Next(), nullptr, 10);
+    Opts.Epochs = Count(1);
     return true;
   }
   if (Flag == "--crash-rate") {
-    Opts.CrashRate = std::strtod(Next(), nullptr);
+    Opts.CrashRate = Rate();
     return true;
   }
   if (Flag == "--stall-rate") {
-    Opts.StallRate = std::strtod(Next(), nullptr);
+    Opts.StallRate = Rate();
     return true;
   }
   if (Flag == "--drop-rate") {
-    Opts.DropRate = std::strtod(Next(), nullptr);
+    Opts.DropRate = Rate();
     return true;
   }
   if (Flag == "--dup-rate") {
-    Opts.DupRate = std::strtod(Next(), nullptr);
+    Opts.DupRate = Rate();
     return true;
   }
   if (Flag == "--reorder-rate") {
-    Opts.ReorderRate = std::strtod(Next(), nullptr);
+    Opts.ReorderRate = Rate();
     return true;
   }
   if (Flag == "--stale-rate") {
-    Opts.StaleRate = std::strtod(Next(), nullptr);
+    Opts.StaleRate = Rate();
     return true;
   }
   if (Flag == "--staleness") {
-    Opts.Staleness = std::strtoull(Next(), nullptr, 10);
+    Opts.Staleness = Count(0);
     return true;
   }
   if (Flag == "--metrics") {
@@ -308,7 +350,7 @@ bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
     return true;
   }
   if (Flag == "--crash-bytes") {
-    Opts.CrashBytes = std::strtoull(Next(), nullptr, 10);
+    Opts.CrashBytes = Count(0);
     return true;
   }
   if (Flag == "--repair") {
@@ -316,15 +358,15 @@ bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
     return true;
   }
   if (Flag == "--corrupt-rate") {
-    Opts.CorruptRate = std::strtod(Next(), nullptr);
+    Opts.CorruptRate = Rate();
     return true;
   }
   if (Flag == "--truncate-rate") {
-    Opts.TruncateRate = std::strtod(Next(), nullptr);
+    Opts.TruncateRate = Rate();
     return true;
   }
   if (Flag == "--poison-rate") {
-    Opts.PoisonRate = std::strtod(Next(), nullptr);
+    Opts.PoisonRate = Rate();
     return true;
   }
   if (Flag == "--self-monitor") {
@@ -551,11 +593,6 @@ void printRecovery(const persist::RecoveryCounters &C) {
 }
 
 int cmdServe(const Options &Opts) {
-  if (Opts.Streams == 0 || Opts.Workers == 0 || Opts.QueueCapacity == 0) {
-    std::fprintf(stderr,
-                 "error: --streams, --workers and --queue must be > 0\n");
-    return 2;
-  }
   const std::vector<Stream> Streams = makeStreams(Opts);
 
   service::MonitorService Service(
@@ -611,11 +648,6 @@ int cmdServe(const Options &Opts) {
 // command on the same directory continues where the last run stopped --
 // and killing it mid-run loses nothing but the un-acked tail.
 int cmdCheckpoint(const Options &Opts) {
-  if (Opts.Streams == 0 || Opts.Workers == 0 || Opts.QueueCapacity == 0) {
-    std::fprintf(stderr,
-                 "error: --streams, --workers and --queue must be > 0\n");
-    return 2;
-  }
   if (Opts.Dir.empty()) {
     std::fprintf(stderr, "error: checkpoint needs --dir PATH\n");
     return 2;
@@ -692,11 +724,6 @@ int cmdCheckpoint(const Options &Opts) {
 // flags must match the run that produced the directory, or the snapshot
 // is (safely) rejected and recovery degrades to journal replay.
 int cmdRestore(const Options &Opts) {
-  if (Opts.Streams == 0 || Opts.Workers == 0 || Opts.QueueCapacity == 0) {
-    std::fprintf(stderr,
-                 "error: --streams, --workers and --queue must be > 0\n");
-    return 2;
-  }
   if (Opts.Dir.empty()) {
     std::fprintf(stderr, "error: restore needs --dir PATH\n");
     return 2;
@@ -786,12 +813,6 @@ int cmdTrace(const Options &Opts) {
 // with optional crash/stall/transport faults injected from the seed.
 // The same flags always print the same bytes -- faults included.
 int cmdFleet(const Options &Opts) {
-  if (Opts.Leaves == 0 || Opts.StreamsPerLeaf == 0 || Opts.Epochs == 0) {
-    std::fprintf(stderr,
-                 "error: --leaves, --streams-per-leaf and --epochs "
-                 "must be > 0\n");
-    return 2;
-  }
   fleet::FleetSimConfig Cfg;
   Cfg.Leaves = Opts.Leaves;
   Cfg.Fanout = Opts.Fanout;
@@ -862,11 +883,6 @@ int cmdFleet(const Options &Opts) {
 // way. --dir attaches durability and commits a snapshot at the end, which
 // the trace captures as a checkpoint marker.
 int cmdRecord(const Options &Opts) {
-  if (Opts.Streams == 0 || Opts.Workers == 0 || Opts.QueueCapacity == 0) {
-    std::fprintf(stderr,
-                 "error: --streams, --workers and --queue must be > 0\n");
-    return 2;
-  }
   if (Opts.Trace.empty()) {
     std::fprintf(stderr, "error: record needs --trace PATH\n");
     return 2;
@@ -995,11 +1011,6 @@ int cmdRecord(const Options &Opts) {
 // byte-identical to the recording run's --export file when the trace is
 // whole. A damaged trace replays its repaired/valid prefix.
 int cmdReplay(const Options &Opts) {
-  if (Opts.Streams == 0 || Opts.Workers == 0 || Opts.QueueCapacity == 0) {
-    std::fprintf(stderr,
-                 "error: --streams, --workers and --queue must be > 0\n");
-    return 2;
-  }
   if (Opts.Trace.empty()) {
     std::fprintf(stderr, "error: replay needs --trace PATH\n");
     return 2;
