@@ -27,7 +27,7 @@ int main() {
   core::RegionMonitorConfig UcrSeries;
   UcrSeries.RecordTimelines = true;
   std::printf("[Fig. 6] Median %%UCR per benchmark @ 45K cycles/interrupt "
-              "(threshold 30%%)\n\n");
+              "(threshold %.0f%%)\n\n", core::UcrTriggerFraction * 100.0);
   TextTable Table;
   Table.header({"benchmark", "median %UCR", "> threshold",
                 "formation triggers"});
@@ -36,7 +36,8 @@ int main() {
     std::span<const double> History = Run.monitor().ucrHistory();
     const std::vector<double> Ucr(History.begin(), History.end());
     const double Median = median(Ucr);
-    Table.row({Name, TextTable::percent(Median), Median > 0.30 ? "YES" : "",
+    Table.row({Name, TextTable::percent(Median),
+               Median > core::UcrTriggerFraction ? "YES" : "",
                TextTable::count(Run.monitor().formationTriggers())});
   }
   std::printf("%s", Table.render().c_str());

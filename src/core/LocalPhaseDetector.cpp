@@ -16,6 +16,17 @@
 using namespace regmon;
 using namespace regmon::core;
 
+namespace {
+
+/// The similarity threshold rt. Paper section 3.2: rt = 0.8.
+constexpr double Rt = 0.8;
+/// Size-adaptive threshold: rt drops by AdaptiveSlope per doubling of the
+/// region beyond AdaptiveBaseInstrs instructions. Repro choices.
+constexpr double AdaptiveSlope = 0.05;
+constexpr std::size_t AdaptiveBaseInstrs = 64;
+
+} // namespace
+
 const char *regmon::core::toString(LocalPhaseState S) {
   switch (S) {
   case LocalPhaseState::Unstable:
@@ -33,12 +44,12 @@ LocalPhaseDetector::LocalPhaseDetector(std::size_t InstrCount,
                                        LocalDetectorConfig Cfg)
     : Metric(Sim), Config(Cfg), PrevHist(InstrCount, 0) {
   assert(InstrCount > 0 && "region must contain instructions");
-  EffRt = Config.Rt;
-  if (Config.AdaptiveThreshold && InstrCount > Config.AdaptiveBaseInstrs) {
+  EffRt = Rt;
+  if (Config.AdaptiveThreshold && InstrCount > AdaptiveBaseInstrs) {
     const double SizeRatio = static_cast<double>(InstrCount) /
-                             static_cast<double>(Config.AdaptiveBaseInstrs);
-    EffRt = std::clamp(Config.Rt - Config.AdaptiveSlope * std::log2(SizeRatio),
-                       Config.AdaptiveMinRt, Config.Rt);
+                             static_cast<double>(AdaptiveBaseInstrs);
+    EffRt = std::clamp(Rt - AdaptiveSlope * std::log2(SizeRatio),
+                       AdaptiveMinRt, Rt);
   }
 }
 

@@ -66,18 +66,18 @@ enum class LocalPhaseState : std::uint8_t {
 /// Returns a short human-readable name for \p S.
 const char *toString(LocalPhaseState S);
 
+/// Floor of the size-adaptive threshold (see
+/// LocalDetectorConfig::AdaptiveThreshold). Repro choice.
+inline constexpr double AdaptiveMinRt = 0.55;
+
 /// Tunable parameters of local phase detection.
 struct LocalDetectorConfig {
-  /// The similarity threshold rt; the paper uses 0.8.
-  double Rt = 0.8;
   /// When true, rt is reduced for large regions:
   /// rt_eff = Rt - AdaptiveSlope * log2(instrs / AdaptiveBaseInstrs),
-  /// clamped to [AdaptiveMinRt, Rt]. Our design of the paper's proposed
-  /// "threshold based on the size of region" (section 3.2.2).
+  /// clamped to [AdaptiveMinRt, Rt] (constants in LocalPhaseDetector.cpp
+  /// and above). Our design of the paper's proposed "threshold based on
+  /// the size of region" (section 3.2.2).
   bool AdaptiveThreshold = false;
-  double AdaptiveSlope = 0.05;
-  std::size_t AdaptiveBaseInstrs = 64;
-  double AdaptiveMinRt = 0.55;
   /// Degraded-mode gate: histograms carrying fewer than this many samples
   /// do not advance the state machine (Pearson's r over a handful of
   /// samples is noise, and a faulted stream must not register spurious

@@ -33,11 +33,7 @@ obs::EventKind phaseEntryKind(LocalPhaseState S) {
 
 RegionMonitor::RegionMonitor(const CodeMap &CM, RegionMonitorConfig Cfg)
     : Map(CM), Config(Cfg),
-      Metric(makeSimilarity(Config.Similarity, &SimilarityFellBack)) {
-  assert(Config.UcrTriggerFraction >= 0 && Config.UcrTriggerFraction <= 1 &&
-         "UCR trigger must be a fraction");
-  assert(Config.MaxRegions > 0 && "must allow at least one region");
-}
+      Metric(makeSimilarity(Config.Similarity, &SimilarityFellBack)) {}
 
 void RegionMonitor::setEventHandler(EventHandler H) {
   Handler = std::move(H);
@@ -239,7 +235,7 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
     ++UndersampledIntervals;
 
   // 2. Working-set change? Build regions for the new hot code.
-  if (!Undersampled && UcrFraction > Config.UcrTriggerFraction)
+  if (!Undersampled && UcrFraction > UcrTriggerFraction)
     triggerFormation(std::span<const Addr>(UcrScratch).first(UcrCount));
 
   // 3. Local phase detection, one region at a time. Regions formed in step
@@ -398,10 +394,9 @@ void RegionMonitor::triggerFormation(std::span<const Addr> UcrPcs) {
   std::size_t ActiveCount = activeRegionCount();
   std::size_t FormedNow = 0;
   for (const Candidate *C : Ranked) {
-    if (FormedNow >= Config.MaxNewRegionsPerTrigger ||
-        ActiveCount >= Config.MaxRegions)
+    if (FormedNow >= MaxNewRegionsPerTrigger || ActiveCount >= MaxRegions)
       break;
-    if (C->Count < Config.MinRegionSamples)
+    if (C->Count < MinRegionSamples)
       break; // ranked by count: all later candidates are colder
 
     // Skip exact duplicates of an active region (its samples would have
@@ -438,7 +433,7 @@ RegionMonitor::RegionRecord &RegionMonitor::addRegion(Region R, bool Active) {
       MakeDetector(), Config.TrackMissPhases ? MakeDetector() : nullptr,
       RegionStats{}, /*LastSampledInterval=*/R.FormedAtInterval,
       std::vector<std::uint64_t>(Instrs, 0),
-      WindowedStats(Config.MissWindowIntervals),
+      WindowedStats(MissWindowIntervals),
       Config.RecordTimelines ? std::make_unique<Timelines>() : nullptr});
   if (Active)
     Index.insert(R.Id, R.Start, R.End);

@@ -55,18 +55,28 @@ class StateCodec;
 
 namespace regmon::core {
 
+/// UCR sample fraction above which region formation is triggered. Paper
+/// section 3.1: the Fig. 6 threshold line sits at 30%.
+inline constexpr double UcrTriggerFraction = 0.30;
+static_assert(UcrTriggerFraction >= 0 && UcrTriggerFraction <= 1,
+              "the UCR trigger is a fraction");
+/// Minimum UCR samples a candidate loop needs in the triggering interval
+/// before it is worth forming a region around. Repro choice.
+inline constexpr std::size_t MinRegionSamples = 16;
+/// Cap on regions formed by a single trigger. Repro choice.
+inline constexpr std::size_t MaxNewRegionsPerTrigger = 8;
+/// Cap on simultaneously monitored regions; a snapshot holding more
+/// active regions is refused. Repro choice.
+inline constexpr std::size_t MaxRegions = 128;
+static_assert(MaxRegions > 0, "formation must allow at least one region");
+/// Sliding window (in non-empty intervals) over which
+/// \ref RegionMonitor::recentMissFraction is computed; part of the
+/// snapshot's monitor fingerprint. Repro choice for the paper's
+/// self-monitoring feedback (section 5).
+inline constexpr std::size_t MissWindowIntervals = 8;
+
 /// Tunable parameters of the region monitor.
 struct RegionMonitorConfig {
-  /// UCR sample fraction above which region formation is triggered (the
-  /// paper's Fig. 6 threshold line sits at 30%).
-  double UcrTriggerFraction = 0.30;
-  /// Minimum UCR samples a candidate loop needs in the triggering interval
-  /// before it is worth forming a region around.
-  std::size_t MinRegionSamples = 16;
-  /// Cap on regions formed by a single trigger.
-  std::size_t MaxNewRegionsPerTrigger = 8;
-  /// Cap on simultaneously monitored regions.
-  std::size_t MaxRegions = 128;
   /// Histogram similarity metric for local phase detection.
   SimilarityKind Similarity = SimilarityKind::Pearson;
   /// Per-region detector parameters.
@@ -86,9 +96,6 @@ struct RegionMonitorConfig {
   /// values and states (Figs. 2, 5, 9-11) and the UCR fraction (Figs. 6
   /// and 7). Each grows by one entry per interval; off by default.
   bool RecordTimelines = false;
-  /// Sliding window (in non-empty intervals) over which
-  /// \ref RegionMonitor::recentMissFraction is computed.
-  std::size_t MissWindowIntervals = 8;
   /// Extension of the paper's "change in performance characteristics"
   /// goal: run a second per-region detector over the *miss* histograms, so
   /// a region whose cycle profile is unchanged but whose delinquent loads
@@ -193,7 +200,7 @@ public:
   std::uint64_t lastSampleCount(RegionId Id) const;
 
   /// Returns the region's D-cache-miss sample fraction over the last
-  /// MissWindowIntervals non-empty intervals -- the feedback signal
+  /// \ref MissWindowIntervals non-empty intervals -- the feedback signal
   /// self-monitoring uses to judge a deployed optimization (paper
   /// section 5). 0 before the region has drawn samples.
   double recentMissFraction(RegionId Id) const;

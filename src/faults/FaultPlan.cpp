@@ -7,12 +7,17 @@
 #include "faults/FaultPlan.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace regmon;
 using namespace regmon::faults;
 
 namespace {
+
+/// A truncated batch keeps at least this fraction of its samples. Repro
+/// choice.
+constexpr double TruncateMinFrac = 0.1;
+static_assert(TruncateMinFrac > 0 && TruncateMinFrac <= 1,
+              "truncation must keep a positive fraction");
 
 /// splitmix64 finalizer, the same mixing the service uses for shard
 /// routing: derives per-stream seeds that are independent of stream-id
@@ -104,13 +109,7 @@ REGMON_PURE void faults::poisonBatch(std::vector<Sample> &Batch) {
 StreamFaultInjector::StreamFaultInjector(std::uint64_t Seed, FaultConfig Cfg)
     : Config(Cfg), SampleRng(mix64(Seed ^ 0x5a5a5a5a5a5a5a5aULL)),
       ShapeRng(mix64(Seed ^ 0xc3c3c3c3c3c3c3c3ULL)),
-      BatchRng(mix64(Seed ^ 0x0f0f0f0f0f0f0f0fULL)) {
-  assert(Config.CorruptBase % InstrBytes == 0 &&
-         "corrupted PCs must stay instruction-aligned");
-  assert(Config.CorruptSpan > 0 && "corruption window must be non-empty");
-  assert(Config.TruncateMinFrac > 0 && Config.TruncateMinFrac <= 1 &&
-         "truncation must keep a positive fraction");
-}
+      BatchRng(mix64(Seed ^ 0x0f0f0f0f0f0f0f0fULL)) {}
 
 REGMON_PURE std::vector<Sample>
 StreamFaultInjector::apply(std::span<const Sample> Clean) {
@@ -134,7 +133,7 @@ StreamFaultInjector::apply(std::span<const Sample> Clean) {
     const bool Drop = SampleRng.nextDouble() < Config.DropRate;
     const bool Duplicate = SampleRng.nextDouble() < Config.DuplicateRate;
     const bool Corrupt = SampleRng.nextDouble() < Config.CorruptRate;
-    const std::uint64_t CorruptSlot = SampleRng.nextBelow(Config.CorruptSpan);
+    const std::uint64_t CorruptSlot = SampleRng.nextBelow(CorruptSpan);
     const double JitterDraw = SampleRng.nextDouble();
 
     if (Drop) {
@@ -143,8 +142,7 @@ StreamFaultInjector::apply(std::span<const Sample> Clean) {
     }
     Sample Faulted = S;
     if (Corrupt) {
-      Faulted.Pc = Config.CorruptBase +
-                   static_cast<Addr>(CorruptSlot) * InstrBytes;
+      Faulted.Pc = CorruptBase + static_cast<Addr>(CorruptSlot) * InstrBytes;
       ++Stats.SamplesCorrupted;
     }
     if (Config.PeriodJitterFrac > 0 && Spacing > 0) {
@@ -176,8 +174,7 @@ StreamFaultInjector::apply(std::span<const Sample> Clean) {
   // Truncation last: the interval ends early, whatever survived so far.
   if (!Out.empty() && ShapeRng.nextDouble() < Config.TruncateRate) {
     const double KeptFrac =
-        Config.TruncateMinFrac +
-        (1.0 - Config.TruncateMinFrac) * ShapeRng.nextDouble();
+        TruncateMinFrac + (1.0 - TruncateMinFrac) * ShapeRng.nextDouble();
     const auto Kept = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                KeptFrac * static_cast<double>(Out.size())));

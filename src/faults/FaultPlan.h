@@ -121,6 +121,16 @@ private:
   LinkFaultStats Stats;
 };
 
+/// Base of the unmapped address window corrupted PCs land in:
+/// instruction-aligned and outside every monitored program's code. Repro
+/// choice.
+inline constexpr Addr CorruptBase = 0x6000'0000;
+/// Number of instruction slots in the corruption window. Repro choice.
+inline constexpr std::uint64_t CorruptSpan = 4096;
+static_assert(CorruptBase % InstrBytes == 0,
+              "corrupted PCs must stay instruction-aligned");
+static_assert(CorruptSpan > 0, "the corruption window must be non-empty");
+
 /// Fault rates and shapes. All rates are probabilities in [0, 1]; a
 /// default-constructed config injects nothing.
 struct FaultConfig {
@@ -131,23 +141,17 @@ struct FaultConfig {
   /// DMA page, double interrupt).
   double DuplicateRate = 0;
   /// Per-sample probability of the PC being corrupted into unmapped
-  /// address space (wild interrupt PC). Corrupted PCs stay
-  /// instruction-aligned: they are *plausible* garbage the monitor must
-  /// absorb as UCR noise, not structural damage.
+  /// address space (wild interrupt PC), a slot of the window at
+  /// CorruptBase. Corrupted PCs stay instruction-aligned: they are
+  /// *plausible* garbage the monitor must absorb as UCR noise, not
+  /// structural damage.
   double CorruptRate = 0;
-  /// Base of the unmapped address window corrupted PCs land in. Must be
-  /// instruction-aligned and outside every monitored program's code.
-  Addr CorruptBase = 0x6000'0000;
-  /// Number of instruction slots in the corruption window.
-  std::uint64_t CorruptSpan = 4096;
   /// Timestamp jitter as a fraction of the nominal inter-sample spacing
   /// (sampling-period wobble). Monotonicity of timestamps is preserved.
   double PeriodJitterFrac = 0;
   /// Per-batch probability of the interval being truncated (optimizer
   /// woken early, teardown racing the sampler).
   double TruncateRate = 0;
-  /// A truncated batch keeps at least this fraction of its samples.
-  double TruncateMinFrac = 0.1;
   /// Per-batch probability of the batch being structurally malformed
   /// (see \ref poisonBatch); the service must reject it.
   double PoisonRate = 0;

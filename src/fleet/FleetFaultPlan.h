@@ -54,9 +54,6 @@ struct FleetFaultConfig {
   /// A per-leaf entry older than this many epochs drops out of coverage
   /// at view time (bounded staleness). 0 disables expiry.
   std::uint64_t MaxStalenessEpochs = 8;
-  /// Cap on the re-sync backoff exponent: a parent retries a missing
-  /// child after 1, 2, 4, ... up to 2^cap epochs.
-  std::uint64_t ResyncBackoffCapLog2 = 4;
 };
 
 /// Counters of everything a node injector decided.

@@ -19,6 +19,14 @@
 using namespace regmon;
 using namespace regmon::fleet;
 
+namespace {
+
+/// Cap on the re-sync backoff exponent: a parent retries a missing child
+/// after 1, 2, 4, ... up to 2^cap epochs. Repro choice.
+constexpr std::uint64_t ResyncBackoffCapLog2 = 4;
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // FleetTopology
 //===----------------------------------------------------------------------===//
@@ -361,7 +369,7 @@ bool FleetSim::resyncChild(Aggregator &Agg, std::uint32_t Slot) {
     // bypassing the lossy summary feed. The summary is rebuilt at the
     // current epoch, so a successful re-sync fully restores freshness.
     Agg.Merged.absorb(
-        Leaf.emitSummary(Epoch, stableFractionBounds(), Config.TopKCapacity));
+        Leaf.emitSummary(Epoch, stableFractionBounds(), TopKCapacity));
     return true;
   }
   const Aggregator &Child = *Aggs[Node.ChildAggs[Slot]];
@@ -405,7 +413,7 @@ void FleetSim::runEpoch() {
     transmit(*Links[Topo.leafLink(L)],
              static_cast<std::uint32_t>(SlotIt - Parent.ChildLeaves.begin()),
              Codec::encodeMessage(Leaf.emitSummary(
-                 Epoch, stableFractionBounds(), Config.TopKCapacity)),
+                 Epoch, stableFractionBounds(), TopKCapacity)),
              *Aggs[Parent.Id]);
   }
 
@@ -464,8 +472,8 @@ void FleetSim::runEpoch() {
           Sync.ConsecutiveMisses = 0;
           Sync.NextResyncEpoch = 0;
         } else {
-          const std::uint64_t Shift = std::min(
-              Sync.ConsecutiveMisses, Plan.config().ResyncBackoffCapLog2);
+          const std::uint64_t Shift =
+              std::min(Sync.ConsecutiveMisses, ResyncBackoffCapLog2);
           Sync.NextResyncEpoch = Epoch + (1ULL << Shift);
         }
       }
@@ -523,8 +531,7 @@ FleetView FleetSim::view() const {
     ++V.LeavesPresent;
     V.MaxStaleness = std::max(V.MaxStaleness, Epoch - S.Epoch);
   }
-  V.Rollup =
-      rollup(Root, MinEpoch, stableFractionBounds(), Config.TopKCapacity);
+  V.Rollup = rollup(Root, MinEpoch, stableFractionBounds(), TopKCapacity);
 
   const FleetTopology::AggNode &RootNode = Topo.aggs()[Topo.root()];
   auto subtreeRow = [&](std::uint32_t Child, bool IsLeaf,

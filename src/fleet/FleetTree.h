@@ -125,6 +125,9 @@ LeafSummary buildLeafSummary(const service::MonitorService &Svc, LeafId Leaf,
                              const std::vector<double> &HistBounds,
                              std::uint32_t TopKCap, std::uint64_t Crashes);
 
+/// Canonical top-K sketch capacity, shared fleet-wide. Repro choice.
+inline constexpr std::uint32_t TopKCapacity = 16;
+
 /// Everything a fleet run is parameterized by. The pair (config, fault
 /// plan) fully determines every byte of every summary -- there is no
 /// other input.
@@ -139,8 +142,6 @@ struct FleetSimConfig {
   Cycles PeriodCycles = 45'000;
   /// Sample batches ingested per stream per epoch.
   std::uint32_t BatchesPerEpoch = 2;
-  /// Canonical top-K sketch capacity, shared fleet-wide.
-  std::uint32_t TopKCapacity = 16;
   /// Leaves commit a checkpoint every this many epochs (0 = never).
   /// Only meaningful with \ref PersistDir.
   std::uint64_t CheckpointEveryEpochs = 4;

@@ -13,6 +13,29 @@
 using namespace regmon;
 using namespace regmon::gpd;
 
+namespace {
+
+/// The paper's empirical drift thresholds (section 2.1), as fractions of
+/// the history's expectation E.
+/// TH1: drift the centroid must stay under, for TimerIntervals intervals,
+/// to be declared stable.
+constexpr double Th1 = 0.01;
+/// TH2: drift above which a stable phase ends / under which an unstable
+/// phase may become less-stable.
+constexpr double Th2 = 0.05;
+/// TH3: drift that bounces a less-stable phase back to unstable.
+constexpr double Th3 = 0.10;
+/// TH4: drift indicating a wholesale working-set change; the centroid
+/// history is discarded.
+constexpr double Th4 = 0.67;
+static_assert(Th1 <= Th2 && Th2 <= Th3 && Th3 <= Th4,
+              "thresholds must be ordered");
+/// SD must be below E * MaxSdFraction before the detector may leave the
+/// unstable state: the paper's "SD less than 1/6 of E" (section 2.1).
+constexpr double MaxSdFraction = 1.0 / 6.0;
+
+} // namespace
+
 const char *regmon::gpd::toString(GlobalPhaseState S) {
   switch (S) {
   case GlobalPhaseState::Unstable:
@@ -26,15 +49,7 @@ const char *regmon::gpd::toString(GlobalPhaseState S) {
 }
 
 CentroidPhaseDetector::CentroidPhaseDetector(CentroidConfig Cfg)
-    : Config(Cfg), History(Config.HistoryLength) {
-  assert(Config.Th1 <= Config.Th2 && Config.Th2 <= Config.Th3 &&
-         Config.Th3 <= Config.Th4 && "thresholds must be ordered");
-  assert(Config.TimerIntervals > 0 && "timer must require >= 1 interval");
-  assert((!Config.AdaptiveWindow ||
-          (Config.MinHistoryLength >= 2 &&
-           Config.MinHistoryLength <= Config.MaxHistoryLength)) &&
-         "adaptive window bounds are inconsistent");
-}
+    : Config(Cfg), History(HistoryLength) {}
 
 REGMON_PURE GlobalPhaseState
 CentroidPhaseDetector::observeInterval(std::span<const Sample> Samples) {
@@ -83,15 +98,15 @@ void CentroidPhaseDetector::adaptWindow() {
     // Turbulence: forget stale context quickly so the band re-forms
     // around the new behaviour.
     QuietStableRun = 0;
-    History.resize(Config.MinHistoryLength);
+    History.resize(MinHistoryLength);
     return;
   }
   if (State != GlobalPhaseState::Stable) {
     QuietStableRun = 0;
     return;
   }
-  if (++QuietStableRun >= Config.GrowAfterStableIntervals &&
-      History.capacity() < Config.MaxHistoryLength) {
+  if (++QuietStableRun >= GrowAfterStableIntervals &&
+      History.capacity() < MaxHistoryLength) {
     History.resize(History.capacity() + 1);
     QuietStableRun = 0;
   }
@@ -121,7 +136,7 @@ GlobalPhaseState CentroidPhaseDetector::step(double Centroid) {
 
   // A wholesale working-set change invalidates the whole history: the next
   // phase will live at unrelated addresses.
-  if (Drift > Config.Th4) {
+  if (Drift > Th4) {
     History.clear();
     History.add(Centroid);
     Timer = 0;
@@ -133,19 +148,19 @@ GlobalPhaseState CentroidPhaseDetector::step(double Centroid) {
     // The band must be meaningful (not too thick) before trusting low
     // drift: "a check is also made to ensure that band of stability is not
     // too thick by ensuring that SD is less than 1/6 of E".
-    if (Drift <= Config.Th2 && Sd < E * Config.MaxSdFraction) {
+    if (Drift <= Th2 && Sd < E * MaxSdFraction) {
       Timer = 0;
       return GlobalPhaseState::LessStable;
     }
     return GlobalPhaseState::Unstable;
 
   case GlobalPhaseState::LessStable:
-    if (Drift > Config.Th3) {
+    if (Drift > Th3) {
       Timer = 0;
       return GlobalPhaseState::Unstable;
     }
-    if (Drift <= Config.Th1) {
-      if (++Timer >= Config.TimerIntervals)
+    if (Drift <= Th1) {
+      if (++Timer >= TimerIntervals)
         return GlobalPhaseState::Stable;
       return GlobalPhaseState::LessStable;
     }
@@ -154,7 +169,7 @@ GlobalPhaseState CentroidPhaseDetector::step(double Centroid) {
     return GlobalPhaseState::LessStable;
 
   case GlobalPhaseState::Stable:
-    if (Drift > Config.Th2) {
+    if (Drift > Th2) {
       Timer = 0;
       return GlobalPhaseState::Unstable;
     }

@@ -55,27 +55,29 @@ enum class GlobalPhaseState : std::uint8_t {
 /// Returns a short human-readable name for \p S.
 const char *toString(GlobalPhaseState S);
 
-/// Tunable parameters of the centroid detector.
-struct CentroidConfig {
-  /// TH1: drift (fraction of E) the centroid must stay under, for
-  /// TimerIntervals intervals, to be declared stable.
-  double Th1 = 0.01;
-  /// TH2: drift above which a stable phase ends / under which an unstable
-  /// phase may become less-stable.
-  double Th2 = 0.05;
-  /// TH3: drift that bounces a less-stable phase back to unstable.
-  double Th3 = 0.10;
-  /// TH4: drift indicating a wholesale working-set change; the centroid
-  /// history is discarded.
-  double Th4 = 0.67;
-  /// SD must be below E * MaxSdFraction (the paper's "SD less than 1/6 of
-  /// E") before the detector may leave the unstable state.
-  double MaxSdFraction = 1.0 / 6.0;
-  /// Number of past centroids forming the band of stability.
-  std::size_t HistoryLength = 5;
-  /// Consecutive low-drift intervals required in LessStable before Stable.
-  unsigned TimerIntervals = 2;
+/// Number of past centroids forming the band of stability. Repro choice
+/// (the paper does not state its history length).
+inline constexpr std::size_t HistoryLength = 5;
+/// Consecutive low-drift intervals required in LessStable before Stable:
+/// the paper's timer on the less-stable state (section 2.1), length a
+/// repro choice.
+inline constexpr unsigned TimerIntervals = 2;
+static_assert(TimerIntervals > 0, "the timer must require an interval");
 
+/// Adaptive-window bounds (CentroidConfig::AdaptiveWindow): the history
+/// shrinks to MinHistoryLength on every phase change and grows by one per
+/// GrowAfterStableIntervals quiet stable intervals up to
+/// MaxHistoryLength. Repro choices.
+inline constexpr std::size_t MinHistoryLength = 3;
+inline constexpr std::size_t MaxHistoryLength = 12;
+inline constexpr unsigned GrowAfterStableIntervals = 4;
+static_assert(MinHistoryLength >= 2 && MinHistoryLength <= MaxHistoryLength,
+              "the adaptive window must hold a band");
+
+/// Tunable parameters of the centroid detector. The drift thresholds
+/// TH1..TH4 and the SD < E/6 guard are the paper's (section 2.1) and sit
+/// in CentroidPhaseDetector.cpp.
+struct CentroidConfig {
   /// Adaptive profile-window resizing (the refinement Nagpurkar et al.
   /// [17] found more accurate than constant windows): shrink the centroid
   /// history to MinHistoryLength on every phase change (fast response in
@@ -83,9 +85,6 @@ struct CentroidConfig {
   /// stable intervals up to MaxHistoryLength (noise immunity in calm).
   /// Off by default (the paper's constant-window configuration).
   bool AdaptiveWindow = false;
-  std::size_t MinHistoryLength = 3;
-  std::size_t MaxHistoryLength = 12;
-  unsigned GrowAfterStableIntervals = 4;
 };
 
 /// Centroid-based global phase detector.

@@ -112,28 +112,27 @@ CheckpointManager::loadRung(Rung R) {
   const std::string Path =
       R == Rung::Current ? snapshotPath() : prevSnapshotPath();
   const auto Data = readFileBytes(Path);
-  if (!Data) {
-    Counters.LastError = SnapshotError::FileMissing;
-    return std::nullopt;
-  }
+  if (!Data)
+    return std::nullopt; // a missing rung is not a refusal
   ++Counters.LoadAttempts;
   std::vector<SnapshotSection> Sections;
   const SnapshotError Err = decodeSnapshot(*Data, Sections);
   if (Err != SnapshotError::None) {
-    ++Counters.CorruptSnapshots;
-    if (Obs)
-      obs::addTo(Obs->CorruptSnapshots);
-    Counters.LastError = Err;
+    noteRefusal(Err);
     return std::nullopt;
   }
-  Counters.LastError = SnapshotError::None;
   return Sections;
 }
 
 void CheckpointManager::noteDecodeFailure() {
+  noteRefusal(SnapshotError::StateRejected);
+}
+
+void CheckpointManager::noteRefusal(SnapshotError Why) {
   ++Counters.CorruptSnapshots;
   if (Obs)
     obs::addTo(Obs->CorruptSnapshots);
+  Counters.LastError = Why;
 }
 
 void CheckpointManager::noteColdStart() {

@@ -73,7 +73,11 @@ struct RecoveryCounters {
   std::uint64_t JournalTornTails = 0;
   /// Journal files truncated back to their valid prefix.
   std::uint64_t JournalRepairs = 0;
-  /// Container error of the most recently rejected snapshot rung.
+  /// Why the most recently refused snapshot rung was refused: its
+  /// container error, or StateRejected when the owner's decode refused
+  /// its payload. A missing rung is no refusal and a later successful
+  /// load keeps the reason, so None means no rung that exists was ever
+  /// refused.
   SnapshotError LastError = SnapshotError::None;
 };
 
@@ -114,12 +118,13 @@ public:
   /// The recovery rungs, in ladder order.
   enum class Rung : std::uint8_t { Current, Previous };
 
-  /// Loads and container-validates one rung. std::nullopt (with counters
-  /// updated) when the file is missing or damaged.
+  /// Loads and container-validates one rung. std::nullopt when the file
+  /// is missing, or damaged (counted, with its reason in LastError).
   std::optional<std::vector<SnapshotSection>> loadRung(Rung R);
 
   /// The owner's application-level decode of a loaded rung failed; counts
-  /// it as a corrupt snapshot so the reason is never silent.
+  /// it as a corrupt snapshot with reason StateRejected, so the refusal is
+  /// never silent.
   void noteDecodeFailure();
   /// The ladder ran out of rungs.
   void noteColdStart();
@@ -151,6 +156,8 @@ private:
 
   /// Counts a failed commit in counters, metric, and event stream.
   void noteCommitFailure(std::uint64_t CompactThroughSeq);
+  /// Counts a refused rung in counters and metric, and records \p Why.
+  void noteRefusal(SnapshotError Why);
 
   std::string Root;
   bool Valid = false;

@@ -15,8 +15,6 @@ const char *regmon::persist::toString(SnapshotError E) {
   switch (E) {
   case SnapshotError::None:
     return "none";
-  case SnapshotError::FileMissing:
-    return "file-missing";
   case SnapshotError::TooShort:
     return "too-short";
   case SnapshotError::BadMagic:
@@ -33,6 +31,8 @@ const char *regmon::persist::toString(SnapshotError E) {
     return "trailing-garbage";
   case SnapshotError::FileCrcMismatch:
     return "file-crc-mismatch";
+  case SnapshotError::StateRejected:
+    return "state-rejected";
   }
   return "?";
 }

@@ -55,7 +55,6 @@ struct SnapshotSection {
 /// recovery rung", never to UB or a partial load.
 enum class SnapshotError : std::uint8_t {
   None,
-  FileMissing,        ///< No file at the path (not corruption).
   TooShort,           ///< Shorter than the fixed header + footer.
   BadMagic,           ///< First four bytes are not 'RGMN'.
   UnsupportedVersion, ///< Any schema version other than SnapshotVersion.
@@ -64,6 +63,10 @@ enum class SnapshotError : std::uint8_t {
   SectionCrcMismatch, ///< A section's payload failed its CRC.
   TrailingGarbage,    ///< Bytes between the last section and the footer.
   FileCrcMismatch,    ///< The whole-file CRC failed.
+  /// The container was intact but its owner's decode refused the payload
+  /// (see CheckpointManager::noteDecodeFailure); never returned by
+  /// \ref decodeSnapshot.
+  StateRejected,
 };
 
 /// Returns a short identifier for reports and counters.

@@ -124,12 +124,13 @@ bool StateCodec::decode(ByteReader &R, core::LocalPhaseDetector &D) {
 //===----------------------------------------------------------------------===//
 
 void StateCodec::encode(ByteWriter &W, const core::RegionMonitor &M) {
-  // Configuration fingerprint: the fields that shape the serialized
+  // Configuration fingerprint: the settings that shape the serialized
   // layout. A mismatch on decode means the bytes describe a different
-  // monitor and must be rejected, not reinterpreted.
+  // monitor and must be rejected, not reinterpreted. The miss window is a
+  // build constant; its slot refuses a snapshot of a build with another.
   W.boolean(M.Config.TrackMissPhases);
   W.boolean(M.Config.RecordTimelines);
-  W.u64(M.Config.MissWindowIntervals);
+  W.u64(core::MissWindowIntervals);
 
   W.u64(M.Intervals);
   W.u64(M.FormationTriggers);
@@ -185,7 +186,7 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
 
   if (R.boolean() != M.Config.TrackMissPhases ||
       R.boolean() != M.Config.RecordTimelines ||
-      R.u64() != M.Config.MissWindowIntervals || !R.ok())
+      R.u64() != core::MissWindowIntervals || !R.ok())
     return Reject();
 
   // An interval fires at most one formation trigger and is undersampled
@@ -227,7 +228,7 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
         Reg.End % InstrBytes != 0 ||
         (Reg.End - Reg.Start) / InstrBytes > MaxInstrsPerRegion)
       return Reject();
-    if (IsActive && ++ActiveCount > M.Config.MaxRegions)
+    if (IsActive && ++ActiveCount > core::MaxRegions)
       return Reject();
     const std::uint64_t Instrs = Reg.instrCount();
     const std::uint64_t FormedAt = Reg.FormedAtInterval;
@@ -280,8 +281,8 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
     RS.PhaseChanges = Rec.Detector->PhaseChanges;
     RS.MissPhaseChanges =
         HasMissDetector ? Rec.MissDetector->PhaseChanges : 0;
-    if (!decode(R, Rec.RecentMiss, M.Config.MissWindowIntervals) ||
-        Rec.RecentMiss.Cap != M.Config.MissWindowIntervals)
+    if (!decode(R, Rec.RecentMiss, core::MissWindowIntervals) ||
+        Rec.RecentMiss.Cap != core::MissWindowIntervals)
       return Reject();
     if (Rec.Timeline != nullptr) {
       if (!R.vecU32(Rec.Timeline->Samples) || !R.vecF64(Rec.Timeline->R))

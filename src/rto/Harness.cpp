@@ -19,6 +19,18 @@ using namespace regmon::rto;
 
 namespace {
 
+/// Observational self-monitoring (paper section 5's feedback loop; the
+/// three values are repro choices).
+/// Intervals to wait after deployment before judging: the miss window
+/// must refill with post-deployment samples.
+constexpr unsigned SelfMonitorWarmupIntervals = 10;
+/// A trace must cut the region's miss fraction by at least this factor
+/// relative to the pre-deployment baseline.
+constexpr double SelfMonitorMinMissReduction = 0.25;
+/// Regions with a baseline miss fraction below this are not worth judging
+/// (nothing to improve).
+constexpr double SelfMonitorMinBaselineMiss = 0.02;
+
 /// Resolves monitored regions back to program loops. Regions are formed
 /// from loop bounds, so the (start, end) pair identifies the loop.
 class RegionLoopIndex {
@@ -214,15 +226,13 @@ RtoResult rto::runLocal(const sim::Program &Prog,
           continue;
         }
         const bool WarmedUp = Monitor.intervals() >=
-                              Record.DeployedAt +
-                                  Config.SelfMonitorWarmupIntervals;
+                              Record.DeployedAt + SelfMonitorWarmupIntervals;
         const bool Judgeable =
-            Record.BaselineMiss >= Config.SelfMonitorMinBaselineMiss;
+            Record.BaselineMiss >= SelfMonitorMinBaselineMiss;
         if (WarmedUp && Judgeable) {
           const double Current = Monitor.recentMissFraction(Record.Region);
           const double Required =
-              Record.BaselineMiss *
-              (1.0 - Config.SelfMonitorMinMissReduction);
+              Record.BaselineMiss * (1.0 - SelfMonitorMinMissReduction);
           if (Current > Required) {
             Traces.unpatch(L);
             ++SelfUndos;

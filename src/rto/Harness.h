@@ -74,15 +74,6 @@ struct RtoConfig {
   SelfMonitorMode SelfMonitor = SelfMonitorMode::GroundTruth;
   /// GroundTruth mode: undo after this many consecutive harmful intervals.
   unsigned SelfMonitorHarmIntervals = 2;
-  /// Observational mode: intervals to wait after deployment before judging
-  /// (the miss window must refill with post-deployment samples).
-  unsigned SelfMonitorWarmupIntervals = 10;
-  /// Observational mode: a trace must cut the region's miss fraction by at
-  /// least this factor relative to the pre-deployment baseline.
-  double SelfMonitorMinMissReduction = 0.25;
-  /// Observational mode: regions with a baseline miss fraction below this
-  /// are not worth judging (nothing to improve).
-  double SelfMonitorMinBaselineMiss = 0.02;
   /// Fault injection: probability that a trace deployment fails mid-patch
   /// and is rolled back (see TraceDeployments::setDeployFaultHook).
   /// Applies to both strategies. 0 disables injection.

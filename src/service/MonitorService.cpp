@@ -560,6 +560,10 @@ Cycles MonitorService::recommendedPeriodCycles(StreamId Stream) const {
 
 void MonitorService::attachPersistence(persist::CheckpointManager &Store) {
   assert(!Started && "persistence must be attached before start()");
+  // The journal holds every admitted batch but no eviction, so journal
+  // replay would process what a DropOldest queue dropped.
+  assert(Config.Policy == OverflowPolicy::Block &&
+         "durability needs the Block policy");
   Persist = &Store;
 }
 

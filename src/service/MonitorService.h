@@ -362,7 +362,9 @@ public:
   /// the journal and resumes its sequence. Without it the journal refuses
   /// every append that replay would lose (behind a torn tail, or at a
   /// sequence that does not increase), and \ref submit refuses each
-  /// batch as JournalRejected.
+  /// batch as JournalRejected. The service's policy must be Block: the
+  /// journal records no evictions, so recovery would process the batches
+  /// a DropOldest queue dropped.
   void attachPersistence(persist::CheckpointManager &Store);
 
   /// Recovers state from the attached store: climbs the snapshot ladder

@@ -178,8 +178,8 @@ TEST(FaultInjector, CorruptedPcsLandInTheConfiguredWindow) {
   StreamFaultInjector Inj(3, Cfg);
   const std::vector<Sample> Clean = {{0x1000, 10, false}, {0x1004, 20, true}};
   for (const Sample &S : Inj.apply(Clean)) {
-    EXPECT_GE(S.Pc, Cfg.CorruptBase);
-    EXPECT_LT(S.Pc, Cfg.CorruptBase + Cfg.CorruptSpan * InstrBytes);
+    EXPECT_GE(S.Pc, CorruptBase);
+    EXPECT_LT(S.Pc, CorruptBase + CorruptSpan * InstrBytes);
   }
   EXPECT_EQ(Inj.stats().SamplesCorrupted, 2u);
 }

@@ -23,6 +23,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -144,6 +145,67 @@ TEST(CliSmoke, TraceVerifyMissingFileIsARuntimeFailure) {
   const RunResult R = run("trace-verify --trace /no/such/trace.bin");
   EXPECT_EQ(R.Exit, 1);
   EXPECT_NE(R.Err.find("no trace at"), std::string::npos);
+}
+
+/// A scratch path for a CLI run's files, removed first.
+std::string scratchPath(const std::string &Tag) {
+  const std::string Path = ::testing::TempDir() + "regmon_cli_smoke_" +
+                           std::to_string(::getpid()) + "_" + Tag;
+  std::filesystem::remove_all(Path);
+  return Path;
+}
+
+TEST(CliSmoke, DurabilityRefusesTheDropPolicy) {
+  // The journal records no evictions, so recovery would process what a
+  // drop-oldest queue discarded: every command that attaches --dir
+  // refuses --policy drop before it touches the directory.
+  const std::string Dir = scratchPath("drop_dir");
+  const std::string Trace = scratchPath("drop.trace.bin");
+  for (const std::string Cmd : {"checkpoint", "restore", "record", "replay"}) {
+    SCOPED_TRACE(Cmd);
+    const std::string TraceFlag =
+        Cmd == "record" || Cmd == "replay" ? " --trace \"" + Trace + "\"" : "";
+    const RunResult R = run(Cmd + " synthetic.periodic --dir \"" + Dir +
+                            "\"" + TraceFlag + " --policy drop");
+    EXPECT_EQ(R.Exit, 2);
+    EXPECT_NE(R.Err.find("--dir"), std::string::npos) << R.Err;
+    EXPECT_NE(R.Err.find("--policy drop"), std::string::npos) << R.Err;
+    EXPECT_FALSE(std::filesystem::exists(Dir));
+    EXPECT_FALSE(std::filesystem::exists(Trace));
+  }
+}
+
+TEST(CliSmoke, FreshDirectoryReportsNoSnapshotError) {
+  const std::string Dir = scratchPath("fresh_ckpt");
+  const RunResult R = run("checkpoint synthetic.periodic --dir \"" + Dir +
+                          "\" --streams 1 --workers 1 --intervals 2");
+  EXPECT_EQ(R.Exit, 0) << R.Err;
+  EXPECT_NE(R.Out.find("cold-start"), std::string::npos) << R.Out;
+  EXPECT_EQ(R.Out.find("last snapshot error"), std::string::npos) << R.Out;
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(CliSmoke, DamagedSnapshotWithoutFallbackNamesItsError) {
+  const std::string Dir = scratchPath("damaged_ckpt");
+  const std::string Flags =
+      " synthetic.periodic --dir \"" + Dir + "\" --streams 1 --workers 1";
+  ASSERT_EQ(run("checkpoint" + Flags + " --intervals 2").Exit, 0);
+  ASSERT_FALSE(std::filesystem::exists(Dir + "/snapshot.prev.bin"));
+  // Flip the last byte, which belongs to the whole-file CRC.
+  const std::string Snapshot = Dir + "/snapshot.bin";
+  std::string Bytes = slurp(Snapshot);
+  ASSERT_FALSE(Bytes.empty());
+  Bytes.back() = static_cast<char>(Bytes.back() ^ 0x01);
+  std::ofstream(Snapshot, std::ios::binary | std::ios::trunc) << Bytes;
+
+  const RunResult R = run("restore" + Flags);
+  EXPECT_EQ(R.Exit, 0) << R.Err;
+  EXPECT_NE(R.Out.find("journal-only"), std::string::npos) << R.Out;
+  EXPECT_NE(R.Out.find("1 corrupt snapshot(s)"), std::string::npos) << R.Out;
+  EXPECT_NE(R.Out.find("last snapshot error: file-crc-mismatch"),
+            std::string::npos)
+      << R.Out;
+  std::filesystem::remove_all(Dir);
 }
 
 /// The operator walkthrough in miniature: a torn trace verifies as

@@ -152,7 +152,7 @@ TEST(LocalPhaseDetector, AdaptiveThresholdClampsAtMinimum) {
   LocalDetectorConfig Config;
   Config.AdaptiveThreshold = true;
   LocalPhaseDetector Huge(64 * 1024, Metric, Config);
-  EXPECT_DOUBLE_EQ(Huge.effectiveRt(), Config.AdaptiveMinRt);
+  EXPECT_DOUBLE_EQ(Huge.effectiveRt(), AdaptiveMinRt);
 }
 
 TEST(LocalPhaseDetector, AdaptiveThresholdToleratesModerateR) {

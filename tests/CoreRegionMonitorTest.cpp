@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -96,25 +97,65 @@ TEST(RegionMonitor, NonRegionableSamplesNeverFormRegions) {
 
 TEST(RegionMonitor, MinRegionSamplesFiltersColdCandidates) {
   TestCodeMap Map;
-  RegionMonitorConfig Config;
-  Config.MinRegionSamples = 50;
-  RegionMonitor M(Map, Config);
-  // 60% UCR, but split 40 + 20: only loopA passes the bar.
-  M.observeInterval(buffer({{0x9000, 40}, {0x1004, 40}, {0x2010, 20}}));
-  ASSERT_EQ(M.regions().size(), 0u) << "nothing passes the 50-sample bar";
-  M.observeInterval(buffer({{0x1004, 60}, {0x2010, 40}}));
+  RegionMonitor M(Map);
+  const int Bar = static_cast<int>(MinRegionSamples);
+  // All UCR, but loopA sits one sample under the bar and loopB further
+  // below it.
+  M.observeInterval(buffer({{0x9000, 40}, {0x1004, Bar - 1}, {0x2010, 2}}));
+  ASSERT_EQ(M.formationTriggers(), 1u);
+  ASSERT_EQ(M.regions().size(), 0u) << "nothing reaches the bar";
+  // Exactly at the bar qualifies; one under it still does not.
+  M.observeInterval(buffer({{0x1004, Bar}, {0x2010, Bar - 1}}));
   ASSERT_EQ(M.regions().size(), 1u);
   EXPECT_EQ(M.regions()[0].Name, "loopA");
 }
 
+/// A generated code oracle: every 256-byte block is its own loop, so a
+/// test can offer as many distinct formation candidates as it needs.
+class BlockLoopMap final : public CodeMap {
+public:
+  std::optional<CodeRegionInfo> regionFor(Addr Pc) const override {
+    const Addr Base = Pc & ~Addr(0xff);
+    return CodeRegionInfo{Base, Base + 0x100, "L"};
+  }
+};
+
+/// The address of generated loop \p K.
+Addr blockLoop(std::size_t K) { return 0x10000 + K * 0x100; }
+
 TEST(RegionMonitor, MaxRegionsCapsFormation) {
-  TestCodeMap Map;
-  RegionMonitorConfig Config;
-  Config.MaxRegions = 1;
-  RegionMonitor M(Map, Config);
-  M.observeInterval(buffer({{0x1004, 50}, {0x2010, 50}}));
-  EXPECT_EQ(M.regions().size(), 1u);
-  EXPECT_EQ(M.regions()[0].Name, "loopA") << "hottest candidate wins";
+  BlockLoopMap Map;
+  RegionMonitor M(Map);
+  const int Bar = static_cast<int>(MinRegionSamples);
+  // Fill to two regions short of the cap, fewer than a trigger's own cap
+  // at a time so only MaxRegions can stop the last trigger.
+  std::size_t Next = 0;
+  while (M.activeRegionCount() < MaxRegions - 2) {
+    const std::size_t Room = MaxRegions - 2 - M.activeRegionCount();
+    std::vector<Sample> Buffer;
+    for (std::size_t I = 0; I < std::min(Room, MaxNewRegionsPerTrigger - 1);
+         ++I)
+      for (int S = 0; S < Bar; ++S)
+        Buffer.push_back(Sample{blockLoop(Next + I), 0});
+    const std::size_t Before = M.regions().size();
+    M.observeInterval(Buffer);
+    ASSERT_GT(M.regions().size(), Before) << "every fill interval forms";
+    Next = M.regions().size();
+  }
+  // Three qualifying candidates for the last two slots: the hottest two
+  // win, hottest first.
+  M.observeInterval(buffer({{blockLoop(Next), Bar},
+                            {blockLoop(Next + 1), Bar + 20},
+                            {blockLoop(Next + 2), Bar + 10}}));
+  ASSERT_EQ(M.regions().size(), MaxRegions);
+  EXPECT_EQ(M.activeRegionCount(), MaxRegions);
+  EXPECT_EQ(M.regions()[MaxRegions - 2].Start, blockLoop(Next + 1));
+  EXPECT_EQ(M.regions()[MaxRegions - 1].Start, blockLoop(Next + 2));
+  // At the cap a trigger still fires but forms nothing.
+  const std::uint64_t Triggers = M.formationTriggers();
+  M.observeInterval(buffer({{blockLoop(Next + 3), 4 * Bar}}));
+  EXPECT_EQ(M.formationTriggers(), Triggers + 1);
+  EXPECT_EQ(M.regions().size(), MaxRegions);
 }
 
 TEST(RegionMonitor, LocalDetectionRunsPerRegion) {
@@ -256,25 +297,24 @@ TEST(RegionMonitor, StatsAccumulate) {
 }
 
 TEST(RegionMonitor, MaxNewRegionsPerTrigger) {
-  /// Oracle with many distinct hot loops at once.
-  class ManyMap final : public CodeMap {
-  public:
-    std::optional<CodeRegionInfo> regionFor(Addr Pc) const override {
-      const Addr Base = Pc & ~Addr(0xff);
-      return CodeRegionInfo{Base, Base + 0x100, "L"};
-    }
-  };
-  ManyMap Map;
-  RegionMonitorConfig Config;
-  Config.MaxNewRegionsPerTrigger = 2;
-  Config.MinRegionSamples = 1;
-  RegionMonitor M(Map, Config);
-  M.observeInterval(buffer(
-      {{0x1000, 30}, {0x2000, 25}, {0x3000, 20}, {0x4000, 25}}));
-  EXPECT_EQ(M.regions().size(), 2u);
-  // Hottest two candidates were taken.
-  EXPECT_EQ(M.regions()[0].Start, 0x1000u);
-  EXPECT_EQ(M.regions()[1].Start, 0x2000u);
+  BlockLoopMap Map;
+  RegionMonitor M(Map);
+  // Two more qualifying candidates than one trigger may form, hotter at
+  // higher addresses; loops 1 and 2 tie for the last slot.
+  const std::size_t Offered = MaxNewRegionsPerTrigger + 2;
+  std::vector<Sample> Buffer;
+  for (std::size_t K = 0; K < Offered; ++K) {
+    const std::size_t Extra = K == 0 ? 0 : std::max<std::size_t>(K, 2);
+    for (std::size_t S = 0; S < MinRegionSamples + Extra; ++S)
+      Buffer.push_back(Sample{blockLoop(K), 0});
+  }
+  M.observeInterval(Buffer);
+  ASSERT_EQ(M.regions().size(), MaxNewRegionsPerTrigger);
+  // Hottest first; the tie goes to the lower address, and the coldest
+  // candidate and the tie's loser wait for a later trigger.
+  for (std::size_t I = 0; I + 1 < MaxNewRegionsPerTrigger; ++I)
+    EXPECT_EQ(M.regions()[I].Start, blockLoop(Offered - 1 - I)) << I;
+  EXPECT_EQ(M.regions().back().Start, blockLoop(1));
 }
 
 } // namespace

@@ -933,8 +933,53 @@ TEST(CrashRecovery, OldSnapshotVersionFallsThroughTheLadder) {
   EXPECT_EQ(Service->restore(), RestoreOutcome::SnapshotPlusJournal);
   EXPECT_EQ(Store.counters().CorruptSnapshots, 1U);
   EXPECT_EQ(Store.counters().FallbacksUsed, 1U);
+  EXPECT_EQ(Store.counters().LastError,
+            persist::SnapshotError::UnsupportedVersion);
   EXPECT_EQ(Service->encodeState(), RefBytes);
 }
+
+// An intact snapshot of a differently configured service is refused by
+// the service's decode, not by the container: the counters name that
+// reason, and the journal rebuilds the state.
+TEST(CrashRecovery, ConfigMismatchIsNamedStateRejected) {
+  const std::vector<RecordedStream> Fleet = smallFleet();
+  std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  ASSERT_GE(Batches.size(), 4U);
+  Batches.resize(4);
+  const std::string Dir = scratchDir("mismatch");
+  {
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet);
+    Service->attachPersistence(Store);
+    ASSERT_EQ(Service->restore(), RestoreOutcome::ColdStart);
+    Service->start();
+    for (const SampleBatch &B : Batches)
+      ASSERT_TRUE(Service->submit(B));
+    Service->stop();
+    ASSERT_TRUE(Service->checkpoint());
+  }
+  ServiceConfig Other = testConfig();
+  ++Other.Health.RecoveryCleanBatches;
+  CheckpointManager Store(Dir);
+  auto Service = makeService(Fleet, Other);
+  Service->attachPersistence(Store);
+  EXPECT_EQ(Service->restore(), RestoreOutcome::JournalOnly);
+  EXPECT_EQ(Store.counters().CorruptSnapshots, 1U);
+  EXPECT_EQ(Store.counters().LastError,
+            persist::SnapshotError::StateRejected);
+}
+
+#ifndef NDEBUG
+// The journal records no evictions, so a DropOldest service cannot be
+// made durable: recovery would process the batches its queue dropped.
+TEST(CrashRecoveryDeathTest, DropOldestServiceRefusesPersistence) {
+  ServiceConfig Cfg = testConfig();
+  Cfg.Policy = OverflowPolicy::DropOldest;
+  MonitorService Service(Cfg);
+  CheckpointManager Store(scratchDir("drop_oldest"));
+  EXPECT_DEATH_IF_SUPPORTED(Service.attachPersistence(Store), "Block policy");
+}
+#endif
 
 // The payoff the ISSUE demands: a warm restart reaches its first stable
 // phase in at most half the intervals a cold start needs. Measured on

@@ -566,7 +566,7 @@ FleetSummary flatReference(const FleetSimConfig &Cfg, std::uint64_t Epochs) {
                                 /*FirstStream=*/L * Cfg.StreamsPerLeaf,
                                 Cfg.StreamsPerLeaf,
                                 /*FirstGlobalStream=*/L * Cfg.StreamsPerLeaf,
-                                stableFractionBounds(), Cfg.TopKCapacity,
+                                stableFractionBounds(), TopKCapacity,
                                 /*Crashes=*/0));
   Svc.stop();
   return Ref;

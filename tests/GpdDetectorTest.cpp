@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 using namespace regmon;
@@ -79,19 +80,20 @@ TEST(CentroidDetector, Th3BouncesLessStableToUnstable) {
 }
 
 TEST(CentroidDetector, ModerateDriftRestartsTimer) {
-  CentroidConfig Config;
-  Config.TimerIntervals = 2;
-  CentroidPhaseDetector D(Config);
+  CentroidPhaseDetector D;
   D.observeCentroid(100'000);
   D.observeCentroid(100'000);
   ASSERT_EQ(D.observeCentroid(100'000), GlobalPhaseState::LessStable);
-  ASSERT_EQ(D.observeCentroid(100'000), GlobalPhaseState::LessStable);
+  // One quiet interval short of the timer.
+  for (unsigned I = 1; I < TimerIntervals; ++I)
+    ASSERT_EQ(D.observeCentroid(100'000), GlobalPhaseState::LessStable);
   // Drift between TH1 and TH3 resets the quiet timer but stays LessStable.
-  // History is {1e5 x4}: band is degenerate at 1e5, so 3% drift ~ 3000.
+  // The band is degenerate at 1e5, so 103k is a 3% drift.
   ASSERT_EQ(D.observeCentroid(103'000), GlobalPhaseState::LessStable);
-  // Needs two more quiet intervals before stabilizing again. The band now
-  // contains 103k so SD widened; drift from band for 100k is small.
-  EXPECT_EQ(D.observeCentroid(100'000), GlobalPhaseState::LessStable);
+  // The full timer runs again before stabilizing. The band now contains
+  // 103k, so SD widened and 100k sits inside it.
+  for (unsigned I = 1; I < TimerIntervals; ++I)
+    EXPECT_EQ(D.observeCentroid(100'000), GlobalPhaseState::LessStable);
   EXPECT_EQ(D.observeCentroid(100'000), GlobalPhaseState::Stable);
 }
 
@@ -167,26 +169,48 @@ TEST(CentroidDetector, PhaseChangeCountsBothDirections) {
 }
 
 TEST(CentroidDetector, AdaptiveWindowShrinksOnChangeAndRegrows) {
+  // An adaptive and a constant-window detector see the same centroids;
+  // where their states part, the adaptive window's size shows.
   CentroidConfig Config;
   Config.AdaptiveWindow = true;
-  Config.MinHistoryLength = 3;
-  Config.MaxHistoryLength = 8;
-  Config.HistoryLength = 8;
-  Config.GrowAfterStableIntervals = 2;
-  CentroidPhaseDetector D(Config);
+  CentroidPhaseDetector Adaptive(Config);
+  CentroidPhaseDetector Constant;
+  const auto Both = [&](double Centroid) {
+    return std::pair{Adaptive.observeCentroid(Centroid),
+                     Constant.observeCentroid(Centroid)};
+  };
   for (int I = 0; I < 10; ++I)
-    D.observeCentroid(100'000);
-  ASSERT_EQ(D.state(), GlobalPhaseState::Stable);
-  // Leave stable: the window must collapse to the minimum, making the
-  // band re-form around the new neighbourhood quickly.
-  D.observeCentroid(115'000);
-  ASSERT_TRUE(D.lastIntervalChangedPhase());
-  // Re-stabilize at the new centroid: with a 3-entry window this takes
-  // the minimum latency again.
-  std::vector<GlobalPhaseState> States;
-  for (int I = 0; I < 6; ++I)
-    States.push_back(D.observeCentroid(115'000));
-  EXPECT_EQ(States[4], GlobalPhaseState::Stable);
+    Both(100'000);
+  ASSERT_EQ(Adaptive.state(), GlobalPhaseState::Stable);
+  // Leave stable: the adaptive window collapses to MinHistoryLength,
+  // so the band re-forms around the new neighbourhood quickly.
+  Both(115'000);
+  ASSERT_TRUE(Adaptive.lastIntervalChangedPhase());
+  // With MinHistoryLength entries the adaptive detector is stable after
+  // the timer; the HistoryLength-entry constant window is not yet.
+  std::vector<std::pair<GlobalPhaseState, GlobalPhaseState>> States;
+  for (unsigned I = 0; I <= TimerIntervals; ++I)
+    States.push_back(Both(115'000));
+  EXPECT_EQ(States[TimerIntervals].first, GlobalPhaseState::Stable);
+  EXPECT_NE(States[TimerIntervals].second, GlobalPhaseState::Stable);
+
+  // Calm regrows the adaptive window, one entry per
+  // GrowAfterStableIntervals quiet stable intervals, to MaxHistoryLength.
+  for (std::size_t I = 0;
+       I < GrowAfterStableIntervals * (MaxHistoryLength - MinHistoryLength);
+       ++I)
+    Both(115'000);
+  ASSERT_EQ(Constant.state(), GlobalPhaseState::Stable);
+  // A 4% probe keeps both stable and joins both histories.
+  ASSERT_EQ(Both(119'600), std::pair(GlobalPhaseState::Stable,
+                                     GlobalPhaseState::Stable));
+  // After HistoryLength + 1 quiet intervals the probe has left the
+  // constant window but not the regrown one, whose wider band absorbs a
+  // 5.5% drift that ends the constant detector's stable phase.
+  for (std::size_t I = 0; I < HistoryLength + 1; ++I)
+    Both(115'000);
+  EXPECT_EQ(Both(121'325), std::pair(GlobalPhaseState::Stable,
+                                     GlobalPhaseState::Unstable));
 }
 
 TEST(CentroidDetector, AdaptiveWindowRestabilizesFasterThanConstant) {

@@ -8,8 +8,8 @@
 /// Invariants that must hold for *every* workload in the catalogue, checked
 /// by one full monitored run each. These catch accounting bugs that
 /// pointwise unit tests miss: sample conservation across attribution and
-/// the UCR, stability bookkeeping, and the parity relation between phase
-/// changes and the current state.
+/// the UCR, stability bookkeeping, the parity relation between phase
+/// changes and the current state, and the formation constants.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <span>
 
 using namespace regmon;
 
@@ -45,6 +47,7 @@ protected:
       Monitor->observeInterval(Buffer);
       Gpd.observeInterval(Buffer);
       ++Intervals;
+      MaxActive = std::max(MaxActive, Monitor->activeRegionCount());
     });
   }
 
@@ -53,6 +56,8 @@ protected:
   std::unique_ptr<core::RegionMonitor> Monitor;
   gpd::CentroidPhaseDetector Gpd;
   std::uint64_t Intervals = 0;
+  /// The most regions active at the end of any interval.
+  std::size_t MaxActive = 0;
 };
 
 TEST_P(WorkloadInvariantsTest, SampleConservation) {
@@ -118,6 +123,22 @@ TEST_P(WorkloadInvariantsTest, RegionsMatchFormableLoops) {
           return L.Regionable && L.Start == R.Start && L.End == R.End;
         });
     EXPECT_TRUE(Matches) << R.Name;
+  }
+}
+
+TEST_P(WorkloadInvariantsTest, FormationKeepsItsConstants) {
+  // The formation caps and trigger hold on real programs, not only on the
+  // hand-written code maps of the unit tests.
+  EXPECT_LE(MaxActive, core::MaxRegions);
+  std::map<std::uint64_t, std::size_t> FormedIn; // interval -> regions
+  for (const core::Region &R : Monitor->regions())
+    ++FormedIn[R.FormedAtInterval];
+  const std::span<const double> Ucr = Monitor->ucrHistory();
+  for (const auto &[Interval, Formed] : FormedIn) {
+    EXPECT_LE(Formed, core::MaxNewRegionsPerTrigger) << "interval " << Interval;
+    ASSERT_LT(Interval, Ucr.size());
+    EXPECT_GT(Ucr[Interval], core::UcrTriggerFraction)
+        << "interval " << Interval << " formed below the trigger";
   }
 }
 

@@ -966,10 +966,40 @@ TEST(PersistCheckpoint, CorruptRungFallsToPreviousWithReasonCounted) {
 
   EXPECT_FALSE(M.loadRung(CheckpointManager::Rung::Current).has_value());
   EXPECT_EQ(M.counters().CorruptSnapshots, 1U);
-  EXPECT_NE(M.counters().LastError, SnapshotError::None);
+  const SnapshotError Refused = M.counters().LastError;
+  EXPECT_NE(Refused, SnapshotError::None);
   auto Prev = M.loadRung(CheckpointManager::Rung::Previous);
   ASSERT_TRUE(Prev.has_value());
   EXPECT_EQ(coveredSeq(*Prev), 1U);
+  EXPECT_EQ(M.counters().LastError, Refused)
+      << "the fallback's success must not erase why the current rung failed";
+}
+
+TEST(PersistCheckpoint, DamagedRungWithoutFallbackNamesTheContainerError) {
+  const std::string Dir = scratchDir("ckpt_no_prev");
+  CheckpointManager M(Dir);
+  ASSERT_TRUE(M.commitSnapshot(coverSnapshot(1), 0));
+  ASSERT_FALSE(fileExists(M.prevSnapshotPath()));
+
+  // The last byte belongs to the whole-file CRC.
+  std::vector<std::uint8_t> Bytes = mustRead(M.snapshotPath());
+  Bytes.back() ^= 0x01;
+  writeBytes(M.snapshotPath(), Bytes);
+
+  EXPECT_FALSE(M.loadRung(CheckpointManager::Rung::Current).has_value());
+  EXPECT_FALSE(M.loadRung(CheckpointManager::Rung::Previous).has_value());
+  EXPECT_EQ(M.counters().LoadAttempts, 1U) << "a missing rung is no attempt";
+  EXPECT_EQ(M.counters().CorruptSnapshots, 1U);
+  EXPECT_EQ(M.counters().LastError, SnapshotError::FileCrcMismatch);
+}
+
+TEST(PersistCheckpoint, FreshDirectoryRefusesNothing) {
+  CheckpointManager M(scratchDir("ckpt_fresh"));
+  EXPECT_FALSE(M.loadRung(CheckpointManager::Rung::Current).has_value());
+  EXPECT_FALSE(M.loadRung(CheckpointManager::Rung::Previous).has_value());
+  EXPECT_EQ(M.counters().LoadAttempts, 0U);
+  EXPECT_EQ(M.counters().CorruptSnapshots, 0U);
+  EXPECT_EQ(M.counters().LastError, SnapshotError::None);
 }
 
 // The commit-protocol crash sweep: simulate a power cut after every unit
@@ -1409,7 +1439,7 @@ std::vector<std::uint8_t> forgeMonitor(const ForgedCounters &C,
   ByteWriter W;
   W.boolean(Cfg.TrackMissPhases);
   W.boolean(Cfg.RecordTimelines);
-  W.u64(Cfg.MissWindowIntervals);
+  W.u64(core::MissWindowIntervals);
   W.u64(C.Intervals);
   W.u64(C.Triggers);
   W.u64(C.Undersampled);
@@ -1435,7 +1465,7 @@ std::vector<std::uint8_t> forgeMonitor(const ForgedCounters &C,
     std::vector<std::uint64_t> Cumulative(Instrs, 0);
     Cumulative[0] = F.Misses;
     W.vecU64(Cumulative);
-    StateCodec::encode(W, WindowedStats(Cfg.MissWindowIntervals));
+    StateCodec::encode(W, WindowedStats(core::MissWindowIntervals));
     if (Cfg.RecordTimelines) {
       W.vecU32(std::vector<std::uint32_t>{}); // samples
       W.vecF64(std::vector<double>{});        // r
@@ -1517,7 +1547,7 @@ TEST(PersistStateCodec, RegionMonitorRejectsMoreActiveRegionsThanTheCap) {
   // Formation stops at MaxRegions active regions. More in a payload would
   // also grow the attribution table, rebuilt for every active region,
   // past anything formation builds.
-  const std::size_t Cap = core::RegionMonitorConfig().MaxRegions;
+  const std::size_t Cap = core::MaxRegions;
   const auto Disjoint = [](std::size_t Count) {
     std::vector<ForgedRegion> Rs(Count);
     for (std::size_t I = 0; I < Count; ++I) {

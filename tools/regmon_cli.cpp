@@ -138,7 +138,8 @@ void printUsage(std::FILE *To, const char *Prog) {
       "serve flags: --streams N --workers N --queue N "
       "--policy block|drop --intervals N\n"
       "checkpoint/restore flags: serve flags plus --dir PATH (required;\n"
-      "  the same topology flags must be used across runs on one dir)\n"
+      "  the same topology flags must be used across runs on one dir).\n"
+      "  --dir here and in record/replay needs --policy block\n"
       "stats flags: monitor flags plus --format prom|json\n"
       "fleet flags: --leaves N --fanout N --epochs N --streams-per-leaf N\n"
       "             --crash-rate P --stall-rate P --drop-rate P --dup-rate P\n"
@@ -1182,6 +1183,17 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Argv[I]);
       return usage(Argv[0]);
     }
+  }
+  // The journal records no evictions, so recovery would process the
+  // batches a drop-oldest queue discarded.
+  const bool Durable = Opts.Command == "checkpoint" ||
+                       Opts.Command == "restore" ||
+                       Opts.Command == "record" || Opts.Command == "replay";
+  if (Durable && !Opts.Dir.empty() &&
+      Opts.Policy == service::OverflowPolicy::DropOldest) {
+    std::fprintf(stderr, "error: --dir needs --policy block (the journal "
+                         "does not record --policy drop's evictions)\n");
+    return 2;
   }
 
   if (Opts.Command == "gpd")
