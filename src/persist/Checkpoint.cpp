@@ -85,14 +85,18 @@ bool CheckpointManager::commitSnapshot(std::span<const std::uint8_t> Encoded,
 }
 
 bool CheckpointManager::compactJournal(std::uint64_t ThroughSeq) {
+  Tail.reset();
   // Kept records are re-framed while the scan's payload views are alive.
   ByteWriter W;
   W.bytes(logHeader(JournalFormat));
+  std::uint64_t LastKept = 0;
   const JournalResult Scan = replayJournal(
       journalPath(), ThroughSeq,
-      [&W](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
+      [&W, &LastKept](std::uint64_t Seq,
+                      std::span<const std::uint8_t> Payload) {
         W.bytes(recordHeader(Seq, JournalBatchKind, Payload));
         W.bytes(Payload);
+        LastKept = Seq;
         return true;
       });
   if (Scan.Missing)
@@ -104,7 +108,10 @@ bool CheckpointManager::compactJournal(std::uint64_t ThroughSeq) {
     if (!Sink.write(W.data()) || !Sink.close())
       return false;
   }
-  return renameFile(Tmp, journalPath(), Injected);
+  if (!renameFile(Tmp, journalPath(), Injected))
+    return false;
+  Tail = JournalTail{W.size(), LastKept};
+  return true;
 }
 
 std::optional<std::vector<SnapshotSection>>
@@ -158,13 +165,19 @@ bool CheckpointManager::appendJournal(std::uint64_t Seq,
   if (!Valid)
     return false;
   if (!Writer.ok()) {
-    // Resume after the last valid record; only its position is wanted, so
-    // every record counts as skipped.
-    const JournalResult Tail = replayJournal(
-        journalPath(), std::numeric_limits<std::uint64_t>::max(), nullptr);
-    if (!Writer.open(journalPath(), JournalFormat, Tail.ValidBytes,
-                     Tail.LastSeq, Injected))
-      return false;
+    // Resume after the last valid record from the tail already known. A
+    // file changed since then fails the writer's size check and is
+    // scanned like one with no known tail; only the position is wanted,
+    // so every record counts as skipped.
+    const std::optional<JournalTail> Known = std::exchange(Tail, {});
+    if (!Known || !Writer.open(journalPath(), JournalFormat, Known->ValidBytes,
+                               Known->LastSeq, Injected)) {
+      const JournalResult Scan = replayJournal(
+          journalPath(), std::numeric_limits<std::uint64_t>::max(), nullptr);
+      if (!Writer.open(journalPath(), JournalFormat, Scan.ValidBytes,
+                       Scan.LastSeq, Injected))
+        return false;
+    }
   }
   return Writer.append(Seq, JournalBatchKind, Payload);
 }
@@ -174,6 +187,7 @@ JournalResult CheckpointManager::replayAndRepair(
     const std::function<bool(std::uint64_t, std::span<const std::uint8_t>)>
         &Replay) {
   Writer.close();
+  Tail.reset();
   JournalResult Res = replayJournal(journalPath(), SkipThroughSeq, Replay);
   Counters.JournalRecordsReplayed += Res.RecordsReplayed;
   Counters.JournalRecordsSkipped += Res.RecordsSkipped;
@@ -185,8 +199,10 @@ JournalResult CheckpointManager::replayAndRepair(
                        Obs->Stream, 0, SkipThroughSeq,
                        static_cast<double>(Res.RecordsReplayed));
   }
-  if (Res.Missing)
+  if (Res.Missing) {
+    Tail = JournalTail{};
     return Res;
+  }
   if (Res.TornTail || Res.HeaderCorrupt) {
     ++Counters.JournalTornTails;
     if (Obs)
@@ -194,11 +210,12 @@ JournalResult CheckpointManager::replayAndRepair(
     // Cut the file back to its valid prefix (possibly zero bytes, in which
     // case the next append rewrites the header): the writer refuses to
     // extend a journal with torn bytes its new records would hide behind.
-    if (repairLog(journalPath(), Res.ValidBytes, nullptr)) {
-      ++Counters.JournalRepairs;
-      if (Obs)
-        obs::addTo(Obs->JournalRepairs);
-    }
+    if (!repairLog(journalPath(), Res.ValidBytes, nullptr))
+      return Res;
+    ++Counters.JournalRepairs;
+    if (Obs)
+      obs::addTo(Obs->JournalRepairs);
   }
+  Tail = JournalTail{Res.ValidBytes, Res.LastSeq};
   return Res;
 }

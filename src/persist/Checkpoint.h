@@ -132,10 +132,12 @@ public:
   void noteFallbackUsed();
 
   /// Appends one record to the journal, opening the writer on first use
-  /// after the journal's last valid record. False means the record is not
-  /// durable and journaling is dead; that includes a \p Seq not above the
-  /// journal's last and a journal with damage \ref replayAndRepair has
-  /// not yet cut (appended behind it, the record would be lost).
+  /// after the journal's last valid record: where the last replay (after
+  /// its repair) or compaction left it, or else where a scan finds it.
+  /// False means the record is not durable and journaling is dead; that
+  /// includes a \p Seq not above the journal's last and a journal with
+  /// damage \ref replayAndRepair has not yet cut (appended behind it, the
+  /// record would be lost).
   bool appendJournal(std::uint64_t Seq, std::span<const std::uint8_t> Payload);
 
   /// Replays the journal through \p Replay, skipping records at or below
@@ -159,10 +161,20 @@ private:
   /// Counts a refused rung in counters and metric, and records \p Why.
   void noteRefusal(SnapshotError Why);
 
+  /// Where the journal's valid prefix ends: the writer's resume point.
+  struct JournalTail {
+    std::uint64_t ValidBytes = 0;
+    std::uint64_t LastSeq = 0;
+  };
+
   std::string Root;
   bool Valid = false;
   CrashPoint *Injected = nullptr;
   LogWriter Writer;
+  /// The tail the last replay (after its repair) or successful compaction
+  /// left, until the writer opens from it. Empty when unknown: the next
+  /// open scans the journal for it.
+  std::optional<JournalTail> Tail;
   RecoveryCounters Counters;
   const obs::PersistInstruments *Obs = nullptr;
 };

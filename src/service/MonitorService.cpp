@@ -596,7 +596,7 @@ std::vector<std::uint8_t> MonitorService::configFingerprint() const {
   return W.take();
 }
 
-bool MonitorService::applyRecorded(SampleBatch Batch, RecordedFate Fate,
+bool MonitorService::applyRecorded(SampleBatch &Batch, RecordedFate Fate,
                                    bool Dropped, bool PushFailed) {
   assert(Config.Inline && "replay drives a worker-less service");
   assert(running() && "start() the replay service before applying records");
@@ -814,9 +814,9 @@ void MonitorService::resetPersistedState() {
   SnapshotSeq = 0;
 }
 
-bool MonitorService::replayRecord(std::span<const std::uint8_t> Payload) {
+bool MonitorService::replayRecord(std::span<const std::uint8_t> Payload,
+                                  SampleBatch &Batch) {
   persist::ByteReader R(Payload);
-  SampleBatch Batch;
   Batch.Stream = R.u32();
   if (!R.ok() || Batch.Stream >= Streams.size() ||
       !persist::decodeSampleBlock(R, Batch.Samples) || !R.atEnd())
@@ -853,10 +853,11 @@ RestoreOutcome MonitorService::restore() {
     resetPersistedState();
     Persist->noteColdStart();
   }
+  SampleBatch Batch;
   const persist::JournalResult JR = Persist->replayAndRepair(
       SnapshotSeq,
-      [this](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
-        if (!replayRecord(Payload))
+      [this, &Batch](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
+        if (!replayRecord(Payload, Batch))
           return false;
         JournalSeq = Seq;
         return true;

@@ -420,11 +420,12 @@ public:
   /// cross-checked against \p Fate; timing-dependent outcomes are
   /// applied from the record: \p Dropped skips processing and counts a
   /// queue eviction, \p PushFailed reproduces the rejected-push
-  /// accounting. Returns false on divergence (the health machine chose
-  /// differently than the recording, an unknown stream, or a journal
-  /// append failure in the replay environment) -- the caller stops
-  /// replay there.
-  bool applyRecorded(SampleBatch Batch, RecordedFate Fate, bool Dropped,
+  /// accounting. \p Batch is used in place, not copied (admission stamps
+  /// its AdmitHealth). Returns false on divergence (the health machine
+  /// chose differently than the recording, an unknown stream, or a
+  /// journal append failure in the replay environment) -- the caller
+  /// stops replay there.
+  bool applyRecorded(SampleBatch &Batch, RecordedFate Fate, bool Dropped,
                      bool PushFailed);
 
 private:
@@ -522,9 +523,10 @@ private:
   /// when none), stamping the assigned sequence into Batch.TraceSeq.
   void recordFate(SampleBatch &Batch, RecordedFate Fate);
 
-  /// Re-applies one journaled batch through admission + processing.
+  /// Re-applies one journaled batch through admission + processing,
+  /// decoding it into \p Batch, which restore() reuses for every record.
   /// False rejects the record as malformed (ends journal replay there).
-  bool replayRecord(std::span<const std::uint8_t> Payload);
+  bool replayRecord(std::span<const std::uint8_t> Payload, SampleBatch &Batch);
   /// Decodes a loaded snapshot's sections into this service. False may
   /// leave the service partially written; the caller resets and retries
   /// the next rung.

@@ -8,68 +8,83 @@
 
 #include "persist/Io.h"
 
+#include <utility>
+
 using namespace regmon;
 using namespace regmon::trace;
 
-namespace {
-
-enum class BodyDecode : std::uint8_t { Ok, Unknown, Malformed };
-
-/// Decodes one CRC-valid record body into \p Out. Total: hostile bytes
-/// can only produce Unknown or Malformed.
-BodyDecode decodeBody(std::uint64_t Seq, std::uint8_t RawKind,
-                      std::span<const std::uint8_t> Payload,
-                      TraceRecord &Out) {
-  Out.Seq = Seq;
-  persist::ByteReader R(Payload);
-  switch (RawKind) {
+RecordDecode regmon::trace::decodeRecord(const persist::LogRecord &R,
+                                         TraceRecord &Out) {
+  Out.Seq = R.Seq;
+  persist::ByteReader In(R.Payload);
+  switch (R.Kind) {
   case static_cast<std::uint8_t>(RecordKind::Config):
     Out.Kind = RecordKind::Config;
-    Out.Config.assign(Payload.begin(), Payload.end());
-    return BodyDecode::Ok;
+    Out.Config.assign(R.Payload.begin(), R.Payload.end());
+    return RecordDecode::Ok;
   case static_cast<std::uint8_t>(RecordKind::Batch):
     Out.Kind = RecordKind::Batch;
-    if (!decodeBatchRecordPayload(R, Out.Batch, Out.Fate))
-      return BodyDecode::Malformed;
-    Out.Batch.TraceSeq = Seq;
-    return BodyDecode::Ok;
+    if (!decodeBatchRecordPayload(In, Out.Batch, Out.Fate))
+      return RecordDecode::Malformed;
+    Out.Batch.TraceSeq = R.Seq;
+    return RecordDecode::Ok;
   case static_cast<std::uint8_t>(RecordKind::Drop):
     Out.Kind = RecordKind::Drop;
-    if (!decodeDropPayload(R, Out.RefSeq, Out.Shard) || Out.RefSeq >= Seq)
-      return BodyDecode::Malformed;
-    return BodyDecode::Ok;
+    if (!decodeDropPayload(In, Out.RefSeq, Out.Shard) || Out.RefSeq >= R.Seq)
+      return RecordDecode::Malformed;
+    return RecordDecode::Ok;
   case static_cast<std::uint8_t>(RecordKind::PushReject):
     Out.Kind = RecordKind::PushReject;
-    if (!decodePushRejectPayload(R, Out.RefSeq) || Out.RefSeq >= Seq)
-      return BodyDecode::Malformed;
-    return BodyDecode::Ok;
+    if (!decodePushRejectPayload(In, Out.RefSeq) || Out.RefSeq >= R.Seq)
+      return RecordDecode::Malformed;
+    return RecordDecode::Ok;
   case static_cast<std::uint8_t>(RecordKind::Checkpoint):
     Out.Kind = RecordKind::Checkpoint;
-    if (!decodeCheckpointPayload(R, Out.RefSeq, Out.Committed))
-      return BodyDecode::Malformed;
-    return BodyDecode::Ok;
+    if (!decodeCheckpointPayload(In, Out.RefSeq, Out.Committed))
+      return RecordDecode::Malformed;
+    return RecordDecode::Ok;
   default:
-    return BodyDecode::Unknown;
+    return RecordDecode::UnknownKind;
   }
 }
 
-} // namespace
+ScanSummary regmon::trace::verifyTraceBytes(std::span<const std::uint8_t> Bytes,
+                                            const DecodedVisitor &Visit) {
+  ScanSummary Out;
+  RecordDecode Stop = RecordDecode::Ok;
+  TraceRecord Rec;
+  static_cast<persist::LogScan &>(Out) = persist::scanLog(
+      Bytes, TraceFormat, [&](const persist::LogRecord &R) {
+        Stop = decodeRecord(R, Rec);
+        if (Stop != RecordDecode::Ok)
+          return false;
+        ++Out.RecordCount;
+        if (Visit)
+          Visit(R, Rec);
+        return true;
+      });
+  Out.UnknownKind = Stop == RecordDecode::UnknownKind;
+  Out.MalformedPayload = Stop == RecordDecode::Malformed;
+  return Out;
+}
+
+ScanSummary regmon::trace::verifyTraceFile(const std::string &Path) {
+  const auto Bytes = persist::readFileBytes(Path);
+  if (!Bytes) {
+    ScanSummary Out;
+    Out.Missing = true;
+    return Out;
+  }
+  return verifyTraceBytes(*Bytes);
+}
 
 ScanResult regmon::trace::scanTraceBytes(
     std::span<const std::uint8_t> Bytes) {
   ScanResult Out;
-  BodyDecode Stop = BodyDecode::Ok;
-  static_cast<persist::LogScan &>(Out) = persist::scanLog(
-      Bytes, TraceFormat, [&](const persist::LogRecord &R) {
-        TraceRecord Rec;
-        Stop = decodeBody(R.Seq, R.Kind, R.Payload, Rec);
-        if (Stop != BodyDecode::Ok)
-          return false;
-        Out.Records.push_back(std::move(Rec));
-        return true;
+  static_cast<ScanSummary &>(Out) = verifyTraceBytes(
+      Bytes, [&Out](const persist::LogRecord &, TraceRecord &Rec) {
+        Out.Records.push_back(std::exchange(Rec, TraceRecord{}));
       });
-  Out.UnknownKind = Stop == BodyDecode::Unknown;
-  Out.MalformedPayload = Stop == BodyDecode::Malformed;
   return Out;
 }
 

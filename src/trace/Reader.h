@@ -6,15 +6,21 @@
 ///
 /// \file
 /// The trust boundary of the flight recorder: a scanner that turns an
-/// arbitrary byte string into the longest valid prefix of decoded trace
-/// records plus a precise diagnosis of why the scan stopped. The shared
+/// arbitrary byte string into the longest valid prefix of trace records
+/// plus a precise diagnosis of why the scan stopped. The shared
 /// record-log scan (persist/RecordLog.h) finds the framing and its
 /// damage; this layer decodes each record's payload by kind and refuses
 /// unknown kinds and malformed payloads. It is total -- every truncation,
 /// bit flip, version skew, hostile length and unknown kind yields flags
-/// on \ref ScanResult, never undefined behaviour. \ref
-/// ScanResult::ValidBytes is the repair point a recorder truncates to
+/// on \ref ScanSummary, never undefined behaviour. \ref
+/// ScanSummary::ValidBytes is the repair point a recorder truncates to
 /// before appending again.
+///
+/// Two forms share that scan. \ref verifyTraceBytes keeps no records: it
+/// decodes each one into a single reused \ref TraceRecord, which is all a
+/// recorder reopening its file or `trace-verify` needs, and which replay
+/// (trace/Replay.h) indexes as the records go by. \ref scanTraceBytes
+/// also keeps every decoded record.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +30,7 @@
 #include "trace/Format.h"
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,11 +55,12 @@ struct TraceRecord {
   bool Committed = false;
 };
 
-/// Outcome of scanning trace bytes: the decoded valid prefix plus why the
-/// scan ended (the persist::LogScan flags, plus the ones below). Any
-/// damage ends a scan, so at most one cause is reported.
-struct ScanResult : persist::LogScan {
-  std::vector<TraceRecord> Records;
+/// Why a scan of trace bytes ended and how far its valid prefix goes,
+/// without the records: the persist::LogScan flags, plus the ones below.
+/// Any damage ends a scan, so at most one cause is reported.
+struct ScanSummary : persist::LogScan {
+  /// Records in the valid prefix.
+  std::uint64_t RecordCount = 0;
   /// A CRC-valid record carried a kind this reader does not know (with
   /// Rejected). The bytes are from a newer writer, not corruption: a
   /// recorder refuses to repair (truncating would destroy someone else's
@@ -62,7 +70,7 @@ struct ScanResult : persist::LogScan {
   /// Rejected): a writer bug or a forged CRC. Repairable like a torn
   /// tail.
   bool MalformedPayload = false;
-  /// The file does not exist (scanTraceFile only).
+  /// The file does not exist (file scans only).
   bool Missing = false;
 
   /// True when the input is a complete well-formed trace.
@@ -78,7 +86,34 @@ struct ScanResult : persist::LogScan {
   }
 };
 
-/// Scans \p Bytes. Total over arbitrary input.
+/// A scan's summary plus its valid prefix, decoded (RecordCount ==
+/// Records.size()).
+struct ScanResult : ScanSummary {
+  std::vector<TraceRecord> Records;
+};
+
+/// How one CRC-valid record's payload decoded.
+enum class RecordDecode : std::uint8_t { Ok, UnknownKind, Malformed };
+
+/// Decodes \p R into \p Out, reusing its buffers: fields the kind does not
+/// use keep their previous values. Total over arbitrary payloads.
+RecordDecode decodeRecord(const persist::LogRecord &R, TraceRecord &Out);
+
+/// Called for each record of the valid prefix with its framing and its
+/// decode. The payload view and the record, which the scan reuses for
+/// the next one, are valid only during the call.
+using DecodedVisitor =
+    std::function<void(const persist::LogRecord &, TraceRecord &)>;
+
+/// Scans \p Bytes keeping no records, handing each one to \p Visit
+/// (nullable). Total over arbitrary input.
+ScanSummary verifyTraceBytes(std::span<const std::uint8_t> Bytes,
+                             const DecodedVisitor &Visit = nullptr);
+
+/// Reads and verifies \p Path; Missing is set when the file cannot be read.
+ScanSummary verifyTraceFile(const std::string &Path);
+
+/// Scans \p Bytes keeping every decoded record. Total over arbitrary input.
 ScanResult scanTraceBytes(std::span<const std::uint8_t> Bytes);
 
 /// Reads and scans \p Path; Missing is set when the file cannot be read.

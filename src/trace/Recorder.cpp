@@ -17,7 +17,7 @@ TraceRecorder::OpenResult TraceRecorder::open(const std::string &Path,
   RecordsN = 0;
   BytesN = 0;
   FailuresN = 0;
-  const ScanResult Scan = scanTraceFile(Path);
+  const ScanSummary Scan = verifyTraceFile(Path);
   if (!Scan.repairable() && !Scan.Missing)
     return Out; // foreign data (wrong magic/version/unknown kind)
   if (!Scan.Missing && !Scan.intact()) {

@@ -66,16 +66,26 @@ struct ReplayResult {
 /// Replays \p Scan's records against \p Service, which must be
 /// configured Inline with the recorded topology and not yet started (the
 /// driver starts it, applies every record, then stops it, leaving the
-/// monitors quiescent for inspection/export).
+/// monitors quiescent for inspection/export). Each batch is copied out of
+/// \p Scan once, into the one batch the drive reuses.
 ReplayResult replayRecords(const ScanResult &Scan,
                            service::MonitorService &Service,
                            const ReplayConfig &Cfg = {});
 
 /// Scan + replay of \p Path in one call.
 struct FileReplay {
+  /// The scan's summary. Records stays empty: the replay keeps no
+  /// decoded copy of the trace.
   ScanResult Scan;
   ReplayResult Replay;
 };
+
+/// Replays the trace at \p Path as \ref replayRecords would replay its
+/// scan, with the same result. It reads the file once, and one scan
+/// checks every record and indexes it (sequence, kind and a view of its
+/// payload); the drive then decodes one record at a time from those
+/// views into a reused record, so the heap holds the file bytes, the
+/// index and one batch.
 FileReplay replayTraceFile(const std::string &Path,
                            service::MonitorService &Service,
                            const ReplayConfig &Cfg = {});

@@ -41,6 +41,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -1000,6 +1001,123 @@ TEST(PersistCheckpoint, FreshDirectoryRefusesNothing) {
   EXPECT_EQ(M.counters().LoadAttempts, 0U);
   EXPECT_EQ(M.counters().CorruptSnapshots, 0U);
   EXPECT_EQ(M.counters().LastError, SnapshotError::None);
+}
+
+/// Appends \p Seqs through \p Known, a manager that found its journal's
+/// tail by replay or compaction, and through a fresh manager on a copy of
+/// the same journal, which has no tail and scans for it: both must accept
+/// the same appends and leave the same bytes.
+void expectResumeLikeRescan(CheckpointManager &Known,
+                            const std::vector<std::uint64_t> &Seqs) {
+  CheckpointManager Rescan(scratchDir("ckpt_rescan"));
+  if (const auto Journal = readFileBytes(Known.journalPath()))
+    writeBytes(Rescan.journalPath(), *Journal);
+  for (const std::uint64_t Seq : Seqs) {
+    SCOPED_TRACE("append " + std::to_string(Seq));
+    EXPECT_EQ(Known.appendJournal(Seq, seqPayload(Seq)),
+              Rescan.appendJournal(Seq, seqPayload(Seq)));
+  }
+  EXPECT_EQ(readFileBytes(Known.journalPath()),
+            readFileBytes(Rescan.journalPath()));
+}
+
+/// Replays every record of \p M's journal, repairing it; returns the
+/// last sequence replayed.
+std::uint64_t restoreJournal(CheckpointManager &M) {
+  std::uint64_t Last = 0;
+  (void)M.replayAndRepair(0,
+                          [&Last](std::uint64_t Seq,
+                                  std::span<const std::uint8_t>) {
+                            Last = Seq;
+                            return true;
+                          });
+  return Last;
+}
+
+/// Appends garbage to \p Path: a writer that died mid-record.
+void tearTail(const std::string &Path) {
+  const std::vector<std::uint8_t> Garbage = {0x13, 0x37, 0xFE};
+  FileSink Sink(Path, /*Append=*/true, nullptr);
+  ASSERT_TRUE(Sink.write(Garbage));
+  ASSERT_TRUE(Sink.close());
+}
+
+// After a restore, the journal writer opens from the tail the replay
+// (and its repair) found instead of scanning the journal again -- and
+// writes what a rescan would: stale sequences refused, the same bytes.
+TEST(PersistCheckpoint, RestoredWriterAppendsWhatARescanAppends) {
+  for (const std::string Journal : {"missing", "intact", "torn", "empty"}) {
+    SCOPED_TRACE(Journal);
+    CheckpointManager M(scratchDir("ckpt_resume_restore"));
+    if (Journal != "missing")
+      writeJournal(M.journalPath(), 4);
+    if (Journal == "torn")
+      tearTail(M.journalPath());
+    if (Journal == "empty")
+      writeBytes(M.journalPath(), {});
+    const std::uint64_t Last = restoreJournal(M);
+    expectResumeLikeRescan(M, {Last, Last + 1, Last + 2, Last + 1, Last + 3});
+  }
+}
+
+// After a checkpoint, the writer opens from the tail the compaction
+// wrote, whatever the compaction kept.
+TEST(PersistCheckpoint, CompactedWriterAppendsWhatARescanAppends) {
+  for (const std::uint64_t Through : {0, 2, 3}) {
+    SCOPED_TRACE("compacted through " + std::to_string(Through));
+    CheckpointManager M(scratchDir("ckpt_resume_commit"));
+    (void)restoreJournal(M);
+    for (std::uint64_t Seq = 1; Seq <= 3; ++Seq)
+      ASSERT_TRUE(M.appendJournal(Seq, seqPayload(Seq)));
+    ASSERT_TRUE(M.commitSnapshot(coverSnapshot(3), Through));
+    expectResumeLikeRescan(M, {3, 4, 5});
+  }
+}
+
+// A journal grown or cut from outside between restore and the first
+// append fails the writer's size check against the known tail; the
+// manager then scans, and gets the outcome a rescan gets.
+TEST(PersistCheckpoint, JournalChangedAfterRestoreIsScannedAgain) {
+  struct Change {
+    const char *Name;
+    std::function<void(const std::string &)> Apply;
+    std::vector<std::uint64_t> Seqs;
+  };
+  const std::uint64_t Record4 =
+      RecordHeaderBytes + seqPayload(4).size(); // record 4's framed size
+  const std::vector<Change> Changes = {
+      {"grown by a record",
+       [](const std::string &Path) {
+         LogWriter W;
+         ASSERT_TRUE(W.open(Path, JournalFormat, mustRead(Path).size(), 4,
+                            nullptr));
+         ASSERT_TRUE(W.append(5, JournalBatchKind, seqPayload(5)));
+         ASSERT_TRUE(W.close());
+       },
+       {5, 6, 7}},
+      {"grown by torn bytes", [](const std::string &Path) { tearTail(Path); },
+       {5, 6}},
+      {"cut at a record boundary",
+       [Record4](const std::string &Path) {
+         const std::vector<std::uint8_t> Bytes = mustRead(Path);
+         writeBytes(Path, {Bytes.data(), Bytes.size() - Record4});
+       },
+       {4, 5}},
+      {"cut inside a record",
+       [Record4](const std::string &Path) {
+         const std::vector<std::uint8_t> Bytes = mustRead(Path);
+         writeBytes(Path, {Bytes.data(), Bytes.size() - Record4 / 2});
+       },
+       {4, 5}},
+  };
+  for (const Change &C : Changes) {
+    SCOPED_TRACE(C.Name);
+    CheckpointManager M(scratchDir("ckpt_resume_changed"));
+    writeJournal(M.journalPath(), 4);
+    ASSERT_EQ(restoreJournal(M), 4U);
+    C.Apply(M.journalPath());
+    expectResumeLikeRescan(M, C.Seqs);
+  }
 }
 
 // The commit-protocol crash sweep: simulate a power cut after every unit

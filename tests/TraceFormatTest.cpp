@@ -310,6 +310,7 @@ TEST(TraceFormat, TruncationSweepEveryLength) {
         std::count_if(T.Boundaries.begin(), T.Boundaries.end(),
                       [&](std::uint64_t B) { return B <= S.ValidBytes; });
     EXPECT_EQ(S.Records.size(), Prefix == 0 ? 0 : Prefix - 1);
+    EXPECT_EQ(S.RecordCount, S.Records.size());
   }
 }
 

@@ -20,7 +20,9 @@
 
 #include "TraceScenarios.h"
 
+#include "persist/Bytes.h"
 #include "persist/Io.h"
+#include "persist/RecordLog.h"
 
 #include <gtest/gtest.h>
 
@@ -29,6 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -176,8 +179,247 @@ TEST(TraceReplay, TornTailReplaysTheValidPrefix) {
   const ReplayOutcome Rep = replayScenario("quarantine-recovery", Trace);
   EXPECT_TRUE(Rep.File.Scan.TornTail);
   EXPECT_TRUE(Rep.File.Replay.Ok) << "a torn tail must not fail the prefix";
-  EXPECT_EQ(Rep.File.Scan.Records.size(), FullScan.Records.size() - 1);
+  EXPECT_EQ(Rep.File.Scan.RecordCount, FullScan.RecordCount - 1);
   EXPECT_LT(Rep.Snap.BatchesSubmitted, Rec.Snap.BatchesSubmitted + 1);
+}
+
+// The file replay keeps no decoded copy of the trace: its scan reports
+// the records it replayed by count only.
+TEST(TraceReplay, FileReplayKeepsNoRecords) {
+  const std::string CorpusDir = REGMON_TRACE_CORPUS_DIR;
+  for (const std::string &Name : scenarioNames()) {
+    SCOPED_TRACE(Name);
+    const std::string Path = CorpusDir + "/" + Name + ".bin";
+    const trace::ScanResult Intact = trace::scanTraceFile(Path);
+    ASSERT_TRUE(Intact.intact());
+    ASSERT_GT(Intact.Records.size(), 1U);
+    const ReplayOutcome Rep = replayScenario(Name, Path);
+    ASSERT_TRUE(Rep.File.Replay.Ok);
+    EXPECT_TRUE(Rep.File.Scan.Records.empty());
+    EXPECT_EQ(Rep.File.Scan.RecordCount, Intact.Records.size());
+  }
+}
+
+/// One record of a trace, re-framed by the forgeries below.
+struct Framed {
+  std::uint64_t Seq = 0;
+  std::uint8_t Kind = 0;
+  std::vector<std::uint8_t> Payload;
+};
+
+std::vector<Framed> frames(const std::vector<std::uint8_t> &Bytes) {
+  std::vector<Framed> Out;
+  (void)persist::scanLog(
+      Bytes, trace::TraceFormat, [&Out](const persist::LogRecord &R) {
+        Out.push_back({R.Seq, R.Kind, {R.Payload.begin(), R.Payload.end()}});
+        return true;
+      });
+  return Out;
+}
+
+/// Frames \p Records as a trace, each with a valid CRC.
+std::vector<std::uint8_t> frame(const std::vector<Framed> &Records) {
+  persist::ByteWriter W;
+  W.bytes(persist::logHeader(trace::TraceFormat));
+  for (const Framed &F : Records) {
+    W.bytes(persist::recordHeader(F.Seq, F.Kind, F.Payload));
+    W.bytes(F.Payload);
+  }
+  return W.take();
+}
+
+/// What one replay leaves behind, for the differential test.
+struct ReplayRun {
+  trace::ScanSummary Scan;
+  trace::ReplayResult Replay;
+  std::vector<std::uint8_t> State;
+  std::string Prom;
+  std::string Json;
+};
+
+/// Replays \p Bytes through a fresh Inline service of \p Spec's topology:
+/// from a file holding them through replayTraceFile (\p FromFile), or
+/// through replayRecords of their scan.
+ReplayRun replayBytes(const ScenarioSpec &Spec,
+                      const std::vector<PreparedStream> &Streams,
+                      const std::vector<std::uint8_t> &Bytes, bool FromFile) {
+  service::ServiceConfig Cfg = Spec.Cfg;
+  Cfg.Inline = true;
+  service::MonitorService Service(Cfg);
+  for (const PreparedStream &S : Streams)
+    Service.addStream(*S.Map);
+  obs::MetricsRegistry Registry;
+  obs::EventTracer Tracer;
+  Service.attachObservability(Registry, &Tracer);
+  ReplayRun Out;
+  if (FromFile) {
+    const std::string Path = scratchTrace("diff");
+    {
+      persist::FileSink Sink(Path, /*Append=*/false, nullptr);
+      EXPECT_TRUE(Sink.write(Bytes) && Sink.close());
+    }
+    const trace::FileReplay R = trace::replayTraceFile(Path, Service);
+    EXPECT_TRUE(R.Scan.Records.empty());
+    Out.Scan = R.Scan;
+    Out.Replay = R.Replay;
+    std::filesystem::remove(Path);
+  } else {
+    const trace::ScanResult Scan = trace::scanTraceBytes(Bytes);
+    EXPECT_EQ(Scan.RecordCount, Scan.Records.size());
+    Out.Scan = Scan;
+    Out.Replay = trace::replayRecords(Scan, Service);
+  }
+  (void)Service.snapshot(); // refreshes the point-in-time gauges
+  Out.State = Service.encodeState();
+  Out.Prom = obs::exportPrometheus(Registry);
+  Out.Json = obs::exportJson(Registry, &Tracer);
+  return Out;
+}
+
+/// Replays \p Bytes both ways, expects identical outcomes, and returns
+/// the file replay's.
+ReplayRun expectSameReplay(const ScenarioSpec &Spec,
+                           const std::vector<PreparedStream> &Streams,
+                           const std::vector<std::uint8_t> &Bytes) {
+  const ReplayRun F = replayBytes(Spec, Streams, Bytes, /*FromFile=*/true);
+  const ReplayRun R = replayBytes(Spec, Streams, Bytes, /*FromFile=*/false);
+  EXPECT_EQ(F.Replay.Ok, R.Replay.Ok);
+  EXPECT_EQ(F.Replay.ConfigMismatch, R.Replay.ConfigMismatch);
+  EXPECT_EQ(F.Replay.Diverged, R.Replay.Diverged);
+  EXPECT_EQ(F.Replay.DivergedSeq, R.Replay.DivergedSeq);
+  EXPECT_EQ(F.Replay.BatchesApplied, R.Replay.BatchesApplied);
+  EXPECT_EQ(F.Replay.DropsApplied, R.Replay.DropsApplied);
+  EXPECT_EQ(F.Replay.PushRejectsApplied, R.Replay.PushRejectsApplied);
+  EXPECT_EQ(F.Replay.CheckpointsSeen, R.Replay.CheckpointsSeen);
+  EXPECT_EQ(F.Replay.CheckpointsApplied, R.Replay.CheckpointsApplied);
+  EXPECT_EQ(F.Scan.TornTail, R.Scan.TornTail);
+  EXPECT_EQ(F.Scan.Rejected, R.Scan.Rejected);
+  EXPECT_EQ(F.Scan.HeaderTorn, R.Scan.HeaderTorn);
+  EXPECT_EQ(F.Scan.HeaderCorrupt, R.Scan.HeaderCorrupt);
+  EXPECT_EQ(F.Scan.VersionSkew, R.Scan.VersionSkew);
+  EXPECT_EQ(F.Scan.UnknownKind, R.Scan.UnknownKind);
+  EXPECT_EQ(F.Scan.MalformedPayload, R.Scan.MalformedPayload);
+  EXPECT_EQ(F.Scan.Missing, R.Scan.Missing);
+  EXPECT_EQ(F.Scan.FileBytes, R.Scan.FileBytes);
+  EXPECT_EQ(F.Scan.ValidBytes, R.Scan.ValidBytes);
+  EXPECT_EQ(F.Scan.LastSeq, R.Scan.LastSeq);
+  EXPECT_EQ(F.Scan.RecordCount, R.Scan.RecordCount);
+  EXPECT_EQ(F.State, R.State) << "encodeState() diverged";
+  EXPECT_EQ(F.Prom, R.Prom) << "Prometheus export diverged";
+  EXPECT_EQ(F.Json, R.Json) << "JSON export diverged";
+  return F;
+}
+
+// The file replay decodes one record at a time from the bytes it read;
+// replayRecords drives the same engine from a scan's kept records. On
+// every input -- whole, cut, flipped or forged -- both give the same
+// result, scan summary, state and exports.
+TEST(TraceReplay, FileReplayMatchesRecordReplay) {
+  const std::string CorpusDir = REGMON_TRACE_CORPUS_DIR;
+  for (const std::string &Name : scenarioNames()) {
+    SCOPED_TRACE(Name);
+    const auto Bytes = persist::readFileBytes(CorpusDir + "/" + Name + ".bin");
+    ASSERT_TRUE(Bytes.has_value());
+    const ScenarioSpec Spec = specFor(Name);
+    const std::vector<PreparedStream> Streams = prepare(Spec);
+    const std::vector<Framed> Records = frames(*Bytes);
+    ASSERT_GT(Records.size(), 2U);
+    EXPECT_TRUE(expectSameReplay(Spec, Streams, *Bytes).Replay.Ok);
+
+    std::uint64_t Start = persist::LogHeaderBytes;
+    for (std::uint64_t I = 0; I <= Records.size(); ++I) {
+      SCOPED_TRACE("record " + std::to_string(I));
+      const auto Cut = [&](std::uint64_t Len) {
+        return std::vector<std::uint8_t>(Bytes->begin(),
+                                         Bytes->begin() + Len);
+      };
+      // Truncated at the record boundary before record I.
+      EXPECT_TRUE(expectSameReplay(Spec, Streams, Cut(Start)).Replay.Ok);
+      if (I == Records.size())
+        break;
+      const std::uint64_t Len =
+          persist::RecordHeaderBytes + Records[I].Payload.size();
+      // Cut in the middle of record I.
+      const ReplayRun Torn =
+          expectSameReplay(Spec, Streams, Cut(Start + Len / 2));
+      EXPECT_TRUE(Torn.Scan.TornTail);
+      EXPECT_EQ(Torn.Scan.RecordCount, I);
+      // One bit flipped in record I's header.
+      std::vector<std::uint8_t> Flipped = *Bytes;
+      Flipped[Start + I % persist::RecordHeaderBytes] ^=
+          static_cast<std::uint8_t>(1U << (I % 8));
+      const ReplayRun Flip = expectSameReplay(Spec, Streams, Flipped);
+      EXPECT_TRUE(Flip.Scan.TornTail);
+      EXPECT_EQ(Flip.Scan.RecordCount, I);
+      Start += Len;
+    }
+
+    // Forgeries, each CRC-valid: records appended to the whole trace, or
+    // its Config record changed. The appended ones reference the first
+    // admitted batch.
+    const trace::ScanResult Scan = trace::scanTraceBytes(*Bytes);
+    const auto Admitted = std::find_if(
+        Scan.Records.begin(), Scan.Records.end(),
+        [](const trace::TraceRecord &R) {
+          return R.Kind == trace::RecordKind::Batch &&
+                 R.Fate == service::RecordedFate::Admitted;
+        });
+    ASSERT_NE(Admitted, Scan.Records.end());
+    persist::ByteWriter Dangling, Reject, Unknown;
+    trace::encodeDropPayload(Dangling, Records.front().Seq, 0); // Config's
+    trace::encodePushRejectPayload(Reject, Admitted->Seq);
+    service::SampleBatch Stray = Admitted->Batch;
+    Stray.Stream = static_cast<service::StreamId>(Streams.size());
+    trace::encodeBatchRecordPayload(Unknown, Stray, Admitted->Fate);
+    const std::uint64_t Next = Records.back().Seq + 1;
+    const auto record = [](std::uint64_t Seq, trace::RecordKind K,
+                           std::span<const std::uint8_t> Payload) {
+      return Framed{Seq, static_cast<std::uint8_t>(K),
+                    {Payload.begin(), Payload.end()}};
+    };
+    const auto appended = [&](std::vector<Framed> Extra) {
+      std::vector<Framed> All = Records;
+      All.insert(All.end(), Extra.begin(), Extra.end());
+      return frame(All);
+    };
+    const struct {
+      const char *Name;
+      std::vector<std::uint8_t> Bytes;
+      std::uint64_t DivergedSeq; ///< 0: any
+    } Diverging[] = {
+        {"dangling drop reference",
+         appended({record(Next, trace::RecordKind::Drop, Dangling.data())}),
+         Next},
+        {"duplicate push-reject",
+         appended({record(Next, trace::RecordKind::PushReject, Reject.data()),
+                   record(Next + 1, trace::RecordKind::PushReject,
+                          Reject.data())}),
+         0},
+        {"second Config record",
+         appended({record(Next, trace::RecordKind::Config,
+                          Records.front().Payload)}),
+         Next},
+        {"batch for an unknown stream",
+         appended({record(Next, trace::RecordKind::Batch, Unknown.data())}),
+         Next},
+    };
+    for (const auto &F : Diverging) {
+      SCOPED_TRACE(F.Name);
+      const ReplayRun R = expectSameReplay(Spec, Streams, F.Bytes);
+      EXPECT_TRUE(R.Replay.Diverged);
+      if (F.DivergedSeq != 0) {
+        EXPECT_EQ(R.Replay.DivergedSeq, F.DivergedSeq);
+      }
+    }
+    {
+      SCOPED_TRACE("config mismatch");
+      std::vector<Framed> Forged = Records;
+      Forged.front().Payload.back() ^= 1;
+      const ReplayRun R = expectSameReplay(Spec, Streams, frame(Forged));
+      EXPECT_TRUE(R.Replay.ConfigMismatch);
+      EXPECT_EQ(R.Replay.BatchesApplied, 0U);
+    }
+  }
 }
 
 // Replaying under the wrong topology is a config mismatch, detected

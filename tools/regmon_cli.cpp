@@ -1049,9 +1049,9 @@ int cmdReplay(const Options &Opts) {
   if (!R.Scan.intact())
     std::fprintf(stderr,
                  "note: damaged tail; replaying the %llu-byte valid prefix "
-                 "(%zu record(s))\n",
+                 "(%llu record(s))\n",
                  static_cast<unsigned long long>(R.Scan.ValidBytes),
-                 R.Scan.Records.size());
+                 static_cast<unsigned long long>(R.Scan.RecordCount));
   if (R.Replay.ConfigMismatch) {
     std::fprintf(stderr,
                  "error: trace was recorded under a different configuration "
@@ -1090,16 +1090,16 @@ int cmdTraceVerify(const Options &Opts) {
     std::fprintf(stderr, "error: trace-verify needs --trace PATH\n");
     return 2;
   }
-  const trace::ScanResult Scan = trace::scanTraceFile(Opts.Trace);
+  const trace::ScanSummary Scan = trace::verifyTraceFile(Opts.Trace);
   if (Scan.Missing) {
     std::fprintf(stderr, "error: no trace at '%s'\n", Opts.Trace.c_str());
     return 1;
   }
-  std::printf("%s: %llu / %llu bytes valid, %zu record(s), last seq %llu\n",
+  std::printf("%s: %llu / %llu bytes valid, %llu record(s), last seq %llu\n",
               Opts.Trace.c_str(),
               static_cast<unsigned long long>(Scan.ValidBytes),
               static_cast<unsigned long long>(Scan.FileBytes),
-              Scan.Records.size(),
+              static_cast<unsigned long long>(Scan.RecordCount),
               static_cast<unsigned long long>(Scan.LastSeq));
   if (Scan.intact()) {
     std::printf("  intact\n");
