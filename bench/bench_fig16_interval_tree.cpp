@@ -9,9 +9,12 @@
 // loaded into the three attribution structures and the identical recorded
 // sample stream is looked up through each; we report the interval-tree
 // cost normalized to the list cost, and beside it the cost of the flat
-// segment table the RegionMonitor attributes through, timed through the
-// span lookup the monitor uses. Exits 1 unless all three structures
-// count the same hits on every program.
+// elementary-segment table (SegmentAttributor), timed through its span
+// lookup. The RegionMonitor's count slab is laid out over the same
+// segments, but it counts into one slot per sample instead of returning
+// each region's id; this column times the segment search, not the
+// monitor. Exits 1 unless all three structures count the same hits on
+// every program.
 //
 // Expected shape: tree/list ~1 (or slightly above, from tree maintenance)
 // for programs with a handful of regions; well below 1 for the

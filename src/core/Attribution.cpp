@@ -75,32 +75,27 @@ void SegmentAttributor::rebuild() {
   Ids.clear();
   if (Entries.empty())
     return;
-  Bounds.push_back(0);
   for (const Entry &E : Entries) {
     Bounds.push_back(E.Start);
     Bounds.push_back(E.End);
   }
-  std::sort(Bounds.begin(), Bounds.end());
-  Bounds.erase(std::unique(Bounds.begin(), Bounds.end()), Bounds.end());
+  cutSegments(Bounds);
 
   // A region covers the segments from the one starting at its Start up to
   // the one starting at its End. Count each segment's ids, turn the counts
   // into end offsets, then place the ids back to front: a counting sort,
   // which leaves every offset at its segment's first id.
-  const auto SegmentAt = [&](Addr Bound) {
-    return static_cast<std::size_t>(
-        std::lower_bound(Bounds.begin(), Bounds.end(), Bound) -
-        Bounds.begin());
-  };
   Offsets.assign(Bounds.size() + 1, 0);
   for (const Entry &E : Entries)
-    for (std::size_t S = SegmentAt(E.Start), Last = SegmentAt(E.End);
+    for (std::size_t S = segmentStartingAt(Bounds, E.Start),
+                     Last = segmentStartingAt(Bounds, E.End);
          S < Last; ++S)
       ++Offsets[S];
   std::partial_sum(Offsets.begin(), Offsets.end(), Offsets.begin());
   Ids.resize(Offsets.back());
   for (auto It = Entries.rbegin(); It != Entries.rend(); ++It)
-    for (std::size_t S = SegmentAt(It->Start), Last = SegmentAt(It->End);
+    for (std::size_t S = segmentStartingAt(Bounds, It->Start),
+                     Last = segmentStartingAt(Bounds, It->End);
          S < Last; ++S)
       Ids[--Offsets[S]] = It->Id;
 }

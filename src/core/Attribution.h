@@ -18,8 +18,10 @@
 ///                              column;
 ///  * SegmentAttributor      -- binary-search a flat table of elementary
 ///                              segments: O(log n) per sample with no
-///                              pointer chase and no output buffer, the
-///                              RegionMonitor's index.
+///                              pointer chase and no output buffer, kept
+///                              as Fig. 16's third column. The
+///                              RegionMonitor's count slab is laid out
+///                              over the same segments.
 ///
 /// All three report *every* region containing the PC: regions overlap
 /// (nested loops), which is why Fig. 2's stacked sample counts exceed the
@@ -33,6 +35,7 @@
 #include "core/Region.h"
 #include "support/Contracts.h"
 #include "support/IntervalTree.h"
+#include "support/Segments.h"
 #include "support/Types.h"
 
 #include <cstddef>
@@ -100,20 +103,9 @@ public:
   /// The span points into the table and stays valid until the next insert
   /// or remove.
   REGMON_HOT std::span<const RegionId> lookup(Addr Pc) const {
-    std::size_t N = Bounds.size();
-    if (N == 0)
+    if (Bounds.empty())
       return {};
-    // The last bound <= Pc; Bounds[0] is 0, so one always exists. Each
-    // step keeps it inside [Base, Base + N) and compiles to a conditional
-    // move: consecutive samples rarely share a segment, so a data-
-    // dependent branch here would mispredict about half the time.
-    const Addr *Base = Bounds.data();
-    while (N > 1) {
-      const std::size_t Half = N / 2;
-      Base = Base[Half] <= Pc ? Base + Half : Base;
-      N -= Half;
-    }
-    const auto Segment = static_cast<std::size_t>(Base - Bounds.data());
+    const std::size_t Segment = segmentOf(Bounds.data(), Bounds.size(), Pc);
     return {Ids.data() + Offsets[Segment], Ids.data() + Offsets[Segment + 1]};
   }
 
@@ -131,9 +123,7 @@ private:
   };
   /// The registered regions, in insertion order.
   std::vector<Entry> Entries;
-  /// 0, then every distinct region bound, ascending: segment S is
-  /// [Bounds[S], Bounds[S + 1]), and the last one runs to the top of the
-  /// address space (no region reaches into it).
+  /// The regions' segment bounds (support/Segments.h), or empty.
   std::vector<Addr> Bounds;
   /// Segment S's region ids are Ids[Offsets[S], Offsets[S + 1]).
   std::vector<std::uint32_t> Offsets;

@@ -7,10 +7,10 @@
 #include "core/RegionMonitor.h"
 
 #include "support/HotpathKernels.h"
+#include "support/Segments.h"
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 using namespace regmon;
 using namespace regmon::core;
@@ -134,7 +134,11 @@ std::uint64_t RegionMonitor::totalSamples() const {
 void RegionMonitor::reset() {
   Regions.clear();
   Records.clear();
-  Index = SegmentAttributor();
+  SlabBounds.clear();
+  SlabSegments.clear();
+  SlabCycles.clear();
+  SlabMisses.clear();
+  SlabDirty = true;
   LastUcrFraction = 0;
   UcrHistory.clear();
   Intervals = 0;
@@ -152,7 +156,7 @@ const RegionStats &RegionMonitor::stats(RegionId Id) const {
 }
 
 std::uint64_t RegionMonitor::lastSampleCount(RegionId Id) const {
-  return record(Id).Curr.total();
+  return record(Id).LastSamples;
 }
 
 double RegionMonitor::recentMissFraction(RegionId Id) const {
@@ -208,14 +212,15 @@ REGMON_PURE std::uint64_t
 RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   assert(!Samples.empty() && "an interval carries a full sample buffer");
 
-  // Fresh histograms for this interval.
-  for (RegionRecord &Rec : Records)
-    if (Rec.Active) {
-      Rec.Curr.reset();
-      Rec.CurrMiss.reset();
-    }
+  // Fresh counts for this interval, over the regions active now.
+  if (SlabDirty) {
+    layoutSlab();
+  } else {
+    std::fill(SlabCycles.begin(), SlabCycles.end(), 0u);
+    std::fill(SlabMisses.begin(), SlabMisses.end(), 0u);
+  }
 
-  // 1. Attribute every sample; unmatched samples belong to the UCR.
+  // 1. Attribute every sample; uncovered samples belong to the UCR.
   if (UcrScratch.size() < Samples.size())
     UcrScratch.resize(Samples.size());
   std::uint64_t RejectedNow = 0;
@@ -239,8 +244,9 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
     triggerFormation(std::span<const Addr>(UcrScratch).first(UcrCount));
 
   // 3. Local phase detection, one region at a time. Regions formed in step
-  // 2 start analyzing with the *next* interval (their histograms for this
-  // one are empty).
+  // 2 hold no slab slots until the next interval's layout, so they start
+  // analyzing with the *next* interval (their histograms for this one are
+  // empty).
   for (RegionId Id = 0; Id < Records.size(); ++Id) {
     RegionRecord &Rec = Records[Id];
     if (!Rec.Active)
@@ -248,13 +254,25 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
     LocalPhaseDetector &Detector = *Rec.Detector;
     RegionStats &RS = Rec.Stats;
     ++RS.LifetimeIntervals;
-    const InstrHistogram &Curr = Rec.Curr;
-    if (!Curr.empty()) {
+    std::span<const std::uint32_t> Curr;
+    std::span<const std::uint32_t> Misses;
+    if (Rec.Slot != NoSlot) {
+      const std::size_t Instrs = Regions[Id].instrCount();
+      assert(Rec.Slot + Instrs <= SlabCycles.size() &&
+             "a region's span lies inside the slab");
+      Curr = std::span<const std::uint32_t>(SlabCycles).subspan(Rec.Slot,
+                                                                Instrs);
+      Misses = std::span<const std::uint32_t>(SlabMisses).subspan(Rec.Slot,
+                                                                  Instrs);
+    }
+    const std::uint64_t Total = countSum(Curr);
+    Rec.LastSamples = Total;
+    if (Total != 0) {
       ++RS.ActiveIntervals;
-      RS.TotalSamples += Curr.total();
+      RS.TotalSamples += Total;
       Rec.LastSampledInterval = Intervals;
       if (!Undersampled) {
-        Detector.observe(Curr.bins());
+        Detector.observe(Curr);
         if (Obs) {
           if (Detector.lastObservationComparedR())
             obs::addTo(Obs->SimilarityCompares);
@@ -275,20 +293,19 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
       // Miss counts are real samples, so they accrue even when degraded;
       // only the windowed feedback signal (which drives unpatch
       // decisions) is withheld from under-sampled evidence.
-      const InstrHistogram &Misses = Rec.CurrMiss;
-      RS.TotalMisses += Misses.total();
+      const std::uint64_t MissTotal = countSum(Misses);
+      RS.TotalMisses += MissTotal;
       if (!Undersampled)
-        Rec.RecentMiss.add(static_cast<double>(Misses.total()) /
-                           static_cast<double>(Curr.total()));
-      if (!Misses.empty()) {
-        std::span<const std::uint32_t> Bins = Misses.bins();
+        Rec.RecentMiss.add(static_cast<double>(MissTotal) /
+                           static_cast<double>(Total));
+      if (MissTotal != 0) {
         std::vector<std::uint64_t> &Cum = Rec.CumulativeMisses;
-        for (std::size_t Bin = 0; Bin < Bins.size(); ++Bin)
-          Cum[Bin] += Bins[Bin];
+        for (std::size_t Bin = 0; Bin < Misses.size(); ++Bin)
+          Cum[Bin] += Misses[Bin];
       }
-      if (!Undersampled && Config.TrackMissPhases && !Misses.empty()) {
+      if (!Undersampled && Config.TrackMissPhases && MissTotal != 0) {
         LocalPhaseDetector &MissDetector = *Rec.MissDetector;
-        MissDetector.observe(Misses.bins());
+        MissDetector.observe(Misses);
         RS.MissPhaseChanges = MissDetector.phaseChanges();
         if (MissDetector.lastObservationChangedPhase() &&
             !Detector.lastObservationChangedPhase())
@@ -299,8 +316,7 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
     if (Detector.state() == LocalPhaseState::Stable)
       ++RS.StableIntervals;
     if (Rec.Timeline) {
-      Rec.Timeline->Samples.push_back(
-          static_cast<std::uint32_t>(Curr.total()));
+      Rec.Timeline->Samples.push_back(static_cast<std::uint32_t>(Total));
       Rec.Timeline->R.push_back(Detector.lastR());
       Rec.Timeline->States.push_back(Detector.state());
     }
@@ -334,26 +350,34 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
 REGMON_HOT std::size_t
 RegionMonitor::attributeSamples(std::span<const Sample> Samples,
                                 std::uint64_t &Rejected) {
+  // Every sample does the same work, so no branch depends on where it
+  // landed: one search, one slot, two counts and one UCR write.
+  const Addr *const Bounds = SlabBounds.data();
+  const std::size_t Segments = SlabBounds.size();
+  const SlabSegment *const Layout = SlabSegments.data();
+  std::uint32_t *const Cycles = SlabCycles.data();
+  std::uint32_t *const Misses = SlabMisses.data();
+  const std::size_t Slots = SlabCycles.size();
+  Addr *const Ucr = UcrScratch.data();
   std::size_t UcrCount = 0;
   for (const Sample &S : Samples) {
-    const std::span<const RegionId> Hits = Index.lookup(S.Pc);
-    if (Hits.empty()) {
-      UcrScratch[UcrCount++] = S.Pc;
-      continue;
-    }
-    for (RegionId Id : Hits) {
-      RegionRecord &Rec = Records[Id];
-      if (!Rec.Curr.tryAddSample(S.Pc)) {
-        // The attribution index said the PC falls inside this region but
-        // the histogram's bounds disagree -- a corrupted PC or a hostile
-        // restore desynchronized the two. Count it, never write OOB.
-        ++Rejected;
-        continue;
-      }
-      // Same bounds as the cycle histogram, which just accepted the PC.
-      if (S.DCacheMiss)
-        Rec.CurrMiss.addSample(S.Pc);
-    }
+    const std::size_t Seg = segmentOf(Bounds, Segments, S.Pc);
+    const SlabSegment Segment = Layout[Seg];
+    // A covered segment's slots run in instruction order from First; the
+    // mask is zero for an uncovered one, which leaves First, the sink.
+    const std::size_t Mask = std::size_t{Segment.Uncovered} - 1;
+    std::size_t Slot =
+        Segment.First +
+        (static_cast<std::size_t>((S.Pc - Bounds[Seg]) / InstrBytes) & Mask);
+    // The layout keeps every slot inside the slab; this guard keeps a
+    // layout bug from writing out of bounds in any build.
+    const bool Outside = Slot >= Slots;
+    Rejected += Outside ? 1 : 0;
+    Slot = Outside ? 0 : Slot;
+    ++Cycles[Slot];
+    Misses[Slot] += S.DCacheMiss ? 1 : 0;
+    Ucr[UcrCount] = S.Pc;
+    UcrCount += Segment.Uncovered;
   }
   return UcrCount;
 }
@@ -363,57 +387,40 @@ void RegionMonitor::triggerFormation(std::span<const Addr> UcrPcs) {
   if (Obs)
     obs::addTo(Obs->FormationTriggers);
 
-  // Group the unmonitored samples by the formable region (if any) that the
-  // code oracle proposes for them. std::map keys give deterministic order.
-  struct Candidate {
-    CodeRegionInfo Info;
-    std::size_t Count = 0;
-  };
-  std::map<std::pair<Addr, Addr>, Candidate> Candidates;
-  for (Addr Pc : UcrPcs) {
-    std::optional<CodeRegionInfo> Info = Map.regionFor(Pc);
-    if (!Info)
-      continue; // non-regionable code: stays in the UCR forever
-    auto [It, Inserted] =
-        Candidates.try_emplace({Info->Start, Info->End});
-    if (Inserted)
-      It->second.Info = std::move(*Info);
-    ++It->second.Count;
-  }
+  // Count the unmonitored samples per formable region the code map
+  // proposes for them. The last entry collects the PCs no region can be
+  // built around: they stay in the UCR forever.
+  const std::size_t Candidates = Map.candidateCount();
+  CandidateCounts.assign(Candidates + 1, 0);
+  for (Addr Pc : UcrPcs)
+    ++CandidateCounts[Map.candidateFor(Pc)];
 
-  // Hottest candidates first.
-  std::vector<const Candidate *> Ranked;
-  Ranked.reserve(Candidates.size());
-  for (const auto &[Bounds, C] : Candidates)
-    Ranked.push_back(&C);
+  // Hottest candidates first. Candidate ids follow (Start, End), and the
+  // stable sort keeps that order among equal counts.
+  Ranked.clear();
+  for (CandidateId C = 0; C < Candidates; ++C)
+    if (CandidateCounts[C] >= MinRegionSamples)
+      Ranked.push_back(C);
   std::stable_sort(Ranked.begin(), Ranked.end(),
-                   [](const Candidate *A, const Candidate *B) {
-                     return A->Count > B->Count;
+                   [&](CandidateId A, CandidateId B) {
+                     return CandidateCounts[A] > CandidateCounts[B];
                    });
 
+  // No candidate has the bounds of an active region: the region would
+  // have claimed every PC the candidate counted, because each of them
+  // lies inside the candidate's bounds and the slab holds every region
+  // formed before this interval. Within one trigger the candidates are
+  // distinct.
   std::size_t ActiveCount = activeRegionCount();
   std::size_t FormedNow = 0;
-  for (const Candidate *C : Ranked) {
+  for (CandidateId C : Ranked) {
     if (FormedNow >= MaxNewRegionsPerTrigger || ActiveCount >= MaxRegions)
       break;
-    if (C->Count < MinRegionSamples)
-      break; // ranked by count: all later candidates are colder
-
-    // Skip exact duplicates of an active region (its samples would have
-    // been attributed, but a just-formed region can race its first
-    // samples within this same interval).
-    const bool Duplicate = std::any_of(
-        Regions.begin(), Regions.end(), [&](const Region &R) {
-          return Records[R.Id].Active && R.Start == C->Info.Start &&
-                 R.End == C->Info.End;
-        });
-    if (Duplicate)
-      continue;
-
+    const CodeRegionInfo &Info = Map.candidate(C);
     Region R;
-    R.Name = C->Info.Name;
-    R.Start = C->Info.Start;
-    R.End = C->Info.End;
+    R.Name = Info.Name;
+    R.Start = Info.Start;
+    R.End = Info.End;
     R.FormedAtInterval = Intervals;
     addRegion(std::move(R), /*Active=*/true);
     ++ActiveCount;
@@ -429,16 +436,54 @@ RegionMonitor::RegionRecord &RegionMonitor::addRegion(Region R, bool Active) {
     return std::make_unique<LocalPhaseDetector>(Instrs, *Metric, Config.Lpd);
   };
   RegionRecord &Rec = Records.emplace_back(RegionRecord{
-      Active, InstrHistogram(R.Start, R.End), InstrHistogram(R.Start, R.End),
-      MakeDetector(), Config.TrackMissPhases ? MakeDetector() : nullptr,
-      RegionStats{}, /*LastSampledInterval=*/R.FormedAtInterval,
+      Active, NoSlot, /*LastSamples=*/0, MakeDetector(),
+      Config.TrackMissPhases ? MakeDetector() : nullptr, RegionStats{},
+      /*LastSampledInterval=*/R.FormedAtInterval,
       std::vector<std::uint64_t>(Instrs, 0),
       WindowedStats(MissWindowIntervals),
       Config.RecordTimelines ? std::make_unique<Timelines>() : nullptr});
-  if (Active)
-    Index.insert(R.Id, R.Start, R.End);
+  SlabDirty = SlabDirty || Active;
   Regions.push_back(std::move(R));
   return Rec;
+}
+
+void RegionMonitor::layoutSlab() {
+  SlabBounds.clear();
+  for (RegionId Id = 0; Id < Records.size(); ++Id)
+    if (Records[Id].Active) {
+      SlabBounds.push_back(Regions[Id].Start);
+      SlabBounds.push_back(Regions[Id].End);
+    }
+  cutSegments(SlabBounds);
+
+  // Covered segments take consecutive slots in address order, so each
+  // region's instructions are one contiguous span. No region reaches into
+  // the last segment.
+  SlabSegments.assign(SlabBounds.size(), SlabSegment{});
+  for (RegionId Id = 0; Id < Records.size(); ++Id)
+    if (Records[Id].Active)
+      for (std::size_t S = segmentStartingAt(SlabBounds, Regions[Id].Start),
+                       Last = segmentStartingAt(SlabBounds, Regions[Id].End);
+           S < Last; ++S)
+        SlabSegments[S].Uncovered = 0;
+  assert(SlabSegments.back().Uncovered == 1 && "the last segment is open");
+  std::size_t Next = 1; // slot 0 is the sink
+  for (std::size_t S = 0; S + 1 < SlabBounds.size(); ++S)
+    if (SlabSegments[S].Uncovered == 0) {
+      SlabSegments[S].First = static_cast<std::uint32_t>(Next);
+      Next += static_cast<std::size_t>(
+          (SlabBounds[S + 1] - SlabBounds[S]) / InstrBytes);
+    }
+  for (RegionId Id = 0; Id < Records.size(); ++Id)
+    Records[Id].Slot =
+        Records[Id].Active
+            ? SlabSegments[segmentStartingAt(SlabBounds, Regions[Id].Start)]
+                  .First
+            : NoSlot;
+  // assign grows to exactly Next, where resize would double.
+  SlabCycles.assign(Next, 0);
+  SlabMisses.assign(Next, 0);
+  SlabDirty = false;
 }
 
 void RegionMonitor::pruneCold() {
@@ -448,7 +493,7 @@ void RegionMonitor::pruneCold() {
         Intervals - Rec.LastSampledInterval < Config.PruneAfterIdleIntervals)
       continue;
     Rec.Active = false;
-    Index.remove(Id, Regions[Id].Start, Regions[Id].End);
+    SlabDirty = true;
     emit(RegionEvent::Kind::Pruned, Id);
   }
 }

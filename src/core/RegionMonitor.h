@@ -32,14 +32,12 @@
 #ifndef REGMON_CORE_REGIONMONITOR_H
 #define REGMON_CORE_REGIONMONITOR_H
 
-#include "core/Attribution.h"
 #include "core/CodeMap.h"
 #include "core/LocalPhaseDetector.h"
 #include "core/Region.h"
 #include "core/Similarity.h"
 #include "obs/Instruments.h"
 #include "support/Contracts.h"
-#include "support/Histogram.h"
 #include "support/Statistics.h"
 #include "support/Types.h"
 
@@ -160,8 +158,8 @@ class RegionMonitor {
 public:
   using EventHandler = std::function<void(const RegionEvent &)>;
 
-  /// Creates a monitor resolving candidate regions through \p Map (which
-  /// must outlive the monitor).
+  /// Creates a monitor forming regions from the candidates of \p Map
+  /// (which must outlive the monitor).
   explicit RegionMonitor(const CodeMap &Map, RegionMonitorConfig Config = {});
 
   /// Installs \p Handler for deployment-facing events. Events fire during
@@ -273,17 +271,22 @@ public:
   /// the constructor fell back to Pearson (see \ref makeSimilarity).
   bool similarityFellBack() const { return SimilarityFellBack; }
 
-  /// Returns the number of attributed samples rejected by a region
-  /// histogram's bounds check (corrupted PCs / hostile restores; see
-  /// \ref InstrHistogram::tryAddSample).
+  /// Returns the number of samples the attribution loop's every-build
+  /// guard refused because their slot fell past the count slab. The slab
+  /// layout makes that impossible, so this stays 0; a nonzero value
+  /// means the layout and the region set disagree.
   std::uint64_t outOfRegionSamples() const { return OutOfRegionSamples; }
 
 private:
-  /// Checkpointing serializes each learned field below once (scratch
-  /// buffers and the event handler excluded; the RegionStats copies of
-  /// detector and miss counts are derived on decode) and rebuilds each
-  /// region through \ref addRegion (persist/StateCodec.h).
+  /// Checkpointing serializes each learned field below once (the count
+  /// slab, scratch buffers and the event handler excluded; the
+  /// RegionStats copies of detector and miss counts are derived on
+  /// decode) and rebuilds each region through \ref addRegion
+  /// (persist/StateCodec.h).
   friend class persist::StateCodec;
+
+  /// RegionRecord::Slot of a region the current slab layout leaves out.
+  static constexpr std::uint32_t NoSlot = ~std::uint32_t{0};
 
   /// RecordTimelines only: one region's per-interval chart series.
   struct Timelines {
@@ -297,10 +300,13 @@ private:
   /// every interval walks all records.
   struct RegionRecord {
     bool Active = false;
-    /// This interval's cycle and miss histograms: scratch that
-    /// observeInterval resets before attributing, never checkpointed.
-    InstrHistogram Curr;
-    InstrHistogram CurrMiss;
+    /// The slot of the region's first instruction in the count slab: its
+    /// interval histograms are the instrCount() slots from here. NoSlot
+    /// until the slab is laid out with the region in it, so a region
+    /// formed during an interval reads empty for the rest of it.
+    std::uint32_t Slot = NoSlot;
+    /// Samples the region received in the last interval it was active.
+    std::uint64_t LastSamples = 0;
     std::unique_ptr<LocalPhaseDetector> Detector;
     /// TrackMissPhases only.
     std::unique_ptr<LocalPhaseDetector> MissDetector;
@@ -312,17 +318,30 @@ private:
     std::unique_ptr<Timelines> Timeline;
   };
 
-  /// Appends \p R under the next RegionId with a fresh record, and enters
-  /// it into the attribution index when \p Active. Formation and decode
-  /// both build regions here. The reference is valid until the next call.
+  /// One elementary segment of the count slab's layout.
+  struct SlabSegment {
+    /// The slot of the segment's first instruction, or the sink slot 0
+    /// when no active region covers the segment.
+    std::uint32_t First = 0;
+    /// 1 when no active region covers the segment, so its samples belong
+    /// to the UCR; 0 otherwise.
+    std::uint32_t Uncovered = 1;
+  };
+
+  /// Appends \p R under the next RegionId with a fresh record. An active
+  /// region marks the slab layout stale. Formation and decode both build
+  /// regions here. The reference is valid until the next call.
   RegionRecord &addRegion(Region R, bool Active);
   const RegionRecord &record(RegionId Id) const;
-  /// Step 1 of observeInterval, once per sample: charges each sample to
-  /// every active region containing its PC (and, when it missed, to the
-  /// region's miss histogram) and writes the PCs no region claims to the
-  /// front of UcrScratch, which must hold Samples.size() entries. Returns
-  /// how many it wrote, and adds to \p Rejected the hits a region's
-  /// histogram refused.
+  /// Lays the union of the active regions out in the count slab, with
+  /// every count zero, and assigns each active region its slot.
+  void layoutSlab();
+  /// Step 1 of observeInterval, once per sample: counts each sample (and,
+  /// when it missed, its miss) in its instruction's slab slot, which every
+  /// active region containing the PC reads, and writes the PCs no region
+  /// covers to the front of UcrScratch, which must hold Samples.size()
+  /// entries. Returns how many it wrote, and adds to \p Rejected the
+  /// samples the slot guard refused.
   REGMON_HOT std::size_t attributeSamples(std::span<const Sample> Samples,
                                           std::uint64_t &Rejected);
   void triggerFormation(std::span<const Addr> UcrPcs);
@@ -331,10 +350,6 @@ private:
 
   const CodeMap &Map;
   RegionMonitorConfig Config;
-  /// The attribution index: holds exactly the active regions. Only
-  /// addRegion inserts, only pruneCold removes (each rebuilds the table),
-  /// and reset clears it.
-  SegmentAttributor Index;
   /// Declared before Metric: the constructor's makeSimilarity call writes
   /// through its address, so it must be initialized first.
   bool SimilarityFellBack = false;
@@ -353,10 +368,29 @@ private:
   std::uint64_t UndersampledIntervals = 0;
   std::uint64_t OutOfRegionSamples = 0;
 
+  /// The count slab: one cycle count and one miss count per instruction
+  /// of the union of the active regions, in address order, after the sink
+  /// slot 0 that uncovered samples count into. Nested regions share
+  /// slots, which credits every region containing a sample. The layout
+  /// changes only at formation, pruning, restore and reset, which set
+  /// SlabDirty; observeInterval lays the slab out again before its next
+  /// attribution loop, and zeroes the counts every interval. SlabBounds
+  /// holds the active regions' segment bounds (support/Segments.h).
+  std::vector<Addr> SlabBounds;
+  std::vector<SlabSegment> SlabSegments;
+  std::vector<std::uint32_t> SlabCycles;
+  std::vector<std::uint32_t> SlabMisses;
+  bool SlabDirty = true;
+
   /// Reused hot-path scratch: the interval's unclaimed PCs, written by
   /// index. It grows to the largest buffer seen and never shrinks, so
   /// only its first N entries belong to the current interval.
   std::vector<Addr> UcrScratch;
+  /// Reused formation scratch: UCR samples per CodeMap candidate, plus a
+  /// last entry for the PCs no region can be built around; and the
+  /// candidates that clear MinRegionSamples, hottest first.
+  std::vector<std::uint32_t> CandidateCounts;
+  std::vector<CandidateId> Ranked;
 };
 
 } // namespace regmon::core

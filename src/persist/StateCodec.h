@@ -50,16 +50,16 @@ public:
   /// Region monitor: what a restored monitor needs to continue
   /// bit-identically (regions, detectors, statistics, miss accounting, the
   /// last UCR fraction, and the chart series under RecordTimelines). The
-  /// interval's scratch histograms are not written: observeInterval resets
-  /// them before use. Decode requires \p M freshly constructed (or reset)
-  /// with the *same configuration* the encoder ran under, builds each
-  /// region through the monitor as formation does, derives the phase-change
-  /// copies and the miss total, and refuses state formation cannot reach
-  /// (more active regions than MaxRegions, two active regions with equal
-  /// bounds, a sample clock outside [formed, intervals), counters
-  /// observeInterval cannot reach, a UCR fraction outside [0, 1], a UCR
-  /// history whose length is not the interval count); on failure \p M is
-  /// reset back to cold state.
+  /// interval's counts are not written: observeInterval lays the count
+  /// slab out and zeroes it before use. Decode requires \p M freshly
+  /// constructed (or reset) with the *same configuration* the encoder ran
+  /// under, builds each region through the monitor as formation does,
+  /// derives the phase-change copies and the miss total, and refuses
+  /// state formation cannot reach (more active regions than MaxRegions,
+  /// two active regions with equal bounds, a sample clock outside
+  /// [formed, intervals), counters observeInterval cannot reach, a UCR
+  /// fraction outside [0, 1], a UCR history whose length is not the
+  /// interval count); on failure \p M is reset back to cold state.
   static void encode(ByteWriter &W, const core::RegionMonitor &M);
   static bool decode(ByteReader &R, core::RegionMonitor &M);
 

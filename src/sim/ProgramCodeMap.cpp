@@ -6,21 +6,22 @@
 
 #include "sim/ProgramCodeMap.h"
 
+#include <vector>
+
 using namespace regmon;
 using namespace regmon::sim;
 
-std::optional<core::CodeRegionInfo>
-ProgramCodeMap::regionFor(Addr Pc) const {
-  // Innermost regionable loop containing Pc. Non-regionable loops are
-  // skipped: an enclosing regionable loop (if any) can still claim the PC.
-  const Loop *Best = nullptr;
-  for (const Loop &L : Prog.loops()) {
-    if (!L.Regionable || Pc < L.Start || Pc >= L.End)
-      continue;
-    if (!Best || L.End - L.Start < Best->End - Best->Start)
-      Best = &L;
-  }
-  if (!Best)
-    return std::nullopt;
-  return core::CodeRegionInfo{Best->Start, Best->End, Best->Name};
+namespace {
+
+std::vector<core::CodeRegionInfo> regionableLoops(const Program &P) {
+  std::vector<core::CodeRegionInfo> Out;
+  for (const Loop &L : P.loops())
+    if (L.Regionable)
+      Out.push_back(core::CodeRegionInfo{L.Start, L.End, L.Name});
+  return Out;
 }
+
+} // namespace
+
+ProgramCodeMap::ProgramCodeMap(const Program &P)
+    : core::CodeMap(regionableLoops(P)) {}

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Adapts a synthetic Program to the region-formation CodeMap interface.
-/// This plays the role of the region-building machinery of [13]: a hot PC
-/// resolves to the innermost *regionable* loop containing it; PCs in
-/// non-regionable code (cycles spanning procedure boundaries) resolve to
-/// nothing and stay unmonitored forever.
+/// Builds the region-formation CodeMap of a synthetic Program. This plays
+/// the role of the region-building machinery of [13]: a hot PC resolves to
+/// the innermost *regionable* loop containing it; PCs in non-regionable
+/// code (cycles spanning procedure boundaries) resolve to nothing and stay
+/// unmonitored forever. A regionable loop still claims the PCs of a
+/// non-regionable loop nested inside it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,16 +22,12 @@
 
 namespace regmon::sim {
 
-/// CodeMap implementation over a synthetic program's loop table.
+/// The CodeMap of a synthetic program's regionable loops.
 class ProgramCodeMap final : public core::CodeMap {
 public:
-  /// Creates a map over \p P, which must outlive the map.
-  explicit ProgramCodeMap(const Program &P) : Prog(P) {}
-
-  std::optional<core::CodeRegionInfo> regionFor(Addr Pc) const override;
-
-private:
-  const Program &Prog;
+  /// Builds the table from \p P's regionable loops, in loop-id order (the
+  /// first of equally small loops wins). \p P may be destroyed afterwards.
+  explicit ProgramCodeMap(const Program &P);
 };
 
 } // namespace regmon::sim

@@ -180,6 +180,23 @@ REGMON_HOT inline std::uint64_t pcSum(const Addr *Pcs, std::size_t N) {
   return Lane[0] + Lane[1] + Lane[2] + Lane[3];
 }
 
+/// Sums a span of per-instruction counts: a region's interval total from
+/// its span of the monitor's count slab. Same four-lane shape as pcSum.
+REGMON_HOT inline std::uint64_t countSum(std::span<const std::uint32_t> Counts) {
+  std::uint64_t Lane[4] = {0, 0, 0, 0};
+  const std::size_t N = Counts.size();
+  std::size_t I = 0;
+  for (const std::size_t N4 = N & ~std::size_t{3}; I != N4; I += 4) {
+    Lane[0] += Counts[I];
+    Lane[1] += Counts[I + 1];
+    Lane[2] += Counts[I + 2];
+    Lane[3] += Counts[I + 3];
+  }
+  for (; I != N; ++I)
+    Lane[0] += Counts[I];
+  return Lane[0] + Lane[1] + Lane[2] + Lane[3];
+}
+
 } // namespace regmon
 
 #endif // REGMON_SUPPORT_HOTPATHKERNELS_H

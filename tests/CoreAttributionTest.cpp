@@ -7,6 +7,9 @@
 #include "core/Attribution.h"
 
 #include "core/RegionMonitor.h"
+#include "faults/FaultPlan.h"
+#include "persist/Bytes.h"
+#include "persist/StateCodec.h"
 #include "sampling/Sampler.h"
 #include "sim/Engine.h"
 #include "sim/ProgramCodeMap.h"
@@ -20,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -378,19 +382,15 @@ TEST(RegionMonitorAttribution, MatchesAListThroughRetirement) {
 /// Two loops, one nested in the other: PCs of the inner loop resolve to
 /// it, the rest of the outer loop's extent to the outer loop, and PCs
 /// past it to nothing.
-class NestedLoops final : public CodeMap {
-public:
+struct NestedLoops {
   static constexpr Addr OuterStart = 0x4000;
   static constexpr Addr InnerStart = 0x4100;
   static constexpr Addr InnerEnd = 0x4200;
   static constexpr Addr OuterEnd = 0x4400;
 
-  std::optional<CodeRegionInfo> regionFor(Addr Pc) const override {
-    if (Pc >= InnerStart && Pc < InnerEnd)
-      return CodeRegionInfo{InnerStart, InnerEnd, "inner"};
-    if (Pc >= OuterStart && Pc < OuterEnd)
-      return CodeRegionInfo{OuterStart, OuterEnd, "outer"};
-    return std::nullopt;
+  static CodeMap map() {
+    return CodeMap({{InnerStart, InnerEnd, "inner"},
+                    {OuterStart, OuterEnd, "outer"}});
   }
 };
 
@@ -421,7 +421,7 @@ TEST(RegionMonitorAttribution, MatchesAListOnNestedRegions) {
       Stream[I].push_back(S);
     }
 
-  const NestedLoops Map;
+  const CodeMap Map = NestedLoops::map();
   RegionMonitor Monitor(Map);
   runAgainstList(Monitor, Stream);
   ASSERT_EQ(Monitor.activeRegionCount(), 2u);
@@ -433,6 +433,197 @@ TEST(RegionMonitorAttribution, MatchesAListOnNestedRegions) {
   EXPECT_GT(Monitor.lastSampleCount(Inner.Id), 0u);
   EXPECT_EQ(Monitor.lastSampleCount(Outer.Id),
             Monitor.lastSampleCount(Inner.Id) + 2032 / 4);
+}
+
+//===----------------------------------------------------------------------===//
+// The count slab: layout changes between intervals
+//===----------------------------------------------------------------------===//
+
+/// Two regionable loops; 0x9000+ is non-regionable.
+CodeMap twoLoops() {
+  return CodeMap({{0x1000, 0x1100, "loopA"}, {0x2000, 0x2080, "loopB"}});
+}
+
+/// Count samples at each listed PC, missing when the flag is set.
+std::vector<Sample>
+samplesAt(std::initializer_list<std::tuple<Addr, int, bool>> Spec) {
+  std::vector<Sample> Out;
+  for (const auto &[Pc, Count, Miss] : Spec)
+    for (int I = 0; I < Count; ++I)
+      Out.push_back(Sample{Pc, static_cast<Cycles>(Out.size()), Miss});
+  return Out;
+}
+
+TEST(RegionMonitorSlab, RegionFormedMidIntervalReadsEmptyUntilTheNext) {
+  const CodeMap Map = twoLoops();
+  RegionMonitor M(Map);
+  const std::vector<Sample> Both =
+      samplesAt({{0x1004, 60, false}, {0x2010, 40, true}});
+  observeAgainstList(M, samplesAt({{0x1004, 100, false}}));
+  ASSERT_EQ(M.regions().size(), 1u);
+  EXPECT_EQ(M.lastSampleCount(0), 0u) << "formed during interval 0";
+
+  // loopB's 40% forms it during this interval, after attribution.
+  observeAgainstList(M, Both);
+  ASSERT_EQ(M.regions().size(), 2u);
+  EXPECT_EQ(M.lastSampleCount(0), 60u);
+  EXPECT_EQ(M.lastSampleCount(1), 0u);
+  EXPECT_EQ(M.stats(1).ActiveIntervals, 0u);
+  EXPECT_EQ(M.stats(1).LifetimeIntervals, 1u);
+  EXPECT_EQ(M.stats(1).TotalMisses, 0u);
+
+  observeAgainstList(M, Both);
+  EXPECT_EQ(M.lastSampleCount(0), 60u);
+  EXPECT_EQ(M.lastSampleCount(1), 40u);
+  EXPECT_EQ(M.stats(1).TotalMisses, 40u);
+  EXPECT_DOUBLE_EQ(M.lastUcrFraction(), 0.0);
+  EXPECT_EQ(M.outOfRegionSamples(), 0u);
+}
+
+TEST(RegionMonitorSlab, PrunedRegionReformedAtTheSameBounds) {
+  const CodeMap Map = twoLoops();
+  RegionMonitorConfig Cfg;
+  Cfg.PruneColdRegions = true;
+  Cfg.PruneAfterIdleIntervals = 2;
+  RegionMonitor M(Map, Cfg);
+  observeAgainstList(M, samplesAt({{0x1004, 100, false}})); // forms 0
+  observeAgainstList(M, samplesAt({{0x1004, 70, false}, {0x9000, 30, false}}));
+  for (int I = 0; I < 3; ++I)
+    observeAgainstList(M, samplesAt({{0x9000, 100, false}}));
+  ASSERT_FALSE(M.isActive(0));
+  const RegionStats Retired = M.stats(0);
+
+  observeAgainstList(M, samplesAt({{0x1008, 100, false}})); // re-forms
+  ASSERT_EQ(M.regions().size(), 2u);
+  EXPECT_EQ(M.regions()[1].Start, M.regions()[0].Start);
+  EXPECT_EQ(M.regions()[1].End, M.regions()[0].End);
+  EXPECT_EQ(M.lastSampleCount(1), 0u);
+
+  observeAgainstList(M, samplesAt({{0x1008, 80, true}, {0x9000, 20, false}}));
+  EXPECT_EQ(M.lastSampleCount(1), 80u);
+  EXPECT_EQ(M.stats(1).TotalMisses, 80u);
+  EXPECT_EQ(M.stats(0).TotalSamples, Retired.TotalSamples)
+      << "a pruned region reads no slots";
+  EXPECT_EQ(M.stats(0).LifetimeIntervals, Retired.LifetimeIntervals);
+  EXPECT_EQ(M.lastSampleCount(0), 0u) << "its last active interval";
+  EXPECT_EQ(M.outOfRegionSamples(), 0u);
+}
+
+TEST(RegionMonitorSlab, AdjacentRegionsSplitAtTheirSharedBound) {
+  const CodeMap Map({{0x1000, 0x1100, "low"}, {0x1100, 0x1200, "high"}});
+  RegionMonitor M(Map);
+  observeAgainstList(M, samplesAt({{0x10fc, 50, false}, {0x1100, 50, false}}));
+  ASSERT_EQ(M.activeRegionCount(), 2u);
+  ASSERT_EQ(M.regions()[0].Name, "low") << "equal counts: (Start, End)";
+
+  observeAgainstList(M, samplesAt({{0x10fc, 30, true},
+                                   {0x1100, 20, true},
+                                   {0x1000, 10, false},
+                                   {0x11fc, 5, true}}));
+  EXPECT_EQ(M.lastSampleCount(0), 40u);
+  EXPECT_EQ(M.lastSampleCount(1), 25u);
+  const auto Low = M.delinquentLoads(0);
+  ASSERT_EQ(Low.size(), 1u);
+  EXPECT_EQ(Low[0].Pc, 0x10fcu) << "the last slot below the shared bound";
+  EXPECT_EQ(Low[0].Misses, 30u);
+  const auto High = M.delinquentLoads(1);
+  ASSERT_EQ(High.size(), 2u);
+  EXPECT_EQ(High[0].Pc, 0x1100u) << "the first slot at the shared bound";
+  EXPECT_EQ(High[0].Misses, 20u);
+  EXPECT_EQ(High[1].Pc, 0x11fcu);
+  EXPECT_EQ(High[1].Misses, 5u);
+}
+
+TEST(RegionMonitorSlab, UnalignedPcsLandInTheirInstructionSlot) {
+  const CodeMap Map({{0x1000, 0x1100, "low"}, {0x1100, 0x1200, "high"}});
+  RegionMonitor M(Map);
+  observeAgainstList(M, samplesAt({{0x1004, 50, false}, {0x1104, 50, false}}));
+  ASSERT_EQ(M.activeRegionCount(), 2u);
+  observeAgainstList(M, samplesAt({{0x1001, 3, true},
+                                   {0x1002, 2, true},
+                                   {0x1003, 1, true},
+                                   {0x10ff, 4, true},
+                                   {0x1101, 7, true},
+                                   {0x1201, 1, true}}));
+  EXPECT_EQ(M.lastSampleCount(0), 10u);
+  EXPECT_EQ(M.lastSampleCount(1), 7u);
+  const auto Low = M.delinquentLoads(0);
+  ASSERT_EQ(Low.size(), 2u);
+  EXPECT_EQ(Low[0].Pc, 0x1000u);
+  EXPECT_EQ(Low[0].Misses, 6u);
+  EXPECT_EQ(Low[1].Pc, 0x10fcu) << "0x10ff stays below the shared bound";
+  EXPECT_EQ(Low[1].Misses, 4u);
+  const auto High = M.delinquentLoads(1);
+  ASSERT_EQ(High.size(), 1u);
+  EXPECT_EQ(High[0].Pc, 0x1100u);
+  EXPECT_EQ(High[0].Misses, 7u);
+}
+
+TEST(RegionMonitorSlab, FirstIntervalAfterRestoreMatchesTheUninterruptedRun) {
+  // Restore at every interval boundary of a pruning 176.gcc run: regions
+  // form and retire throughout, so some restores land right after a
+  // layout change. The restored monitor lays its slab out from the
+  // decoded regions alone.
+  const workloads::Workload W = workloads::make("176.gcc");
+  const sim::ProgramCodeMap Map(W.Prog);
+  RegionMonitorConfig Cfg;
+  Cfg.PruneColdRegions = true;
+  Cfg.PruneAfterIdleIntervals = 4;
+  Cfg.TrackMissPhases = true;
+  RegionMonitor Run(Map, Cfg);
+  const std::vector<std::vector<Sample>> Stream = recordStream(W, 3);
+  for (std::size_t K = 0; K < Stream.size(); ++K) {
+    persist::ByteWriter Before;
+    persist::StateCodec::encode(Before, Run);
+    RegionMonitor Restored(Map, Cfg);
+    persist::ByteReader Reader(Before.data());
+    ASSERT_TRUE(persist::StateCodec::decode(Reader, Restored)) << K;
+
+    ASSERT_EQ(Restored.observeInterval(Stream[K]),
+              Run.observeInterval(Stream[K]))
+        << "interval " << K;
+    for (const Region &R : Run.regions())
+      ASSERT_EQ(Restored.lastSampleCount(R.Id), Run.lastSampleCount(R.Id))
+          << "region " << R.Id << " interval " << K;
+    persist::ByteWriter AfterRun, AfterRestored;
+    persist::StateCodec::encode(AfterRun, Run);
+    persist::StateCodec::encode(AfterRestored, Restored);
+    ASSERT_TRUE(std::ranges::equal(AfterRun.data(), AfterRestored.data()))
+        << "interval " << K;
+  }
+  EXPECT_GT(Run.regions().size(), Run.activeRegionCount());
+}
+
+TEST(RegionMonitorSlab, CorruptedPcStormWithRegionsActive) {
+  // Fault-plan corruption throws aligned wild PCs into a window of
+  // CorruptSpan instructions. One region covers half of that window and
+  // one lies outside it, so wild PCs land in covered segments and in
+  // uncovered ones, which count into the sink. Every count must match the
+  // list, and the slot guard must never fire (ASan is the witness for the
+  // writes).
+  const Addr Wild = faults::CorruptBase + faults::CorruptSpan;
+  const CodeMap Map(
+      {{0x1000, 0x1100, "loopA"},
+       {Wild, Wild + faults::CorruptSpan / 2 * InstrBytes, "wild"}});
+  faults::FaultConfig FC;
+  FC.CorruptRate = 0.5;
+  const faults::FaultPlan Plan(/*PlanSeed=*/99, FC);
+  faults::StreamFaultInjector Inj = Plan.forStream(0);
+  RegionMonitor M(Map);
+  for (int Interval = 0; Interval < 40; ++Interval) {
+    std::vector<Sample> Clean;
+    for (std::size_t I = 0; I < 512; ++I)
+      Clean.push_back(Sample{0x1000 + 4 * (I % 0x40),
+                             static_cast<Cycles>(100 * (I + 1)),
+                             I % 3 == 0});
+    observeAgainstList(M, Inj.apply(Clean));
+    if (HasFatalFailure())
+      return;
+  }
+  EXPECT_EQ(M.activeRegionCount(), 2u) << "the storm formed the wild region";
+  EXPECT_GT(M.stats(1).TotalSamples, 0u);
+  EXPECT_GT(Inj.stats().SamplesCorrupted, 0u);
+  EXPECT_EQ(M.outOfRegionSamples(), 0u);
 }
 
 } // namespace

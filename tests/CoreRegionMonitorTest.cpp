@@ -17,20 +17,11 @@ using namespace regmon::core;
 
 namespace {
 
-/// A hand-written code oracle over three regionable loops plus a
-/// non-regionable stretch.
-class TestCodeMap final : public CodeMap {
-public:
-  std::optional<CodeRegionInfo> regionFor(Addr Pc) const override {
-    if (Pc >= 0x1000 && Pc < 0x1100)
-      return CodeRegionInfo{0x1000, 0x1100, "loopA"};
-    if (Pc >= 0x2000 && Pc < 0x2080)
-      return CodeRegionInfo{0x2000, 0x2080, "loopB"};
-    if (Pc >= 0x2040 && Pc < 0x2060) // never reached: loopB is innermost
-      return CodeRegionInfo{0x2040, 0x2060, "inner"};
-    return std::nullopt; // 0x9000+ is non-regionable
-  }
-};
+/// A hand-written code map over two regionable loops; 0x9000+ is
+/// non-regionable.
+CodeMap testCodeMap() {
+  return CodeMap({{0x1000, 0x1100, "loopA"}, {0x2000, 0x2080, "loopB"}});
+}
 
 /// Builds one interval's buffer: Count samples at each listed PC.
 std::vector<Sample> buffer(std::initializer_list<std::pair<Addr, int>> Spec) {
@@ -42,14 +33,14 @@ std::vector<Sample> buffer(std::initializer_list<std::pair<Addr, int>> Spec) {
 }
 
 TEST(RegionMonitor, NoRegionsInitially) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   EXPECT_TRUE(M.regions().empty());
   EXPECT_EQ(M.intervals(), 0u);
 }
 
 TEST(RegionMonitor, FirstIntervalIsAllUcrAndTriggersFormation) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   M.observeInterval(buffer({{0x1004, 100}}));
   EXPECT_DOUBLE_EQ(M.lastUcrFraction(), 1.0)
@@ -61,7 +52,7 @@ TEST(RegionMonitor, FirstIntervalIsAllUcrAndTriggersFormation) {
 }
 
 TEST(RegionMonitor, FormedRegionAbsorbsSubsequentSamples) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   M.observeInterval(buffer({{0x1004, 100}}));
   M.observeInterval(buffer({{0x1004, 100}}));
@@ -71,7 +62,7 @@ TEST(RegionMonitor, FormedRegionAbsorbsSubsequentSamples) {
 }
 
 TEST(RegionMonitor, UcrBelowThresholdDoesNotTrigger) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   M.observeInterval(buffer({{0x1004, 100}})); // forms loopA
   // 20% of samples in unformed loopB code: below the 30% trigger.
@@ -85,7 +76,7 @@ TEST(RegionMonitor, UcrBelowThresholdDoesNotTrigger) {
 }
 
 TEST(RegionMonitor, NonRegionableSamplesNeverFormRegions) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   for (int I = 0; I < 5; ++I)
     M.observeInterval(buffer({{0x9000, 100}}));
@@ -96,7 +87,7 @@ TEST(RegionMonitor, NonRegionableSamplesNeverFormRegions) {
 }
 
 TEST(RegionMonitor, MinRegionSamplesFiltersColdCandidates) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   const int Bar = static_cast<int>(MinRegionSamples);
   // All UCR, but loopA sits one sample under the bar and loopB further
@@ -110,21 +101,21 @@ TEST(RegionMonitor, MinRegionSamplesFiltersColdCandidates) {
   EXPECT_EQ(M.regions()[0].Name, "loopA");
 }
 
-/// A generated code oracle: every 256-byte block is its own loop, so a
-/// test can offer as many distinct formation candidates as it needs.
-class BlockLoopMap final : public CodeMap {
-public:
-  std::optional<CodeRegionInfo> regionFor(Addr Pc) const override {
-    const Addr Base = Pc & ~Addr(0xff);
-    return CodeRegionInfo{Base, Base + 0x100, "L"};
-  }
-};
-
 /// The address of generated loop \p K.
 Addr blockLoop(std::size_t K) { return 0x10000 + K * 0x100; }
 
+/// A generated code map: each of the first 2 * MaxRegions 256-byte blocks
+/// from blockLoop(0) is its own loop, so a test can offer as many
+/// distinct formation candidates as it needs.
+CodeMap blockLoopMap() {
+  std::vector<CodeRegionInfo> Loops;
+  for (std::size_t K = 0; K < 2 * MaxRegions; ++K)
+    Loops.push_back({blockLoop(K), blockLoop(K) + 0x100, "L"});
+  return CodeMap(std::move(Loops));
+}
+
 TEST(RegionMonitor, MaxRegionsCapsFormation) {
-  BlockLoopMap Map;
+  const CodeMap Map = blockLoopMap();
   RegionMonitor M(Map);
   const int Bar = static_cast<int>(MinRegionSamples);
   // Fill to two regions short of the cap, fewer than a trigger's own cap
@@ -159,7 +150,7 @@ TEST(RegionMonitor, MaxRegionsCapsFormation) {
 }
 
 TEST(RegionMonitor, LocalDetectionRunsPerRegion) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   M.observeInterval(buffer({{0x1004, 100}})); // form
   // Three similar intervals stabilize the region.
@@ -173,7 +164,7 @@ TEST(RegionMonitor, LocalDetectionRunsPerRegion) {
 }
 
 TEST(RegionMonitor, EmptyIntervalFreezesRegionState) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   M.observeInterval(buffer({{0x1004, 100}}));
   for (int I = 0; I < 3; ++I)
@@ -191,7 +182,7 @@ TEST(RegionMonitor, EmptyIntervalFreezesRegionState) {
 }
 
 TEST(RegionMonitor, EventsFireInOrder) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   std::vector<RegionEvent::Kind> Kinds;
   M.setEventHandler(
@@ -207,7 +198,7 @@ TEST(RegionMonitor, EventsFireInOrder) {
 }
 
 TEST(RegionMonitor, PruningDropsColdRegions) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitorConfig Config;
   Config.PruneColdRegions = true;
   Config.PruneAfterIdleIntervals = 3;
@@ -229,20 +220,12 @@ TEST(RegionMonitor, PruningDropsColdRegions) {
 }
 
 TEST(RegionMonitor, OverlappingRegionsBothCredited) {
-  /// Oracle with two overlapping formable regions; which one a PC resolves
-  /// to depends on the address, but once both exist, samples in the
-  /// overlap are credited to both (the paper's >buffer-size stacks).
-  class OverlapMap final : public CodeMap {
-  public:
-    std::optional<CodeRegionInfo> regionFor(Addr Pc) const override {
-      if (Pc >= 0x1000 && Pc < 0x1100)
-        return CodeRegionInfo{0x1000, 0x1100, "outer"};
-      if (Pc >= 0x1100 && Pc < 0x1200)
-        return CodeRegionInfo{0x1080, 0x1200, "straddler"};
-      return std::nullopt;
-    }
-  };
-  OverlapMap Map;
+  // Two overlapping formable regions; which one a PC resolves to depends
+  // on the address (the smaller "outer" claims the overlap), but once both
+  // exist, samples in the overlap are credited to both (the paper's
+  // >buffer-size stacks).
+  const CodeMap Map(
+      {{0x1000, 0x1100, "outer"}, {0x1080, 0x1200, "straddler"}});
   RegionMonitor M(Map);
   M.observeInterval(buffer({{0x1004, 50}, {0x1104, 50}}));
   ASSERT_EQ(M.regions().size(), 2u);
@@ -254,7 +237,7 @@ TEST(RegionMonitor, OverlappingRegionsBothCredited) {
 }
 
 TEST(RegionMonitor, TimelinesRecordPerInterval) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitorConfig Config;
   Config.RecordTimelines = true;
   RegionMonitor M(Map, Config);
@@ -271,7 +254,7 @@ TEST(RegionMonitor, TimelinesRecordPerInterval) {
 }
 
 TEST(RegionMonitor, UcrHistoryMatchesIntervals) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitorConfig Config;
   Config.RecordTimelines = true; // the UCR series is a chart series
   RegionMonitor M(Map, Config);
@@ -283,7 +266,7 @@ TEST(RegionMonitor, UcrHistoryMatchesIntervals) {
 }
 
 TEST(RegionMonitor, StatsAccumulate) {
-  TestCodeMap Map;
+  const CodeMap Map = testCodeMap();
   RegionMonitor M(Map);
   M.observeInterval(buffer({{0x1004, 100}}));
   for (int I = 0; I < 4; ++I)
@@ -297,7 +280,7 @@ TEST(RegionMonitor, StatsAccumulate) {
 }
 
 TEST(RegionMonitor, MaxNewRegionsPerTrigger) {
-  BlockLoopMap Map;
+  const CodeMap Map = blockLoopMap();
   RegionMonitor M(Map);
   // Two more qualifying candidates than one trigger may form, hotter at
   // higher addresses; loops 1 and 2 tie for the last slot.

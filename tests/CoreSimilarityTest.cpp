@@ -276,14 +276,9 @@ TEST(Similarity, HostileKindWithoutOutParamStillConstructs) {
 //===----------------------------------------------------------------------===//
 
 /// One fixed region, so monitors form the same region deterministically.
-class OneLoopMap final : public core::CodeMap {
-public:
-  std::optional<core::CodeRegionInfo> regionFor(Addr Pc) const override {
-    if (Pc >= 0x1000 && Pc < 0x1000 + 256 * InstrBytes)
-      return core::CodeRegionInfo{0x1000, 0x1000 + 256 * InstrBytes, "loop"};
-    return std::nullopt;
-  }
-};
+core::CodeMap oneLoopMap() {
+  return core::CodeMap({{0x1000, 0x1000 + 256 * InstrBytes, "loop"}});
+}
 
 std::vector<Sample> loopInterval(std::size_t Count) {
   std::vector<Sample> Samples;
@@ -298,7 +293,7 @@ TEST(Similarity, MonitorCountsFallbackOnceInRegistryAndTracesIt) {
   // The monitor-level contract behind makeSimilarity's out-param: an
   // out-of-enum kind must surface as exactly one SimilarityFallbacks
   // count and one trace event per attach.
-  OneLoopMap Map;
+  const core::CodeMap Map = oneLoopMap();
   core::RegionMonitorConfig Config;
   Config.Similarity = static_cast<SimilarityKind>(0xEF);
   core::RegionMonitor M(Map, Config);

@@ -25,6 +25,8 @@
 #include <algorithm>
 #include <map>
 #include <span>
+#include <utility>
+#include <vector>
 
 using namespace regmon;
 
@@ -139,6 +141,36 @@ TEST_P(WorkloadInvariantsTest, FormationKeepsItsConstants) {
     ASSERT_LT(Interval, Ucr.size());
     EXPECT_GT(Ucr[Interval], core::UcrTriggerFraction)
         << "interval " << Interval << " formed below the trigger";
+  }
+}
+
+TEST_P(WorkloadInvariantsTest, ActiveRegionsNeverShareBounds) {
+  // Formation keeps no check for a candidate with an active region's
+  // bounds: that region would have claimed every sample the candidate
+  // counted. Hold it at every interval end, with pruning off and with
+  // pruning retiring and re-forming regions.
+  for (const bool Prune : {false, true}) {
+    SCOPED_TRACE(Prune ? "pruning" : "no pruning");
+    core::RegionMonitorConfig Config;
+    Config.PruneColdRegions = Prune;
+    Config.PruneAfterIdleIntervals = 4;
+    core::RegionMonitor M(*Map, Config);
+    sim::Engine Engine(W->Prog, W->Script, /*Seed=*/1);
+    sampling::Sampler Sampler(Engine, {450'000, 2032});
+    std::vector<std::pair<Addr, Addr>> Bounds;
+    std::uint64_t SharedAt = 0, Shared = 0;
+    Sampler.run([&](std::span<const Sample> Buffer) {
+      M.observeInterval(Buffer);
+      Bounds.clear();
+      for (core::RegionId Id : M.activeRegionIds())
+        Bounds.emplace_back(M.regions()[Id].Start, M.regions()[Id].End);
+      std::sort(Bounds.begin(), Bounds.end());
+      if (std::adjacent_find(Bounds.begin(), Bounds.end()) != Bounds.end() &&
+          Shared++ == 0)
+        SharedAt = M.intervals() - 1;
+    });
+    EXPECT_EQ(Shared, 0u) << "first at interval " << SharedAt;
+    EXPECT_GT(M.intervals(), 0u);
   }
 }
 

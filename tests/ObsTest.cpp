@@ -300,17 +300,11 @@ TEST(ObsConcurrency, CountersHistogramsAndTracerAreExactUnderContention) {
 // Hostile inputs: the release-hardening regressions, observed
 //===----------------------------------------------------------------------===//
 
-/// Same three-loop oracle the core monitor tests use.
-class TestCodeMap final : public core::CodeMap {
-public:
-  std::optional<core::CodeRegionInfo> regionFor(Addr Pc) const override {
-    if (Pc >= 0x1000 && Pc < 0x1100)
-      return core::CodeRegionInfo{0x1000, 0x1100, "loopA"};
-    if (Pc >= 0x2000 && Pc < 0x2080)
-      return core::CodeRegionInfo{0x2000, 0x2080, "loopB"};
-    return std::nullopt;
-  }
-};
+/// Same two-loop code map the core monitor tests use.
+core::CodeMap testCodeMap() {
+  return core::CodeMap(
+      {{0x1000, 0x1100, "loopA"}, {0x2000, 0x2080, "loopB"}});
+}
 
 /// One interval's clean buffer: alternating PCs across loopA with
 /// monotonic timestamps, the shape the fault injector expects.
@@ -355,7 +349,7 @@ TEST(ObsHostileInputs, MonitorAbsorbsCorruptedPcStormAsUcr) {
   const faults::FaultPlan Plan(/*PlanSeed=*/7, Cfg);
   faults::StreamFaultInjector Inj = Plan.forStream(0);
 
-  TestCodeMap Map;
+  const core::CodeMap Map = testCodeMap();
   core::RegionMonitor M(Map);
   MetricsRegistry R;
   EventTracer T;
@@ -387,7 +381,7 @@ TEST(ObsHostileInputs, HostileSimilarityKindFallsBackAndIsCounted) {
   // used to make makeSimilarity return nullptr and the monitor
   // dereference it. The monitor must construct with the Pearson fallback
   // and disclose the substitution as a metric and an event.
-  TestCodeMap Map;
+  const core::CodeMap Map = testCodeMap();
   core::RegionMonitorConfig Config;
   Config.Similarity = static_cast<core::SimilarityKind>(0xEF);
   core::RegionMonitor M(Map, Config);
@@ -408,7 +402,7 @@ TEST(ObsHostileInputs, HostileSimilarityKindFallsBackAndIsCounted) {
 }
 
 TEST(ObsHostileInputs, HealthySimilarityKindIsNotCounted) {
-  TestCodeMap Map;
+  const core::CodeMap Map = testCodeMap();
   core::RegionMonitor M(Map);
   EXPECT_FALSE(M.similarityFellBack());
   MetricsRegistry R;
@@ -422,7 +416,7 @@ TEST(ObsHostileInputs, HealthySimilarityKindIsNotCounted) {
 //===----------------------------------------------------------------------===//
 
 TEST(ObsService, PerStreamSeriesAndAggregatesMatchSnapshot) {
-  TestCodeMap Map;
+  const core::CodeMap Map = testCodeMap();
   service::MonitorService Service(
       {/*Workers=*/2, /*QueueCapacity=*/16, service::OverflowPolicy::Block,
        /*ValidateBatches=*/true, {}});
@@ -497,7 +491,7 @@ TEST(ObsService, SnapshotUcrSamplesMatchMonitorSeries) {
 }
 
 TEST(ObsService, QuarantineAndRecoveryAreTraced) {
-  TestCodeMap Map;
+  const core::CodeMap Map = testCodeMap();
   service::ServiceConfig Cfg{/*Workers=*/1, /*QueueCapacity=*/16,
                              service::OverflowPolicy::Block,
                              /*ValidateBatches=*/true, {}};

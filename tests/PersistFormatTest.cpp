@@ -1605,17 +1605,10 @@ std::vector<std::uint8_t> forgeMonitor(std::uint64_t Intervals,
   return forgeMonitor(C, Rs);
 }
 
-/// Decode never consults the code map.
-class NoCodeMap final : public core::CodeMap {
-public:
-  std::optional<core::CodeRegionInfo> regionFor(Addr) const override {
-    return std::nullopt;
-  }
-};
-
 bool monitorLoads(const std::vector<std::uint8_t> &Bytes,
                   bool Timelines = false) {
-  const NoCodeMap Map;
+  // Decode never consults the code map.
+  const core::CodeMap Map;
   core::RegionMonitor M(Map, forgedConfig(Timelines));
   ByteReader R(Bytes);
   const bool Loaded = StateCodec::decode(R, M) && R.atEnd();
@@ -1624,7 +1617,7 @@ bool monitorLoads(const std::vector<std::uint8_t> &Bytes,
 }
 
 TEST(PersistStateCodec, RegionMonitorRejectsDuplicateActiveBounds) {
-  // Formation skips a candidate whose bounds equal an active region's.
+  // Formation never forms a region over an active region's bounds.
   // Two active regions over one range would attribute every sample there
   // twice. The copies are not adjacent, so the check cannot rely on order.
   ForgedRegion First;

@@ -100,8 +100,8 @@ TEST(Program, ProfileCount) {
 TEST(ProgramCodeMap, ResolvesRegionableLoop) {
   const Program P = makeNestedProgram();
   const ProgramCodeMap Map(P);
-  const auto Info = Map.regionFor(0x1450);
-  ASSERT_TRUE(Info.has_value());
+  const core::CodeRegionInfo *Info = Map.regionFor(0x1450);
+  ASSERT_NE(Info, nullptr);
   EXPECT_EQ(Info->Start, 0x1400u) << "innermost regionable loop";
   EXPECT_EQ(Info->End, 0x1500u);
   EXPECT_EQ(Info->Name, "1400-1500");
@@ -110,8 +110,8 @@ TEST(ProgramCodeMap, ResolvesRegionableLoop) {
 TEST(ProgramCodeMap, NonRegionableResolvesToNothing) {
   const Program P = makeNestedProgram();
   const ProgramCodeMap Map(P);
-  EXPECT_FALSE(Map.regionFor(0x2050).has_value());
-  EXPECT_FALSE(Map.regionFor(0x2f00).has_value()) << "straight-line code";
+  EXPECT_EQ(Map.regionFor(0x2050), nullptr);
+  EXPECT_EQ(Map.regionFor(0x2f00), nullptr) << "straight-line code";
 }
 
 TEST(ProgramCodeMap, OuterRegionableClaimsNestedNonRegionable) {
@@ -124,8 +124,8 @@ TEST(ProgramCodeMap, OuterRegionableClaimsNestedNonRegionable) {
   B.addHotSpotProfile(Inner, 1.0, {});
   const Program P = B.build();
   const ProgramCodeMap Map(P);
-  const auto Info = Map.regionFor(0x1250);
-  ASSERT_TRUE(Info.has_value());
+  const core::CodeRegionInfo *Info = Map.regionFor(0x1250);
+  ASSERT_NE(Info, nullptr);
   EXPECT_EQ(Info->Start, 0x1000u)
       << "skips the non-regionable inner loop, claims the outer";
 }
