@@ -94,33 +94,10 @@ RegionMonitor::record(RegionId Id) const {
 
 bool RegionMonitor::isActive(RegionId Id) const { return record(Id).Active; }
 
-std::vector<RegionId> RegionMonitor::activeRegionIds() const {
-  std::vector<RegionId> Out;
-  for (RegionId Id = 0; Id < Records.size(); ++Id)
-    if (Records[Id].Active)
-      Out.push_back(Id);
-  return Out;
-}
-
-std::size_t RegionMonitor::activeRegionCount() const {
-  std::size_t N = 0;
-  for (const RegionRecord &Rec : Records)
-    N += Rec.Active ? 1 : 0;
-  return N;
-}
-
 std::size_t RegionMonitor::stableRegionCount() const {
   std::size_t N = 0;
-  for (const RegionRecord &Rec : Records)
-    N += Rec.Active && Rec.Detector->state() == LocalPhaseState::Stable ? 1
-                                                                       : 0;
-  return N;
-}
-
-std::uint64_t RegionMonitor::totalPhaseChanges() const {
-  std::uint64_t N = 0;
-  for (const RegionRecord &Rec : Records)
-    N += Rec.Stats.PhaseChanges;
+  for (RegionId Id : ActiveIds)
+    N += Records[Id].Detector->state() == LocalPhaseState::Stable ? 1 : 0;
   return N;
 }
 
@@ -134,6 +111,8 @@ std::uint64_t RegionMonitor::totalSamples() const {
 void RegionMonitor::reset() {
   Regions.clear();
   Records.clear();
+  ActiveIds.clear();
+  PhaseChangesTotal = 0;
   SlabBounds.clear();
   SlabSegments.clear();
   SlabCycles.clear();
@@ -247,10 +226,8 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   // 2 hold no slab slots until the next interval's layout, so they start
   // analyzing with the *next* interval (their histograms for this one are
   // empty).
-  for (RegionId Id = 0; Id < Records.size(); ++Id) {
+  for (RegionId Id : ActiveIds) {
     RegionRecord &Rec = Records[Id];
-    if (!Rec.Active)
-      continue;
     LocalPhaseDetector &Detector = *Rec.Detector;
     RegionStats &RS = Rec.Stats;
     ++RS.LifetimeIntervals;
@@ -312,6 +289,7 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
           emit(RegionEvent::Kind::MissPhaseChange, Id);
       }
     }
+    PhaseChangesTotal += Detector.phaseChanges() - RS.PhaseChanges;
     RS.PhaseChanges = Detector.phaseChanges();
     if (Detector.state() == LocalPhaseState::Stable)
       ++RS.StableIntervals;
@@ -442,30 +420,31 @@ RegionMonitor::RegionRecord &RegionMonitor::addRegion(Region R, bool Active) {
       std::vector<std::uint64_t>(Instrs, 0),
       WindowedStats(MissWindowIntervals),
       Config.RecordTimelines ? std::make_unique<Timelines>() : nullptr});
-  SlabDirty = SlabDirty || Active;
+  if (Active) {
+    ActiveIds.push_back(R.Id);
+    SlabDirty = true;
+  }
   Regions.push_back(std::move(R));
   return Rec;
 }
 
 void RegionMonitor::layoutSlab() {
   SlabBounds.clear();
-  for (RegionId Id = 0; Id < Records.size(); ++Id)
-    if (Records[Id].Active) {
-      SlabBounds.push_back(Regions[Id].Start);
-      SlabBounds.push_back(Regions[Id].End);
-    }
+  for (RegionId Id : ActiveIds) {
+    SlabBounds.push_back(Regions[Id].Start);
+    SlabBounds.push_back(Regions[Id].End);
+  }
   cutSegments(SlabBounds);
 
   // Covered segments take consecutive slots in address order, so each
   // region's instructions are one contiguous span. No region reaches into
   // the last segment.
   SlabSegments.assign(SlabBounds.size(), SlabSegment{});
-  for (RegionId Id = 0; Id < Records.size(); ++Id)
-    if (Records[Id].Active)
-      for (std::size_t S = segmentStartingAt(SlabBounds, Regions[Id].Start),
-                       Last = segmentStartingAt(SlabBounds, Regions[Id].End);
-           S < Last; ++S)
-        SlabSegments[S].Uncovered = 0;
+  for (RegionId Id : ActiveIds)
+    for (std::size_t S = segmentStartingAt(SlabBounds, Regions[Id].Start),
+                     Last = segmentStartingAt(SlabBounds, Regions[Id].End);
+         S < Last; ++S)
+      SlabSegments[S].Uncovered = 0;
   assert(SlabSegments.back().Uncovered == 1 && "the last segment is open");
   std::size_t Next = 1; // slot 0 is the sink
   for (std::size_t S = 0; S + 1 < SlabBounds.size(); ++S)
@@ -474,12 +453,9 @@ void RegionMonitor::layoutSlab() {
       Next += static_cast<std::size_t>(
           (SlabBounds[S + 1] - SlabBounds[S]) / InstrBytes);
     }
-  for (RegionId Id = 0; Id < Records.size(); ++Id)
+  for (RegionId Id : ActiveIds)
     Records[Id].Slot =
-        Records[Id].Active
-            ? SlabSegments[segmentStartingAt(SlabBounds, Regions[Id].Start)]
-                  .First
-            : NoSlot;
+        SlabSegments[segmentStartingAt(SlabBounds, Regions[Id].Start)].First;
   // assign grows to exactly Next, where resize would double.
   SlabCycles.assign(Next, 0);
   SlabMisses.assign(Next, 0);
@@ -487,12 +463,18 @@ void RegionMonitor::layoutSlab() {
 }
 
 void RegionMonitor::pruneCold() {
-  for (RegionId Id = 0; Id < Records.size(); ++Id) {
+  // A region leaves ActiveIds before its event fires, so the handler sees
+  // the monitor as it was when the region was pruned.
+  for (auto It = ActiveIds.begin(); It != ActiveIds.end();) {
+    const RegionId Id = *It;
     RegionRecord &Rec = Records[Id];
-    if (!Rec.Active ||
-        Intervals - Rec.LastSampledInterval < Config.PruneAfterIdleIntervals)
+    if (Intervals - Rec.LastSampledInterval < Config.PruneAfterIdleIntervals) {
+      ++It;
       continue;
+    }
     Rec.Active = false;
+    Rec.Slot = NoSlot;
+    It = ActiveIds.erase(It);
     SlabDirty = true;
     emit(RegionEvent::Kind::Pruned, Id);
   }

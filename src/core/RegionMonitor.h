@@ -177,10 +177,10 @@ public:
   /// Returns true while \p Id is being monitored.
   bool isActive(RegionId Id) const;
   /// Returns the ids of currently monitored regions, in formation order.
-  std::vector<RegionId> activeRegionIds() const;
+  std::vector<RegionId> activeRegionIds() const { return ActiveIds; }
   /// Returns the number of currently monitored regions. Allocation-free
   /// (unlike \ref activeRegionIds), for per-interval stats publication.
-  std::size_t activeRegionCount() const;
+  std::size_t activeRegionCount() const { return ActiveIds.size(); }
   /// Returns how many currently monitored regions sit in the Stable LPD
   /// state. Allocation-free; with \ref activeRegionCount this is the
   /// all-regions-stable signal the adaptive sampling controller consumes
@@ -221,7 +221,7 @@ public:
   /// Returns the total local phase changes summed over all regions ever
   /// formed (pruned regions included) -- the per-stream scalar the
   /// multi-stream service publishes.
-  std::uint64_t totalPhaseChanges() const;
+  std::uint64_t totalPhaseChanges() const { return PhaseChangesTotal; }
   /// Returns the total samples attributed to any region, summed over all
   /// regions ever formed. Overlapping regions count a sample once each.
   std::uint64_t totalSamples() const;
@@ -297,7 +297,7 @@ private:
 
   /// One region's learned state, indexed by RegionId beside Regions. The
   /// detectors and timelines sit behind pointers to keep the record small:
-  /// every interval walks all records.
+  /// every interval walks the active records.
   struct RegionRecord {
     bool Active = false;
     /// The slot of the region's first instruction in the count slab: its
@@ -329,8 +329,9 @@ private:
   };
 
   /// Appends \p R under the next RegionId with a fresh record. An active
-  /// region marks the slab layout stale. Formation and decode both build
-  /// regions here. The reference is valid until the next call.
+  /// region joins ActiveIds and marks the slab layout stale. Formation and
+  /// decode both build regions here. The reference is valid until the next
+  /// call.
   RegionRecord &addRegion(Region R, bool Active);
   const RegionRecord &record(RegionId Id) const;
   /// Lays the union of the active regions out in the count slab, with
@@ -359,6 +360,13 @@ private:
 
   std::vector<Region> Regions;
   std::vector<RegionRecord> Records;
+  /// The active regions' ids in RegionId order: what every per-interval
+  /// walk visits, so retired records cost nothing however many a long
+  /// pruning stream accumulates.
+  std::vector<RegionId> ActiveIds;
+  /// Lifetime sum of every record's PhaseChanges, retired ones included;
+  /// decode derives it like the RegionStats copies.
+  std::uint64_t PhaseChangesTotal = 0;
 
   double LastUcrFraction = 0;
   /// RecordTimelines only.

@@ -19,16 +19,6 @@ constexpr double TruncateMinFrac = 0.1;
 static_assert(TruncateMinFrac > 0 && TruncateMinFrac <= 1,
               "truncation must keep a positive fraction");
 
-/// splitmix64 finalizer, the same mixing the service uses for shard
-/// routing: derives per-stream seeds that are independent of stream-id
-/// patterns and of the order injectors are created in.
-std::uint64_t mix64(std::uint64_t X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
-
 } // namespace
 
 const char *faults::toString(BatchFault F) {
@@ -206,6 +196,8 @@ REGMON_PURE BatchFault StreamFaultInjector::nextBatchFault() {
 }
 
 REGMON_PURE StreamFaultInjector FaultPlan::forStream(std::uint32_t Id) const {
+  // Mixed, so a stream's seed depends neither on id patterns nor on the
+  // order injectors are created in.
   return StreamFaultInjector(mix64(Seed) ^ mix64(Id), Config);
 }
 

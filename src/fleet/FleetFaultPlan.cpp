@@ -9,19 +9,6 @@
 using namespace regmon;
 using namespace regmon::fleet;
 
-namespace {
-
-/// splitmix64 finalizer -- the same mixing src/faults uses, so per-node
-/// seeds are independent of id patterns and injector creation order.
-std::uint64_t mix64(std::uint64_t X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
-
-} // namespace
-
 NodeFaultInjector::NodeFaultInjector(std::uint64_t Seed, double FireRate)
     : Rate(FireRate), EpochRng(mix64(Seed ^ 0x3c3c3c3c'3c3c3c3cULL)) {}
 

@@ -6,7 +6,6 @@
 
 #include "fleet/FleetTree.h"
 
-#include "persist/Checkpoint.h"
 #include "sampling/Sampler.h"
 #include "sim/Engine.h"
 #include "sim/ProgramCodeMap.h"
@@ -159,9 +158,6 @@ LeafAgent::LeafAgent(LeafId IdIn, const FleetSimConfig &Cfg)
     Sims.push_back(std::make_unique<StreamSim>(
         Config.Workload, Config.PeriodCycles, Config.Seed + Global));
   }
-  if (!Config.PersistDir.empty())
-    Store = std::make_unique<persist::CheckpointManager>(
-        Config.PersistDir + "/leaf" + std::to_string(Id));
   buildService();
 }
 
@@ -175,12 +171,14 @@ void LeafAgent::buildService() {
   Svc = std::make_unique<service::MonitorService>(SC);
   for (const auto &Sim : Sims)
     Svc->addStream(Sim->Map);
-  if (Store) {
-    Svc->attachPersistence(*Store);
-    const service::RestoreOutcome O = Svc->restore();
+  trace::AttachSpec Spec;
+  if (!Config.PersistDir.empty())
+    Spec.Dir = Config.PersistDir + "/leaf" + std::to_string(Id);
+  Logs = trace::attach(*Svc, Spec);
+  if (Logs.Store) {
     if (Stats.Crashes > 0) {
       ++Stats.Restores;
-      if (O == service::RestoreOutcome::ColdStart)
+      if (Logs.Restored == service::RestoreOutcome::ColdStart)
         ++Stats.ColdRestores;
     }
   } else if (Stats.Crashes > 0) {
@@ -218,9 +216,11 @@ void LeafAgent::crash() {
   assert(!Down && "already down");
   ++Stats.Crashes;
   Down = true;
-  // The process is gone: in-memory monitors, counters, everything. The
-  // journal and snapshots (if any) are on disk and survive.
+  // The process is gone: in-memory monitors, counters, open files,
+  // everything. The journal and snapshots (if any) are on disk and
+  // survive.
   Svc.reset();
+  Logs = {};
 }
 
 void LeafAgent::restart() {
@@ -234,7 +234,7 @@ LeafSummary LeafAgent::emitSummary(std::uint64_t Epoch,
                                    std::uint32_t TopKCap) {
   assert(!Down && "a dead leaf emits nothing");
   ++Stats.SummariesEmitted;
-  if (Store && Config.CheckpointEveryEpochs > 0 &&
+  if (Logs.Store && Config.CheckpointEveryEpochs > 0 &&
       Epoch % Config.CheckpointEveryEpochs == 0)
     Svc->checkpoint();
   return buildLeafSummary(

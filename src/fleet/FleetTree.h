@@ -38,6 +38,7 @@
 #include "fleet/FleetFaultPlan.h"
 #include "fleet/Summary.h"
 #include "service/MonitorService.h"
+#include "trace/Attach.h"
 
 #include <cstdint>
 #include <memory>
@@ -53,9 +54,6 @@ class ProgramCodeMap;
 }
 namespace regmon::workloads {
 struct Workload;
-}
-namespace regmon::persist {
-class CheckpointManager;
 }
 
 namespace regmon::fleet {
@@ -210,7 +208,9 @@ private:
   LeafId Id;
   const FleetSimConfig &Config;
   std::vector<std::unique_ptr<StreamSim>> Sims;
-  std::unique_ptr<persist::CheckpointManager> Store;
+  /// The leaf's durability store (with a PersistDir), opened per
+  /// process like the service it is attached to.
+  trace::Attachment Logs;
   std::unique_ptr<service::MonitorService> Svc;
   LeafAgentStats Stats;
   bool Down = false;

@@ -279,6 +279,7 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
     // observeInterval keeps both phase-change counts equal to the
     // detectors'.
     RS.PhaseChanges = Rec.Detector->PhaseChanges;
+    M.PhaseChangesTotal += RS.PhaseChanges;
     RS.MissPhaseChanges =
         HasMissDetector ? Rec.MissDetector->PhaseChanges : 0;
     if (!decode(R, Rec.RecentMiss, core::MissWindowIntervals) ||
@@ -307,9 +308,8 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
   // two such active regions would attribute every sample there twice.
   // Sorting keeps the check O(n log n) for a hostile region count.
   std::vector<std::pair<Addr, Addr>> ActiveBounds;
-  for (core::RegionId Id = 0; Id < M.Regions.size(); ++Id)
-    if (M.Records[Id].Active)
-      ActiveBounds.emplace_back(M.Regions[Id].Start, M.Regions[Id].End);
+  for (core::RegionId Id : M.ActiveIds)
+    ActiveBounds.emplace_back(M.Regions[Id].Start, M.Regions[Id].End);
   std::sort(ActiveBounds.begin(), ActiveBounds.end());
   if (std::adjacent_find(ActiveBounds.begin(), ActiveBounds.end()) !=
       ActiveBounds.end())

@@ -10,6 +10,7 @@
 #include "persist/Checkpoint.h"
 #include "persist/SampleBlock.h"
 #include "persist/StateCodec.h"
+#include "support/Rng.h"
 
 #include <algorithm>
 #include <cassert>
@@ -19,16 +20,6 @@ using namespace regmon;
 using namespace regmon::service;
 
 namespace {
-
-/// splitmix64 finalizer: decorrelates dense stream ids from shard indices
-/// so that id patterns (all-even cores, strided assignment) cannot pile
-/// every stream onto one shard.
-std::uint64_t mix64(std::uint64_t X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
 
 /// Snapshot section ids (persist/Snapshot.h container).
 constexpr std::uint32_t MetaSectionId = 1;
@@ -96,6 +87,8 @@ StreamId MonitorService::addStream(const core::CodeMap &Map,
   auto State = std::make_unique<StreamState>();
   State->Map = &Map;
   State->Id = Id;
+  // Mixed, so id patterns (all-even cores, strided assignment) cannot
+  // pile every stream onto one shard.
   State->Shard = static_cast<std::size_t>(mix64(Id) % Shards.size());
   State->Monitor = std::make_unique<core::RegionMonitor>(Map, MonitorConfig);
   State->Controller = sampling::AdaptiveController(Config.Adaptive);

@@ -8,18 +8,13 @@
 
 using namespace regmon;
 
-static std::uint64_t splitMix64(std::uint64_t &X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t Z = X;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
-
 void Rng::reseed(std::uint64_t Seed) {
-  // splitmix64 guarantees the xoshiro state is not all-zero for any seed.
-  for (auto &Word : State)
-    Word = splitMix64(Seed);
+  // splitmix64 guarantees the xoshiro state is not all-zero for any seed:
+  // each word mixes the next point of the seed's Weyl sequence.
+  for (auto &Word : State) {
+    Word = mix64(Seed);
+    Seed += 0x9e3779b97f4a7c15ULL;
+  }
 }
 
 static inline std::uint64_t rotl(std::uint64_t X, int K) {

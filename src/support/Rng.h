@@ -23,6 +23,16 @@
 
 namespace regmon {
 
+/// The splitmix64 mix of \p X: a bijection that spreads every input bit
+/// over the whole output. It derives independent values from dense ids
+/// (shard routing, per-stream and per-node fault seeds) and seeds \ref Rng.
+constexpr std::uint64_t mix64(std::uint64_t X) {
+  X += 0x9e3779b97f4a7c15ULL;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+  return X ^ (X >> 31);
+}
+
 /// xoshiro256** 1.0 by Blackman & Vigna, seeded through splitmix64.
 ///
 /// Not cryptographic; chosen for speed, tiny state and excellent statistical

@@ -7,7 +7,8 @@
 // Pins the CLI's process contract: 0 success, 1 runtime failure, 2 usage
 // error; --help on stdout, diagnostics on stderr. Scripts and the CI
 // replay-determinism job branch on these codes, so a change here is an
-// interface break, not a cosmetic one. Every case shells out to the real
+// interface break, not a cosmetic one. The service commands' reports are
+// pinned whole against cli_golden/. Every case shells out to the real
 // binary (REGMON_CLI_PATH, injected by CMake) -- no main() re-entry.
 //
 //===----------------------------------------------------------------------===//
@@ -173,6 +174,96 @@ TEST(CliSmoke, DurabilityRefusesTheDropPolicy) {
     EXPECT_FALSE(std::filesystem::exists(Dir));
     EXPECT_FALSE(std::filesystem::exists(Trace));
   }
+}
+
+TEST(CliSmoke, RecordRefusesAForeignTraceFile) {
+  // Another writer's file is never repaired (that would destroy it): the
+  // recorder refuses it and the run fails before any work.
+  const std::string Trace = scratchPath("foreign.trace.bin");
+  const std::string Text = "not a regmon trace, just text\n";
+  std::ofstream(Trace, std::ios::binary) << Text;
+  const RunResult R = run("record synthetic.periodic --trace \"" + Trace +
+                          "\" --streams 2 --workers 1 --intervals 2");
+  EXPECT_EQ(R.Exit, 1);
+  EXPECT_TRUE(R.Out.empty()) << R.Out;
+  EXPECT_EQ(R.Err, "error: cannot record to '" + Trace +
+                       "' (not a regmon trace, or the crash budget died "
+                       "before the header)\n");
+  EXPECT_EQ(slurp(Trace), Text);
+  std::filesystem::remove(Trace);
+}
+
+TEST(CliSmoke, RecordReportsTheSequenceRestoreReached) {
+  // The restore line must print the sequence after the restore, not the
+  // one before it.
+  const std::string Dir = scratchPath("seq_ckpt");
+  const std::string Trace = scratchPath("seq.trace.bin");
+  const std::string Flags = " synthetic.periodic --dir \"" + Dir +
+                            "\" --streams 4 --workers 2 --intervals 6 "
+                            "--seed 7";
+  const RunResult Ckpt = run("checkpoint" + Flags);
+  ASSERT_EQ(Ckpt.Exit, 0) << Ckpt.Err;
+  ASSERT_NE(Ckpt.Out.find("journaled sequence 0 -> 24"), std::string::npos)
+      << Ckpt.Out;
+  const RunResult R = run("record" + Flags + " --trace \"" + Trace + "\"");
+  EXPECT_EQ(R.Exit, 0) << R.Err;
+  EXPECT_EQ(R.Out.rfind("restored from " + Dir +
+                            ": snapshot-only (sequence 24)\n",
+                        0),
+            0U)
+      << R.Out;
+  std::filesystem::remove_all(Dir);
+  std::filesystem::remove(Trace);
+}
+
+/// Replaces every \p From in \p Text with \p To.
+std::string substitute(std::string Text, const std::string &From,
+                       const std::string &To) {
+  for (std::size_t At = Text.find(From); At != std::string::npos;
+       At = Text.find(From, At + To.size()))
+    Text.replace(At, From.size(), To);
+  return Text;
+}
+
+// The service commands' whole stdout, pinned on one seeded two-stream
+// run: serve, checkpoint fresh and then resumed on one directory,
+// restore, record on that directory with an export, and replay onto a
+// copy of the directory taken before the recording. The goldens in
+// cli_golden/ write the scratch directory as @S@.
+TEST(CliSmoke, ServiceCommandsPrintTheirPinnedOutput) {
+  const std::string S = scratchPath("pinned");
+  ASSERT_TRUE(std::filesystem::create_directories(S));
+  const std::string Golden = REGMON_CLI_GOLDEN_DIR;
+  const std::string Run = " synthetic.periodic --streams 2 --workers 1 "
+                          "--seed 7";
+  const auto Expect = [&](const std::string &Args, const std::string &File) {
+    SCOPED_TRACE(Args);
+    const RunResult R = run(Args);
+    EXPECT_EQ(R.Exit, 0) << R.Err;
+    EXPECT_EQ(substitute(R.Out, S, "@S@"), slurp(Golden + "/" + File));
+    return R;
+  };
+  const std::string Ckpt = " --dir \"" + S + "/ckpt\"";
+  Expect("serve" + Run + " --intervals 4", "serve.out");
+  Expect("checkpoint" + Run + " --intervals 4" + Ckpt, "checkpoint_fresh.out");
+  Expect("checkpoint" + Run + " --intervals 4" + Ckpt,
+         "checkpoint_resumed.out");
+  Expect("restore" + Run + Ckpt, "restore.out");
+  std::filesystem::copy(S + "/ckpt", S + "/replayed",
+                        std::filesystem::copy_options::recursive);
+  const std::string Trace = " --trace \"" + S + "/t.bin\"";
+  Expect("record" + Run + " --intervals 4 --poison-rate 0.2" + Ckpt + Trace +
+             " --export \"" + S + "/export.prom\"",
+         "record.out");
+  EXPECT_EQ(slurp(S + "/export.prom"), slurp(Golden + "/export.prom"));
+  const RunResult Replay =
+      Expect("replay" + Run + Trace + " --dir \"" + S + "/replayed\"",
+             "export.prom");
+  EXPECT_EQ(Replay.Err, "replayed 8 batch(es), 0 drop(s), 0 push "
+                        "reject(s), 1 checkpoint(s) (1 re-applied)\n");
+  EXPECT_EQ(slurp(S + "/replayed/snapshot.bin"),
+            slurp(S + "/ckpt/snapshot.bin"));
+  std::filesystem::remove_all(S);
 }
 
 TEST(CliSmoke, FreshDirectoryReportsNoSnapshotError) {

@@ -182,6 +182,40 @@ TEST_P(WorkloadInvariantsTest, LastRWithinBounds) {
   }
 }
 
+TEST_P(WorkloadInvariantsTest, ActiveIdsTrackTheActiveFlags) {
+  // The monitor keeps its active ids and its lifetime phase-change total
+  // beside the records instead of walking every record ever formed; at
+  // every interval end both must equal that walk, with pruning off and
+  // with regions retired after 4 idle intervals.
+  for (const bool Prune : {false, true}) {
+    SCOPED_TRACE(Prune ? "pruning after 4" : "no pruning");
+    core::RegionMonitorConfig Config;
+    Config.PruneColdRegions = Prune;
+    Config.PruneAfterIdleIntervals = 4;
+    core::RegionMonitor M(*Map, Config);
+    sim::Engine Engine(W->Prog, W->Script, /*Seed=*/1);
+    sampling::Sampler Sampler(Engine, {450'000, 2032});
+    bool Failed = false;
+    Sampler.run([&](std::span<const Sample> Buffer) {
+      M.observeInterval(Buffer);
+      if (Failed)
+        return;
+      std::vector<core::RegionId> Walked;
+      std::uint64_t PhaseChanges = 0;
+      for (const core::Region &R : M.regions()) {
+        if (M.isActive(R.Id))
+          Walked.push_back(R.Id);
+        PhaseChanges += M.stats(R.Id).PhaseChanges;
+      }
+      EXPECT_EQ(M.activeRegionIds(), Walked) << "interval " << M.intervals();
+      EXPECT_EQ(M.activeRegionCount(), Walked.size());
+      EXPECT_EQ(M.totalPhaseChanges(), PhaseChanges);
+      Failed = ::testing::Test::HasFailure();
+    });
+    EXPECT_GT(M.intervals(), 0U);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadInvariantsTest,
                          ::testing::ValuesIn(workloads::allNames()),
                          [](const auto &Info) {

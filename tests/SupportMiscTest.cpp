@@ -1,11 +1,10 @@
-//===- tests/SupportMiscTest.cpp - Histogram, tables, charts --------------===//
+//===- tests/SupportMiscTest.cpp - Tables and charts ----------------------===//
 //
 // Part of the regmon project. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/AsciiChart.h"
-#include "support/Histogram.h"
 #include "support/TextTable.h"
 
 #include <gtest/gtest.h>
@@ -13,80 +12,6 @@
 using namespace regmon;
 
 namespace {
-
-TEST(InstrHistogram, BinsCoverRegion) {
-  InstrHistogram H(0x1000, 0x1040);
-  EXPECT_EQ(H.size(), 16u);
-  EXPECT_EQ(H.start(), 0x1000u);
-  EXPECT_TRUE(H.empty());
-}
-
-TEST(InstrHistogram, AddSampleCountsPerInstruction) {
-  InstrHistogram H(0x1000, 0x1040);
-  H.addSample(0x1000);
-  H.addSample(0x1004);
-  H.addSample(0x1004);
-  H.addSample(0x103c);
-  EXPECT_EQ(H.total(), 4u);
-  EXPECT_EQ(H.bins()[0], 1u);
-  EXPECT_EQ(H.bins()[1], 2u);
-  EXPECT_EQ(H.bins()[15], 1u);
-  EXPECT_FALSE(H.empty());
-}
-
-TEST(InstrHistogram, UnalignedPcLandsInItsInstructionBin) {
-  // A sampled PC mid-instruction still belongs to that instruction.
-  InstrHistogram H(0x1000, 0x1010);
-  H.addSample(0x1006);
-  EXPECT_EQ(H.bins()[1], 1u);
-}
-
-TEST(InstrHistogram, ResetClearsCounts) {
-  InstrHistogram H(0, 0x10);
-  H.addSample(0x4);
-  H.reset();
-  EXPECT_TRUE(H.empty());
-  EXPECT_EQ(H.bins()[1], 0u);
-}
-
-TEST(InstrHistogram, AssignFromCopiesBins) {
-  InstrHistogram A(0, 0x10), B(0, 0x10);
-  A.addSample(0x8);
-  B.assignFrom(A);
-  EXPECT_EQ(B.bins()[2], 1u);
-  EXPECT_EQ(B.total(), 1u);
-}
-
-// Regression: addSample used to range-check with assert only, so an
-// NDEBUG build handed a below-region PC to an unsigned subtraction and
-// indexed the bin vector with the wrapped result. tryAddSample must
-// reject hostile PCs in every build mode, touching nothing.
-TEST(InstrHistogram, TryAddSampleRejectsBelowRegion) {
-  InstrHistogram H(0x1000, 0x1040);
-  EXPECT_FALSE(H.tryAddSample(0x0FFC));
-  EXPECT_FALSE(H.tryAddSample(0));
-  EXPECT_EQ(H.total(), 0u);
-  for (std::uint32_t Bin : H.bins())
-    EXPECT_EQ(Bin, 0u);
-}
-
-TEST(InstrHistogram, TryAddSampleRejectsPastEnd) {
-  InstrHistogram H(0x1000, 0x1040);
-  EXPECT_FALSE(H.tryAddSample(0x1040)); // one past the last instruction
-  EXPECT_FALSE(H.tryAddSample(0x6000'0000)); // fault-plan corruption window
-  EXPECT_FALSE(H.tryAddSample(~Addr{0}));
-  EXPECT_EQ(H.total(), 0u);
-}
-
-TEST(InstrHistogram, TryAddSampleAcceptsBoundaryPcs) {
-  InstrHistogram H(0x1000, 0x1040);
-  EXPECT_TRUE(H.tryAddSample(0x1000)); // first instruction
-  EXPECT_TRUE(H.tryAddSample(0x103C)); // last instruction
-  EXPECT_TRUE(H.tryAddSample(0x103F)); // unaligned tail of the last one
-  EXPECT_EQ(H.total(), 3u);
-  EXPECT_EQ(H.bins().front(), 1u);
-  EXPECT_EQ(H.bins().back(), 2u);
-}
 
 TEST(TextTable, RendersAlignedColumns) {
   TextTable T;

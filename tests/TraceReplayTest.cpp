@@ -13,8 +13,10 @@
 // replays cleanly; the committed corpus (tests/trace_corpus/) pins the
 // wire bytes and export goldens against drift; and a replayed checkpoint
 // leaves a durability directory a fresh service restores the incident's
-// final state from, bit for bit. Threaded suite (recorded services run
-// workers): exercised under TSan via tools/run_sanitized_tests.sh.
+// final state from, bit for bit. The TraceAttach cases pin trace::attach,
+// the one call every recording and replay site wires its logs through.
+// Threaded suite (recorded services run workers): exercised under TSan
+// via tools/run_sanitized_tests.sh.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +32,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -576,6 +580,166 @@ TEST(TraceReplay, ReplayedCheckpointRestoresBitIdenticalState) {
       << "replay left nothing durable";
   EXPECT_EQ(Service.encodeState(), Rec.FinalState)
       << "restored state diverged (" << service::toString(Outcome) << ")";
+}
+
+//===----------------------------------------------------------------------===//
+// trace::attach, the one attach point
+//===----------------------------------------------------------------------===//
+
+/// Two clean streams, submitted from the test thread so every log's
+/// record order is the submission order.
+ScenarioSpec attachSpec() {
+  ScenarioSpec Spec;
+  Spec.Streams = {{"synthetic.periodic", 5}, {"synthetic.steady", 6}};
+  Spec.Cfg.Workers = 2;
+  Spec.Cfg.QueueCapacity = 8;
+  Spec.Intervals = 8;
+  return Spec;
+}
+
+std::unique_ptr<service::MonitorService>
+makeService(service::ServiceConfig Cfg,
+            const std::vector<PreparedStream> &Streams) {
+  auto Service = std::make_unique<service::MonitorService>(Cfg);
+  for (const PreparedStream &S : Streams)
+    Service->addStream(*S.Map);
+  return Service;
+}
+
+/// Submits intervals [\p From, \p To) of every stream, round-robin.
+void submitRange(service::MonitorService &Service,
+                 const std::vector<PreparedStream> &Streams, std::size_t From,
+                 std::size_t To) {
+  for (std::size_t I = From; I < To; ++I)
+    for (service::StreamId Id = 0; Id < Streams.size(); ++Id)
+      ASSERT_TRUE(Service.submit({Id, Streams[Id].Intervals[I]}));
+}
+
+TEST(TraceAttach, RefusesADirectoryUnderDropOldestBeforeTouchingTheDisk) {
+  ScenarioSpec Spec = attachSpec();
+  Spec.Cfg.Policy = service::OverflowPolicy::DropOldest;
+  const std::vector<PreparedStream> Streams = prepare(Spec);
+  const auto Service = makeService(Spec.Cfg, Streams);
+  const std::string Dir = scratchPath("refused_dir");
+  const std::string Trace = scratchTrace("refused");
+  obs::MetricsRegistry Registry;
+  const trace::Attachment Logs = trace::attach(
+      *Service, {.Registry = &Registry, .Dir = Dir, .TracePath = Trace});
+  EXPECT_TRUE(Logs.Refused);
+  EXPECT_EQ(Logs.Store, nullptr);
+  EXPECT_EQ(Logs.Recorder, nullptr);
+  EXPECT_FALSE(std::filesystem::exists(Dir));
+  EXPECT_FALSE(std::filesystem::exists(Trace));
+  EXPECT_TRUE(Registry.collect().empty()) << "nothing may be attached";
+
+  // The refusal leaves a service that runs as if never offered the logs.
+  Service->start();
+  submitRange(*Service, Streams, 0, 2);
+  Service->stop();
+  EXPECT_EQ(Service->snapshot().BatchesSubmitted, 4U);
+  EXPECT_EQ(Service->persistedSequence(), 0U);
+}
+
+TEST(TraceAttach, ARefusedRecorderLeavesTheStoreAttachedAndRestored) {
+  const ScenarioSpec Spec = attachSpec();
+  const std::vector<PreparedStream> Streams = prepare(Spec);
+  const std::string Dir = scratchDir("refused_rec");
+  {
+    const auto First = makeService(Spec.Cfg, Streams);
+    const trace::Attachment Logs = trace::attach(*First, {.Dir = Dir});
+    EXPECT_EQ(Logs.Restored, service::RestoreOutcome::ColdStart);
+    First->start();
+    submitRange(*First, Streams, 0, 3);
+    First->stop();
+    ASSERT_TRUE(First->checkpoint());
+  }
+
+  // A foreign file, and a crash budget that dies before the header.
+  const std::string Foreign = scratchTrace("foreign");
+  {
+    std::FILE *F = std::fopen(Foreign.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    ASSERT_GE(std::fputs("not a regmon trace, just text", F), 0);
+    ASSERT_EQ(std::fclose(F), 0);
+  }
+  persist::CrashPoint Dead(0);
+  for (const auto &[Path, Crash] :
+       {std::pair<std::string, persist::CrashPoint *>{Foreign, nullptr},
+        std::pair<std::string, persist::CrashPoint *>{scratchTrace("dead"),
+                                                      &Dead}}) {
+    SCOPED_TRACE(Path);
+    const std::string Copy = scratchPath("refused_rec_copy");
+    std::filesystem::copy(Dir, Copy, std::filesystem::copy_options::recursive);
+    const auto Service = makeService(Spec.Cfg, Streams);
+    const trace::Attachment Logs = trace::attach(
+        *Service, {.Dir = Copy, .TracePath = Path, .Crash = Crash});
+    EXPECT_FALSE(Logs.Refused);
+    EXPECT_FALSE(Logs.Open.Ok);
+    EXPECT_EQ(Logs.Recorder, nullptr);
+    ASSERT_NE(Logs.Store, nullptr);
+    EXPECT_EQ(Logs.Restored, service::RestoreOutcome::SnapshotOnly);
+    EXPECT_EQ(Logs.RestoredSequence, 6U);
+    EXPECT_EQ(Service->persistedSequence(), 6U);
+    // Still durable: the next batch is journaled after the restored tail.
+    Service->start();
+    submitRange(*Service, Streams, 3, 4);
+    Service->stop();
+    EXPECT_EQ(Service->persistedSequence(), 8U);
+  }
+  // Neither refusal wrote a trace byte.
+  const auto Bytes = persist::readFileBytes(Foreign);
+  ASSERT_TRUE(Bytes.has_value());
+  EXPECT_EQ(std::string(Bytes->begin(), Bytes->end()),
+            "not a regmon trace, just text");
+}
+
+TEST(TraceAttach, ARecordingOnANonEmptyDirectoryReplaysOntoItsCopy) {
+  // The recorder attaches after restore, so the trace starts at the
+  // recovered state: replayed onto a copy of the directory taken before
+  // recording, it rebuilds the recording's final state.
+  const ScenarioSpec Spec = attachSpec();
+  const std::vector<PreparedStream> Streams = prepare(Spec);
+  const std::string Dir = scratchDir("nonempty");
+  {
+    const auto First = makeService(Spec.Cfg, Streams);
+    const trace::Attachment Logs = trace::attach(*First, {.Dir = Dir});
+    First->start();
+    submitRange(*First, Streams, 0, 4);
+    First->stop();
+    ASSERT_TRUE(First->checkpoint());
+  }
+  const std::string Copy = scratchPath("nonempty_copy");
+  std::filesystem::copy(Dir, Copy, std::filesystem::copy_options::recursive);
+
+  const std::string Trace = scratchTrace("nonempty");
+  std::vector<std::uint8_t> Recorded;
+  {
+    const auto Service = makeService(Spec.Cfg, Streams);
+    trace::Attachment Logs =
+        trace::attach(*Service, {.Dir = Dir, .TracePath = Trace});
+    ASSERT_TRUE(Logs.Open.Ok);
+    EXPECT_EQ(Logs.Restored, service::RestoreOutcome::SnapshotOnly);
+    EXPECT_EQ(Logs.RestoredSequence, 8U);
+    Service->start();
+    submitRange(*Service, Streams, 4, 8);
+    Service->stop();
+    ASSERT_TRUE(Service->checkpoint());
+    Recorded = Service->encodeState();
+    ASSERT_TRUE(Logs.Recorder->close());
+  }
+
+  service::ServiceConfig Inline = Spec.Cfg;
+  Inline.Inline = true;
+  const auto Replayed = makeService(Inline, Streams);
+  const trace::Attachment Logs = trace::attach(*Replayed, {.Dir = Copy});
+  EXPECT_EQ(Logs.RestoredSequence, 8U);
+  trace::ReplayConfig RC;
+  RC.ApplyCheckpoints = true;
+  const trace::FileReplay R = trace::replayTraceFile(Trace, *Replayed, RC);
+  ASSERT_TRUE(R.Replay.Ok) << "diverged at seq " << R.Replay.DivergedSeq;
+  EXPECT_EQ(R.Replay.BatchesApplied, 8U);
+  EXPECT_EQ(R.Replay.CheckpointsApplied, 1U);
+  EXPECT_EQ(Replayed->encodeState(), Recorded);
 }
 
 } // namespace

@@ -36,12 +36,11 @@
 
 #include "faults/FaultPlan.h"
 #include "obs/Export.h"
-#include "persist/Checkpoint.h"
 #include "sampling/Sampler.h"
 #include "service/MonitorService.h"
 #include "sim/Engine.h"
 #include "sim/ProgramCodeMap.h"
-#include "trace/Recorder.h"
+#include "trace/Attach.h"
 #include "trace/Replay.h"
 #include "workloads/Workloads.h"
 
@@ -228,19 +227,16 @@ inline RecordOutcome recordScenario(const std::string &Name,
     Service.addStream(*S.Map);
   obs::MetricsRegistry Registry;
   obs::EventTracer Tracer;
-  Service.attachObservability(Registry, &Tracer);
-  std::unique_ptr<persist::CheckpointManager> Store;
-  if (!PersistDir.empty()) {
-    Store = std::make_unique<persist::CheckpointManager>(PersistDir);
-    Service.attachPersistence(*Store);
-    (void)Service.restore();
-  }
-  trace::TraceRecorder Recorder;
+  const trace::Attachment Logs =
+      trace::attach(Service, {.Registry = &Registry,
+                              .Tracer = &Tracer,
+                              .Dir = PersistDir,
+                              .TracePath = TracePath,
+                              .Crash = Crash});
   RecordOutcome Out;
-  Out.Open = Recorder.open(TracePath, Crash);
+  Out.Open = Logs.Open;
   if (!Out.Open.Ok)
     return Out; // crash budget died inside the header; caller asserts
-  Service.attachRecorder(Recorder);
   std::atomic<bool> StalledOnce{false};
   if (Spec.DropChoreography)
     Service.setWorkerHook(
@@ -258,7 +254,7 @@ inline RecordOutcome recordScenario(const std::string &Name,
   Out.Json = obs::exportJson(Registry, &Tracer);
   if (Spec.MidRunCheckpoint)
     Out.FinalState = Service.encodeState();
-  Recorder.close();
+  Logs.Recorder->close();
   return Out;
 }
 
@@ -285,15 +281,12 @@ inline ReplayOutcome replayScenario(const std::string &Name,
     Service.addStream(*S.Map);
   obs::MetricsRegistry Registry;
   obs::EventTracer Tracer;
-  Service.attachObservability(Registry, &Tracer);
-  std::unique_ptr<persist::CheckpointManager> Store;
+  const trace::Attachment Logs =
+      trace::attach(Service, {.Registry = &Registry,
+                              .Tracer = &Tracer,
+                              .Dir = PersistDir});
   trace::ReplayConfig RC;
-  if (!PersistDir.empty()) {
-    Store = std::make_unique<persist::CheckpointManager>(PersistDir);
-    Service.attachPersistence(*Store);
-    (void)Service.restore();
-    RC.ApplyCheckpoints = true;
-  }
+  RC.ApplyCheckpoints = Logs.Store != nullptr;
   ReplayOutcome Out;
   Out.File = trace::replayTraceFile(TracePath, Service, RC);
   Out.Snap = Service.snapshot();

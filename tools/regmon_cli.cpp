@@ -47,7 +47,6 @@
 #include "gpd/CentroidPhaseDetector.h"
 #include "obs/Export.h"
 #include "obs/Instruments.h"
-#include "persist/Checkpoint.h"
 #include "persist/RecordLog.h"
 #include "rto/Harness.h"
 #include "sampling/Sampler.h"
@@ -55,7 +54,7 @@
 #include "sim/Engine.h"
 #include "sim/ProgramCodeMap.h"
 #include "support/TextTable.h"
-#include "trace/Recorder.h"
+#include "trace/Attach.h"
 #include "trace/Replay.h"
 #include "workloads/Workloads.h"
 
@@ -388,6 +387,15 @@ bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
   return false;
 }
 
+/// True after printing the usage error when \p Value, the path \p Flag
+/// gives, is missing.
+bool missing(const Options &Opts, const std::string &Value, const char *Flag) {
+  if (!Value.empty())
+    return false;
+  std::fprintf(stderr, "error: %s needs %s PATH\n", Opts.Command.c_str(), Flag);
+  return true;
+}
+
 int cmdList() {
   TextTable Table;
   Table.header({"workload", "loops", "total work (Gcycles)"});
@@ -420,12 +428,8 @@ int cmdGpd(const Options &Opts) {
   return 0;
 }
 
-int cmdMonitor(const Options &Opts) {
-  const workloads::Workload W = workloads::make(Opts.Workload);
-  sim::Engine Engine(W.Prog, W.Script, Opts.Seed);
-  sampling::Sampler Sampler(Engine, {Opts.Period, 2032});
-  sim::ProgramCodeMap Map(W.Prog);
-
+/// The region monitor the monitor flags describe.
+core::RegionMonitorConfig monitorConfig(const Options &Opts) {
   core::RegionMonitorConfig Config;
   Config.Similarity = Opts.Similarity;
   Config.Lpd.AdaptiveThreshold = Opts.AdaptiveRt;
@@ -434,7 +438,15 @@ int cmdMonitor(const Options &Opts) {
     Config.PruneColdRegions = true;
     Config.PruneAfterIdleIntervals = *Opts.PruneAfter;
   }
-  core::RegionMonitor Monitor(Map, Config);
+  return Config;
+}
+
+int cmdMonitor(const Options &Opts) {
+  const workloads::Workload W = workloads::make(Opts.Workload);
+  sim::Engine Engine(W.Prog, W.Script, Opts.Seed);
+  sampling::Sampler Sampler(Engine, {Opts.Period, 2032});
+  sim::ProgramCodeMap Map(W.Prog);
+  core::RegionMonitor Monitor(Map, monitorConfig(Opts));
   Sampler.run([&](std::span<const Sample> Buffer) {
     Monitor.observeInterval(Buffer);
   });
@@ -563,6 +575,95 @@ std::vector<Stream> makeStreams(const Options &Opts) {
   return Streams;
 }
 
+/// The service the topology flags describe, one registered stream per
+/// entry of \p Streams. \p Inline builds the worker-less service a replay
+/// drives.
+std::unique_ptr<service::MonitorService>
+makeService(const Options &Opts, const std::vector<Stream> &Streams,
+            bool Inline = false) {
+  service::ServiceConfig Cfg{Opts.Workers, Opts.QueueCapacity, Opts.Policy,
+                             /*ValidateBatches=*/true, {}};
+  Cfg.Inline = Inline;
+  auto Service = std::make_unique<service::MonitorService>(Cfg);
+  for (const Stream &S : Streams)
+    Service->addStream(*S.Map);
+  return Service;
+}
+
+/// trace::attach, with a refused description reported as the usage error
+/// it is. Empty after printing why.
+std::optional<trace::Attachment> attachLogs(service::MonitorService &Service,
+                                            const trace::AttachSpec &Spec) {
+  trace::Attachment Logs = trace::attach(Service, Spec);
+  if (Logs.Refused) {
+    std::fprintf(stderr, "error: --dir needs --policy block (the journal "
+                         "does not record --policy drop's evictions)\n");
+    return std::nullopt;
+  }
+  return Logs;
+}
+
+/// Runs one live producer per stream: each samples its stream's engine
+/// and submits every buffer overflow as a batch, exactly as per-core HPM
+/// drivers would, until it has submitted --intervals batches. The engines
+/// are deterministic in (workload, seed), so with \p Resume a restored
+/// stream re-derives its sample sequence and skips the intervals recovery
+/// already owns. \p Plan (nullable) injects seeded faults into every
+/// batch; its refusals are the point, so the producer keeps going through
+/// them, while without a plan a refusal means the service takes no more
+/// (stopped, or its journal died).
+void produce(const Options &Opts, const std::vector<Stream> &Streams,
+             service::MonitorService &Service, bool Resume,
+             const faults::FaultPlan *Plan) {
+  std::vector<std::uint64_t> Skip(Streams.size(), 0);
+  if (Resume)
+    for (const service::StreamSnapshot &St : Service.snapshot().Streams)
+      Skip[St.Stream] = St.BatchesProcessed;
+  std::vector<std::thread> Producers;
+  Producers.reserve(Streams.size());
+  for (service::StreamId Id = 0; Id < Streams.size(); ++Id)
+    Producers.emplace_back([&, Id] {
+      const Stream &S = Streams[Id];
+      sim::Engine Engine(S.W->Prog, S.W->Script, Opts.Seed + Id);
+      sampling::Sampler Sampler(Engine, {Opts.Period, 2032});
+      std::optional<faults::StreamFaultInjector> Inj;
+      if (Plan)
+        Inj = Plan->forStream(Id);
+      std::vector<Sample> Buffer;
+      std::size_t Sent = 0;
+      while (Sent < Opts.MaxIntervals && Sampler.fillBuffer(Buffer)) {
+        if (Skip[Id] > 0) {
+          --Skip[Id];
+          continue;
+        }
+        std::vector<Sample> Batch = Inj ? Inj->apply(Buffer) : Buffer;
+        if (Inj && Inj->nextBatchFault() == faults::BatchFault::Poison)
+          faults::poisonBatch(Batch);
+        if (!Service.submit({Id, std::move(Batch)}) && !Plan)
+          break;
+        ++Sent;
+      }
+    });
+  for (std::thread &T : Producers)
+    T.join();
+}
+
+/// The run's shape, as serve and record report it.
+void printTopology(const Options &Opts) {
+  std::printf("%s x %zu streams @ %llu cycles/interrupt "
+              "(%zu workers, queue %zu, policy %s)\n",
+              Opts.Workload.c_str(), Opts.Streams,
+              static_cast<unsigned long long>(Opts.Period), Opts.Workers,
+              Opts.QueueCapacity, service::toString(Opts.Policy));
+}
+
+/// What restore found in --dir.
+void printRestore(const Options &Opts, const trace::Attachment &Logs) {
+  std::printf("%s: %s (sequence %llu)\n", Opts.Dir.c_str(),
+              service::toString(Logs.Restored),
+              static_cast<unsigned long long>(Logs.RestoredSequence));
+}
+
 void printStreamTable(const service::ServiceSnapshot &Snap) {
   TextTable Table;
   Table.header({"stream", "shard", "intervals", "regions", "changes",
@@ -593,43 +694,23 @@ void printRecovery(const persist::RecoveryCounters &C) {
                 persist::toString(C.LastError));
 }
 
+/// The metrics in \p Format; as JSON, with the events of \p Tracer.
+std::string renderExport(const std::string &Format,
+                         const obs::MetricsRegistry &Registry,
+                         const obs::EventTracer *Tracer) {
+  return Format == "json" ? obs::exportJson(Registry, Tracer) + "\n"
+                          : obs::exportPrometheus(Registry);
+}
+
 int cmdServe(const Options &Opts) {
   const std::vector<Stream> Streams = makeStreams(Opts);
+  const auto Service = makeService(Opts, Streams);
+  Service->start();
+  produce(Opts, Streams, *Service, /*Resume=*/false, /*Plan=*/nullptr);
+  Service->stop();
 
-  service::MonitorService Service(
-      {Opts.Workers, Opts.QueueCapacity, Opts.Policy,
-       /*ValidateBatches=*/true, {}});
-  for (const Stream &S : Streams)
-    Service.addStream(*S.Map);
-  Service.start();
-
-  // One live producer per stream: sample the engine and submit each
-  // buffer overflow as a batch, exactly as per-core HPM drivers would.
-  std::vector<std::thread> Producers;
-  Producers.reserve(Streams.size());
-  for (service::StreamId Id = 0; Id < Streams.size(); ++Id)
-    Producers.emplace_back([&, Id] {
-      const Stream &S = Streams[Id];
-      sim::Engine Engine(S.W->Prog, S.W->Script, Opts.Seed + Id);
-      sampling::Sampler Sampler(Engine, {Opts.Period, 2032});
-      std::vector<Sample> Buffer;
-      std::size_t Sent = 0;
-      while (Sent < Opts.MaxIntervals && Sampler.fillBuffer(Buffer)) {
-        if (!Service.submit({Id, Buffer}))
-          break;
-        ++Sent;
-      }
-    });
-  for (std::thread &T : Producers)
-    T.join();
-  Service.stop();
-
-  const service::ServiceSnapshot Snap = Service.snapshot();
-  std::printf("%s x %zu streams @ %llu cycles/interrupt "
-              "(%zu workers, queue %zu, policy %s)\n",
-              Opts.Workload.c_str(), Opts.Streams,
-              static_cast<unsigned long long>(Opts.Period), Opts.Workers,
-              Opts.QueueCapacity, service::toString(Opts.Policy));
+  const service::ServiceSnapshot Snap = Service->snapshot();
+  printTopology(Opts);
   std::printf("  batches: %llu submitted, %llu processed, %llu dropped\n",
               static_cast<unsigned long long>(Snap.BatchesSubmitted),
               static_cast<unsigned long long>(Snap.BatchesProcessed),
@@ -647,68 +728,32 @@ int cmdServe(const Options &Opts) {
 // serve with durability attached: recover whatever the directory holds,
 // process (journaled) batches, then commit a snapshot. Re-running the
 // command on the same directory continues where the last run stopped --
-// and killing it mid-run loses nothing but the un-acked tail.
+// each run contributes up to --intervals *new* intervals -- and killing
+// it mid-run loses nothing but the un-acked tail.
 int cmdCheckpoint(const Options &Opts) {
-  if (Opts.Dir.empty()) {
-    std::fprintf(stderr, "error: checkpoint needs --dir PATH\n");
+  if (missing(Opts, Opts.Dir, "--dir"))
     return 2;
-  }
   const std::vector<Stream> Streams = makeStreams(Opts);
+  const auto Service = makeService(Opts, Streams);
+  const std::optional<trace::Attachment> Logs =
+      attachLogs(*Service, {.Dir = Opts.Dir});
+  if (!Logs)
+    return 2;
+  std::printf("restored from ");
+  printRestore(Opts, *Logs);
+  Service->start();
+  produce(Opts, Streams, *Service, /*Resume=*/true, /*Plan=*/nullptr);
+  Service->stop();
 
-  persist::CheckpointManager Store(Opts.Dir);
-  service::MonitorService Service(
-      {Opts.Workers, Opts.QueueCapacity, Opts.Policy,
-       /*ValidateBatches=*/true, {}});
-  for (const Stream &S : Streams)
-    Service.addStream(*S.Map);
-  Service.attachPersistence(Store);
-  const service::RestoreOutcome Outcome = Service.restore();
-  const std::uint64_t StartSeq = Service.persistedSequence();
-  std::printf("restored from %s: %s (sequence %llu)\n", Opts.Dir.c_str(),
-              service::toString(Outcome),
-              static_cast<unsigned long long>(StartSeq));
-  Service.start();
-
-  // One live producer per stream. The engines are deterministic in
-  // (workload, seed), so a restored stream resumes by re-deriving the
-  // sample sequence and skipping the intervals recovery already owns --
-  // each run then contributes up to --intervals *new* intervals.
-  std::vector<std::uint64_t> Resume(Streams.size(), 0);
-  for (const service::StreamSnapshot &St : Service.snapshot().Streams)
-    Resume[St.Stream] = St.BatchesProcessed;
-  std::vector<std::thread> Producers;
-  Producers.reserve(Streams.size());
-  for (service::StreamId Id = 0; Id < Streams.size(); ++Id)
-    Producers.emplace_back([&, Id] {
-      const Stream &S = Streams[Id];
-      sim::Engine Engine(S.W->Prog, S.W->Script, Opts.Seed + Id);
-      sampling::Sampler Sampler(Engine, {Opts.Period, 2032});
-      std::vector<Sample> Buffer;
-      std::uint64_t Skip = Resume[Id];
-      std::size_t Sent = 0;
-      while (Sent < Opts.MaxIntervals && Sampler.fillBuffer(Buffer)) {
-        if (Skip > 0) {
-          --Skip;
-          continue;
-        }
-        if (!Service.submit({Id, Buffer}))
-          break;
-        ++Sent;
-      }
-    });
-  for (std::thread &T : Producers)
-    T.join();
-  Service.stop();
-
-  const bool Committed = Service.checkpoint();
-  const service::ServiceSnapshot Snap = Service.snapshot();
+  const bool Committed = Service->checkpoint();
+  const service::ServiceSnapshot Snap = Service->snapshot();
   std::printf("%s x %zu streams @ %llu cycles/interrupt, journaled "
               "sequence %llu -> %llu\n",
               Opts.Workload.c_str(), Opts.Streams,
               static_cast<unsigned long long>(Opts.Period),
-              static_cast<unsigned long long>(StartSeq),
-              static_cast<unsigned long long>(Service.persistedSequence()));
-  printRecovery(Store.counters());
+              static_cast<unsigned long long>(Logs->RestoredSequence),
+              static_cast<unsigned long long>(Service->persistedSequence()));
+  printRecovery(Logs->Store->counters());
   printStreamTable(Snap);
   if (!Committed) {
     std::fprintf(stderr,
@@ -725,26 +770,18 @@ int cmdCheckpoint(const Options &Opts) {
 // flags must match the run that produced the directory, or the snapshot
 // is (safely) rejected and recovery degrades to journal replay.
 int cmdRestore(const Options &Opts) {
-  if (Opts.Dir.empty()) {
-    std::fprintf(stderr, "error: restore needs --dir PATH\n");
+  if (missing(Opts, Opts.Dir, "--dir"))
     return 2;
-  }
   const std::vector<Stream> Streams = makeStreams(Opts);
+  const auto Service = makeService(Opts, Streams);
+  const std::optional<trace::Attachment> Logs =
+      attachLogs(*Service, {.Dir = Opts.Dir});
+  if (!Logs)
+    return 2;
 
-  persist::CheckpointManager Store(Opts.Dir);
-  service::MonitorService Service(
-      {Opts.Workers, Opts.QueueCapacity, Opts.Policy,
-       /*ValidateBatches=*/true, {}});
-  for (const Stream &S : Streams)
-    Service.addStream(*S.Map);
-  Service.attachPersistence(Store);
-  const service::RestoreOutcome Outcome = Service.restore();
-
-  const service::ServiceSnapshot Snap = Service.snapshot();
-  std::printf("%s: %s (sequence %llu)\n", Opts.Dir.c_str(),
-              service::toString(Outcome),
-              static_cast<unsigned long long>(Service.persistedSequence()));
-  printRecovery(Store.counters());
+  const service::ServiceSnapshot Snap = Service->snapshot();
+  printRestore(Opts, *Logs);
+  printRecovery(Logs->Store->counters());
   std::printf("  aggregate: %llu batches, %llu intervals, %llu phase "
               "changes, UCR %.1f%%\n",
               static_cast<unsigned long long>(Snap.BatchesSubmitted),
@@ -766,16 +803,7 @@ void runObserved(const Options &Opts, obs::MetricsRegistry &Registry,
   sim::Engine Engine(W.Prog, W.Script, Opts.Seed);
   sampling::Sampler Sampler(Engine, {Opts.Period, 2032});
   sim::ProgramCodeMap Map(W.Prog);
-
-  core::RegionMonitorConfig Config;
-  Config.Similarity = Opts.Similarity;
-  Config.Lpd.AdaptiveThreshold = Opts.AdaptiveRt;
-  Config.TrackMissPhases = Opts.MissPhases;
-  if (Opts.PruneAfter) {
-    Config.PruneColdRegions = true;
-    Config.PruneAfterIdleIntervals = *Opts.PruneAfter;
-  }
-  core::RegionMonitor Monitor(Map, Config);
+  core::RegionMonitor Monitor(Map, monitorConfig(Opts));
   const obs::MonitorInstruments MonObs =
       obs::makeMonitorInstruments(Registry, &Tracer, 0, "");
   Monitor.attachObservability(&MonObs);
@@ -795,10 +823,7 @@ int cmdStats(const Options &Opts) {
   obs::MetricsRegistry Registry;
   obs::EventTracer Tracer;
   runObserved(Opts, Registry, Tracer);
-  if (Opts.Format == "json")
-    std::printf("%s\n", obs::exportJson(Registry, &Tracer).c_str());
-  else
-    std::printf("%s", obs::exportPrometheus(Registry).c_str());
+  std::printf("%s", renderExport(Opts.Format, Registry, &Tracer).c_str());
   return 0;
 }
 
@@ -838,10 +863,7 @@ int cmdFleet(const Options &Opts) {
     const obs::FleetInstruments Inst = obs::makeFleetInstruments(
         Registry, fleet::stableFractionBounds(), "");
     fleet::publishFleetMetrics(Sim, Inst);
-    if (Opts.Metrics == "json")
-      std::printf("%s\n", obs::exportJson(Registry, nullptr).c_str());
-    else
-      std::printf("%s", obs::exportPrometheus(Registry).c_str());
+    std::printf("%s", renderExport(Opts.Metrics, Registry, nullptr).c_str());
     return 0;
   }
 
@@ -884,42 +906,35 @@ int cmdFleet(const Options &Opts) {
 // way. --dir attaches durability and commits a snapshot at the end, which
 // the trace captures as a checkpoint marker.
 int cmdRecord(const Options &Opts) {
-  if (Opts.Trace.empty()) {
-    std::fprintf(stderr, "error: record needs --trace PATH\n");
+  if (missing(Opts, Opts.Trace, "--trace"))
     return 2;
-  }
   const std::vector<Stream> Streams = makeStreams(Opts);
-  service::MonitorService Service(
-      {Opts.Workers, Opts.QueueCapacity, Opts.Policy,
-       /*ValidateBatches=*/true, {}});
-  for (const Stream &S : Streams)
-    Service.addStream(*S.Map);
+  const auto Service = makeService(Opts, Streams);
   obs::MetricsRegistry Registry;
   obs::EventTracer Tracer;
-  Service.attachObservability(Registry, &Tracer);
-  std::unique_ptr<persist::CheckpointManager> Store;
-  if (!Opts.Dir.empty()) {
-    Store = std::make_unique<persist::CheckpointManager>(Opts.Dir);
-    Service.attachPersistence(*Store);
-    std::printf("restored from %s: %s (sequence %llu)\n", Opts.Dir.c_str(),
-                service::toString(Service.restore()),
-                static_cast<unsigned long long>(Service.persistedSequence()));
-  }
   persist::CrashPoint Crash = Opts.CrashBytes > 0
                                   ? persist::CrashPoint(Opts.CrashBytes)
                                   : persist::CrashPoint::unlimited();
-  trace::TraceRecorder Recorder;
-  const trace::TraceRecorder::OpenResult Open =
-      Recorder.open(Opts.Trace, &Crash);
-  if (!Open.Ok) {
+  const std::optional<trace::Attachment> Logs =
+      attachLogs(*Service, {.Registry = &Registry,
+                            .Tracer = &Tracer,
+                            .Dir = Opts.Dir,
+                            .TracePath = Opts.Trace,
+                            .Crash = &Crash});
+  if (!Logs)
+    return 2;
+  if (Logs->Store) {
+    std::printf("restored from ");
+    printRestore(Opts, *Logs);
+  }
+  if (!Logs->Recorder) {
     std::fprintf(stderr,
                  "error: cannot record to '%s' (not a regmon trace, or the "
                  "crash budget died before the header)\n",
                  Opts.Trace.c_str());
     return 1;
   }
-  Service.attachRecorder(Recorder);
-  Service.start();
+  Service->start();
 
   faults::FaultConfig FaultCfg;
   FaultCfg.DropRate = Opts.DropRate;
@@ -927,42 +942,15 @@ int cmdRecord(const Options &Opts) {
   FaultCfg.TruncateRate = Opts.TruncateRate;
   FaultCfg.PoisonRate = Opts.PoisonRate;
   const faults::FaultPlan Plan(Opts.Seed, FaultCfg);
-
-  std::vector<std::thread> Producers;
-  Producers.reserve(Streams.size());
-  for (service::StreamId Id = 0; Id < Streams.size(); ++Id)
-    Producers.emplace_back([&, Id] {
-      const Stream &S = Streams[Id];
-      sim::Engine Engine(S.W->Prog, S.W->Script, Opts.Seed + Id);
-      sampling::Sampler Sampler(Engine, {Opts.Period, 2032});
-      faults::StreamFaultInjector Inj = Plan.forStream(Id);
-      std::vector<Sample> Buffer;
-      std::size_t Sent = 0;
-      while (Sent < Opts.MaxIntervals && Sampler.fillBuffer(Buffer)) {
-        std::vector<Sample> Faulted = Inj.apply(Buffer);
-        if (Inj.nextBatchFault() == faults::BatchFault::Poison)
-          faults::poisonBatch(Faulted);
-        // A false return here is a health refusal (poison/quarantine),
-        // which the recorder captured -- keep producing through it.
-        (void)Service.submit({Id, std::move(Faulted)});
-        ++Sent;
-      }
-    });
-  for (std::thread &T : Producers)
-    T.join();
-  Service.stop();
-  bool Committed = true;
-  if (Store)
-    Committed = Service.checkpoint();
+  produce(Opts, Streams, *Service, /*Resume=*/false, &Plan);
+  Service->stop();
+  const bool Committed = !Logs->Store || Service->checkpoint();
+  trace::TraceRecorder &Recorder = *Logs->Recorder;
   const bool RecorderDied = !Recorder.ok();
   Recorder.close();
 
-  const service::ServiceSnapshot Snap = Service.snapshot();
-  std::printf("%s x %zu streams @ %llu cycles/interrupt "
-              "(%zu workers, queue %zu, policy %s)\n",
-              Opts.Workload.c_str(), Opts.Streams,
-              static_cast<unsigned long long>(Opts.Period), Opts.Workers,
-              Opts.QueueCapacity, service::toString(Opts.Policy));
+  const service::ServiceSnapshot Snap = Service->snapshot();
+  printTopology(Opts);
   std::printf("  batches: %llu submitted, %llu processed, %llu dropped, "
               "%llu rejected, %llu poisoned, %llu quarantined\n",
               static_cast<unsigned long long>(Snap.BatchesSubmitted),
@@ -973,7 +961,8 @@ int cmdRecord(const Options &Opts) {
               static_cast<unsigned long long>(Snap.BatchesQuarantined));
   std::printf("  trace: %s%s, %llu record(s) (%llu bytes), %llu append "
               "failure(s), next seq %llu\n",
-              Opts.Trace.c_str(), Open.Repaired ? " (tail repaired)" : "",
+              Opts.Trace.c_str(),
+              Logs->Open.Repaired ? " (tail repaired)" : "",
               static_cast<unsigned long long>(Recorder.recordsWritten()),
               static_cast<unsigned long long>(Recorder.bytesWritten()),
               static_cast<unsigned long long>(Recorder.appendFailures()),
@@ -983,9 +972,7 @@ int cmdRecord(const Options &Opts) {
                 "surviving prefix is replayable after trace-verify "
                 "--repair\n");
   if (!Opts.Export.empty()) {
-    const std::string Text = Opts.Format == "json"
-                                 ? obs::exportJson(Registry, &Tracer) + "\n"
-                                 : obs::exportPrometheus(Registry);
+    const std::string Text = renderExport(Opts.Format, Registry, &Tracer);
     std::FILE *F = std::fopen(Opts.Export.c_str(), "wb");
     bool Written =
         F && std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
@@ -999,7 +986,7 @@ int cmdRecord(const Options &Opts) {
     std::printf("  export: %s (%s)\n", Opts.Export.c_str(),
                 Opts.Format.c_str());
   }
-  if (Store && !Committed) {
+  if (!Committed) {
     std::fprintf(stderr, "error: snapshot commit failed\n");
     return 1;
   }
@@ -1010,31 +997,25 @@ int cmdRecord(const Options &Opts) {
 // with the same topology flags (and the same workload, for the code maps)
 // as the recording run, then prints the obs export on stdout -- which is
 // byte-identical to the recording run's --export file when the trace is
-// whole. A damaged trace replays its repaired/valid prefix.
+// whole. A damaged trace replays its repaired/valid prefix. --dir
+// re-applies the recorded checkpoints into that directory.
 int cmdReplay(const Options &Opts) {
-  if (Opts.Trace.empty()) {
-    std::fprintf(stderr, "error: replay needs --trace PATH\n");
+  if (missing(Opts, Opts.Trace, "--trace"))
     return 2;
-  }
   const std::vector<Stream> Streams = makeStreams(Opts);
-  service::ServiceConfig Cfg{Opts.Workers, Opts.QueueCapacity, Opts.Policy,
-                             /*ValidateBatches=*/true, {}};
-  Cfg.Inline = true;
-  service::MonitorService Service(Cfg);
-  for (const Stream &S : Streams)
-    Service.addStream(*S.Map);
+  const auto Service = makeService(Opts, Streams, /*Inline=*/true);
   obs::MetricsRegistry Registry;
   obs::EventTracer Tracer;
-  Service.attachObservability(Registry, &Tracer);
-  std::unique_ptr<persist::CheckpointManager> Store;
+  const std::optional<trace::Attachment> Logs =
+      attachLogs(*Service, {.Registry = &Registry,
+                            .Tracer = &Tracer,
+                            .Dir = Opts.Dir});
+  if (!Logs)
+    return 2;
   trace::ReplayConfig RCfg;
-  if (!Opts.Dir.empty()) {
-    Store = std::make_unique<persist::CheckpointManager>(Opts.Dir);
-    Service.attachPersistence(*Store);
-    (void)Service.restore();
-    RCfg.ApplyCheckpoints = true;
-  }
-  const trace::FileReplay R = trace::replayTraceFile(Opts.Trace, Service, RCfg);
+  RCfg.ApplyCheckpoints = Logs->Store != nullptr;
+  const trace::FileReplay R =
+      trace::replayTraceFile(Opts.Trace, *Service, RCfg);
   if (R.Scan.Missing) {
     std::fprintf(stderr, "error: no trace at '%s'\n", Opts.Trace.c_str());
     return 1;
@@ -1066,11 +1047,8 @@ int cmdReplay(const Options &Opts) {
   // Refresh the point-in-time gauges (queue depth, quarantined streams)
   // exactly as the recording run's final snapshot did, so the exported
   // bytes line up.
-  (void)Service.snapshot();
-  if (Opts.Format == "json")
-    std::printf("%s\n", obs::exportJson(Registry, &Tracer).c_str());
-  else
-    std::printf("%s", obs::exportPrometheus(Registry).c_str());
+  (void)Service->snapshot();
+  std::printf("%s", renderExport(Opts.Format, Registry, &Tracer).c_str());
   std::fprintf(stderr,
                "replayed %llu batch(es), %llu drop(s), %llu push "
                "reject(s), %llu checkpoint(s) (%llu re-applied)\n",
@@ -1086,10 +1064,8 @@ int cmdReplay(const Options &Opts) {
 // (or was repaired here under --repair), 1 when damaged, 2 on usage
 // errors -- scriptable as a post-crash triage step before replay.
 int cmdTraceVerify(const Options &Opts) {
-  if (Opts.Trace.empty()) {
-    std::fprintf(stderr, "error: trace-verify needs --trace PATH\n");
+  if (missing(Opts, Opts.Trace, "--trace"))
     return 2;
-  }
   const trace::ScanSummary Scan = trace::verifyTraceFile(Opts.Trace);
   if (Scan.Missing) {
     std::fprintf(stderr, "error: no trace at '%s'\n", Opts.Trace.c_str());
@@ -1184,18 +1160,6 @@ int main(int Argc, char **Argv) {
       return usage(Argv[0]);
     }
   }
-  // The journal records no evictions, so recovery would process the
-  // batches a drop-oldest queue discarded.
-  const bool Durable = Opts.Command == "checkpoint" ||
-                       Opts.Command == "restore" ||
-                       Opts.Command == "record" || Opts.Command == "replay";
-  if (Durable && !Opts.Dir.empty() &&
-      Opts.Policy == service::OverflowPolicy::DropOldest) {
-    std::fprintf(stderr, "error: --dir needs --policy block (the journal "
-                         "does not record --policy drop's evictions)\n");
-    return 2;
-  }
-
   if (Opts.Command == "gpd")
     return cmdGpd(Opts);
   if (Opts.Command == "monitor")
