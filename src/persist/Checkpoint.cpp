@@ -97,7 +97,7 @@ bool CheckpointManager::compactJournal(std::uint64_t ThroughSeq) {
         W.bytes(recordHeader(Seq, JournalBatchKind, Payload));
         W.bytes(Payload);
         LastKept = Seq;
-        return true;
+        return ReplayVerdict::Applied;
       });
   if (Scan.Missing)
     return true;
@@ -182,10 +182,8 @@ bool CheckpointManager::appendJournal(std::uint64_t Seq,
   return Writer.append(Seq, JournalBatchKind, Payload);
 }
 
-JournalResult CheckpointManager::replayAndRepair(
-    std::uint64_t SkipThroughSeq,
-    const std::function<bool(std::uint64_t, std::span<const std::uint8_t>)>
-        &Replay) {
+JournalResult CheckpointManager::replayAndRepair(std::uint64_t SkipThroughSeq,
+                                                const JournalReplay &Replay) {
   Writer.close();
   Tail.reset();
   JournalResult Res = replayJournal(journalPath(), SkipThroughSeq, Replay);
@@ -201,6 +199,14 @@ JournalResult CheckpointManager::replayAndRepair(
   }
   if (Res.Missing) {
     Tail = JournalTail{};
+    return Res;
+  }
+  if (Res.Mismatch) {
+    // The records past the stop are whole and acknowledged; they belong
+    // to a service with more streams. Keep every byte, and leave the tail
+    // unknown: the owner refuses to append behind records it never
+    // applied.
+    ++Counters.JournalMismatches;
     return Res;
   }
   if (Res.TornTail || Res.HeaderCorrupt) {

@@ -73,6 +73,9 @@ struct RecoveryCounters {
   std::uint64_t JournalTornTails = 0;
   /// Journal files truncated back to their valid prefix.
   std::uint64_t JournalRepairs = 0;
+  /// Replays stopped at a record naming a stream the service lacks: a
+  /// directory of another topology. The journal is left whole.
+  std::uint64_t JournalMismatches = 0;
   /// Why the most recently refused snapshot rung was refused: its
   /// container error, or StateRejected when the owner's decode refused
   /// its payload. A missing rung is no refusal and a later successful
@@ -143,11 +146,10 @@ public:
   /// Replays the journal through \p Replay, skipping records at or below
   /// \p SkipThroughSeq, then repairs any torn tail by truncating the file
   /// to its valid prefix so future appends extend a well-formed journal.
-  JournalResult
-  replayAndRepair(std::uint64_t SkipThroughSeq,
-                  const std::function<bool(std::uint64_t,
-                                           std::span<const std::uint8_t>)>
-                      &Replay);
+  /// A replay that ends in a mismatch is counted and repairs nothing: the
+  /// records past it are another topology's, not damage.
+  JournalResult replayAndRepair(std::uint64_t SkipThroughSeq,
+                                const JournalReplay &Replay);
 
   RecoveryCounters &counters() { return Counters; }
   const RecoveryCounters &counters() const { return Counters; }

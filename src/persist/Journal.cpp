@@ -8,10 +8,9 @@
 
 using namespace regmon::persist;
 
-JournalResult regmon::persist::replayJournal(
-    const std::string &Path, std::uint64_t SkipThroughSeq,
-    const std::function<bool(std::uint64_t, std::span<const std::uint8_t>)>
-        &Replay) {
+JournalResult regmon::persist::replayJournal(const std::string &Path,
+                                            std::uint64_t SkipThroughSeq,
+                                            const JournalReplay &Replay) {
   JournalResult Res;
   const auto Data = readFileBytes(Path);
   if (!Data) {
@@ -26,7 +25,10 @@ JournalResult regmon::persist::replayJournal(
           ++Res.RecordsSkipped;
           return true;
         }
-        if (!Replay(R.Seq, R.Payload))
+        const ReplayVerdict Verdict =
+            Replay ? Replay(R.Seq, R.Payload) : ReplayVerdict::Applied;
+        Res.Mismatch = Verdict == ReplayVerdict::Foreign;
+        if (Verdict != ReplayVerdict::Applied)
           return false;
         ++Res.RecordsReplayed;
         return true;
@@ -37,7 +39,7 @@ JournalResult regmon::persist::replayJournal(
   // one -- even an empty file -- is a writer that died inside it.
   Res.HeaderCorrupt = Scan.HeaderTorn || Scan.HeaderCorrupt ||
                       Scan.VersionSkew || Data->empty();
-  Res.PayloadRejected = Scan.Rejected;
-  Res.TornTail = Scan.TornTail || Scan.Rejected;
+  Res.PayloadRejected = Scan.Rejected && !Res.Mismatch;
+  Res.TornTail = Scan.TornTail || Res.PayloadRejected;
   return Res;
 }

@@ -12,11 +12,14 @@
 /// layer (the service encodes sample batches into them).
 ///
 /// Replay trusts the longest valid prefix and never aborts recovery: a
-/// torn or corrupt record, or a payload the service rejects, ends it as a
-/// torn tail, and any damage to the file header (a version 1 journal
-/// included) as \ref JournalResult::HeaderCorrupt. ValidBytes tells the
-/// owner (CheckpointManager) where the good prefix ends, so it can repair
-/// the file before new appends extend it.
+/// torn or corrupt record, or a payload the service cannot decode, ends
+/// it as a torn tail, and any damage to the file header (a journal of an
+/// older version included) as \ref JournalResult::HeaderCorrupt.
+/// ValidBytes tells the owner (CheckpointManager) where the good prefix
+/// ends, so it can repair the file before new appends extend it. A
+/// well-formed record the service cannot apply (it names a stream the
+/// service lacks) also ends replay, but as a mismatch: the file is not
+/// damaged, it belongs to another topology, and it is not repaired.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,13 +36,23 @@
 namespace regmon::persist {
 
 /// 'RGWJ' in little-endian byte order. Version 2 adopted the record
-/// header shared with the flight recorder (one kind byte per record).
-inline constexpr LogFormat JournalFormat{0x4A574752U, 2};
+/// header shared with the flight recorder (one kind byte per record);
+/// version 3 the column sample block (persist/SampleBlock.h). No reader of
+/// an older version is kept: such a journal reads as header-corrupt, so
+/// upgrade after a checkpoint.
+inline constexpr LogFormat JournalFormat{0x4A574752U, 3};
 
 /// The kind of every journal record: one submitted batch. It is the
 /// flight recorder's Batch kind (trace/Format.h), so the byte means the
 /// same in both logs.
 inline constexpr std::uint8_t JournalBatchKind = 2;
+
+/// What a replay callback made of one record.
+enum class ReplayVerdict : std::uint8_t {
+  Applied,   ///< Replayed; the scan goes on.
+  Malformed, ///< The payload does not decode: damage, a torn tail.
+  Foreign,   ///< Well-formed, but for a stream the service lacks.
+};
 
 /// Outcome of scanning a journal file.
 struct JournalResult {
@@ -63,17 +76,22 @@ struct JournalResult {
   /// record was not a batch; treated like a torn tail: the scan stops
   /// there.
   bool PayloadRejected = false;
+  /// The replay callback found a record it cannot apply (\ref
+  /// ReplayVerdict::Foreign): the scan stops there, but nothing is torn.
+  bool Mismatch = false;
 };
 
-/// Scans \p Path, invoking \p Replay for every valid record with sequence
-/// number greater than \p SkipThroughSeq. \p Replay returns false to
-/// reject a malformed payload, which ends the scan (see JournalResult).
-/// The payload is a view into the scan's file buffer, valid only for the
-/// duration of the call.
-JournalResult replayJournal(
-    const std::string &Path, std::uint64_t SkipThroughSeq,
-    const std::function<bool(std::uint64_t, std::span<const std::uint8_t>)>
-        &Replay);
+/// The replay callback: record sequence and payload view in, verdict out.
+using JournalReplay =
+    std::function<ReplayVerdict(std::uint64_t, std::span<const std::uint8_t>)>;
+
+/// Scans \p Path, invoking \p Replay (nullable) for every valid record
+/// with sequence number greater than \p SkipThroughSeq. A verdict other
+/// than Applied ends the scan (see JournalResult). The payload is a view
+/// into the scan's file buffer, valid only for the duration of the call.
+JournalResult replayJournal(const std::string &Path,
+                            std::uint64_t SkipThroughSeq,
+                            const JournalReplay &Replay);
 
 } // namespace regmon::persist
 

@@ -29,7 +29,6 @@ constexpr std::uint32_t StreamSectionId = 2;
 /// can re-run admission + processing over the original byte stream.
 /// Layout: u32 stream, then the shared sample block.
 void encodeBatchPayload(persist::ByteWriter &W, const SampleBatch &Batch) {
-  W.reserve(4 + persist::sampleBlockBytes(Batch.Samples.size()));
   W.u32(Batch.Stream);
   persist::encodeSampleBlock(W, Batch.Samples);
 }
@@ -567,7 +566,26 @@ void MonitorService::attachPersistence(persist::CheckpointManager &Store) {
 void MonitorService::attachRecorder(BatchRecorder &R) {
   assert(!Started && "recorder must be attached before start()");
   Recorder = &R;
-  Recorder->recordConfig(configFingerprint());
+  persist::ByteWriter W;
+  W.bytes(configFingerprint());
+  const StartPoint At = startPoint();
+  W.u64(At.Sequence);
+  W.u32(At.StateCrc);
+  Recorder->recordConfig(W.data());
+}
+
+StartPoint MonitorService::startPoint() const {
+  StartPoint At;
+  At.Sequence = JournalSeq;
+  if (At.Sequence != 0) {
+    // The snapshot container ends in a CRC-32 of every byte before it:
+    // the state's CRC. (One taken over the container, seal included,
+    // would be the same constant for every state.)
+    const std::vector<std::uint8_t> State = encodeState();
+    At.StateCrc = persist::loadLE<std::uint32_t>(State.data() + State.size() -
+                                                 sizeof(std::uint32_t));
+  }
+  return At;
 }
 
 std::vector<std::uint8_t> MonitorService::configFingerprint() const {
@@ -807,13 +825,17 @@ void MonitorService::resetPersistedState() {
   SnapshotSeq = 0;
 }
 
-bool MonitorService::replayRecord(std::span<const std::uint8_t> Payload,
-                                  SampleBatch &Batch) {
+persist::ReplayVerdict
+MonitorService::replayRecord(std::span<const std::uint8_t> Payload,
+                             SampleBatch &Batch) {
   persist::ByteReader R(Payload);
   Batch.Stream = R.u32();
-  if (!R.ok() || Batch.Stream >= Streams.size() ||
-      !persist::decodeSampleBlock(R, Batch.Samples) || !R.atEnd())
-    return false;
+  if (!persist::decodeSampleBlock(R, Batch.Samples) || !R.atEnd())
+    return persist::ReplayVerdict::Malformed;
+  // A whole record for a stream this service lacks is no damage: the
+  // directory was written under another topology.
+  if (Batch.Stream >= Streams.size())
+    return persist::ReplayVerdict::Foreign;
   // The record is well-formed; from here on take submit()'s accepted
   // path (health machine, then inline processing standing in for the
   // shard worker, whose hook does not fire: no worker dequeued it). A
@@ -821,7 +843,7 @@ bool MonitorService::replayRecord(std::span<const std::uint8_t> Payload,
   // too -- the refusal *is* the replayed behaviour.
   if (admit(*Streams[Batch.Stream], Batch))
     processInline(Batch, /*RunHook=*/false);
-  return true;
+  return persist::ReplayVerdict::Applied;
 }
 
 RestoreOutcome MonitorService::restore() {
@@ -850,11 +872,13 @@ RestoreOutcome MonitorService::restore() {
   const persist::JournalResult JR = Persist->replayAndRepair(
       SnapshotSeq,
       [this, &Batch](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
-        if (!replayRecord(Payload, Batch))
-          return false;
-        JournalSeq = Seq;
-        return true;
+        const persist::ReplayVerdict Verdict = replayRecord(Payload, Batch);
+        if (Verdict == persist::ReplayVerdict::Applied)
+          JournalSeq = Seq;
+        return Verdict;
       });
+  if (JR.Mismatch)
+    JournalDead = ForeignJournal = true;
   if (Loaded)
     return JR.RecordsReplayed > 0 ? RestoreOutcome::SnapshotPlusJournal
                                   : RestoreOutcome::SnapshotOnly;
@@ -866,8 +890,11 @@ bool MonitorService::checkpoint() {
   assert(Persist && "attachPersistence() first");
   assert((!running() || Config.Inline) &&
          "checkpoint() requires a quiescent service");
-  const std::vector<std::uint8_t> Encoded = encodeState();
-  const bool Committed = Persist->commitSnapshot(Encoded, SnapshotSeq);
+  // After a restore that stopped at another topology's records, this
+  // state is not the directory's: committing it would rotate the
+  // directory's own snapshots away.
+  const bool Committed =
+      !ForeignJournal && Persist->commitSnapshot(encodeState(), SnapshotSeq);
   if (Committed)
     SnapshotSeq = JournalSeq;
   if (Recorder) {

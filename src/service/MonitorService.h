@@ -51,6 +51,7 @@
 namespace regmon::persist {
 class CheckpointManager;
 struct SnapshotSection;
+enum class ReplayVerdict : std::uint8_t;
 } // namespace regmon::persist
 
 namespace regmon::service {
@@ -105,9 +106,12 @@ const char *toString(RecordedFate F);
 class BatchRecorder {
 public:
   virtual ~BatchRecorder() = default;
-  /// Captures the service configuration fingerprint (see
-  /// \ref MonitorService::configFingerprint), called once at attach.
-  virtual void recordConfig(std::span<const std::uint8_t> Fingerprint) = 0;
+  /// Captures where the recording starts, called once at attach: the
+  /// configuration fingerprint (\ref MonitorService::configFingerprint)
+  /// followed by the start point (\ref MonitorService::startPoint) as a
+  /// u64 sequence and a u32 state CRC -- the flight recorder's Config
+  /// payload (trace/Format.h).
+  virtual void recordConfig(std::span<const std::uint8_t> Config) = 0;
   /// Captures one submitted batch and its fate; returns the trace
   /// sequence number assigned to the batch (stamped into
   /// \ref SampleBatch::TraceSeq by the caller).
@@ -233,6 +237,18 @@ struct ServiceSnapshot {
                              : static_cast<double>(UcrSamples) /
                                    static_cast<double>(TotalSamples);
   }
+};
+
+/// The state a service holds where a recording starts, or a replay
+/// begins: the journal sequence it has reached and the CRC-32 of its
+/// encodeState() there (the snapshot container's trailing file CRC, over
+/// every byte before it). At sequence 0 the state is the cold one the
+/// configuration fingerprint already pins, so the CRC is 0 and no encode
+/// is paid.
+struct StartPoint {
+  std::uint64_t Sequence = 0;
+  std::uint32_t StateCrc = 0;
+  bool operator==(const StartPoint &) const = default;
 };
 
 /// How \ref MonitorService::restore rebuilt the service state.
@@ -372,7 +388,12 @@ public:
   /// beyond the loaded snapshot through the normal admission + processing
   /// path. Must run after every stream is registered and before \ref
   /// start. Safe on an empty or damaged directory -- corruption degrades
-  /// to a colder rung with the reason counted, it never crashes.
+  /// to a colder rung with the reason counted, it never crashes. A journal
+  /// record naming a stream this service lacks (a directory of another
+  /// topology) ends replay without repairing anything; the journal then
+  /// refuses every submit (JournalRejected) and \ref checkpoint refuses to
+  /// commit, so nothing is written over records the service never
+  /// applied.
   /// Replayed batches count in the attached exports, which count this
   /// process's work; \ref snapshot counts the streams' lifetime.
   RestoreOutcome restore();
@@ -380,8 +401,9 @@ public:
   /// Commits a snapshot of the full service state and compacts the
   /// journal (see the commit protocol in persist/Checkpoint.h). Requires
   /// a quiescent service (before \ref start or after \ref stop). False
-  /// means the commit did not complete; the previous snapshot, fallback
-  /// rung, and journal stay usable.
+  /// means the commit did not complete, or was refused after a restore
+  /// that found another topology's journal; the previous snapshot,
+  /// fallback rung, and journal stay usable.
   bool checkpoint();
 
   /// Serializes the full service state (meta section + one section per
@@ -394,6 +416,10 @@ public:
   /// while the service is quiescent.
   std::uint64_t persistedSequence() const { return JournalSeq; }
 
+  /// Where the service's state stands now (see \ref StartPoint). Same
+  /// quiescence contract as \ref encodeState when the sequence is not 0.
+  StartPoint startPoint() const;
+
   //===------------------------------------------------------------------===//
   // Flight recorder (src/trace, DESIGN.md section 15).
   //===------------------------------------------------------------------===//
@@ -403,7 +429,9 @@ public:
   /// DropOldest eviction and failed push records the evicted batch's
   /// trace sequence, and every \ref checkpoint records a marker -- the
   /// full decision sequence \ref applyRecorded needs to re-execute the
-  /// run. Immediately records the configuration fingerprint. Must be
+  /// run. Immediately records the configuration fingerprint and the
+  /// start point, so a replay can refuse a state it cannot start from.
+  /// Must be
   /// called after every \ref addStream (and after \ref restore when
   /// persistence is attached, so the trace starts at the recovered
   /// state), before \ref start; \p Recorder must outlive the service.
@@ -525,8 +553,10 @@ private:
 
   /// Re-applies one journaled batch through admission + processing,
   /// decoding it into \p Batch, which restore() reuses for every record.
-  /// False rejects the record as malformed (ends journal replay there).
-  bool replayRecord(std::span<const std::uint8_t> Payload, SampleBatch &Batch);
+  /// Malformed and Foreign (a stream this service lacks) end journal
+  /// replay there.
+  persist::ReplayVerdict replayRecord(std::span<const std::uint8_t> Payload,
+                                      SampleBatch &Batch);
   /// Decodes a loaded snapshot's sections into this service. False may
   /// leave the service partially written; the caller resets and retries
   /// the next rung.
@@ -572,6 +602,10 @@ private:
   /// refused rather than processed, so the journal never under-reports
   /// acknowledged work.
   bool JournalDead = false;
+  /// Set by a restore whose journal replay stopped at a record for a
+  /// stream this service lacks. With it the journal is dead too, and
+  /// checkpoint() refuses to commit.
+  bool ForeignJournal = false;
 
   // Flight recorder, inert until attachRecorder(). The mutex lives here
   // for the same reason JournalMutex does (src/trace joins the lint

@@ -27,10 +27,23 @@ const char *regmon::trace::toString(RecordKind K) {
   return "?";
 }
 
+bool regmon::trace::decodeConfigPayload(
+    std::span<const std::uint8_t> Payload,
+    std::vector<std::uint8_t> &Fingerprint, service::StartPoint &Start) {
+  constexpr std::uint64_t StartBytes = 8 + 4;
+  if (Payload.size() < StartBytes)
+    return false;
+  const std::uint64_t Split = Payload.size() - StartBytes;
+  Fingerprint.assign(Payload.begin(), Payload.begin() + Split);
+  persist::ByteReader R(Payload.subspan(Split));
+  Start.Sequence = R.u64();
+  Start.StateCrc = R.u32();
+  return R.atEnd() && (Start.Sequence != 0 || Start.StateCrc == 0);
+}
+
 void regmon::trace::encodeBatchRecordPayload(persist::ByteWriter &W,
                                              const service::SampleBatch &Batch,
                                              service::RecordedFate Fate) {
-  W.reserve(W.size() + 5 + persist::sampleBlockBytes(Batch.Samples.size()));
   W.u8(static_cast<std::uint8_t>(Fate));
   W.u32(Batch.Stream);
   persist::encodeSampleBlock(W, Batch.Samples);
@@ -38,13 +51,18 @@ void regmon::trace::encodeBatchRecordPayload(persist::ByteWriter &W,
 
 bool regmon::trace::decodeBatchRecordPayload(persist::ByteReader &R,
                                              service::SampleBatch &Batch,
-                                             service::RecordedFate &Fate) {
+                                             service::RecordedFate &Fate,
+                                             SampleRead Read) {
   const std::uint8_t RawFate = R.u8();
   if (!R.ok() ||
       RawFate > static_cast<std::uint8_t>(service::RecordedFate::Admitted))
     return false;
   Fate = static_cast<service::RecordedFate>(RawFate);
   Batch.Stream = R.u32();
+  if (Read == SampleRead::Check) {
+    Batch.Samples.clear();
+    return persist::checkSampleBlock(R) && R.atEnd();
+  }
   return persist::decodeSampleBlock(R, Batch.Samples) && R.atEnd();
 }
 

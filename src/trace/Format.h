@@ -8,7 +8,9 @@
 /// The black-box flight recorder's on-disk format, capturing every
 /// decision a MonitorService run took so an incident replays
 /// bit-identically: a record log (persist/RecordLog.h, the framing the
-/// write-ahead journal shares) in \ref TraceFormat, 'RGTF' version 1.
+/// write-ahead journal shares) in \ref TraceFormat, 'RGTF' version 2.
+/// Version 2 brought the column sample block and the Config record's
+/// start point; no reader of version 1 is kept.
 /// Sequence numbers are assigned consecutively from 1 across *all* record
 /// kinds -- the file order is the recorded decision order. A crash
 /// mid-append leaves a torn tail the reader detects and the recorder
@@ -16,15 +18,21 @@
 ///
 /// Record kinds and payloads (all little-endian, persist/Bytes.h):
 ///
-///   Config (1)     opaque configuration fingerprint bytes
-///                  (service::MonitorService::configFingerprint); replay
-///                  byte-compares it against the replaying service.
-///   Batch (2)      u8 fate | u32 stream | u64 count
-///                  | count x (u64 pc | u64 time | u8 dcacheMiss)
+///   Config (1)     fingerprint bytes | u64 startSeq | u32 startCrc
+///                  -- the configuration fingerprint
+///                  (service::MonitorService::configFingerprint), then
+///                  the state the recording starts from
+///                  (service::StartPoint): the journal sequence the
+///                  service had reached and the CRC-32 of its
+///                  encodeState() there, 0 at sequence 0. Replay
+///                  byte-compares the fingerprint and checks the start
+///                  point against the replaying service before it
+///                  applies anything.
+///   Batch (2)      u8 fate | u32 stream | sample block
 ///                  -- one submitted batch plus the admission decision
-///                  (service::RecordedFate) taken for it. The count and
-///                  samples are the journal's sample block
-///                  (persist/SampleBlock.h), one codec for both logs.
+///                  (service::RecordedFate) taken for it. The samples are
+///                  the journal's sample block (persist/SampleBlock.h),
+///                  one codec for both logs.
 ///   Drop (3)       u64 evictedSeq | u64 shard -- a DropOldest eviction
 ///                  of the batch recorded at evictedSeq.
 ///   PushReject (4) u64 seq -- a push rejected after the door check.
@@ -46,11 +54,13 @@
 #include "service/MonitorService.h"
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace regmon::trace {
 
-/// 'RGTF' in little-endian byte order, version 1.
-inline constexpr persist::LogFormat TraceFormat{0x46544752U, 1};
+/// 'RGTF' in little-endian byte order, version 2.
+inline constexpr persist::LogFormat TraceFormat{0x46544752U, 2};
 
 /// What one trace record captures. Values are part of the wire format.
 enum class RecordKind : std::uint8_t {
@@ -64,17 +74,34 @@ enum class RecordKind : std::uint8_t {
 /// Returns a short identifier for reports.
 const char *toString(RecordKind K);
 
+/// Decodes a Config payload into the fingerprint and the start point.
+/// False on a payload too short to end in a start point, or a nonzero
+/// CRC at sequence 0 (a cold start has one encoding).
+bool decodeConfigPayload(std::span<const std::uint8_t> Payload,
+                         std::vector<std::uint8_t> &Fingerprint,
+                         service::StartPoint &Start);
+
 /// Appends a Batch payload: the fate, the stream, then the sample block.
 void encodeBatchRecordPayload(persist::ByteWriter &W,
                               const service::SampleBatch &Batch,
                               service::RecordedFate Fate);
 
+/// How a Batch payload's samples are read.
+enum class SampleRead : std::uint8_t {
+  Decode, ///< Into the batch.
+  Check,  ///< Checked as Decode checks them; the batch's samples are
+          ///< left empty. A scan that only validates uses this, so each
+          ///< batch is decoded once, where it is applied.
+};
+
 /// Decodes a Batch payload. False on any structural violation (bad fate,
-/// hostile count, short payload, trailing bytes); \p Batch may be
-/// partially written then. TraceSeq is left for the caller to stamp.
+/// hostile count, non-canonical block, short payload, trailing bytes);
+/// \p Batch may be partially written then. TraceSeq is left for the
+/// caller to stamp.
 bool decodeBatchRecordPayload(persist::ByteReader &R,
                               service::SampleBatch &Batch,
-                              service::RecordedFate &Fate);
+                              service::RecordedFate &Fate,
+                              SampleRead Read = SampleRead::Decode);
 
 /// Appends a Drop payload.
 void encodeDropPayload(persist::ByteWriter &W, std::uint64_t EvictedSeq,

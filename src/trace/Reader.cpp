@@ -14,17 +14,18 @@ using namespace regmon;
 using namespace regmon::trace;
 
 RecordDecode regmon::trace::decodeRecord(const persist::LogRecord &R,
-                                         TraceRecord &Out) {
+                                         TraceRecord &Out, SampleRead Read) {
   Out.Seq = R.Seq;
   persist::ByteReader In(R.Payload);
   switch (R.Kind) {
   case static_cast<std::uint8_t>(RecordKind::Config):
     Out.Kind = RecordKind::Config;
-    Out.Config.assign(R.Payload.begin(), R.Payload.end());
-    return RecordDecode::Ok;
+    return decodeConfigPayload(R.Payload, Out.Config, Out.Start)
+               ? RecordDecode::Ok
+               : RecordDecode::Malformed;
   case static_cast<std::uint8_t>(RecordKind::Batch):
     Out.Kind = RecordKind::Batch;
-    if (!decodeBatchRecordPayload(In, Out.Batch, Out.Fate))
+    if (!decodeBatchRecordPayload(In, Out.Batch, Out.Fate, Read))
       return RecordDecode::Malformed;
     Out.Batch.TraceSeq = R.Seq;
     return RecordDecode::Ok;
@@ -48,14 +49,17 @@ RecordDecode regmon::trace::decodeRecord(const persist::LogRecord &R,
   }
 }
 
-ScanSummary regmon::trace::verifyTraceBytes(std::span<const std::uint8_t> Bytes,
-                                            const DecodedVisitor &Visit) {
+namespace {
+
+/// The scan under both forms: \p Read says how Batch samples are read.
+ScanSummary scan(std::span<const std::uint8_t> Bytes, SampleRead Read,
+                 const DecodedVisitor &Visit) {
   ScanSummary Out;
   RecordDecode Stop = RecordDecode::Ok;
   TraceRecord Rec;
   static_cast<persist::LogScan &>(Out) = persist::scanLog(
       Bytes, TraceFormat, [&](const persist::LogRecord &R) {
-        Stop = decodeRecord(R, Rec);
+        Stop = decodeRecord(R, Rec, Read);
         if (Stop != RecordDecode::Ok)
           return false;
         ++Out.RecordCount;
@@ -66,6 +70,13 @@ ScanSummary regmon::trace::verifyTraceBytes(std::span<const std::uint8_t> Bytes,
   Out.UnknownKind = Stop == RecordDecode::UnknownKind;
   Out.MalformedPayload = Stop == RecordDecode::Malformed;
   return Out;
+}
+
+} // namespace
+
+ScanSummary regmon::trace::verifyTraceBytes(std::span<const std::uint8_t> Bytes,
+                                            const DecodedVisitor &Visit) {
+  return scan(Bytes, SampleRead::Check, Visit);
 }
 
 ScanSummary regmon::trace::verifyTraceFile(const std::string &Path) {
@@ -81,8 +92,9 @@ ScanSummary regmon::trace::verifyTraceFile(const std::string &Path) {
 ScanResult regmon::trace::scanTraceBytes(
     std::span<const std::uint8_t> Bytes) {
   ScanResult Out;
-  static_cast<ScanSummary &>(Out) = verifyTraceBytes(
-      Bytes, [&Out](const persist::LogRecord &, TraceRecord &Rec) {
+  static_cast<ScanSummary &>(Out) = scan(
+      Bytes, SampleRead::Decode,
+      [&Out](const persist::LogRecord &, TraceRecord &Rec) {
         Out.Records.push_back(std::exchange(Rec, TraceRecord{}));
       });
   return Out;

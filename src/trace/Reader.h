@@ -17,10 +17,12 @@
 /// before appending again.
 ///
 /// Two forms share that scan. \ref verifyTraceBytes keeps no records: it
-/// decodes each one into a single reused \ref TraceRecord, which is all a
-/// recorder reopening its file or `trace-verify` needs, and which replay
-/// (trace/Replay.h) indexes as the records go by. \ref scanTraceBytes
-/// also keeps every decoded record.
+/// decodes each one into a single reused \ref TraceRecord, checking each
+/// Batch record's sample block without materializing it. That is all a
+/// recorder reopening its file or `trace-verify` needs, and replay
+/// (trace/Replay.h) indexes the records as they go by, decoding each
+/// batch once when it applies it. \ref scanTraceBytes decodes every
+/// record whole and keeps it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +46,9 @@ struct TraceRecord {
   /// Batch records: the fate and the batch (TraceSeq == Seq).
   service::RecordedFate Fate = service::RecordedFate::Admitted;
   service::SampleBatch Batch;
-  /// Config records: the opaque fingerprint bytes.
+  /// Config records: the fingerprint bytes and the start point.
   std::vector<std::uint8_t> Config;
+  service::StartPoint Start;
   /// Drop: the evicted batch's seq. PushReject: the rejected batch's
   /// seq. Checkpoint: the journal seq of the attempt.
   std::uint64_t RefSeq = 0;
@@ -96,12 +99,16 @@ struct ScanResult : ScanSummary {
 enum class RecordDecode : std::uint8_t { Ok, UnknownKind, Malformed };
 
 /// Decodes \p R into \p Out, reusing its buffers: fields the kind does not
-/// use keep their previous values. Total over arbitrary payloads.
-RecordDecode decodeRecord(const persist::LogRecord &R, TraceRecord &Out);
+/// use keep their previous values. \p Read says whether a Batch record's
+/// samples are decoded or only checked. Total over arbitrary payloads.
+RecordDecode decodeRecord(const persist::LogRecord &R, TraceRecord &Out,
+                          SampleRead Read = SampleRead::Decode);
 
 /// Called for each record of the valid prefix with its framing and its
 /// decode. The payload view and the record, which the scan reuses for
-/// the next one, are valid only during the call.
+/// the next one, are valid only during the call. From \ref
+/// verifyTraceBytes a Batch record's samples are empty: the scan checked
+/// them without decoding them.
 using DecodedVisitor =
     std::function<void(const persist::LogRecord &, TraceRecord &)>;
 

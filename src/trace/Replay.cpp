@@ -30,8 +30,8 @@ struct RefRec {
 
 /// What the drive needs before it applies anything, noted from every
 /// record in file order: whether the first one is the replaying service's
-/// Config, the admitted batches' seqs, and the drop and push-reject
-/// references.
+/// Config and where it starts, the admitted batches' seqs, and the drop
+/// and push-reject references.
 class Prepass {
 public:
   explicit Prepass(std::vector<std::uint8_t> ServiceConfig)
@@ -41,8 +41,10 @@ public:
     // Byte-compare the Config record against the replaying service: a
     // replay under a different configuration diverges in ways that are
     // much harder to diagnose downstream.
-    if (std::exchange(First, false))
+    if (std::exchange(First, false)) {
       ConfigMatches = R.Kind == RecordKind::Config && R.Config == Fingerprint;
+      Start = R.Start;
+    }
     if (R.Kind == RecordKind::Batch &&
         R.Fate == service::RecordedFate::Admitted)
       AdmittedSeqs.push_back(R.Seq); // file order: already ascending
@@ -51,6 +53,8 @@ public:
   }
 
   bool configMatches() const { return ConfigMatches; }
+  /// The first record's start point (meaningful once configMatches()).
+  const service::StartPoint &start() const { return Start; }
 
   /// Resolves the timing-dependent outcomes; false (with \p DivergedSeq,
   /// the referencing record) on a duplicate or non-admitted reference.
@@ -83,6 +87,7 @@ private:
   std::vector<std::uint8_t> Fingerprint;
   bool First = true;
   bool ConfigMatches = false;
+  service::StartPoint Start;
   std::vector<std::uint64_t> AdmittedSeqs;
   std::vector<RefRec> Refs;
   std::vector<std::uint64_t> DroppedSeqs;
@@ -107,6 +112,14 @@ ReplayResult drive(Prepass &P, std::uint64_t Count, const RecordLoader &Load,
   }
   if (!P.configMatches()) {
     Out.ConfigMismatch = true;
+    return Out;
+  }
+  // A trace records decisions taken from its start point on; applied to
+  // any other state they rebuild a run that never happened.
+  Out.TraceStart = P.start();
+  Out.ServiceStart = Service.startPoint();
+  if (Out.TraceStart != Out.ServiceStart) {
+    Out.StartMismatch = true;
     return Out;
   }
   // Applied at each batch's own position (the aggregate accounting is

@@ -22,6 +22,12 @@
 ///    use per-stream logical clocks, so the single-threaded replay of a
 ///    multi-threaded recording exports the same bytes.
 ///
+/// A trace starts from the state its service held when the recorder
+/// attached (the Config record's start point). The replaying service must
+/// hold that state too -- a copy of the recording's directory restored,
+/// or a cold start for a recording that started cold -- or nothing is
+/// applied.
+///
 /// A trace with a torn tail replays its valid prefix -- that is the
 /// crash-tolerance contract, not an error.
 ///
@@ -51,6 +57,12 @@ struct ReplayResult {
   bool Ok = false;
   /// The Config record is absent or does not match the service.
   bool ConfigMismatch = false;
+  /// The trace starts from a state the service does not hold: TraceStart
+  /// and ServiceStart (the journal sequences and state CRCs) differ.
+  /// Nothing was applied.
+  bool StartMismatch = false;
+  service::StartPoint TraceStart;
+  service::StartPoint ServiceStart;
   /// A record contradicted the re-derived decision sequence (or carried
   /// a dangling drop/push-reject reference); replay stopped there.
   bool Diverged = false;
@@ -83,9 +95,10 @@ struct FileReplay {
 /// Replays the trace at \p Path as \ref replayRecords would replay its
 /// scan, with the same result. It reads the file once, and one scan
 /// checks every record and indexes it (sequence, kind and a view of its
-/// payload); the drive then decodes one record at a time from those
-/// views into a reused record, so the heap holds the file bytes, the
-/// index and one batch.
+/// payload), checking each batch's samples without decoding them; the
+/// drive then decodes one record at a time from those views into a
+/// reused record, so each batch is decoded once and the heap holds the
+/// file bytes, the index and one batch.
 FileReplay replayTraceFile(const std::string &Path,
                            service::MonitorService &Service,
                            const ReplayConfig &Cfg = {});

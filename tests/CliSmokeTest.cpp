@@ -263,6 +263,42 @@ TEST(CliSmoke, ServiceCommandsPrintTheirPinnedOutput) {
                         "reject(s), 1 checkpoint(s) (1 re-applied)\n");
   EXPECT_EQ(slurp(S + "/replayed/snapshot.bin"),
             slurp(S + "/ckpt/snapshot.bin"));
+
+  // The trace starts where the recording's restore left the directory
+  // (sequence 16), so a replay onto a cold service refuses to begin.
+  const RunResult Cold = run("replay" + Run + Trace);
+  EXPECT_EQ(Cold.Exit, 1);
+  EXPECT_EQ(Cold.Out, "");
+  EXPECT_NE(Cold.Err.find("trace starts at journal sequence 16, but this "
+                          "service holds sequence 0"),
+            std::string::npos)
+      << Cold.Err;
+  std::filesystem::remove_all(S);
+}
+
+// record --dir resumes like checkpoint: each stream skips the intervals
+// its restored state holds (processed, poisoned or quarantined) while the
+// fault plan still draws for them, so two 6-interval runs commit the
+// snapshot of one 12-interval run.
+TEST(CliSmoke, ResumedRecordRunsEqualOneUninterruptedRun) {
+  const std::string S = scratchPath("record_resume");
+  ASSERT_TRUE(std::filesystem::create_directories(S));
+  const std::string Run = " synthetic.periodic --streams 4 --workers 2 "
+                          "--seed 7 --poison-rate 0.2";
+  for (const char *Trace : {"/r1.bin", "/r2.bin"}) {
+    const RunResult R = run("record" + Run + " --intervals 6 --dir \"" + S +
+                            "/resumed\" --trace \"" + S + Trace + "\"");
+    ASSERT_EQ(R.Exit, 0) << R.Err;
+  }
+  const RunResult Whole =
+      run("record" + Run + " --intervals 12 --dir \"" + S +
+          "/whole\" --trace \"" + S + "/w.bin\"");
+  ASSERT_EQ(Whole.Exit, 0) << Whole.Err;
+  EXPECT_EQ(Whole.Out.find(" 0 poisoned"), std::string::npos)
+      << "the plan must poison some batches: " << Whole.Out;
+  const std::string Resumed = slurp(S + "/resumed/snapshot.bin");
+  ASSERT_FALSE(Resumed.empty());
+  EXPECT_EQ(Resumed, slurp(S + "/whole/snapshot.bin"));
   std::filesystem::remove_all(S);
 }
 

@@ -969,6 +969,70 @@ TEST(CrashRecovery, ConfigMismatchIsNamedStateRejected) {
             persist::SnapshotError::StateRejected);
 }
 
+// A directory written under four streams, restored under three: once
+// both snapshot rungs are refused, journal replay from cold stops at the
+// first record for stream 3. That record is whole and acknowledged, so the
+// stop is a topology mismatch, not a torn tail: the journal keeps every
+// byte, the mismatched service refuses to add to it, and the right
+// topology still recovers everything.
+TEST(CrashRecovery, TopologyMismatchLeavesTheJournalWhole) {
+  std::vector<RecordedStream> Fleet;
+  for (std::uint64_t Id = 0; Id < 4; ++Id)
+    Fleet.push_back(record("synthetic.periodic", 7 + Id));
+  std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  ASSERT_GE(Batches.size(), 48U);
+  Batches.resize(48);
+  const std::string Dir = scratchDir("topology");
+  for (std::size_t Run = 0; Run < 2; ++Run) {
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet);
+    Service->attachPersistence(Store);
+    Service->restore();
+    Service->start();
+    for (std::size_t I = 24 * Run; I < 24 * (Run + 1); ++I)
+      ASSERT_TRUE(Service->submit(Batches[I]));
+    Service->stop();
+    ASSERT_TRUE(Service->checkpoint());
+  }
+  std::filesystem::remove(Dir + "/snapshot.bin");
+  const std::string Journal = Dir + "/journal.wal";
+  const auto Before = persist::readFileBytes(Journal);
+  ASSERT_TRUE(Before.has_value());
+
+  {
+    CheckpointManager Store(Dir);
+    MonitorService Service(testConfig());
+    for (std::size_t Id = 0; Id < 3; ++Id)
+      Service.addStream(*Fleet[Id].Map);
+    Service.attachPersistence(Store);
+    EXPECT_EQ(Service.restore(), RestoreOutcome::JournalOnly);
+    EXPECT_EQ(Store.counters().JournalMismatches, 1U);
+    EXPECT_EQ(Store.counters().JournalTornTails, 0U);
+    EXPECT_EQ(Store.counters().JournalRepairs, 0U);
+    EXPECT_EQ(persist::readFileBytes(Journal), Before)
+        << "a topology mismatch cut the journal";
+    // Nothing is appended behind records the service never applied, and
+    // no snapshot of this state rotates the directory's own away.
+    const std::uint64_t Reached = Service.persistedSequence();
+    Service.start();
+    EXPECT_FALSE(Service.submit({0, Fleet[0].Intervals[12]}));
+    Service.stop();
+    EXPECT_EQ(Service.snapshot().BatchesRejected, 1U);
+    EXPECT_EQ(Service.persistedSequence(), Reached);
+    EXPECT_FALSE(Service.checkpoint());
+    EXPECT_FALSE(std::filesystem::exists(Dir + "/snapshot.bin"));
+    EXPECT_EQ(persist::readFileBytes(Journal), Before);
+  }
+
+  CheckpointManager Store(Dir);
+  auto Service = makeService(Fleet);
+  Service->attachPersistence(Store);
+  EXPECT_EQ(Service->restore(), RestoreOutcome::SnapshotPlusJournal);
+  EXPECT_EQ(Service->persistedSequence(), 48U);
+  EXPECT_EQ(Store.counters().JournalMismatches, 0U);
+  EXPECT_EQ(Service->encodeState(), referenceBytes(Fleet, Batches, 48));
+}
+
 #ifndef NDEBUG
 // The journal records no evictions, so a DropOldest service cannot be
 // made durable: recovery would process the batches its queue dropped.

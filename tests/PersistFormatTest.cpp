@@ -23,6 +23,7 @@
 #include "persist/StateCodec.h"
 
 #include "core/RegionMonitor.h"
+#include "faults/FaultPlan.h"
 #include "sampling/AdaptiveController.h"
 #include "sampling/Sampler.h"
 #include "sim/Engine.h"
@@ -316,28 +317,78 @@ TEST(PersistIo, ReadFileBytesReturnsExactContent) {
 // Sample-block codec
 //===----------------------------------------------------------------------===//
 
-/// The differential oracle: a per-field little-endian encoder that builds
-/// every byte by shifts, one push at a time, sharing nothing with the
-/// codec's memcpy words.
-void referenceU64(std::vector<std::uint8_t> &Out, std::uint64_t V) {
-  for (std::uint32_t I = 0; I < 8; ++I)
+/// The differential oracle: the column layout built one byte at a time
+/// by shifts, sharing nothing with the codec's width-specialized loops.
+/// The widths are the least ones unless given, so the oracle also builds
+/// the non-canonical blocks the decoder must refuse.
+void referenceWord(std::vector<std::uint8_t> &Out, std::uint64_t V,
+                   std::uint32_t Width) {
+  for (std::uint32_t I = 0; I < Width; ++I)
     Out.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
 }
 
-std::vector<std::uint8_t>
-referenceSampleBlock(const std::vector<Sample> &Samples) {
-  std::vector<std::uint8_t> Out;
-  referenceU64(Out, Samples.size());
-  for (const Sample &S : Samples) {
-    referenceU64(Out, S.Pc);
-    referenceU64(Out, S.Time);
-    Out.push_back(S.DCacheMiss ? 1 : 0);
+std::uint64_t referenceZigzag(std::uint64_t D) {
+  const bool Negative = (D >> 63) != 0;
+  return Negative ? ((~D) << 1) | 1 : D << 1;
+}
+
+std::uint32_t referenceBytesFor(std::uint64_t V) {
+  std::uint32_t N = 0;
+  while (V != 0) {
+    ++N;
+    V >>= 8;
   }
+  return N;
+}
+
+struct ReferenceWidths {
+  std::optional<std::uint32_t> Pc;
+  std::optional<std::uint32_t> Time;
+};
+
+std::vector<std::uint8_t>
+referenceSampleBlock(const std::vector<Sample> &S,
+                     ReferenceWidths Force = {}) {
+  std::vector<std::uint8_t> Out;
+  const std::uint64_t N = S.size();
+  referenceWord(Out, N, 8);
+  if (N == 0)
+    return Out;
+  const std::uint64_t Stride = N > 1 ? S[1].Time - S[0].Time : 0;
+  std::vector<std::uint64_t> Pcs, Times;
+  for (std::uint64_t I = 1; I < N; ++I)
+    Pcs.push_back(referenceZigzag(S[I].Pc - S[I - 1].Pc));
+  for (std::uint64_t I = 2; I < N; ++I)
+    Times.push_back(referenceZigzag(S[I].Time - S[I - 1].Time - Stride));
+  std::uint32_t PcWidth = 0, TimeWidth = 0;
+  for (const std::uint64_t V : Pcs)
+    PcWidth = std::max(PcWidth, std::max(1U, referenceBytesFor(V)));
+  for (const std::uint64_t V : Times)
+    TimeWidth = std::max(TimeWidth, referenceBytesFor(V));
+  PcWidth = Force.Pc.value_or(PcWidth);
+  TimeWidth = Force.Time.value_or(TimeWidth);
+  referenceWord(Out, S[0].Pc, 8);
+  referenceWord(Out, S[0].Time, 8);
+  referenceWord(Out, Stride, 8);
+  Out.push_back(static_cast<std::uint8_t>(PcWidth));
+  Out.push_back(static_cast<std::uint8_t>(TimeWidth));
+  for (std::uint64_t Byte = 0; Byte * 8 < N; ++Byte) {
+    std::uint8_t Bits = 0;
+    for (std::uint64_t I = Byte * 8; I < std::min(N, Byte * 8 + 8); ++I)
+      if (S[I].DCacheMiss)
+        Bits = static_cast<std::uint8_t>(Bits | (1U << (I % 8)));
+    Out.push_back(Bits);
+  }
+  for (const std::uint64_t V : Pcs)
+    referenceWord(Out, V, PcWidth);
+  for (const std::uint64_t V : Times)
+    referenceWord(Out, V, TimeWidth);
   return Out;
 }
 
 /// \p N samples cycling Pc and Time (out of step) through the extreme and
-/// alternating-byte words, with both miss flags.
+/// alternating-byte words, with both miss flags: every difference wraps
+/// somewhere, and both columns need all 8 bytes.
 std::vector<Sample> patternSamples(std::uint64_t N) {
   constexpr std::uint64_t Words[] = {
       0, UINT64_MAX, 0xAA55AA55AA55AA55ULL, 0x55AA55AA55AA55AAULL,
@@ -347,12 +398,24 @@ std::vector<Sample> patternSamples(std::uint64_t N) {
   for (std::uint64_t I = 0; I < N; ++I) {
     Out[I].Pc = Words[I % NumWords];
     Out[I].Time = Words[(I / NumWords + 3 * I + 1) % NumWords];
-    Out[I].DCacheMiss = I % 2 == 0;
+    Out[I].DCacheMiss = I % 3 == 0;
   }
   return Out;
 }
 
-std::vector<std::uint8_t> encodeBlock(const std::vector<Sample> &Samples) {
+/// A sampler-shaped run: the time advances by one period, nudged by
+/// \p Jitter on every fifth sample, and the pc walks a small loop.
+std::vector<Sample> loopSamples(std::uint64_t N, std::uint64_t Jitter) {
+  std::vector<Sample> Out(N);
+  for (std::uint64_t I = 0; I < N; ++I) {
+    Out[I].Pc = 0x400000 + 4 * ((I * 7) % 40);
+    Out[I].Time = 1000 + 45'000 * I + (I % 5 == 4 ? Jitter : 0);
+    Out[I].DCacheMiss = I % 7 == 2;
+  }
+  return Out;
+}
+
+std::vector<std::uint8_t> encodeBlock(std::span<const Sample> Samples) {
   ByteWriter W;
   encodeSampleBlock(W, Samples);
   return W.take();
@@ -366,16 +429,41 @@ bool decodeWholeBlock(std::span<const std::uint8_t> Bytes,
   return decodeSampleBlock(R, Out) && R.atEnd();
 }
 
+/// The check-only pass over \p Bytes as one block.
+bool checkWholeBlock(std::span<const std::uint8_t> Bytes) {
+  ByteReader R(Bytes);
+  return checkSampleBlock(R) && R.atEnd();
+}
+
+bool sameSamples(std::span<const Sample> A, std::span<const Sample> B) {
+  return std::equal(A.begin(), A.end(), B.begin(), B.end(),
+                    [](const Sample &X, const Sample &Y) {
+                      return X.Pc == Y.Pc && X.Time == Y.Time &&
+                             X.DCacheMiss == Y.DCacheMiss;
+                    });
+}
+
+/// Encodes \p In, checks the bytes against the oracle, and requires the
+/// decode and the check-only pass to accept them and give \p In back.
+void expectExactRoundTrip(std::span<const Sample> In) {
+  const std::vector<std::uint8_t> Bytes = encodeBlock(In);
+  EXPECT_EQ(Bytes, referenceSampleBlock({In.begin(), In.end()}));
+  std::vector<Sample> Out = patternSamples(3); // stale contents replaced
+  ASSERT_TRUE(decodeWholeBlock(Bytes, Out));
+  EXPECT_TRUE(sameSamples(Out, In));
+  EXPECT_TRUE(checkWholeBlock(Bytes));
+}
+
 TEST(PersistSampleBlock, BulkEncoderMatchesPerFieldReferenceAndRoundTrips) {
-  for (const std::uint64_t N : {0U, 1U, 2031U, 2032U}) {
+  for (const std::uint64_t N : {0U, 1U, 2U, 3U, 9U, 2031U, 2032U}) {
     SCOPED_TRACE("samples " + std::to_string(N));
-    const std::vector<Sample> In = patternSamples(N);
-    const std::vector<std::uint8_t> Bytes = encodeBlock(In);
-    EXPECT_EQ(Bytes, referenceSampleBlock(In));
-    EXPECT_EQ(Bytes.size(), sampleBlockBytes(N));
+    expectExactRoundTrip(patternSamples(N));
+    expectExactRoundTrip(loopSamples(N, 3));
 
     // Behind other fields, as in both batch payloads: the block lands at
     // the writer's current end.
+    const std::vector<Sample> In = loopSamples(N, 0);
+    const std::vector<std::uint8_t> Bytes = encodeBlock(In);
     ByteWriter Prefixed;
     Prefixed.u8(7);
     Prefixed.u32(0xDEADBEEFU);
@@ -383,15 +471,6 @@ TEST(PersistSampleBlock, BulkEncoderMatchesPerFieldReferenceAndRoundTrips) {
     ASSERT_EQ(Prefixed.size(), 5 + Bytes.size());
     EXPECT_TRUE(std::equal(Bytes.begin(), Bytes.end(),
                            Prefixed.data().begin() + 5));
-
-    std::vector<Sample> Out = patternSamples(3); // stale contents replaced
-    ASSERT_TRUE(decodeWholeBlock(Bytes, Out));
-    ASSERT_EQ(Out.size(), In.size());
-    for (std::uint64_t I = 0; I < N; ++I) {
-      EXPECT_EQ(Out[I].Pc, In[I].Pc) << I;
-      EXPECT_EQ(Out[I].Time, In[I].Time) << I;
-      EXPECT_EQ(Out[I].DCacheMiss, In[I].DCacheMiss) << I;
-    }
   }
 }
 
@@ -407,46 +486,254 @@ TEST(PersistSampleBlock, GoldenLittleEndianBytes) {
   EXPECT_EQ(R.u64(), 0x0123456789ABCDEFULL);
   EXPECT_TRUE(R.atEnd());
 
-  const std::vector<Sample> One = {
-      {0x0102030405060708ULL, 0x1112131415161718ULL, true}};
+  // Four samples, one period (0x64) apart but for a 2-cycle late third
+  // one; the pc steps +4, -8, +0x100.
+  const std::vector<Sample> Four = {{0x1000, 0x10, true},
+                                    {0x1004, 0x74, false},
+                                    {0x0FFC, 0xDA, false},
+                                    {0x10FC, 0x13E, true}};
+  EXPECT_EQ(encodeBlock(Four),
+            (std::vector<std::uint8_t>{
+                0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // count
+                0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // pc[0]
+                0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // time[0]
+                0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stride
+                0x02, 0x01,                                     // widths
+                0x09,                   // misses: samples 0 and 3
+                0x08, 0x00,             // zigzag(+4)
+                0x0F, 0x00,             // zigzag(-8)
+                0x00, 0x02,             // zigzag(+0x100)
+                0x04,                   // zigzag(+2): sample 2 is late
+                0x00}));                // 0: sample 3 one period later
+  const std::vector<Sample> One = {{UINT64_MAX, 7, true}};
   EXPECT_EQ(encodeBlock(One),
             (std::vector<std::uint8_t>{
                 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // count
-                0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // pc
-                0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // time
-                0x01}));                                        // miss
+                0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // pc[0]
+                0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // time[0]
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stride
+                0x00, 0x00, 0x01}));
+  EXPECT_EQ(encodeBlock({}), std::vector<std::uint8_t>(8, 0));
 }
 
-TEST(PersistSampleBlock, RejectsMissByteOtherThanZeroOrOne) {
-  constexpr std::uint64_t N = 5;
-  const std::vector<std::uint8_t> Good = encodeBlock(patternSamples(N));
-  for (const std::uint64_t At : {std::uint64_t{0}, N / 2, N - 1}) {
-    for (const std::uint8_t Bad : {std::uint8_t{2}, std::uint8_t{0xFF}}) {
-      SCOPED_TRACE("sample " + std::to_string(At) + " miss byte " +
-                   std::to_string(Bad));
+/// Every workload's first 32 intervals at the paper's period (all of them
+/// for the two synthetic programs that run 21), in the order the sampler
+/// delivers them (computed once for the suite).
+struct WorkloadCorpus {
+  std::string Name;
+  std::vector<std::vector<Sample>> Intervals;
+};
+
+const std::vector<WorkloadCorpus> &workloadCorpus() {
+  static const std::vector<WorkloadCorpus> All = [] {
+    std::vector<WorkloadCorpus> Out;
+    std::uint64_t Seed = 11;
+    for (const std::string &Name : workloads::allNames()) {
+      const workloads::Workload W = workloads::make(Name);
+      sim::Engine Engine(W.Prog, W.Script, Seed++);
+      sampling::Sampler Sampler(Engine, {45'000, 2032});
+      Out.push_back({Name, Sampler.collectIntervals(32)});
+    }
+    return Out;
+  }();
+  return All;
+}
+
+TEST(PersistSampleBlock, RoundTripsEveryWorkloadsFirst32Intervals) {
+  ASSERT_EQ(workloadCorpus().size(), 31U);
+  for (const WorkloadCorpus &C : workloadCorpus()) {
+    SCOPED_TRACE(C.Name);
+    EXPECT_GE(C.Intervals.size(), 21U);
+    for (const std::vector<Sample> &Interval : C.Intervals)
+      expectExactRoundTrip(Interval);
+  }
+}
+
+TEST(PersistSampleBlock, RoundTripsFaultPlanStreams) {
+  // Every sample- and batch-level fault the plan injects, poisoned
+  // batches included: the journal records them before admission.
+  faults::FaultConfig Cfg;
+  Cfg.DropRate = 0.05;
+  Cfg.DuplicateRate = 0.05;
+  Cfg.CorruptRate = 0.05;
+  Cfg.PeriodJitterFrac = 0.3;
+  Cfg.TruncateRate = 0.2;
+  Cfg.PoisonRate = 0.3;
+  const faults::FaultPlan Plan(29, Cfg);
+  std::uint64_t Poisoned = 0;
+  for (const WorkloadCorpus &C : workloadCorpus()) {
+    SCOPED_TRACE(C.Name);
+    faults::StreamFaultInjector Inj =
+        Plan.forStream(static_cast<std::uint32_t>(Poisoned));
+    for (const std::vector<Sample> &Interval : C.Intervals) {
+      std::vector<Sample> Batch = Inj.apply(Interval);
+      if (Inj.nextBatchFault() == faults::BatchFault::Poison) {
+        faults::poisonBatch(Batch);
+        ++Poisoned;
+      }
+      expectExactRoundTrip(Batch);
+    }
+  }
+  EXPECT_GT(Poisoned, 0U);
+}
+
+TEST(PersistSampleBlock, RoundTripsEdgeInputs) {
+  constexpr std::uint64_t Max = UINT64_MAX;
+  const std::vector<std::vector<Sample>> Cases = {
+      {},
+      {{0, 0, false}},
+      {{Max, Max, true}},
+      {{0, 0, false}, {Max, Max, true}},
+      {{Max, Max, true}, {0, 0, false}},
+      {{5, 9, false}, {5, 9, false}, {5, 9, false}},        // equal
+      {{0, Max, true}, {Max, 0, false}, {0, Max, true}},    // wrapping
+      {{Max, 0, false}, {0, 1, true}, {Max, 3, false}, {0, 2, true}},
+      {{0x8000000000000000ULL, 0, false},
+       {0x7FFFFFFFFFFFFFFFULL, 0x8000000000000000ULL, false},
+       {0x8000000000000000ULL, 0, true}},
+  };
+  for (std::uint64_t I = 0; I < Cases.size(); ++I) {
+    SCOPED_TRACE("case " + std::to_string(I));
+    expectExactRoundTrip(Cases[I]);
+  }
+
+  // Each width a column can take: a difference of 2^(8w - 2) needs
+  // exactly w bytes once zigzagged. The pc column is never narrower
+  // than 1 byte; the time column is 0 bytes when every sample is on its
+  // stride.
+  for (std::uint32_t Width = 0; Width <= 8; ++Width) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    const std::uint64_t Step =
+        Width == 0 ? 0 : std::uint64_t{1} << (8 * Width - 2);
+    std::vector<Sample> In = loopSamples(12, 0);
+    for (std::uint64_t J = 1; J < In.size(); ++J) {
+      In[J].Pc = In[J - 1].Pc + (J == 6 ? Step : 4);
+      In[J].Time = In[J - 1].Time + 45'000 + (J == 6 ? Step : 0);
+    }
+    const std::vector<std::uint8_t> Bytes = encodeBlock(In);
+    EXPECT_EQ(Bytes[32], std::max<std::uint32_t>(Width, 1)); // pc width
+    EXPECT_EQ(Bytes[33], Width);                             // time width
+    expectExactRoundTrip(In);
+  }
+}
+
+TEST(PersistSampleBlock, EveryTruncationAndBitFlipFailsCleanlyOrIsCanonical) {
+  // A block with both columns in use and misses on both sides of a
+  // bitmap byte boundary.
+  const std::vector<std::uint8_t> Good = encodeBlock(loopSamples(19, 700));
+  ASSERT_GT(Good[33], 0U) << "the time column must be in use";
+  const auto expectTotal = [](std::span<const std::uint8_t> Bytes) {
+    std::vector<Sample> Out;
+    const bool Decoded = decodeWholeBlock(Bytes, Out);
+    EXPECT_EQ(checkWholeBlock(Bytes), Decoded)
+        << "the check-only pass and the decode disagree";
+    // Whatever was sized, was sized from bytes that are present.
+    EXPECT_LE(Out.capacity() * sizeof(Sample), 24 * Bytes.size());
+    if (Decoded) { // one accepted encoding per sample sequence
+      EXPECT_EQ(encodeBlock(Out),
+                std::vector<std::uint8_t>(Bytes.begin(), Bytes.end()));
+    }
+    return Decoded;
+  };
+  for (std::uint64_t Len = 0; Len < Good.size(); ++Len) {
+    SCOPED_TRACE("truncated to " + std::to_string(Len));
+    EXPECT_FALSE(expectTotal({Good.data(), Len}));
+  }
+  std::uint64_t Accepted = 0;
+  for (std::uint64_t Bit = 0; Bit < 8 * Good.size(); ++Bit) {
+    SCOPED_TRACE("bit " + std::to_string(Bit));
+    std::vector<std::uint8_t> Flipped = Good;
+    Flipped[Bit / 8] ^= static_cast<std::uint8_t>(1U << (Bit % 8));
+    Accepted += expectTotal(Flipped) ? 1 : 0;
+  }
+  // Flips in pc[0], time[0], the stride and the bitmap's live bits stay
+  // canonical; most others break a width or the count.
+  EXPECT_GT(Accepted, 0U);
+  EXPECT_LT(Accepted, 8 * Good.size());
+}
+
+TEST(PersistSampleBlock, RejectsNonCanonicalEncodings) {
+  const auto expectRefused = [](const std::vector<std::uint8_t> &Bytes) {
+    std::vector<Sample> Out;
+    ByteReader R(Bytes);
+    EXPECT_FALSE(decodeSampleBlock(R, Out));
+    EXPECT_FALSE(R.ok());
+    EXPECT_FALSE(checkWholeBlock(Bytes));
+  };
+  const std::vector<Sample> In = loopSamples(10, 3);
+  const std::vector<std::uint8_t> Least = referenceSampleBlock(In);
+  ASSERT_EQ(encodeBlock(In), Least);
+  const std::uint32_t PcWidth = Least[32], TimeWidth = Least[33];
+  {
+    SCOPED_TRACE("a pc column one byte wider than it needs");
+    expectRefused(referenceSampleBlock(In, {PcWidth + 1, TimeWidth}));
+  }
+  {
+    SCOPED_TRACE("a time column one byte wider than it needs");
+    expectRefused(referenceSampleBlock(In, {PcWidth, TimeWidth + 1}));
+  }
+  {
+    SCOPED_TRACE("a pc column of width 0 under more than one sample");
+    const std::vector<Sample> Same = {{8, 1, false}, {8, 2, false}};
+    ASSERT_EQ(encodeBlock(Same)[32], 1U);
+    expectRefused(referenceSampleBlock(Same, {0, 0}));
+  }
+  {
+    SCOPED_TRACE("a width over 8");
+    std::vector<std::uint8_t> Bytes = Least;
+    Bytes[33] = 9;
+    expectRefused(Bytes);
+  }
+  {
+    SCOPED_TRACE("a stride under a single sample");
+    std::vector<std::uint8_t> Bytes = encodeBlock(loopSamples(1, 0));
+    Bytes[24] = 1;
+    expectRefused(Bytes);
+  }
+  {
+    SCOPED_TRACE("widths under a single sample");
+    for (const std::uint64_t At : {32U, 33U}) {
+      std::vector<std::uint8_t> Bytes = encodeBlock(loopSamples(1, 0));
+      Bytes[At] = 1;
+      expectRefused(Bytes);
+    }
+  }
+}
+
+TEST(PersistSampleBlock, RejectsNonzeroBitmapPadding) {
+  for (const std::uint64_t N : {1U, 5U, 13U}) {
+    SCOPED_TRACE("samples " + std::to_string(N));
+    const std::vector<std::uint8_t> Good = encodeBlock(loopSamples(N, 0));
+    const std::uint64_t LastBitmapByte =
+        SampleBlockHeaderBytes + (N + 7) / 8 - 1;
+    for (std::uint64_t Bit = N % 8; Bit < 8; ++Bit) {
       std::vector<std::uint8_t> Bytes = Good;
-      Bytes[8 + At * SampleWireBytes + 16] = Bad;
+      Bytes[LastBitmapByte] ^= static_cast<std::uint8_t>(1U << Bit);
       ByteReader R(Bytes);
       std::vector<Sample> Out;
-      EXPECT_FALSE(decodeSampleBlock(R, Out));
+      EXPECT_FALSE(decodeSampleBlock(R, Out)) << "padding bit " << Bit;
       EXPECT_FALSE(R.ok());
       EXPECT_EQ(R.u8(), 0U); // sticky: later reads fail too
-      EXPECT_FALSE(R.atEnd());
-      // The count was honest, so any allocation is bounded by the input.
-      EXPECT_LE(Out.capacity() * SampleWireBytes, Bytes.size());
+      EXPECT_FALSE(checkWholeBlock(Bytes));
     }
   }
 }
 
 TEST(PersistSampleBlock, RejectsCountsTheBytesCannotHoldBeforeAllocating) {
-  const std::vector<std::uint8_t> Good = encodeBlock(patternSamples(4));
+  const std::vector<Sample> In = loopSamples(40, 0);
+  const std::vector<std::uint8_t> Good = encodeBlock(In);
   auto withCount = [&Good](std::uint64_t Count) {
     std::vector<std::uint8_t> Bytes = Good;
     for (std::uint32_t I = 0; I < 8; ++I)
       Bytes[I] = static_cast<std::uint8_t>(Count >> (8 * I));
     return Bytes;
   };
-  for (const std::uint64_t Count : {std::uint64_t{5}, std::uint64_t{1} << 61}) {
+  // The largest count the payload can claim: every byte after the header
+  // one pc value, at width 1.
+  const std::uint64_t Largest = Good.size() - SampleBlockHeaderBytes + 1;
+  for (const std::uint64_t Count :
+       {std::uint64_t{41}, Largest, Largest + 1, std::uint64_t{1} << 61,
+        UINT64_MAX}) {
     SCOPED_TRACE("count " + std::to_string(Count));
     const std::vector<std::uint8_t> Bytes = withCount(Count);
     ByteReader R(Bytes);
@@ -454,14 +741,44 @@ TEST(PersistSampleBlock, RejectsCountsTheBytesCannotHoldBeforeAllocating) {
     EXPECT_FALSE(decodeSampleBlock(R, Out));
     EXPECT_FALSE(R.ok());
     EXPECT_EQ(Out.capacity(), 0U); // nothing sized by the claimed count
+    EXPECT_FALSE(checkWholeBlock(Bytes));
   }
 }
 
 TEST(PersistSampleBlock, RejectsOneTrailingByte) {
-  std::vector<std::uint8_t> Bytes = encodeBlock(patternSamples(3));
-  Bytes.push_back(0);
-  std::vector<Sample> Out;
-  EXPECT_FALSE(decodeWholeBlock(Bytes, Out));
+  for (const std::uint64_t N : {0U, 1U, 3U}) {
+    std::vector<std::uint8_t> Bytes = encodeBlock(patternSamples(N));
+    Bytes.push_back(0);
+    std::vector<Sample> Out;
+    EXPECT_FALSE(decodeWholeBlock(Bytes, Out)) << N;
+    EXPECT_FALSE(checkWholeBlock(Bytes)) << N;
+  }
+}
+
+TEST(PersistSampleBlock, StaysUnderThreeBytesPerSample) {
+  // The models durable-ingest (perfbench/) runs, and all 31 workloads.
+  const std::set<std::string> Durable = {
+      "synthetic.periodic", "171.swim",   "172.mgrid",    "173.applu",
+      "183.equake",         "177.mesa",   "200.sixtrack", "301.apsi"};
+  std::uint64_t AllBytes = 0, AllSamples = 0, DurableBytes = 0,
+                DurableSamples = 0;
+  for (const WorkloadCorpus &C : workloadCorpus())
+    for (const std::vector<Sample> &Interval : C.Intervals) {
+      const std::uint64_t Bytes = encodeBlock(Interval).size();
+      AllBytes += Bytes;
+      AllSamples += Interval.size();
+      if (Durable.count(C.Name) != 0) {
+        DurableBytes += Bytes;
+        DurableSamples += Interval.size();
+      }
+    }
+  ASSERT_GT(DurableSamples, 0U);
+  const double All = static_cast<double>(AllBytes) / AllSamples;
+  const double Dur = static_cast<double>(DurableBytes) / DurableSamples;
+  RecordProperty("bytes_per_sample_all", std::to_string(All));
+  RecordProperty("bytes_per_sample_durable", std::to_string(Dur));
+  EXPECT_LE(All, 3.0);
+  EXPECT_LE(Dur, 3.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -622,7 +939,7 @@ TEST(PersistJournal, AppendReplayRoundTripWithSkipThreshold) {
         EXPECT_EQ(std::vector<std::uint8_t>(Payload.begin(), Payload.end()),
                   seqPayload(Seq));
         Seen.push_back(Seq);
-        return true;
+        return ReplayVerdict::Applied;
       });
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{3, 4, 5}));
   EXPECT_EQ(Res.RecordsReplayed, 3U);
@@ -636,7 +953,9 @@ TEST(PersistJournal, MissingFileIsNotCorruption) {
   const std::string Dir = scratchDir("journal_missing");
   const JournalResult Res = replayJournal(
       Dir + "/nope.wal", 0,
-      [](std::uint64_t, std::span<const std::uint8_t>) { return true; });
+      [](std::uint64_t, std::span<const std::uint8_t>) {
+        return ReplayVerdict::Applied;
+      });
   EXPECT_TRUE(Res.Missing);
   EXPECT_FALSE(Res.TornTail);
   EXPECT_EQ(Res.RecordsReplayed, 0U);
@@ -653,7 +972,9 @@ TEST(PersistJournal, ReplayTrustsLongestValidPrefixAtEveryTruncation) {
   {
     const JournalResult Whole = replayJournal(
         Path, 0,
-        [](std::uint64_t, std::span<const std::uint8_t>) { return true; });
+        [](std::uint64_t, std::span<const std::uint8_t>) {
+        return ReplayVerdict::Applied;
+      });
     ASSERT_EQ(Whole.RecordsReplayed, 3U);
     ASSERT_EQ(Whole.ValidBytes, Full.size());
   }
@@ -665,7 +986,7 @@ TEST(PersistJournal, ReplayTrustsLongestValidPrefixAtEveryTruncation) {
     const JournalResult Res = replayJournal(
         Torn, 0, [&Count](std::uint64_t, std::span<const std::uint8_t>) {
           ++Count;
-          return true;
+          return ReplayVerdict::Applied;
         });
     SCOPED_TRACE("truncated to " + std::to_string(Len));
     EXPECT_EQ(Res.RecordsReplayed, Count);
@@ -708,7 +1029,7 @@ TEST(PersistJournal, EveryBitFlipScansSafely) {
           EXPECT_EQ(
               std::vector<std::uint8_t>(Payload.begin(), Payload.end()),
               seqPayload(Seq));
-          return true;
+          return ReplayVerdict::Applied;
         });
     SCOPED_TRACE("flip at offset " + std::to_string(Off));
     EXPECT_LE(Res.RecordsReplayed, 3U);
@@ -739,7 +1060,7 @@ TEST(PersistJournal, NonIncreasingSequenceEndsScan) {
   const JournalResult Res = replayJournal(
       Path, 0, [&Count](std::uint64_t, std::span<const std::uint8_t>) {
         ++Count;
-        return true;
+        return ReplayVerdict::Applied;
       });
   EXPECT_EQ(Count, 1U);
   EXPECT_TRUE(Res.TornTail);
@@ -765,7 +1086,7 @@ TEST(PersistJournal, PayloadTooLongForU32LengthIsRefusedBeforeAnyByte) {
   // The acknowledged prefix is intact: no torn tail for repair to cut.
   const JournalResult Res = replayJournal(
       Path, 0, [](std::uint64_t, std::span<const std::uint8_t>) {
-        return true;
+        return ReplayVerdict::Applied;
       });
   EXPECT_EQ(Res.RecordsReplayed, 1U);
   EXPECT_FALSE(Res.TornTail);
@@ -795,7 +1116,9 @@ TEST(PersistJournal, TornJournalRefusesAppendsUntilRepaired) {
   EXPECT_EQ(mustRead(M.journalPath()), Torn) << "a refused append wrote";
 
   const JournalResult Repair = M.replayAndRepair(
-      0, [](std::uint64_t, std::span<const std::uint8_t>) { return true; });
+      0, [](std::uint64_t, std::span<const std::uint8_t>) {
+        return ReplayVerdict::Applied;
+      });
   EXPECT_TRUE(Repair.TornTail);
   EXPECT_EQ(Repair.RecordsReplayed, 2U);
   ASSERT_TRUE(M.appendJournal(3, seqPayload(3)));
@@ -803,7 +1126,7 @@ TEST(PersistJournal, TornJournalRefusesAppendsUntilRepaired) {
   const JournalResult After = M.replayAndRepair(
       0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
         Seen.push_back(Seq);
-        return true;
+        return ReplayVerdict::Applied;
       });
   EXPECT_FALSE(After.TornTail);
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2, 3}));
@@ -831,7 +1154,7 @@ TEST(PersistJournal, NonIncreasingAppendIsRefusedBeforeAnyByte) {
   const JournalResult Res = M.replayAndRepair(
       0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
         Seen.push_back(Seq);
-        return true;
+        return ReplayVerdict::Applied;
       });
   EXPECT_FALSE(Res.TornTail);
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2, 3, 4}));
@@ -843,11 +1166,35 @@ TEST(PersistJournal, RejectedPayloadStopsScanAndIsNotCountedInLastSeq) {
   writeJournal(Path, 3);
   const JournalResult Res = replayJournal(
       Path, 0, [](std::uint64_t Seq, std::span<const std::uint8_t>) {
-        return Seq < 2; // the service rejects record 2 as malformed
+        // The service rejects record 2 as malformed.
+        return Seq < 2 ? ReplayVerdict::Applied : ReplayVerdict::Malformed;
       });
   EXPECT_EQ(Res.RecordsReplayed, 1U);
   EXPECT_TRUE(Res.PayloadRejected);
   EXPECT_EQ(Res.LastSeq, 1U);
+}
+
+// A whole record the service cannot apply (a stream it lacks) ends
+// replay as a mismatch: no torn tail, and the manager cuts nothing.
+TEST(PersistJournal, ForeignRecordStopsReplayWithoutRepair) {
+  const std::string Dir = scratchDir("journal_foreign");
+  CheckpointManager M(Dir);
+  for (std::uint64_t Seq = 1; Seq <= 3; ++Seq)
+    ASSERT_TRUE(M.appendJournal(Seq, seqPayload(Seq)));
+  const std::vector<std::uint8_t> Before = mustRead(M.journalPath());
+  const JournalResult Res = M.replayAndRepair(
+      0, [](std::uint64_t Seq, std::span<const std::uint8_t>) {
+        return Seq < 2 ? ReplayVerdict::Applied : ReplayVerdict::Foreign;
+      });
+  EXPECT_EQ(Res.RecordsReplayed, 1U);
+  EXPECT_TRUE(Res.Mismatch);
+  EXPECT_FALSE(Res.TornTail);
+  EXPECT_FALSE(Res.PayloadRejected);
+  EXPECT_EQ(Res.LastSeq, 1U);
+  EXPECT_EQ(M.counters().JournalMismatches, 1U);
+  EXPECT_EQ(M.counters().JournalTornTails, 0U);
+  EXPECT_EQ(M.counters().JournalRepairs, 0U);
+  EXPECT_EQ(mustRead(M.journalPath()), Before);
 }
 
 //===----------------------------------------------------------------------===//
@@ -901,7 +1248,7 @@ TEST(PersistCheckpoint, CommitRotatesAndCompactionKeepsFallbackUsable) {
   (void)M.replayAndRepair(
       0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
         Seen.push_back(Seq);
-        return true;
+        return ReplayVerdict::Applied;
       });
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
 
@@ -911,7 +1258,7 @@ TEST(PersistCheckpoint, CommitRotatesAndCompactionKeepsFallbackUsable) {
   (void)M.replayAndRepair(
       0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
         Seen.push_back(Seq);
-        return true;
+        return ReplayVerdict::Applied;
       });
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{4, 5, 6}));
   EXPECT_EQ(M.counters().SnapshotsCommitted, 3U);
@@ -934,7 +1281,9 @@ TEST(PersistCheckpoint, ReplayAndRepairTruncatesTornTail) {
   const std::uint64_t TornSize = mustRead(M.journalPath()).size();
 
   const JournalResult Res = M.replayAndRepair(
-      0, [](std::uint64_t, std::span<const std::uint8_t>) { return true; });
+      0, [](std::uint64_t, std::span<const std::uint8_t>) {
+        return ReplayVerdict::Applied;
+      });
   EXPECT_EQ(Res.RecordsReplayed, 3U);
   EXPECT_TRUE(Res.TornTail);
   EXPECT_EQ(M.counters().JournalTornTails, 1U);
@@ -947,7 +1296,7 @@ TEST(PersistCheckpoint, ReplayAndRepairTruncatesTornTail) {
   const JournalResult After = M.replayAndRepair(
       0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
         Seen.push_back(Seq);
-        return true;
+        return ReplayVerdict::Applied;
       });
   EXPECT_FALSE(After.TornTail);
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2, 3, 4}));
@@ -1029,7 +1378,7 @@ std::uint64_t restoreJournal(CheckpointManager &M) {
                           [&Last](std::uint64_t Seq,
                                   std::span<const std::uint8_t>) {
                             Last = Seq;
-                            return true;
+                            return ReplayVerdict::Applied;
                           });
   return Last;
 }
@@ -1183,7 +1532,7 @@ TEST(PersistCheckpoint, CrashSweptCommitAlwaysLeavesRecoverableState) {
           EXPECT_EQ(std::vector<std::uint8_t>(P.begin(), P.end()),
                     seqPayload(Seq));
           Replayed.insert(Seq);
-          return true;
+          return ReplayVerdict::Applied;
         });
     EXPECT_FALSE(JR.HeaderCorrupt);
     // Full coverage: snapshot + replayed journal reach seq 6 exactly,

@@ -78,6 +78,16 @@ service::SampleBatch smallBatch(std::uint32_t Stream) {
   return B;
 }
 
+/// A Config payload: \p Fingerprint, then the start point \p Start.
+std::vector<std::uint8_t> configPayload(std::vector<std::uint8_t> Fingerprint,
+                                        service::StartPoint Start = {}) {
+  persist::ByteWriter W;
+  W.bytes(Fingerprint);
+  W.u64(Start.Sequence);
+  W.u32(Start.StateCrc);
+  return W.take();
+}
+
 std::vector<std::uint8_t> batchPayload(const service::SampleBatch &B,
                                        RecordedFate Fate) {
   persist::ByteWriter W;
@@ -97,9 +107,9 @@ BuiltTrace buildTrace() {
   BuiltTrace T;
   T.Bytes = headerBytes();
   T.Boundaries.push_back(T.Bytes.size());
-  const std::vector<std::uint8_t> Fp = {9, 8, 7, 6};
+  const std::vector<std::uint8_t> Config = configPayload({9, 8, 7, 6});
   for (const auto &Rec :
-       {record(1, static_cast<std::uint8_t>(RecordKind::Config), Fp),
+       {record(1, static_cast<std::uint8_t>(RecordKind::Config), Config),
         record(2, static_cast<std::uint8_t>(RecordKind::Batch),
                batchPayload(smallBatch(0), RecordedFate::Admitted)),
         [] {
@@ -142,7 +152,9 @@ TEST(TraceFormat, PayloadRoundTrips) {
   // Batch: fate + stream + samples survive the wire.
   const service::SampleBatch In = smallBatch(7);
   const std::vector<std::uint8_t> P = batchPayload(In, RecordedFate::Refused);
-  EXPECT_EQ(P.size(), 1 + 4 + 8 + In.Samples.size() * persist::SampleWireBytes);
+  persist::ByteWriter Block;
+  persist::encodeSampleBlock(Block, In.Samples);
+  EXPECT_EQ(P.size(), 1 + 4 + Block.size());
   persist::ByteReader R(P);
   service::SampleBatch Out;
   RecordedFate Fate = RecordedFate::Admitted;
@@ -225,6 +237,31 @@ TEST(TraceFormat, DecodersRejectStructuralViolations) {
   }
 }
 
+TEST(TraceFormat, ConfigPayloadEndsInAStartPoint) {
+  std::vector<std::uint8_t> Fp;
+  service::StartPoint Start;
+  ASSERT_TRUE(decodeConfigPayload(configPayload({4, 5}, {9, 0xABCDU}), Fp,
+                                  Start));
+  EXPECT_EQ(Fp, (std::vector<std::uint8_t>{4, 5}));
+  EXPECT_EQ(Start, (service::StartPoint{9, 0xABCDU}));
+  // An empty fingerprint still carries a start point.
+  ASSERT_TRUE(decodeConfigPayload(configPayload({}), Fp, Start));
+  EXPECT_TRUE(Fp.empty());
+  EXPECT_EQ(Start, service::StartPoint{});
+  // Too short to end in a start point, and a CRC at sequence 0 (a cold
+  // start has one encoding).
+  const std::vector<std::uint8_t> Short(11, 0);
+  EXPECT_FALSE(decodeConfigPayload(Short, Fp, Start));
+  EXPECT_FALSE(decodeConfigPayload(configPayload({4}, {0, 1}), Fp, Start));
+
+  std::vector<std::uint8_t> Bytes = headerBytes();
+  append(Bytes, record(1, static_cast<std::uint8_t>(RecordKind::Config),
+                       Short));
+  const ScanResult S = scanTraceBytes(Bytes);
+  EXPECT_TRUE(S.MalformedPayload);
+  EXPECT_EQ(S.ValidBytes, persist::LogHeaderBytes);
+}
+
 TEST(TraceFormat, ScannerDecodesRecorderOutput) {
   const std::string Path = scratchFile("roundtrip");
   TraceRecorder Rec;
@@ -233,7 +270,7 @@ TEST(TraceFormat, ScannerDecodesRecorderOutput) {
   EXPECT_TRUE(Open.Created);
   EXPECT_EQ(Open.NextSeq, 1U);
   const std::vector<std::uint8_t> Fp = {1, 2, 3};
-  Rec.recordConfig(Fp);
+  Rec.recordConfig(configPayload(Fp, {7, 0xC0FFEEU}));
   EXPECT_EQ(Rec.recordBatch(smallBatch(5), RecordedFate::Admitted), 2U);
   Rec.recordDrop(/*EvictedSeq=*/2, /*Shard=*/1);
   Rec.recordPushReject(/*Seq=*/2);
@@ -248,6 +285,7 @@ TEST(TraceFormat, ScannerDecodesRecorderOutput) {
   EXPECT_EQ(S.LastSeq, 5U);
   EXPECT_EQ(S.Records[0].Kind, RecordKind::Config);
   EXPECT_EQ(S.Records[0].Config, Fp);
+  EXPECT_EQ(S.Records[0].Start, (service::StartPoint{7, 0xC0FFEEU}));
   EXPECT_EQ(S.Records[1].Kind, RecordKind::Batch);
   EXPECT_EQ(S.Records[1].Fate, RecordedFate::Admitted);
   EXPECT_EQ(S.Records[1].Batch.Stream, 5U);
@@ -415,7 +453,7 @@ TEST(TraceFormat, VersionSkewRefusesRepair) {
 
 TEST(TraceFormat, NonIncreasingSequenceEndsTheScan) {
   std::vector<std::uint8_t> Bytes = headerBytes();
-  const std::vector<std::uint8_t> P = {5};
+  const std::vector<std::uint8_t> P = configPayload({5});
   append(Bytes, record(1, static_cast<std::uint8_t>(RecordKind::Config), P));
   const std::uint64_t Boundary = Bytes.size();
   append(Bytes, record(1, static_cast<std::uint8_t>(RecordKind::Config), P));
@@ -431,8 +469,7 @@ TEST(TraceFormat, NonIncreasingSequenceEndsTheScan) {
 // it, and a reopened recorder resumes at the right sequence.
 TEST(TraceFormat, RecorderCrashBudgetSweepLeavesRepairablePrefix) {
   const auto drive = [](TraceRecorder &R) {
-    const std::vector<std::uint8_t> Fp = {10, 20, 30, 40};
-    R.recordConfig(Fp);
+    R.recordConfig(configPayload({10, 20, 30, 40}));
     for (std::uint32_t I = 0; I < 6; ++I) {
       service::SampleBatch B;
       B.Stream = I % 2;

@@ -23,6 +23,7 @@
 #include "TraceScenarios.h"
 
 #include "persist/Bytes.h"
+#include "persist/Crc32.h"
 #include "persist/Io.h"
 #include "persist/RecordLog.h"
 
@@ -289,6 +290,7 @@ ReplayRun expectSameReplay(const ScenarioSpec &Spec,
   const ReplayRun R = replayBytes(Spec, Streams, Bytes, /*FromFile=*/false);
   EXPECT_EQ(F.Replay.Ok, R.Replay.Ok);
   EXPECT_EQ(F.Replay.ConfigMismatch, R.Replay.ConfigMismatch);
+  EXPECT_EQ(F.Replay.StartMismatch, R.Replay.StartMismatch);
   EXPECT_EQ(F.Replay.Diverged, R.Replay.Diverged);
   EXPECT_EQ(F.Replay.DivergedSeq, R.Replay.DivergedSeq);
   EXPECT_EQ(F.Replay.BatchesApplied, R.Replay.BatchesApplied);
@@ -418,9 +420,22 @@ TEST(TraceReplay, FileReplayMatchesRecordReplay) {
     {
       SCOPED_TRACE("config mismatch");
       std::vector<Framed> Forged = Records;
-      Forged.front().Payload.back() ^= 1;
+      Forged.front().Payload.front() ^= 1; // the fingerprint's worker count
       const ReplayRun R = expectSameReplay(Spec, Streams, frame(Forged));
       EXPECT_TRUE(R.Replay.ConfigMismatch);
+      EXPECT_EQ(R.Replay.BatchesApplied, 0U);
+    }
+    {
+      SCOPED_TRACE("start mismatch");
+      // The Config payload ends in the start point: u64 sequence, u32 CRC.
+      std::vector<Framed> Forged = Records;
+      std::vector<std::uint8_t> &Config = Forged.front().Payload;
+      Config[Config.size() - 12] = 5;
+      const ReplayRun R = expectSameReplay(Spec, Streams, frame(Forged));
+      EXPECT_TRUE(R.Replay.StartMismatch);
+      EXPECT_FALSE(R.Replay.ConfigMismatch);
+      EXPECT_EQ(R.Replay.TraceStart.Sequence, 5U);
+      EXPECT_EQ(R.Replay.ServiceStart.Sequence, 0U);
       EXPECT_EQ(R.Replay.BatchesApplied, 0U);
     }
   }
@@ -740,6 +755,69 @@ TEST(TraceAttach, ARecordingOnANonEmptyDirectoryReplaysOntoItsCopy) {
   EXPECT_EQ(R.Replay.BatchesApplied, 8U);
   EXPECT_EQ(R.Replay.CheckpointsApplied, 1U);
   EXPECT_EQ(Replayed->encodeState(), Recorded);
+}
+
+// The Config record names the state the recording started from. A replay
+// onto any other state -- a cold service, or a directory at the same
+// sequence reached through other batches -- applies nothing.
+TEST(TraceAttach, AReplayRefusesAStateTheTraceDoesNotStartFrom) {
+  const ScenarioSpec Spec = attachSpec();
+  const std::vector<PreparedStream> Streams = prepare(Spec);
+  // Both directories reach sequence 8 from the same batches, but in one
+  // of them stream 0's second batch arrives with an unaligned pc.
+  const auto fill = [&](const std::string &Dir, bool Poison) {
+    const auto First = makeService(Spec.Cfg, Streams);
+    const trace::Attachment Logs = trace::attach(*First, {.Dir = Dir});
+    First->start();
+    for (std::size_t I = 0; I < 4; ++I)
+      for (service::StreamId Id = 0; Id < Streams.size(); ++Id) {
+        std::vector<Sample> Batch = Streams[Id].Intervals[I];
+        if (Poison && I == 1 && Id == 0)
+          Batch.front().Pc |= 1;
+        First->submit({Id, std::move(Batch)});
+      }
+    First->stop();
+    ASSERT_TRUE(First->checkpoint());
+  };
+  const std::string Dir = scratchDir("start_rec");
+  const std::string Other = scratchDir("start_other");
+  fill(Dir, false);
+  fill(Other, true);
+
+  const std::string Trace = scratchTrace("start");
+  service::StartPoint Recorded;
+  {
+    const auto Service = makeService(Spec.Cfg, Streams);
+    trace::Attachment Logs =
+        trace::attach(*Service, {.Dir = Dir, .TracePath = Trace});
+    ASSERT_TRUE(Logs.Open.Ok);
+    Recorded = Service->startPoint();
+    EXPECT_EQ(Recorded.Sequence, 8U);
+    // The CRC-32 of the encoded state, up to the container's own seal.
+    const std::vector<std::uint8_t> State = Service->encodeState();
+    EXPECT_EQ(Recorded.StateCrc,
+              persist::crc32({State.data(), State.size() - 4}));
+    Service->start();
+    submitRange(*Service, Streams, 4, 6);
+    Service->stop();
+    ASSERT_TRUE(Logs.Recorder->close());
+  }
+
+  service::ServiceConfig Inline = Spec.Cfg;
+  Inline.Inline = true;
+  for (const std::string &From : {std::string(), Other}) {
+    SCOPED_TRACE(From.empty() ? "cold" : "other state at sequence 8");
+    const auto Replayed = makeService(Inline, Streams);
+    const trace::Attachment Logs = trace::attach(*Replayed, {.Dir = From});
+    const std::vector<std::uint8_t> Before = Replayed->encodeState();
+    const trace::FileReplay R = trace::replayTraceFile(Trace, *Replayed);
+    EXPECT_FALSE(R.Replay.Ok);
+    EXPECT_TRUE(R.Replay.StartMismatch);
+    EXPECT_EQ(R.Replay.TraceStart, Recorded);
+    EXPECT_EQ(R.Replay.ServiceStart.Sequence, From.empty() ? 0U : 8U);
+    EXPECT_EQ(R.Replay.BatchesApplied, 0U);
+    EXPECT_EQ(Replayed->encodeState(), Before) << "a refused replay applied";
+  }
 }
 
 } // namespace

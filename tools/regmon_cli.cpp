@@ -606,19 +606,20 @@ std::optional<trace::Attachment> attachLogs(service::MonitorService &Service,
 /// Runs one live producer per stream: each samples its stream's engine
 /// and submits every buffer overflow as a batch, exactly as per-core HPM
 /// drivers would, until it has submitted --intervals batches. The engines
-/// are deterministic in (workload, seed), so with \p Resume a restored
-/// stream re-derives its sample sequence and skips the intervals recovery
-/// already owns. \p Plan (nullable) injects seeded faults into every
-/// batch; its refusals are the point, so the producer keeps going through
-/// them, while without a plan a refusal means the service takes no more
-/// (stopped, or its journal died).
+/// are deterministic in (workload, seed), so a restored stream re-derives
+/// its sample sequence and skips every interval it already holds:
+/// processed, poisoned or sat out in quarantine. \p Plan (nullable)
+/// injects seeded faults into every batch, drawing its decisions for the
+/// skipped intervals too, so a resumed run sees the uninterrupted run's
+/// fault schedule. The plan's refusals are the point, so the producer
+/// keeps going through them, while without a plan a refusal means the
+/// service takes no more (stopped, or its journal died).
 void produce(const Options &Opts, const std::vector<Stream> &Streams,
-             service::MonitorService &Service, bool Resume,
-             const faults::FaultPlan *Plan) {
+             service::MonitorService &Service, const faults::FaultPlan *Plan) {
   std::vector<std::uint64_t> Skip(Streams.size(), 0);
-  if (Resume)
-    for (const service::StreamSnapshot &St : Service.snapshot().Streams)
-      Skip[St.Stream] = St.BatchesProcessed;
+  for (const service::StreamSnapshot &St : Service.snapshot().Streams)
+    Skip[St.Stream] =
+        St.BatchesProcessed + St.PoisonedBatches + St.QuarantinedBatches;
   std::vector<std::thread> Producers;
   Producers.reserve(Streams.size());
   for (service::StreamId Id = 0; Id < Streams.size(); ++Id)
@@ -632,12 +633,14 @@ void produce(const Options &Opts, const std::vector<Stream> &Streams,
       std::vector<Sample> Buffer;
       std::size_t Sent = 0;
       while (Sent < Opts.MaxIntervals && Sampler.fillBuffer(Buffer)) {
+        std::vector<Sample> Batch = Inj ? Inj->apply(Buffer) : Buffer;
+        const bool Poison =
+            Inj && Inj->nextBatchFault() == faults::BatchFault::Poison;
         if (Skip[Id] > 0) {
           --Skip[Id];
           continue;
         }
-        std::vector<Sample> Batch = Inj ? Inj->apply(Buffer) : Buffer;
-        if (Inj && Inj->nextBatchFault() == faults::BatchFault::Poison)
+        if (Poison)
           faults::poisonBatch(Batch);
         if (!Service.submit({Id, std::move(Batch)}) && !Plan)
           break;
@@ -692,6 +695,10 @@ void printRecovery(const persist::RecoveryCounters &C) {
   if (C.LastError != persist::SnapshotError::None)
     std::printf("  last snapshot error: %s\n",
                 persist::toString(C.LastError));
+  if (C.JournalMismatches != 0)
+    std::printf("  topology mismatch: the journal names a stream this "
+                "service lacks; it is kept whole, and new batches and "
+                "checkpoints are refused\n");
 }
 
 /// The metrics in \p Format; as JSON, with the events of \p Tracer.
@@ -706,7 +713,7 @@ int cmdServe(const Options &Opts) {
   const std::vector<Stream> Streams = makeStreams(Opts);
   const auto Service = makeService(Opts, Streams);
   Service->start();
-  produce(Opts, Streams, *Service, /*Resume=*/false, /*Plan=*/nullptr);
+  produce(Opts, Streams, *Service, /*Plan=*/nullptr);
   Service->stop();
 
   const service::ServiceSnapshot Snap = Service->snapshot();
@@ -742,7 +749,7 @@ int cmdCheckpoint(const Options &Opts) {
   std::printf("restored from ");
   printRestore(Opts, *Logs);
   Service->start();
-  produce(Opts, Streams, *Service, /*Resume=*/true, /*Plan=*/nullptr);
+  produce(Opts, Streams, *Service, /*Plan=*/nullptr);
   Service->stop();
 
   const bool Committed = Service->checkpoint();
@@ -942,7 +949,7 @@ int cmdRecord(const Options &Opts) {
   FaultCfg.TruncateRate = Opts.TruncateRate;
   FaultCfg.PoisonRate = Opts.PoisonRate;
   const faults::FaultPlan Plan(Opts.Seed, FaultCfg);
-  produce(Opts, Streams, *Service, /*Resume=*/false, &Plan);
+  produce(Opts, Streams, *Service, &Plan);
   Service->stop();
   const bool Committed = !Logs->Store || Service->checkpoint();
   trace::TraceRecorder &Recorder = *Logs->Recorder;
@@ -1037,6 +1044,19 @@ int cmdReplay(const Options &Opts) {
     std::fprintf(stderr,
                  "error: trace was recorded under a different configuration "
                  "(check --streams/--workers/--queue/--policy)\n");
+    return 1;
+  }
+  if (R.Replay.StartMismatch) {
+    std::fprintf(
+        stderr,
+        "error: trace starts at journal sequence %llu, but this service "
+        "holds sequence %llu%s (replay with --dir on a copy of the "
+        "recording's directory taken before it recorded)\n",
+        static_cast<unsigned long long>(R.Replay.TraceStart.Sequence),
+        static_cast<unsigned long long>(R.Replay.ServiceStart.Sequence),
+        R.Replay.TraceStart.Sequence == R.Replay.ServiceStart.Sequence
+            ? " in another state"
+            : "");
     return 1;
   }
   if (R.Replay.Diverged) {
