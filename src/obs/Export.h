@@ -23,10 +23,6 @@
 
 namespace regmon::obs {
 
-/// Formats \p V as its shortest round-trip decimal form ("0.25", "1",
-/// "1e+20"). Deterministic across runs and platforms with IEEE doubles.
-std::string formatDouble(double V);
-
 /// Renders every metric in Prometheus text exposition format. Metric
 /// names gain a `regmon_` prefix; histograms expand to cumulative
 /// `_bucket{le=...}` series plus `_count`.

@@ -53,34 +53,4 @@ BucketHistogram &MetricsRegistry::histogram(std::string_view Name,
   return *E.H;
 }
 
-std::vector<MetricValue> MetricsRegistry::collect() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<MetricValue> Out;
-  Out.reserve(Entries.size());
-  for (const auto &[Key, E] : Entries) {
-    MetricValue V;
-    V.Name = Key.first;
-    V.Label = Key.second;
-    V.Help = E.Help;
-    V.Kind = E.Kind;
-    switch (E.Kind) {
-    case MetricKind::Counter:
-      V.CounterValue = E.C ? E.C->value() : 0;
-      break;
-    case MetricKind::Gauge:
-      V.GaugeValue = E.G ? E.G->value() : 0.0;
-      break;
-    case MetricKind::Histogram:
-      if (E.H) {
-        V.Bounds.assign(E.H->bounds().begin(), E.H->bounds().end());
-        V.BucketCounts = E.H->bucketCounts();
-        V.Count = E.H->count();
-      }
-      break;
-    }
-    Out.push_back(std::move(V));
-  }
-  return Out;
-}
-
 } // namespace regmon::obs

@@ -20,7 +20,10 @@
 ///
 /// Registration (\ref MetricsRegistry) is mutex-protected and meant for
 /// setup phases; instrumented code holds direct Counter/Gauge/Histogram
-/// pointers (see obs/Instruments.h) and touches only the atomics.
+/// pointers (see obs/Instruments.h) and touches only the atomics. The
+/// exporters walk the entries in place under the same mutex
+/// (\ref MetricsRegistry::forEach), so an export never waits on a metric
+/// update, only on a registration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,13 +106,10 @@ public:
   /// Returns the finite upper bounds (the +Inf bucket is implicit).
   std::span<const double> bounds() const { return Upper; }
 
-  /// Returns per-bucket counts, one per bound plus the +Inf bucket.
-  std::vector<std::uint64_t> bucketCounts() const {
-    std::vector<std::uint64_t> Out;
-    Out.reserve(Buckets.size());
-    for (const std::atomic<std::uint64_t> &B : Buckets)
-      Out.push_back(B.load(std::memory_order_relaxed));
-    return Out;
+  /// Returns the count in bucket \p I: one bucket per bound, then the
+  /// +Inf bucket at I == bounds().size().
+  std::uint64_t bucket(std::size_t I) const {
+    return Buckets[I].load(std::memory_order_relaxed);
   }
 
   /// Returns the total number of observations.
@@ -126,17 +126,17 @@ private:
 /// What kind of metric a registry entry is.
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 
-/// One metric's exported state (see \ref MetricsRegistry::collect).
-struct MetricValue {
-  std::string Name;  ///< metric name without the exporter prefix
-  std::string Label; ///< optional label pair(s), e.g. `stream="3"`
-  std::string Help;
+/// One registry entry as an exporter sees it: views of its strings and
+/// the live metric, valid only for the duration of the visit. Exactly the
+/// pointer that matches \ref Kind is set.
+struct MetricView {
+  std::string_view Name;  ///< metric name without the exporter prefix
+  std::string_view Label; ///< optional label pair(s), e.g. `stream="3"`
+  std::string_view Help;
   MetricKind Kind = MetricKind::Counter;
-  std::uint64_t CounterValue = 0;
-  double GaugeValue = 0;
-  std::vector<double> Bounds;               ///< histogram only
-  std::vector<std::uint64_t> BucketCounts;  ///< histogram only, per bucket
-  std::uint64_t Count = 0;                  ///< histogram only
+  const Counter *C = nullptr;
+  const Gauge *G = nullptr;
+  const BucketHistogram *H = nullptr;
 };
 
 /// Owns every registered metric. Registration is idempotent on
@@ -162,8 +162,17 @@ public:
                              std::string_view Help = "",
                              std::string_view Label = "");
 
-  /// Snapshots every metric in deterministic (name, label) order.
-  std::vector<MetricValue> collect() const;
+  /// Calls \p Visit with a \ref MetricView of every entry, in
+  /// deterministic (name, label) order. Nothing is copied: the visitor
+  /// reads each metric's atomics in place. The registry mutex is held
+  /// throughout, so the visitor must not register; updates through held
+  /// metric references go on.
+  template <typename Visitor> void forEach(Visitor &&Visit) const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    for (const auto &[Key, E] : Entries)
+      Visit(MetricView{Key.first, Key.second, E.Help, E.Kind, E.C.get(),
+                       E.G.get(), E.H.get()});
+  }
 
 private:
   struct Entry {
@@ -177,7 +186,9 @@ private:
   Entry &entry(std::string_view Name, std::string_view Label,
                MetricKind Kind, std::string_view Help);
 
-  mutable std::mutex Mu; ///< guards Entries layout only, never hot reads
+  /// Guards the Entries layout: registration and the exporters' walk,
+  /// never a metric update.
+  mutable std::mutex Mu;
   std::map<std::pair<std::string, std::string>, Entry> Entries;
 };
 

@@ -101,6 +101,9 @@ bool CheckpointManager::compactJournal(std::uint64_t ThroughSeq) {
       });
   if (Scan.Missing)
     return true;
+  // Records past a gap are kept by no rewrite: leave the file as it is.
+  if (Scan.Gap)
+    return false;
 
   const std::string Tmp = Root + "/journal.tmp";
   {
@@ -201,12 +204,18 @@ JournalResult CheckpointManager::replayAndRepair(std::uint64_t SkipThroughSeq,
     Tail = JournalTail{};
     return Res;
   }
-  if (Res.Mismatch) {
+  if (Res.Mismatch || Res.Gap) {
     // The records past the stop are whole and acknowledged; they belong
-    // to a service with more streams. Keep every byte, and leave the tail
-    // unknown: the owner refuses to append behind records it never
-    // applied.
-    ++Counters.JournalMismatches;
+    // to a service with more streams, or continue a state that did not
+    // load. Keep every byte, and leave the tail unknown: the owner refuses
+    // to append behind records it never applied.
+    if (Res.Mismatch) {
+      ++Counters.JournalMismatches;
+    } else {
+      ++Counters.JournalGaps;
+      Counters.GapStateSeq = SkipThroughSeq + Res.RecordsReplayed;
+      Counters.GapJournalSeq = Res.GapSeq;
+    }
     return Res;
   }
   if (Res.TornTail || Res.HeaderCorrupt) {

@@ -15,7 +15,7 @@
 ///
 /// Commit protocol (each step gated by the optional CrashPoint):
 ///
-///     1. write + flush snapshot.tmp
+///     1. write snapshot.tmp (one write(2) call)
 ///     2. rename snapshot.bin     -> snapshot.prev.bin   (atomic)
 ///     3. rename snapshot.tmp     -> snapshot.bin        (atomic)
 ///     4. compact journal.wal, dropping records already covered by the
@@ -33,7 +33,9 @@
 ///                                               records skipped by seq)
 ///
 /// Recovery ladder: snapshot.bin -> snapshot.prev.bin -> cold start; the
-/// journal is replayed on whatever rung loaded (or onto the cold state).
+/// journal is replayed on whatever rung loaded (or onto the cold state),
+/// as far as it continues that state: a compacted journal under a cold
+/// start is a gap, never replayed (persist/Journal.h).
 /// Every rejection is counted with its reason in \ref RecoveryCounters --
 /// corruption degrades, it never crashes.
 ///
@@ -76,6 +78,15 @@ struct RecoveryCounters {
   /// Replays stopped at a record naming a stream the service lacks: a
   /// directory of another topology. The journal is left whole.
   std::uint64_t JournalMismatches = 0;
+  /// Replays stopped at a gap: the journal's next record is past the one
+  /// after the state's sequence, because compaction dropped the records
+  /// between with the snapshot that did not load. The journal is left
+  /// whole.
+  std::uint64_t JournalGaps = 0;
+  /// Where the last gap was: the state's sequence, and the journal's next
+  /// record past it. Both 0 until a gap is found.
+  std::uint64_t GapStateSeq = 0;
+  std::uint64_t GapJournalSeq = 0;
   /// Why the most recently refused snapshot rung was refused: its
   /// container error, or StateRejected when the owner's decode refused
   /// its payload. A missing rung is no refusal and a later successful
@@ -146,8 +157,9 @@ public:
   /// Replays the journal through \p Replay, skipping records at or below
   /// \p SkipThroughSeq, then repairs any torn tail by truncating the file
   /// to its valid prefix so future appends extend a well-formed journal.
-  /// A replay that ends in a mismatch is counted and repairs nothing: the
-  /// records past it are another topology's, not damage.
+  /// A replay that ends in a mismatch or a gap is counted and repairs
+  /// nothing: the records past it are another topology's, or continue a
+  /// state that did not load; either way they are not damage.
   JournalResult replayAndRepair(std::uint64_t SkipThroughSeq,
                                 const JournalReplay &Replay);
 

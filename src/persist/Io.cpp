@@ -6,6 +6,13 @@
 
 #include "persist/Io.h"
 
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
@@ -13,49 +20,54 @@ using namespace regmon::persist;
 
 FileSink::FileSink(const std::string &Path, bool Append, CrashPoint *CP)
     : Crash(CP) {
-  File = std::fopen(Path.c_str(), Append ? "ab" : "wb");
+  Fd = ::open(Path.c_str(),
+              O_WRONLY | O_CREAT | O_CLOEXEC | (Append ? O_APPEND : O_TRUNC),
+              0666);
 }
 
 FileSink::~FileSink() {
-  if (File != nullptr) {
-    if (std::fclose(File) != 0)
-      Failed = true;
-    File = nullptr;
-  }
+  if (Fd >= 0 && ::close(Fd) != 0)
+    Failed = true;
 }
 
-bool FileSink::write(std::span<const std::uint8_t> Data) {
+bool FileSink::write(std::span<const std::uint8_t> Head,
+                     std::span<const std::uint8_t> Tail) {
   if (!ok())
     return false;
-  std::uint64_t Allowed = Data.size();
-  if (Crash != nullptr)
-    Allowed = Crash->grantBytes(Data.size());
-  if (Allowed > 0 &&
-      std::fwrite(Data.data(), 1, Allowed, File) != Allowed) {
-    Failed = true;
-    return false;
-  }
-  if (Allowed < Data.size()) {
-    // The injected crash truncated this write: flush what survived so the
-    // torn prefix is really on disk, then stay failed forever.
-    if (std::fflush(File) != 0) {
+  const std::uint64_t Want = Head.size() + Tail.size();
+  const std::uint64_t Allowed =
+      Crash != nullptr ? Crash->grantBytes(Want) : Want;
+  // The granted prefix of Head + Tail, as at most two pieces.
+  const std::uint64_t FromHead = std::min<std::uint64_t>(Allowed, Head.size());
+  iovec Pieces[2];
+  std::int32_t Count = 0;
+  if (FromHead > 0)
+    Pieces[Count++] = {const_cast<std::uint8_t *>(Head.data()), FromHead};
+  if (Allowed > FromHead)
+    Pieces[Count++] = {const_cast<std::uint8_t *>(Tail.data()),
+                       Allowed - FromHead};
+  if (Count > 0) {
+    auto Wrote = ::writev(Fd, Pieces, Count);
+    while (Wrote < 0 && errno == EINTR)
+      Wrote = ::writev(Fd, Pieces, Count);
+    if (Wrote < 0 || static_cast<std::uint64_t>(Wrote) != Allowed) {
       Failed = true;
       return false;
     }
+  }
+  // An injected crash tore this write: the granted prefix is on disk, and
+  // the sink stays failed forever.
+  if (Allowed < Want) {
     Failed = true;
     return false;
   }
   return true;
 }
 
-bool FileSink::flush() {
+bool FileSink::acknowledge() {
   if (!ok())
     return false;
   if (Crash != nullptr && !Crash->grantOp()) {
-    Failed = true;
-    return false;
-  }
-  if (std::fflush(File) != 0) {
     Failed = true;
     return false;
   }
@@ -63,11 +75,11 @@ bool FileSink::flush() {
 }
 
 bool FileSink::close() {
-  const bool WasOk = flush();
+  const bool WasOk = acknowledge();
   bool CloseOk = true;
-  if (File != nullptr) {
-    CloseOk = std::fclose(File) == 0;
-    File = nullptr;
+  if (Fd >= 0) {
+    CloseOk = ::close(Fd) == 0;
+    Fd = -1;
   }
   return WasOk && CloseOk;
 }

@@ -7,15 +7,22 @@
 /// \file
 /// The thin file-system seam under checkpointing, built so a crash can be
 /// *simulated deterministically*: every byte written and every metadata
-/// operation (rename, remove, flush) draws from a \ref CrashPoint budget,
-/// and when the budget runs out the write is truncated mid-stream and all
-/// later I/O fails -- exactly the torn state a power cut at that point
-/// would leave on disk. CrashRecoveryTest sweeps seeded budgets through
-/// snapshot commits and journal appends and asserts recovery from each
-/// torn state; production callers simply pass no CrashPoint.
+/// operation (rename, truncate, acknowledgement) draws from a
+/// \ref CrashPoint budget, and when the budget runs out the write is
+/// truncated mid-stream and all later I/O fails -- exactly the torn state
+/// a power cut at that point would leave on disk. CrashRecoveryTest
+/// sweeps seeded budgets through snapshot commits and journal appends and
+/// asserts recovery from each torn state; production callers simply pass
+/// no CrashPoint.
 ///
-/// All I/O uses <cstdio> with every return value checked (the persist
-/// lint rule enforces the checking).
+/// Writes go straight to the file descriptor: \ref FileSink keeps no
+/// user-space buffer, so each of its writes hands its bytes to the kernel
+/// in one write(2) call -- a log record's header and payload together in
+/// one writev(2) -- retried on EINTR. A short or failed call latches the
+/// sink dead with what it wrote on disk, a torn tail like a crash's.
+/// Whole-file reads (\ref readFileBytes) use <cstdio>. Every return value
+/// is checked; the persist lint rule flags a dropped write, writev, fwrite
+/// or fread result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +30,6 @@
 #define REGMON_PERSIST_IO_H
 
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <span>
 #include <string>
@@ -83,38 +89,45 @@ private:
   bool Limited = false;
 };
 
-/// A buffered file being written (truncate or append), optionally gated by
-/// a CrashPoint. After any failure -- real or injected -- the sink stays
-/// failed and \ref ok returns false; the bytes that made it out before the
-/// failure are on disk, emulating a torn write.
+/// A file being written (truncated or appended), optionally gated by a
+/// CrashPoint. Nothing is buffered in user space: \ref write is one
+/// writev(2) call. After any failure -- a short or failed call, or an
+/// injected crash -- the sink stays failed and \ref ok returns false; the
+/// bytes that made it out before the failure are on disk, a torn write.
 class FileSink {
 public:
-  /// Opens \p Path for writing ("wb") or appending ("ab").
+  /// Opens (creating) \p Path to write from its start, truncating it, or
+  /// to append.
   FileSink(const std::string &Path, bool Append, CrashPoint *Crash);
   ~FileSink();
 
   FileSink(const FileSink &) = delete;
   FileSink &operator=(const FileSink &) = delete;
 
-  bool ok() const { return File != nullptr && !Failed; }
+  bool ok() const { return Fd >= 0 && !Failed; }
 
-  /// Writes \p Data (possibly truncated by the CrashPoint, which fails the
-  /// sink). Returns \ref ok.
-  bool write(std::span<const std::uint8_t> Data);
+  /// Writes \p Head and then \p Tail in one call. A CrashPoint grant short
+  /// of their total writes exactly the granted prefix of Head + Tail and
+  /// fails the sink, as does a short or failed call. Returns \ref ok.
+  bool write(std::span<const std::uint8_t> Head,
+             std::span<const std::uint8_t> Tail = {});
 
-  /// Flushes buffered bytes to the OS. Costs one metadata unit.
-  bool flush();
+  /// Acknowledges the bytes written so far. They are already in the
+  /// kernel, so this issues no call; it costs the one metadata unit a
+  /// flush of a buffer would, so a crash can land between a record's last
+  /// byte and its acknowledgement.
+  bool acknowledge();
 
   /// Latches the sink failed without writing a byte: a write refused up
   /// front leaves the file as it was and the sink dead, like any failure.
   void fail() { Failed = true; }
 
-  /// Flushes and closes. Returns false if any step failed. Safe to call
-  /// once; the destructor closes quietly if the caller did not.
+  /// Acknowledges and closes. Returns false if any step failed. Safe to
+  /// call once; the destructor closes quietly if the caller did not.
   bool close();
 
 private:
-  std::FILE *File = nullptr;
+  std::int32_t Fd = -1;
   CrashPoint *Crash = nullptr;
   bool Failed = false;
 };

@@ -25,6 +25,13 @@ JournalResult regmon::persist::replayJournal(const std::string &Path,
           ++Res.RecordsSkipped;
           return true;
         }
+        // Applied records run on from the skip threshold without a hole,
+        // so the state's sequence is the threshold plus their count.
+        if (R.Seq != SkipThroughSeq + Res.RecordsReplayed + 1) {
+          Res.Gap = true;
+          Res.GapSeq = R.Seq;
+          return false;
+        }
         const ReplayVerdict Verdict =
             Replay ? Replay(R.Seq, R.Payload) : ReplayVerdict::Applied;
         Res.Mismatch = Verdict == ReplayVerdict::Foreign;
@@ -39,7 +46,7 @@ JournalResult regmon::persist::replayJournal(const std::string &Path,
   // one -- even an empty file -- is a writer that died inside it.
   Res.HeaderCorrupt = Scan.HeaderTorn || Scan.HeaderCorrupt ||
                       Scan.VersionSkew || Data->empty();
-  Res.PayloadRejected = Scan.Rejected && !Res.Mismatch;
+  Res.PayloadRejected = Scan.Rejected && !Res.Mismatch && !Res.Gap;
   Res.TornTail = Scan.TornTail || Res.PayloadRejected;
   return Res;
 }

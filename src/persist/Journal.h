@@ -21,6 +21,13 @@
 /// service lacks) also ends replay, but as a mismatch: the file is not
 /// damaged, it belongs to another topology, and it is not repaired.
 ///
+/// Replay applies a record only when it continues the state: its sequence
+/// is one past the state's, which starts at the skip threshold (the loaded
+/// snapshot's sequence, 0 when cold) and advances with each applied
+/// record. A record further on is a gap -- compaction dropped the records
+/// between, so they live only in a snapshot that did not load -- and
+/// replay stops there too, repairing nothing.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef REGMON_PERSIST_JOURNAL_H
@@ -79,6 +86,12 @@ struct JournalResult {
   /// The replay callback found a record it cannot apply (\ref
   /// ReplayVerdict::Foreign): the scan stops there, but nothing is torn.
   bool Mismatch = false;
+  /// A record past the one after the state's sequence ended the scan: the
+  /// journal does not continue the state. Nothing is torn.
+  bool Gap = false;
+  /// The sequence of the record a gap stopped at (0 without a gap); the
+  /// state's own is the last applied record's, or the skip threshold.
+  std::uint64_t GapSeq = 0;
 };
 
 /// The replay callback: record sequence and payload view in, verdict out.
@@ -86,9 +99,10 @@ using JournalReplay =
     std::function<ReplayVerdict(std::uint64_t, std::span<const std::uint8_t>)>;
 
 /// Scans \p Path, invoking \p Replay (nullable) for every valid record
-/// with sequence number greater than \p SkipThroughSeq. A verdict other
-/// than Applied ends the scan (see JournalResult). The payload is a view
-/// into the scan's file buffer, valid only for the duration of the call.
+/// with sequence number greater than \p SkipThroughSeq, in sequence order
+/// from SkipThroughSeq + 1. A gap in that order, or a verdict other than
+/// Applied, ends the scan (see JournalResult). The payload is a view into
+/// the scan's file buffer, valid only for the duration of the call.
 JournalResult replayJournal(const std::string &Path,
                             std::uint64_t SkipThroughSeq,
                             const JournalReplay &Replay);

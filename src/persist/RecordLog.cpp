@@ -120,7 +120,7 @@ bool LogWriter::open(const std::string &Path, LogFormat Format,
   LastSeq = LastValidSeq;
   Sink = std::make_unique<FileSink>(Path, /*Append=*/true, Crash);
   if (Sink->ok() && (ValidBytes != 0 ||
-                     (Sink->write(logHeader(Format)) && Sink->flush())))
+                     (Sink->write(logHeader(Format)) && Sink->acknowledge())))
     return true;
   Sink.reset();
   return false;
@@ -134,11 +134,11 @@ bool LogWriter::append(std::uint64_t Seq, std::uint8_t Kind,
     Sink->fail();
     return false;
   }
-  // Header and payload go out back to back, then one flush: the record is
-  // either acknowledged durable or the writer is dead with at most a torn
-  // tail on disk.
-  if (!Sink->write(recordHeader(Seq, Kind, Payload)) ||
-      !Sink->write(Payload) || !Sink->flush())
+  // Header and payload reach the kernel in one call, then the record is
+  // acknowledged: it is either durable or the writer is dead with at most
+  // a torn tail on disk.
+  if (!Sink->write(recordHeader(Seq, Kind, Payload), Payload) ||
+      !Sink->acknowledge())
     return false;
   LastSeq = Seq;
   return true;

@@ -15,11 +15,12 @@
 /// Each owner passes its magic and version (\ref LogFormat) and gives
 /// kind and payload their meaning. The CRC chains seq, kind and length
 /// with the payload, so a bit flip anywhere in a record is detected.
-/// Sequence numbers strictly increase from 1. An append is flushed before
-/// it is acknowledged; a death mid-append leaves a torn tail. The scan
-/// trusts the longest valid prefix, and \ref repairLog cuts a file back
-/// to it; which damage to repair, and when, is the owner's policy. Every
-/// byte written and every flush or truncate draws from the optional
+/// Sequence numbers strictly increase from 1. A record's header and
+/// payload reach the kernel in one writev(2) before the append is
+/// acknowledged; a death mid-append leaves a torn tail. The scan trusts
+/// the longest valid prefix, and \ref repairLog cuts a file back to it;
+/// which damage to repair, and when, is the owner's policy. Every byte
+/// written and every acknowledgement or truncate draws from the optional
 /// \ref CrashPoint, so crash sweeps reach every torn state.
 ///
 //===----------------------------------------------------------------------===//
@@ -107,7 +108,7 @@ LogScan scanLog(std::span<const std::uint8_t> Bytes, LogFormat Format,
 bool repairLog(const std::string &Path, std::uint64_t ValidBytes,
                CrashPoint *Crash);
 
-/// Appends records to one log file, flushing each one.
+/// Appends records to one log file, one writev(2) call each.
 class LogWriter {
 public:
   LogWriter() = default;
@@ -130,15 +131,17 @@ public:
   /// True while the writer can accept appends.
   bool ok() const { return Sink != nullptr && Sink->ok(); }
 
-  /// Appends and flushes one record. A false return means the record is
-  /// not durable (it may be partially on disk, a torn tail) and the
-  /// writer is dead. Input the scan would throw away, and repair then
-  /// cut, is refused that way before a byte is written: a payload over
-  /// \ref MaxRecordPayloadBytes or a \p Seq not above the log's last.
+  /// Writes one record (header and payload in one call) and acknowledges
+  /// it; the crash budget charges its bytes, then one unit for the
+  /// acknowledgement. A false return means the record is not durable (it
+  /// may be partially on disk, a torn tail) and the writer is dead. Input
+  /// the scan would throw away, and repair then cut, is refused that way
+  /// before a byte is written: a payload over \ref MaxRecordPayloadBytes
+  /// or a \p Seq not above the log's last.
   bool append(std::uint64_t Seq, std::uint8_t Kind,
               std::span<const std::uint8_t> Payload);
 
-  /// Flushes and closes; false if any step failed. Safe when never
+  /// Acknowledges and closes; false if any step failed. Safe when never
   /// opened; the writer can be \ref open-ed again.
   bool close();
 

@@ -877,7 +877,7 @@ RestoreOutcome MonitorService::restore() {
           JournalSeq = Seq;
         return Verdict;
       });
-  if (JR.Mismatch)
+  if (JR.Mismatch || JR.Gap)
     JournalDead = ForeignJournal = true;
   if (Loaded)
     return JR.RecordsReplayed > 0 ? RestoreOutcome::SnapshotPlusJournal

@@ -390,10 +390,11 @@ public:
   /// start. Safe on an empty or damaged directory -- corruption degrades
   /// to a colder rung with the reason counted, it never crashes. A journal
   /// record naming a stream this service lacks (a directory of another
-  /// topology) ends replay without repairing anything; the journal then
-  /// refuses every submit (JournalRejected) and \ref checkpoint refuses to
-  /// commit, so nothing is written over records the service never
-  /// applied.
+  /// topology), or one that does not continue the restored state (a gap:
+  /// compaction dropped the records before it), ends replay without
+  /// repairing anything; the journal then refuses every submit
+  /// (JournalRejected) and \ref checkpoint refuses to commit, so nothing
+  /// is written over records the service never applied.
   /// Replayed batches count in the attached exports, which count this
   /// process's work; \ref snapshot counts the streams' lifetime.
   RestoreOutcome restore();
@@ -603,7 +604,8 @@ private:
   /// acknowledged work.
   bool JournalDead = false;
   /// Set by a restore whose journal replay stopped at a record for a
-  /// stream this service lacks. With it the journal is dead too, and
+  /// stream this service lacks, or at a gap: a record that does not
+  /// continue the restored state. With it the journal is dead too, and
   /// checkpoint() refuses to commit.
   bool ForeignJournal = false;
 

@@ -7,8 +7,8 @@
 /// \file
 /// The writing half of the flight recorder: a \ref service::BatchRecorder
 /// that appends each recorded decision as one trace record through the
-/// shared record-log writer (persist/RecordLog.h), flushed before the
-/// append is acknowledged. \ref open repairs a torn tail left by a
+/// shared record-log writer (persist/RecordLog.h), in the kernel before
+/// the append is acknowledged. \ref open repairs a torn tail left by a
 /// previous kill (truncating to the scanner's valid prefix) and resumes
 /// the sequence after the last valid record, so a recording can survive
 /// any number of mid-write deaths with the surviving prefix always
@@ -40,7 +40,7 @@
 
 namespace regmon::trace {
 
-/// Appends trace records to a file, one flushed write per record.
+/// Appends trace records to a file, one write(2) call per record.
 class TraceRecorder final : public service::BatchRecorder {
 public:
   /// What \ref open found and did.

@@ -975,6 +975,9 @@ TEST(CrashRecovery, ConfigMismatchIsNamedStateRejected) {
 // stop is a topology mismatch, not a torn tail: the journal keeps every
 // byte, the mismatched service refuses to add to it, and the right
 // topology still recovers everything.
+// One committed 48-batch run under four streams, restored under three:
+// the snapshot is refused and journal replay from cold stops at the first
+// record for stream 3. That is a topology mismatch, not damage.
 TEST(CrashRecovery, TopologyMismatchLeavesTheJournalWhole) {
   std::vector<RecordedStream> Fleet;
   for (std::uint64_t Id = 0; Id < 4; ++Id)
@@ -983,21 +986,23 @@ TEST(CrashRecovery, TopologyMismatchLeavesTheJournalWhole) {
   ASSERT_GE(Batches.size(), 48U);
   Batches.resize(48);
   const std::string Dir = scratchDir("topology");
-  for (std::size_t Run = 0; Run < 2; ++Run) {
+  {
     CheckpointManager Store(Dir);
     auto Service = makeService(Fleet);
     Service->attachPersistence(Store);
     Service->restore();
     Service->start();
-    for (std::size_t I = 24 * Run; I < 24 * (Run + 1); ++I)
-      ASSERT_TRUE(Service->submit(Batches[I]));
+    for (const SampleBatch &B : Batches)
+      ASSERT_TRUE(Service->submit(B));
     Service->stop();
     ASSERT_TRUE(Service->checkpoint());
   }
-  std::filesystem::remove(Dir + "/snapshot.bin");
   const std::string Journal = Dir + "/journal.wal";
+  const std::string Snapshot = Dir + "/snapshot.bin";
   const auto Before = persist::readFileBytes(Journal);
+  const auto SnapshotBefore = persist::readFileBytes(Snapshot);
   ASSERT_TRUE(Before.has_value());
+  ASSERT_TRUE(SnapshotBefore.has_value());
 
   {
     CheckpointManager Store(Dir);
@@ -1006,7 +1011,10 @@ TEST(CrashRecovery, TopologyMismatchLeavesTheJournalWhole) {
       Service.addStream(*Fleet[Id].Map);
     Service.attachPersistence(Store);
     EXPECT_EQ(Service.restore(), RestoreOutcome::JournalOnly);
+    EXPECT_EQ(Store.counters().LastError,
+              persist::SnapshotError::StateRejected);
     EXPECT_EQ(Store.counters().JournalMismatches, 1U);
+    EXPECT_EQ(Store.counters().JournalGaps, 0U);
     EXPECT_EQ(Store.counters().JournalTornTails, 0U);
     EXPECT_EQ(Store.counters().JournalRepairs, 0U);
     EXPECT_EQ(persist::readFileBytes(Journal), Before)
@@ -1020,17 +1028,80 @@ TEST(CrashRecovery, TopologyMismatchLeavesTheJournalWhole) {
     EXPECT_EQ(Service.snapshot().BatchesRejected, 1U);
     EXPECT_EQ(Service.persistedSequence(), Reached);
     EXPECT_FALSE(Service.checkpoint());
-    EXPECT_FALSE(std::filesystem::exists(Dir + "/snapshot.bin"));
+    EXPECT_EQ(persist::readFileBytes(Snapshot), SnapshotBefore);
+    EXPECT_FALSE(std::filesystem::exists(Dir + "/snapshot.prev.bin"));
     EXPECT_EQ(persist::readFileBytes(Journal), Before);
   }
 
   CheckpointManager Store(Dir);
   auto Service = makeService(Fleet);
   Service->attachPersistence(Store);
-  EXPECT_EQ(Service->restore(), RestoreOutcome::SnapshotPlusJournal);
+  EXPECT_EQ(Service->restore(), RestoreOutcome::SnapshotOnly);
   EXPECT_EQ(Service->persistedSequence(), 48U);
   EXPECT_EQ(Store.counters().JournalMismatches, 0U);
   EXPECT_EQ(Service->encodeState(), referenceBytes(Fleet, Batches, 48));
+}
+
+// Two committed runs, then both snapshot rungs damaged. The second commit
+// compacted the journal through the fallback's sequence 24, so records
+// 25-48 continue a state that no longer loads. A cold start must not
+// replay them: it is a gap, counted and reported, with the journal kept
+// whole and durability refused, as after a topology mismatch.
+TEST(CrashRecovery, CompactedJournalIsNotReplayedOntoAColdState) {
+  std::vector<RecordedStream> Fleet;
+  for (std::uint64_t Id = 0; Id < 4; ++Id)
+    Fleet.push_back(record("synthetic.periodic", 7 + Id));
+  std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  ASSERT_GE(Batches.size(), 49U);
+  const std::string Dir = scratchDir("gap");
+  for (std::size_t Run = 0; Run < 2; ++Run) {
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet);
+    Service->attachPersistence(Store);
+    Service->restore();
+    Service->start();
+    for (std::size_t I = 24 * Run; I < 24 * (Run + 1); ++I)
+      ASSERT_TRUE(Service->submit(Batches[I]));
+    Service->stop();
+    ASSERT_TRUE(Service->checkpoint());
+  }
+  for (const char *Rung : {"/snapshot.bin", "/snapshot.prev.bin"}) {
+    auto Bytes = persist::readFileBytes(Dir + Rung);
+    ASSERT_TRUE(Bytes.has_value() && !Bytes->empty());
+    Bytes->back() ^= 1;
+    persist::FileSink Sink(Dir + Rung, /*Append=*/false, nullptr);
+    ASSERT_TRUE(Sink.write(*Bytes) && Sink.close());
+  }
+  const std::string Journal = Dir + "/journal.wal";
+  const auto Before = persist::readFileBytes(Journal);
+  const auto SnapshotBefore = persist::readFileBytes(Dir + "/snapshot.bin");
+  ASSERT_TRUE(Before.has_value());
+
+  CheckpointManager Store(Dir);
+  auto Service = makeService(Fleet);
+  Service->attachPersistence(Store);
+  EXPECT_EQ(Service->restore(), RestoreOutcome::ColdStart);
+  const persist::RecoveryCounters &C = Store.counters();
+  EXPECT_EQ(C.CorruptSnapshots, 2U);
+  EXPECT_EQ(C.JournalRecordsReplayed, 0U);
+  EXPECT_EQ(C.JournalGaps, 1U);
+  EXPECT_EQ(C.GapStateSeq, 0U);
+  EXPECT_EQ(C.GapJournalSeq, 25U);
+  EXPECT_EQ(C.JournalMismatches, 0U);
+  EXPECT_EQ(C.JournalTornTails, 0U);
+  EXPECT_EQ(C.JournalRepairs, 0U);
+  EXPECT_EQ(Service->persistedSequence(), 0U);
+  EXPECT_EQ(persist::readFileBytes(Journal), Before)
+      << "a gap cut the journal";
+
+  Service->start();
+  EXPECT_FALSE(Service->submit(Batches[48]));
+  Service->stop();
+  EXPECT_EQ(Service->snapshot().BatchesRejected, 1U);
+  EXPECT_EQ(Service->persistedSequence(), 0U);
+  EXPECT_FALSE(Service->checkpoint());
+  EXPECT_EQ(persist::readFileBytes(Dir + "/snapshot.bin"), SnapshotBefore);
+  EXPECT_EQ(persist::readFileBytes(Journal), Before);
 }
 
 #ifndef NDEBUG

@@ -215,6 +215,19 @@ TEST(PersistSerializationRule, FlagsPlatformTypesAndUncheckedIo) {
   EXPECT_EQ(countRule(Diags, "persist-serialization"), 5);
 }
 
+// The unbuffered sink writes through POSIX calls; a dropped write or
+// writev result hides a short write exactly as a dropped fwrite would.
+TEST(PersistSerializationRule, FlagsDiscardedPosixWriteResults) {
+  auto Diags = lintAsPersist("persist_writev_bad.cpp");
+  EXPECT_EQ(countRule(Diags, "persist-serialization"), 2);
+  int Writev = 0;
+  for (const Diagnostic &D : Diags)
+    if (D.Rule == "persist-serialization" &&
+        D.Message.find("unchecked writev()") != std::string::npos)
+      ++Writev;
+  EXPECT_EQ(Writev, 1);
+}
+
 TEST(PersistSerializationRule, AcceptsFixedWidthCheckedIo) {
   auto Diags = lintAsPersist("persist_good.cpp");
   EXPECT_EQ(countRule(Diags, "persist-serialization"), 0);
@@ -511,6 +524,21 @@ TEST(PurityGraph, ControllerDecisionSmugglingClockThroughHelperCaught) {
         D.Message.find("controllerDecide -> streakExpired") !=
             std::string::npos &&
         D.Message.find("steady_clock") != std::string::npos)
+      Found = true;
+  EXPECT_TRUE(Found);
+}
+
+// POSIX file calls resolve to no repo function; the effect lattice must
+// name them as I/O, or the prover would read them as effect-free.
+TEST(PurityGraph, PureRootReachingWritevThroughAHelperCaught) {
+  auto Diags = lintGraphFixture("purity_writev.cpp", Layer::Deterministic);
+  EXPECT_EQ(countRule(Diags, "purity"), 1);
+  bool Found = false;
+  for (const Diagnostic &D : Diags)
+    if (D.Rule == "purity" &&
+        D.Message.find("decideAndLog -> persistDecision") !=
+            std::string::npos &&
+        D.Message.find("writev()") != std::string::npos)
       Found = true;
   EXPECT_TRUE(Found);
 }

@@ -22,6 +22,7 @@
 #include "service/MonitorService.h"
 #include "sim/Engine.h"
 #include "sim/ProgramCodeMap.h"
+#include "support/Rng.h"
 #include "trace/Recorder.h"
 #include "workloads/Workloads.h"
 
@@ -29,11 +30,14 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace regmon;
@@ -68,11 +72,10 @@ TEST(ObsMetrics, HistogramBucketsByUpperBound) {
   H.observe(2.0);  // <= 10
   H.observe(99.0); // +Inf
   EXPECT_EQ(H.count(), 4u);
-  const std::vector<std::uint64_t> Counts = H.bucketCounts();
-  ASSERT_EQ(Counts.size(), 3u);
-  EXPECT_EQ(Counts[0], 2u);
-  EXPECT_EQ(Counts[1], 1u);
-  EXPECT_EQ(Counts[2], 1u);
+  ASSERT_EQ(H.bounds().size(), 2u);
+  EXPECT_EQ(H.bucket(0), 2u);
+  EXPECT_EQ(H.bucket(1), 1u);
+  EXPECT_EQ(H.bucket(2), 1u) << "the +Inf bucket follows the last bound";
 }
 
 TEST(ObsMetrics, RegistryIsIdempotentPerNameAndLabel) {
@@ -84,22 +87,46 @@ TEST(ObsMetrics, RegistryIsIdempotentPerNameAndLabel) {
   EXPECT_NE(&A, &Labelled);
   A.add(2);
   Labelled.add(5);
-  EXPECT_EQ(R.collect().size(), 2u);
+  std::size_t Entries = 0;
+  R.forEach([&Entries](const MetricView &) { ++Entries; });
+  EXPECT_EQ(Entries, 2u);
 }
 
-TEST(ObsMetrics, CollectOrdersByNameThenLabel) {
+TEST(ObsMetrics, ForEachOrdersByNameThenLabel) {
   MetricsRegistry R;
   R.counter("zeta_total");
   R.counter("alpha_total", "", "stream=\"1\"");
   R.counter("alpha_total", "", "stream=\"0\"");
   R.gauge("mid");
-  const std::vector<MetricValue> Out = R.collect();
+  std::vector<std::pair<std::string, std::string>> Out;
+  R.forEach([&Out](const MetricView &M) {
+    Out.emplace_back(M.Name, M.Label);
+  });
   ASSERT_EQ(Out.size(), 4u);
-  EXPECT_EQ(Out[0].Name, "alpha_total");
-  EXPECT_EQ(Out[0].Label, "stream=\"0\"");
-  EXPECT_EQ(Out[1].Label, "stream=\"1\"");
-  EXPECT_EQ(Out[2].Name, "mid");
-  EXPECT_EQ(Out[3].Name, "zeta_total");
+  EXPECT_EQ(Out[0].first, "alpha_total");
+  EXPECT_EQ(Out[0].second, "stream=\"0\"");
+  EXPECT_EQ(Out[1].second, "stream=\"1\"");
+  EXPECT_EQ(Out[2].first, "mid");
+  EXPECT_EQ(Out[3].first, "zeta_total");
+}
+
+TEST(ObsMetrics, ForEachHandsOutTheLiveMetricOfItsKind) {
+  MetricsRegistry R;
+  Counter &C = R.counter("c_total", "a counter");
+  Gauge &G = R.gauge("g");
+  BucketHistogram &H = R.histogram("h", {1.0}, "", "stream=\"2\"");
+  std::vector<MetricView> Views;
+  R.forEach([&Views](const MetricView &M) { Views.push_back(M); });
+  ASSERT_EQ(Views.size(), 3u);
+  EXPECT_EQ(Views[0].Kind, MetricKind::Counter);
+  EXPECT_EQ(Views[0].C, &C);
+  EXPECT_EQ(Views[0].Help, "a counter");
+  EXPECT_EQ(Views[1].Kind, MetricKind::Gauge);
+  EXPECT_EQ(Views[1].G, &G);
+  EXPECT_EQ(Views[2].Kind, MetricKind::Histogram);
+  EXPECT_EQ(Views[2].H, &H);
+  for (const MetricView &V : Views)
+    EXPECT_EQ((V.C != nullptr) + (V.G != nullptr) + (V.H != nullptr), 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -208,6 +235,308 @@ TEST(ObsExport, SortedOrderErasesArrivalOrder) {
 }
 
 //===----------------------------------------------------------------------===//
+// Exporter differential: the in-place walk against the copy-then-render
+// exporter it replaced
+//===----------------------------------------------------------------------===//
+
+/// The exporters' former shape, kept as the reference: copy every entry's
+/// strings, bounds and counts out of the registry, then render the copies
+/// with a std::string per bucket line.
+namespace reference {
+
+struct MetricValue {
+  std::string Name;
+  std::string Label;
+  std::string Help;
+  MetricKind Kind = MetricKind::Counter;
+  std::uint64_t CounterValue = 0;
+  double GaugeValue = 0;
+  std::vector<double> Bounds;
+  std::vector<std::uint64_t> BucketCounts;
+  std::uint64_t Count = 0;
+};
+
+std::vector<MetricValue> collect(const MetricsRegistry &Registry) {
+  std::vector<MetricValue> Out;
+  Registry.forEach([&Out](const MetricView &M) {
+    MetricValue V;
+    V.Name = M.Name;
+    V.Label = M.Label;
+    V.Help = M.Help;
+    V.Kind = M.Kind;
+    switch (M.Kind) {
+    case MetricKind::Counter:
+      V.CounterValue = M.C->value();
+      break;
+    case MetricKind::Gauge:
+      V.GaugeValue = M.G->value();
+      break;
+    case MetricKind::Histogram:
+      V.Bounds.assign(M.H->bounds().begin(), M.H->bounds().end());
+      for (std::size_t I = 0; I <= V.Bounds.size(); ++I)
+        V.BucketCounts.push_back(M.H->bucket(I));
+      V.Count = M.H->count();
+      break;
+    }
+    Out.push_back(std::move(V));
+  });
+  return Out;
+}
+
+std::string formatDouble(double V) {
+  char Buf[64];
+  auto Res = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  return std::string(Buf, Res.ptr);
+}
+
+void appendEscaped(std::string &Out, std::string_view S) {
+  for (char C : S) {
+    if (C == '"' || C == '\\')
+      Out.push_back('\\');
+    Out.push_back(C);
+  }
+}
+
+void appendSeries(std::string &Out, std::string_view Name,
+                  std::string_view Label, std::string_view Extra = "") {
+  Out.append("regmon_");
+  Out.append(Name);
+  if (!Label.empty() || !Extra.empty()) {
+    Out.push_back('{');
+    Out.append(Label);
+    if (!Label.empty() && !Extra.empty())
+      Out.push_back(',');
+    Out.append(Extra);
+    Out.push_back('}');
+  }
+}
+
+std::string kindName(MetricKind K) {
+  switch (K) {
+  case MetricKind::Counter:
+    return "counter";
+  case MetricKind::Gauge:
+    return "gauge";
+  case MetricKind::Histogram:
+    return "histogram";
+  }
+  return "untyped";
+}
+
+std::string prometheus(const MetricsRegistry &Registry) {
+  std::string Out;
+  std::string LastName;
+  for (const MetricValue &M : collect(Registry)) {
+    if (M.Name != LastName) {
+      LastName = M.Name;
+      if (!M.Help.empty())
+        Out += "# HELP regmon_" + M.Name + " " + M.Help + "\n";
+      Out += "# TYPE regmon_" + M.Name + " " + kindName(M.Kind) + "\n";
+    }
+    switch (M.Kind) {
+    case MetricKind::Counter:
+      appendSeries(Out, M.Name, M.Label);
+      Out += " " + std::to_string(M.CounterValue) + "\n";
+      break;
+    case MetricKind::Gauge:
+      appendSeries(Out, M.Name, M.Label);
+      Out += " " + formatDouble(M.GaugeValue) + "\n";
+      break;
+    case MetricKind::Histogram: {
+      std::uint64_t Cum = 0;
+      for (std::size_t I = 0; I < M.BucketCounts.size(); ++I) {
+        Cum += M.BucketCounts[I];
+        std::string Le = "le=\"";
+        Le += I < M.Bounds.size() ? formatDouble(M.Bounds[I]) : "+Inf";
+        Le += '"';
+        appendSeries(Out, M.Name + "_bucket", M.Label, Le);
+        Out += " " + std::to_string(Cum) + "\n";
+      }
+      appendSeries(Out, M.Name + "_count", M.Label);
+      Out += " " + std::to_string(M.Count) + "\n";
+      break;
+    }
+    }
+  }
+  return Out;
+}
+
+std::string json(const MetricsRegistry &Registry, const EventTracer *Tracer) {
+  std::string Out = "{\"metrics\":[";
+  bool First = true;
+  for (const MetricValue &M : collect(Registry)) {
+    if (!First)
+      Out.push_back(',');
+    First = false;
+    Out.append("{\"name\":\"");
+    appendEscaped(Out, M.Name);
+    Out.append("\",\"label\":\"");
+    appendEscaped(Out, M.Label);
+    Out += "\",\"type\":\"" + kindName(M.Kind) + "\"";
+    switch (M.Kind) {
+    case MetricKind::Counter:
+      Out += ",\"value\":" + std::to_string(M.CounterValue);
+      break;
+    case MetricKind::Gauge:
+      Out += ",\"value\":" + formatDouble(M.GaugeValue);
+      break;
+    case MetricKind::Histogram: {
+      Out.append(",\"bounds\":[");
+      for (std::size_t I = 0; I < M.Bounds.size(); ++I)
+        Out += (I ? "," : "") + formatDouble(M.Bounds[I]);
+      Out.append("],\"buckets\":[");
+      for (std::size_t I = 0; I < M.BucketCounts.size(); ++I)
+        Out += (I ? "," : "") + std::to_string(M.BucketCounts[I]);
+      Out += "],\"count\":" + std::to_string(M.Count);
+      break;
+    }
+    }
+    Out.push_back('}');
+  }
+  Out.append("]");
+  if (Tracer) {
+    Out.append(",\"events\":[");
+    First = true;
+    for (const TraceEvent &E : Tracer->sortedSnapshot()) {
+      if (!First)
+        Out.push_back(',');
+      First = false;
+      Out += "{\"kind\":\"" + std::string(toString(E.Kind)) +
+             "\",\"stream\":" + std::to_string(E.Stream) +
+             ",\"region\":" + std::to_string(E.Region) +
+             ",\"interval\":" + std::to_string(E.Interval) +
+             ",\"value\":" + formatDouble(E.Value) + "}";
+    }
+    Out += "],\"dropped_events\":" + std::to_string(Tracer->dropped());
+  }
+  Out.push_back('}');
+  return Out;
+}
+
+} // namespace reference
+
+constexpr double Inf = std::numeric_limits<double>::infinity();
+const double NaN = std::numeric_limits<double>::quiet_NaN();
+const std::vector<double> EdgeValues = {
+    -0.0, NaN, Inf, -Inf, 1e-300, 0.0, 0.25,
+    -3.5, 1e20, 5e-324, std::numeric_limits<double>::max(), 0.1, 7};
+const std::vector<std::string> EdgeLabels = {
+    "", R"(stream="0")", R"(stream="1")", R"(k="a\"b")", R"(k="back\\slash")",
+    R"(x="1",y="2")"};
+
+/// The exporters' edge cases: labelled and unlabelled series of one name,
+/// empty help, a name that prefixes others, labels holding `"` and `\`,
+/// gauges at -0.0, NaN, +-inf and 1e-300, and a counter at UINT64_MAX.
+void populateEdges(MetricsRegistry &R) {
+  R.counter("a", "first family").add(3);
+  R.counter("a", "", R"(stream="0")").add(1);
+  R.counter("ab", R"(quote " and \ in help)", R"(k="a\"b")")
+      .add(std::numeric_limits<std::uint64_t>::max());
+  for (std::size_t I = 0; I < 6; ++I)
+    R.gauge("a_b", "", EdgeLabels[I]).set(EdgeValues[I]);
+}
+
+/// The edge cases, then random registrations and updates over the same
+/// names, labels and values, and a few events.
+void populateRandom(MetricsRegistry &R, EventTracer &T, std::uint64_t Seed) {
+  // Each name keeps one kind. "a" prefixes "a_b" and "ab", and "lat"
+  // prefixes the series names its own histogram expands to.
+  struct Family {
+    std::string Name;
+    MetricKind Kind;
+    std::string Help;
+  };
+  const std::vector<Family> Families = {
+      {"a", MetricKind::Counter, "first family"},
+      {"a_b", MetricKind::Gauge, ""},
+      {"ab", MetricKind::Counter, R"(quote " and \ in help)"},
+      {"lat", MetricKind::Histogram, "latency"},
+      {"lat_bucket", MetricKind::Counter, ""},
+      {"lat_count", MetricKind::Gauge, "shadow of a histogram series"},
+      {"zz", MetricKind::Histogram, ""},
+  };
+  populateEdges(R);
+  Rng G(Seed);
+  for (std::size_t N = 0; N < 40; ++N) {
+    const Family &F = Families[G.nextBelow(Families.size())];
+    const std::string &Label = EdgeLabels[G.nextBelow(EdgeLabels.size())];
+    const double V = EdgeValues[G.nextBelow(EdgeValues.size())];
+    switch (F.Kind) {
+    case MetricKind::Counter:
+      R.counter(F.Name, F.Help, Label)
+          .add(G.nextBelow(4) == 0 ? std::numeric_limits<std::uint64_t>::max()
+                                   : G.nextBelow(1000));
+      break;
+    case MetricKind::Gauge:
+      R.gauge(F.Name, F.Help, Label).set(V);
+      break;
+    case MetricKind::Histogram: {
+      BucketHistogram &H =
+          R.histogram(F.Name, {-1e-300, 0, 0.5, 1e20}, F.Help, Label);
+      for (std::uint64_t K = G.nextBelow(5); K > 0; --K)
+        H.observe(EdgeValues[G.nextBelow(EdgeValues.size())]);
+      break;
+    }
+    }
+    if (G.nextBelow(3) == 0)
+      recordEvent(&T, EventKind::RegionFormed,
+                  static_cast<std::uint32_t>(G.nextBelow(4)),
+                  G.nextBelow(10), G.nextBelow(100), V);
+  }
+}
+
+TEST(ObsExport, InPlaceWalkMatchesTheCopyingExporterOverRandomRegistries) {
+  for (std::uint64_t Seed = 1; Seed <= 64; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    MetricsRegistry R;
+    EventTracer T;
+    populateRandom(R, T, Seed);
+    EXPECT_EQ(exportPrometheus(R), reference::prometheus(R));
+    EXPECT_EQ(exportJson(R), reference::json(R, nullptr));
+    EXPECT_EQ(exportJson(R, &T), reference::json(R, &T));
+  }
+}
+
+TEST(ObsExport, EdgeValuesGoldenOutput) {
+  MetricsRegistry R;
+  populateEdges(R);
+  const std::string Expected =
+      "# HELP regmon_a first family\n"
+      "# TYPE regmon_a counter\n"
+      "regmon_a 3\n"
+      R"(regmon_a{stream="0"} 1)"
+      "\n"
+      "# TYPE regmon_a_b gauge\n"
+      "regmon_a_b -0\n"
+      R"(regmon_a_b{k="a\"b"} -inf)"
+      "\n"
+      R"(regmon_a_b{k="back\\slash"} 1e-300)"
+      "\n"
+      R"(regmon_a_b{stream="0"} nan)"
+      "\n"
+      R"(regmon_a_b{stream="1"} inf)"
+      "\n"
+      R"(regmon_a_b{x="1",y="2"} 0)"
+      "\n"
+      R"(# HELP regmon_ab quote " and \ in help)"
+      "\n"
+      "# TYPE regmon_ab counter\n"
+      R"(regmon_ab{k="a\"b"} 18446744073709551615)"
+      "\n";
+  EXPECT_EQ(exportPrometheus(R), Expected);
+  const std::string Json = exportJson(R);
+  EXPECT_NE(
+      Json.find(R"("label":"k=\"a\\\"b\"","type":"gauge","value":-inf)"),
+      std::string::npos)
+      << Json;
+  EXPECT_NE(Json.find(R"("label":"k=\"back\\\\slash\"","type":"gauge",)"
+                      R"("value":1e-300)"),
+            std::string::npos)
+      << Json;
+  EXPECT_EQ(Json, reference::json(R, nullptr));
+}
+
+//===----------------------------------------------------------------------===//
 // Event tracer ring
 //===----------------------------------------------------------------------===//
 
@@ -284,8 +613,8 @@ TEST(ObsConcurrency, CountersHistogramsAndTracerAreExactUnderContention) {
   EXPECT_EQ(C.value(), Threads * PerThread);
   EXPECT_EQ(H.count(), Threads * PerThread);
   std::uint64_t BucketSum = 0;
-  for (std::uint64_t B : H.bucketCounts())
-    BucketSum += B;
+  for (std::size_t I = 0; I <= H.bounds().size(); ++I)
+    BucketSum += H.bucket(I);
   EXPECT_EQ(BucketSum, H.count()) << "no observation lost between buckets";
   const double Level = G.value();
   EXPECT_GE(Level, 0.0);
@@ -293,6 +622,53 @@ TEST(ObsConcurrency, CountersHistogramsAndTracerAreExactUnderContention) {
   EXPECT_EQ(T.recorded(), Threads);
   EXPECT_EQ(T.dropped(), 0u);
   EXPECT_EQ(T.sortedSnapshot().size(), Threads);
+}
+
+/// The value of the unlabelled series \p Series in Prometheus \p Text.
+std::uint64_t seriesValue(const std::string &Text, const std::string &Series) {
+  const std::string Key = "\n" + Series + " ";
+  const std::size_t At = Text.find(Key);
+  if (At == std::string::npos)
+    return 0;
+  return std::stoull(Text.substr(At + Key.size()));
+}
+
+// Scrapes race the instruments they read: the walk holds the registry
+// mutex, the workers touch only atomics. Run in the TSan shard.
+TEST(ObsConcurrency, ExportWhileFourThreadsBumpTheSameInstruments) {
+  MetricsRegistry R;
+  Counter &C = R.counter("bumps_total", "bumps");
+  Gauge &G = R.gauge("level", "last writer");
+  BucketHistogram &H = R.histogram("spread", {10, 100}, "values");
+  constexpr std::size_t Threads = 4;
+  constexpr std::uint64_t PerThread = 20000;
+  std::vector<std::thread> Workers;
+  Workers.reserve(Threads);
+  for (std::size_t W = 0; W < Threads; ++W)
+    Workers.emplace_back([&, W] {
+      for (std::uint64_t I = 0; I < PerThread; ++I) {
+        C.add();
+        G.set(static_cast<double>(W));
+        H.observe(static_cast<double>(I % 150));
+      }
+    });
+  std::uint64_t Last = 0;
+  for (int Scrape = 0; Scrape < 40; ++Scrape) {
+    const std::string Text = exportPrometheus(R);
+    const std::uint64_t Now = seriesValue(Text, "regmon_bumps_total");
+    EXPECT_GE(Now, Last) << "a counter never moves back between scrapes";
+    EXPECT_LE(Now, Threads * PerThread);
+    Last = Now;
+    EXPECT_NE(exportJson(R).find("\"name\":\"spread\""), std::string::npos);
+  }
+  for (std::thread &Th : Workers)
+    Th.join();
+
+  const std::string Final = exportPrometheus(R);
+  EXPECT_EQ(seriesValue(Final, "regmon_bumps_total"), Threads * PerThread);
+  EXPECT_EQ(seriesValue(Final, "regmon_spread_count"), Threads * PerThread);
+  EXPECT_EQ(Final, reference::prometheus(R));
+  EXPECT_EQ(exportJson(R), reference::json(R, nullptr));
 }
 
 //===----------------------------------------------------------------------===//

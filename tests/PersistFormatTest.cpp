@@ -33,6 +33,7 @@
 #include "workloads/Workloads.h"
 
 #include "HugeSpan.h"
+#include "WriteCalls.h"
 
 #include <gtest/gtest.h>
 
@@ -1056,15 +1057,128 @@ TEST(PersistJournal, NonIncreasingSequenceEndsScan) {
   const std::vector<std::uint8_t> Bytes = W.take();
   writeBytes(Path, Bytes);
 
+  // From a state at sequence 4 the first record continues it; the second
+  // does not increase.
   std::uint64_t Count = 0;
   const JournalResult Res = replayJournal(
-      Path, 0, [&Count](std::uint64_t, std::span<const std::uint8_t>) {
+      Path, 4, [&Count](std::uint64_t, std::span<const std::uint8_t>) {
         ++Count;
         return ReplayVerdict::Applied;
       });
   EXPECT_EQ(Count, 1U);
   EXPECT_TRUE(Res.TornTail);
+  EXPECT_FALSE(Res.Gap);
   EXPECT_LT(Res.ValidBytes, Bytes.size());
+}
+
+TEST(PersistJournal, ASequenceGapEndsReplayWithoutTearing) {
+  const std::string Dir = scratchDir("journal_gap");
+  const std::string Path = Dir + "/journal.wal";
+  // Records 1, 2 and 4: whole and CRC-valid, but 3 is missing.
+  LogWriter Writer;
+  ASSERT_TRUE(Writer.open(Path, JournalFormat, 0, 0, nullptr));
+  for (const std::uint64_t Seq : {1, 2, 4})
+    ASSERT_TRUE(Writer.append(Seq, JournalBatchKind, seqPayload(Seq)));
+  ASSERT_TRUE(Writer.close());
+  const std::vector<std::uint8_t> Bytes = mustRead(Path);
+
+  const auto replayFrom = [&Path](std::uint64_t Skip,
+                                  std::vector<std::uint64_t> &Seen) {
+    return replayJournal(Path, Skip,
+                         [&Seen](std::uint64_t Seq,
+                                 std::span<const std::uint8_t>) {
+                           Seen.push_back(Seq);
+                           return ReplayVerdict::Applied;
+                         });
+  };
+  std::vector<std::uint64_t> Seen;
+  JournalResult Res = replayFrom(0, Seen);
+  EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_TRUE(Res.Gap);
+  EXPECT_EQ(Res.GapSeq, 4U);
+  EXPECT_FALSE(Res.TornTail);
+  EXPECT_FALSE(Res.PayloadRejected);
+  EXPECT_LT(Res.ValidBytes, Bytes.size());
+
+  // A state past the first records skips them, and still meets the gap.
+  Seen.clear();
+  Res = replayFrom(1, Seen);
+  EXPECT_EQ(Seen, (std::vector<std::uint64_t>{2}));
+  EXPECT_TRUE(Res.Gap);
+  EXPECT_EQ(Res.RecordsSkipped, 1U);
+
+  // A state at sequence 3 is what record 4 continues.
+  Seen.clear();
+  Res = replayFrom(3, Seen);
+  EXPECT_EQ(Seen, (std::vector<std::uint64_t>{4}));
+  EXPECT_FALSE(Res.Gap);
+  EXPECT_EQ(Res.ValidBytes, Bytes.size());
+
+  // The store counts the gap, names both sequences and repairs nothing.
+  CheckpointManager M(Dir);
+  Seen.clear();
+  Res = M.replayAndRepair(0, [&Seen](std::uint64_t Seq,
+                                     std::span<const std::uint8_t>) {
+    Seen.push_back(Seq);
+    return ReplayVerdict::Applied;
+  });
+  EXPECT_TRUE(Res.Gap);
+  EXPECT_EQ(M.counters().JournalGaps, 1U);
+  EXPECT_EQ(M.counters().GapStateSeq, 2U);
+  EXPECT_EQ(M.counters().GapJournalSeq, 4U);
+  EXPECT_EQ(M.counters().JournalTornTails, 0U);
+  EXPECT_EQ(M.counters().JournalRepairs, 0U);
+  EXPECT_EQ(mustRead(Path), Bytes);
+}
+
+// A record leaves in one write(2): header and payload in one writev, with
+// no user-space buffer to split a record longer than its 4 KiB.
+TEST(PersistJournal, OneWriteCallPerAppend) {
+  if (!persisttest::writeCalls())
+    GTEST_SKIP() << "/proc/self/io is not readable";
+  CheckpointManager M(scratchDir("journal_syscw"));
+  ASSERT_TRUE(M.appendJournal(1, seqPayload(1))); // opens the writer
+  const std::vector<std::uint8_t> Payload(4900, 0xA5);
+  const std::uint64_t Before = *persisttest::writeCalls();
+  for (std::uint64_t Seq = 2; Seq <= 101; ++Seq)
+    ASSERT_TRUE(M.appendJournal(Seq, Payload));
+  const std::uint64_t After = *persisttest::writeCalls();
+  EXPECT_EQ(After - Before, 100U) << "write calls for 100 appends";
+}
+
+// A crash at every byte budget inside one append leaves exactly that
+// prefix of the record's header + payload after the bytes before it, and
+// the append is acknowledged only once every byte and the acknowledgement
+// unit were granted.
+TEST(PersistJournal, EveryByteBudgetInsideOneAppendLeavesThatPrefix) {
+  const std::string Dir = scratchDir("journal_budget");
+  const std::string Ref = Dir + "/ref.wal";
+  writeJournal(Ref, 2);
+  const std::vector<std::uint8_t> Full = mustRead(Ref);
+  const std::string Base = Dir + "/base.wal";
+  writeJournal(Base, 1);
+  const std::vector<std::uint8_t> Prefix = mustRead(Base);
+  ASSERT_LT(Prefix.size(), Full.size());
+  const std::uint64_t RecordBytes = Full.size() - Prefix.size();
+
+  const std::string Path = Dir + "/journal.wal";
+  for (std::uint64_t Budget = 0; Budget <= RecordBytes + 1; ++Budget) {
+    SCOPED_TRACE("crash budget " + std::to_string(Budget));
+    writeBytes(Path, Prefix);
+    CrashPoint Crash(Budget);
+    LogWriter Writer;
+    ASSERT_TRUE(Writer.open(Path, JournalFormat, Prefix.size(), 1, &Crash));
+    EXPECT_EQ(Writer.append(2, JournalBatchKind, seqPayload(2)),
+              Budget > RecordBytes);
+    EXPECT_EQ(Writer.ok(), Budget > RecordBytes);
+    (void)Writer.close();
+    const std::vector<std::uint8_t> Got = mustRead(Path);
+    const std::uint64_t Kept = std::min(Budget, RecordBytes);
+    EXPECT_EQ(Got, std::vector<std::uint8_t>(
+                       Full.begin(),
+                       Full.begin() + static_cast<std::ptrdiff_t>(
+                                          Prefix.size() + Kept)));
+  }
 }
 
 TEST(PersistJournal, PayloadTooLongForU32LengthIsRefusedBeforeAnyByte) {
@@ -1252,15 +1366,25 @@ TEST(PersistCheckpoint, CommitRotatesAndCompactionKeepsFallbackUsable) {
       });
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
 
-  // Commit C (covers 6) compacting through B's seq 3: records 1..3 drop.
+  // Commit C (covers 6) compacting through B's seq 3: records 1..3 drop,
+  // so the journal continues the fallback rung (B) and not a cold state.
   ASSERT_TRUE(M.commitSnapshot(coverSnapshot(6), 3));
   Seen.clear();
   (void)M.replayAndRepair(
-      0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
+      3, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
         Seen.push_back(Seq);
         return ReplayVerdict::Applied;
       });
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{4, 5, 6}));
+  Seen.clear();
+  const JournalResult Cold = M.replayAndRepair(
+      0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
+        Seen.push_back(Seq);
+        return ReplayVerdict::Applied;
+      });
+  EXPECT_TRUE(Seen.empty());
+  EXPECT_TRUE(Cold.Gap);
+  EXPECT_EQ(Cold.GapSeq, 4U);
   EXPECT_EQ(M.counters().SnapshotsCommitted, 3U);
 }
 

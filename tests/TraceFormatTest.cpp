@@ -23,6 +23,7 @@
 #include "persist/SampleBlock.h"
 
 #include "HugeSpan.h"
+#include "WriteCalls.h"
 
 #include <gtest/gtest.h>
 
@@ -260,6 +261,30 @@ TEST(TraceFormat, ConfigPayloadEndsInAStartPoint) {
   const ScanResult S = scanTraceBytes(Bytes);
   EXPECT_TRUE(S.MalformedPayload);
   EXPECT_EQ(S.ValidBytes, persist::LogHeaderBytes);
+}
+
+// Each recorded batch leaves in one write(2): header and payload in one
+// writev, however far the record outgrows a 4 KiB buffer.
+TEST(TraceFormat, RecorderIssuesOneWriteCallPerRecord) {
+  if (!persisttest::writeCalls())
+    GTEST_SKIP() << "/proc/self/io is not readable";
+  service::SampleBatch B;
+  for (std::uint64_t I = 0; I < 2000; ++I)
+    B.Samples.push_back({0x400000 + (I * 7919 % 65536) * 4,
+                         I * 45000 + I * 31 % 100, I % 5 == 0});
+  TraceRecorder Rec;
+  ASSERT_TRUE(Rec.open(scratchFile("syscw")).Ok);
+  Rec.recordConfig({});
+  const std::uint64_t Bytes0 = Rec.bytesWritten();
+  const std::uint64_t Before = *persisttest::writeCalls();
+  for (int I = 0; I < 100; ++I)
+    Rec.recordBatch(B, RecordedFate::Admitted);
+  const std::uint64_t After = *persisttest::writeCalls();
+  EXPECT_EQ(Rec.appendFailures(), 0U);
+  EXPECT_GT((Rec.bytesWritten() - Bytes0) / 100, 4096U)
+      << "each record outgrows a 4 KiB buffer";
+  EXPECT_EQ(After - Before, 100U) << "write calls for 100 records";
+  EXPECT_TRUE(Rec.close());
 }
 
 TEST(TraceFormat, ScannerDecodesRecorderOutput) {

@@ -137,6 +137,14 @@ FunctionFacts regmon::lint::extractFacts(
              oneOf(Name, {"cout", "cerr", "cin", "clog", "ofstream",
                           "ifstream", "fstream", "filesystem"}))
       addEffect(EffIo, T[I].Line, "std::" + Name);
+    else if (Call && isGlobalOrUnqualified(T, I) && looksLikeCall(T, I) &&
+             oneOf(Name, {"open", "close", "write", "writev", "pwrite",
+                          "pwritev"}))
+      // The POSIX file calls of the unbuffered sink (persist/Io.cpp) and
+      // the write family the persist rule checks. The graph does not
+      // resolve them, and an unresolved callee reads as effect-free, so
+      // they are named here.
+      addEffect(EffIo, T[I].Line, Name + "()");
 
     // Writes to this file's namespace-scope mutable variables.
     if (!Member && MutableGlobals.count(Name) != 0 &&

@@ -449,7 +449,9 @@ public:
 // wire layout between 32- and 64-bit builds), and dropped fwrite/fread
 // return values (a short transfer is exactly how torn files announce
 // themselves; ignoring it converts detectable corruption into silent
-// corruption). src/trace joined the rule with the flight recorder: its
+// corruption). The POSIX write calls the unbuffered sink makes (write,
+// writev, pwrite, pwritev, unqualified or `::`-qualified) are held to the
+// same check. src/trace joined the rule with the flight recorder: its
 // record encoding is a wire format with the same portability contract as
 // the journal's.
 //===----------------------------------------------------------------------===//
@@ -460,7 +462,8 @@ public:
   std::string_view description() const override {
     return "src/persist and src/trace only: use fixed-width integer types "
            "(no size_t/long/int -- the wire layout must not vary by "
-           "platform) and check every fwrite/fread return value";
+           "platform) and check every fwrite/fread/write/writev return "
+           "value";
   }
 
   void check(const FileContext &FC, std::vector<Diagnostic> &Out) const override {
@@ -482,10 +485,19 @@ public:
                     "vary by platform -- use std::uint32_t/std::uint64_t");
         continue;
       }
-      if (oneOf(Name, {"fwrite", "fread"}) && nextIs(T, I, "(") &&
-          isStdOrUnqualified(T, I)) {
-        // The call expression starts at `std` when written std::fwrite.
-        std::size_t Start = isStdQualified(T, I) ? I - 2 : I;
+      const bool Stdio = oneOf(Name, {"fwrite", "fread"}) &&
+                         isStdOrUnqualified(T, I);
+      const bool Posix =
+          oneOf(Name, {"write", "writev", "pwrite", "pwritev"}) &&
+          isGlobalOrUnqualified(T, I);
+      if ((Stdio || Posix) && nextIs(T, I, "(")) {
+        // The call expression starts at `std` when written std::fwrite,
+        // and at the `::` of ::writev.
+        std::size_t Start = I;
+        if (isStdQualified(T, I))
+          Start = I - 2;
+        else if (I > 0 && isPunct(T[I - 1], "::"))
+          Start = I - 1;
         // Statement position (or a discarding cast) means the transfer
         // count is dropped; any operator/assignment before the call
         // consumes it.

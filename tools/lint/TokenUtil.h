@@ -51,6 +51,22 @@ inline bool isStdOrUnqualified(const std::vector<Token> &Toks,
   return true;
 }
 
+/// True when Tokens[I] is a free function name written unqualified or
+/// `::<name>` (the global namespace, where the POSIX calls live): not a
+/// member access and not qualified by a class or namespace.
+inline bool isGlobalOrUnqualified(const std::vector<Token> &Toks,
+                                  std::size_t I) {
+  if (I == 0)
+    return true;
+  const Token &Prev = Toks[I - 1];
+  if (isPunct(Prev, ".") || isPunct(Prev, "->"))
+    return false;
+  if (isPunct(Prev, "::"))
+    return I < 2 || Toks[I - 2].Kind != TokenKind::Identifier ||
+           oneOf(Toks[I - 2].Text, {"return", "co_return", "else", "do"});
+  return true;
+}
+
 /// True when Tokens[I] is written exactly `std::<name>`.
 inline bool isStdQualified(const std::vector<Token> &Toks, std::size_t I) {
   return I >= 2 && isPunct(Toks[I - 1], "::") && isId(Toks[I - 2], "std");

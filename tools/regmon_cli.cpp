@@ -699,6 +699,12 @@ void printRecovery(const persist::RecoveryCounters &C) {
     std::printf("  topology mismatch: the journal names a stream this "
                 "service lacks; it is kept whole, and new batches and "
                 "checkpoints are refused\n");
+  if (C.JournalGaps != 0)
+    std::printf("  journal gap: the state is at sequence %llu but the "
+                "journal resumes at %llu; it is kept whole, and new "
+                "batches and checkpoints are refused\n",
+                static_cast<unsigned long long>(C.GapStateSeq),
+                static_cast<unsigned long long>(C.GapJournalSeq));
 }
 
 /// The metrics in \p Format; as JSON, with the events of \p Tracer.
